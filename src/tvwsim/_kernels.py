@@ -1,112 +1,37 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numpy kernels of the coexistence Monte Carlo: distances and path loss.
 
-The Monte Carlo studies spend nearly all of their time evaluating
-log-distance path loss over transmitter/receiver position arrays.  Those
-inner loops are compiled with ``numba.njit`` when numba is importable;
-setting the environment variable ``TVWSIM_NUMBA=0`` forces the numpy
-fallback (``TVWSIM_NUMBA=1`` requires numba and fails loudly if missing).
-
-Both backends implement identical math.  Within one backend results are
-bit-stable; across backends they agree to ~1e-12 relative (reduction
-order differs).  No randomness lives in here: callers draw from numpy
-Generators and pass plain arrays, so backend choice never changes the
-random stream.
-
-``benchmarks/bench_kernels.py`` times the two paths side by side.
+The ACIR study spends nearly all of its time evaluating log-distance
+path loss over transmitter/receiver position arrays.  No randomness
+lives in here: callers draw from numpy Generators and pass plain arrays.
+``BACKEND`` names this implementation in run records.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "pairwise_distances",
-    "path_loss_db_matrix",
-    "aggregate_rx_power_mw",
-]
+BACKEND = "numpy"
 
 
-def _numpy_pairwise_distances(a, b):
+def pairwise_distances(a, b):
+    """(n, m) Euclidean distances between the rows of ``a`` (n, 2) and ``b`` (m, 2)."""
     d = a[:, None, :] - b[None, :, :]
     return np.sqrt((d * d).sum(axis=2))
 
 
-def _numpy_path_loss_db_matrix(dist_m, ref_loss_db, exponent, ref_distance_m, min_distance_m):
+def path_loss_db_matrix(dist_m, ref_loss_db, exponent, ref_distance_m, min_distance_m):
+    """Log-distance path loss (dB), distances clamped below at ``min_distance_m``."""
     d = np.maximum(dist_m, min_distance_m)
     return ref_loss_db + 10.0 * exponent * np.log10(d / ref_distance_m)
 
 
-def _numpy_aggregate_rx_power_mw(src_xy, src_p_dbm, rx_xy,
-                                 ref_loss_db, exponent, ref_distance_m, min_distance_m):
-    d = _numpy_pairwise_distances(rx_xy, src_xy)
-    loss = _numpy_path_loss_db_matrix(d, ref_loss_db, exponent, ref_distance_m, min_distance_m)
+# aggregate_rx_power_mw calls these bindings rather than the public names,
+# so a wrapper installed on a public name sees only calls from outside.
+_distances = pairwise_distances
+_loss_db = path_loss_db_matrix
+
+
+def aggregate_rx_power_mw(src_xy, src_p_dbm, rx_xy,
+                          ref_loss_db, exponent, ref_distance_m, min_distance_m):
+    """Total power (mW) at each receiver in ``rx_xy`` from all sources."""
+    loss = _loss_db(_distances(rx_xy, src_xy), ref_loss_db, exponent,
+                    ref_distance_m, min_distance_m)
     return (10.0 ** ((src_p_dbm[None, :] - loss) / 10.0)).sum(axis=1)
-
-
-def _loop_pairwise_distances(a, b):
-    n, m = a.shape[0], b.shape[0]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            dx = a[i, 0] - b[j, 0]
-            dy = a[i, 1] - b[j, 1]
-            out[i, j] = np.sqrt(dx * dx + dy * dy)
-    return out
-
-
-def _loop_path_loss_db_matrix(dist_m, ref_loss_db, exponent, ref_distance_m, min_distance_m):
-    flat = dist_m.ravel()
-    out = np.empty_like(flat)
-    for i in range(flat.shape[0]):
-        d = flat[i]
-        if d < min_distance_m:
-            d = min_distance_m
-        out[i] = ref_loss_db + 10.0 * exponent * np.log10(d / ref_distance_m)
-    return out.reshape(dist_m.shape)
-
-
-def _loop_aggregate_rx_power_mw(src_xy, src_p_dbm, rx_xy,
-                                ref_loss_db, exponent, ref_distance_m, min_distance_m):
-    n, m = rx_xy.shape[0], src_xy.shape[0]
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(m):
-            dx = rx_xy[i, 0] - src_xy[j, 0]
-            dy = rx_xy[i, 1] - src_xy[j, 1]
-            d = np.sqrt(dx * dx + dy * dy)
-            if d < min_distance_m:
-                d = min_distance_m
-            loss = ref_loss_db + 10.0 * exponent * np.log10(d / ref_distance_m)
-            acc += 10.0 ** ((src_p_dbm[j] - loss) / 10.0)
-        out[i] = acc
-    return out
-
-
-def _resolve_backend():
-    flag = os.environ.get("TVWSIM_NUMBA", "").strip()
-    if flag == "0":
-        return "numpy", None
-    try:
-        from numba import njit
-    except ImportError:
-        if flag == "1":
-            raise ImportError("TVWSIM_NUMBA=1 but numba is not installed")
-        return "numpy", None
-    return "numba", njit
-
-
-BACKEND, _njit = _resolve_backend()
-
-if BACKEND == "numba":
-    _nb_pairwise_distances = _njit(cache=True)(_loop_pairwise_distances)
-    _nb_path_loss_db_matrix = _njit(cache=True)(_loop_path_loss_db_matrix)
-    _nb_aggregate_rx_power_mw = _njit(cache=True)(_loop_aggregate_rx_power_mw)
-    pairwise_distances = _nb_pairwise_distances
-    path_loss_db_matrix = _nb_path_loss_db_matrix
-    aggregate_rx_power_mw = _nb_aggregate_rx_power_mw
-else:
-    pairwise_distances = _numpy_pairwise_distances
-    path_loss_db_matrix = _numpy_path_loss_db_matrix
-    aggregate_rx_power_mw = _numpy_aggregate_rx_power_mw

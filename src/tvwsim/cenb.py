@@ -9,7 +9,6 @@ only: cooperative report fusion over X2 and epoch-granularity channel
 allocation by the global spectrum manager.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,18 +139,15 @@ class CenbState:
     id: str
     location: tuple
     dedicated_band: FrequencyBand
-    tx_power_dbm: float = 20.0
     active_block: tuple | None = None
     bandwidth_mhz: int | None = None
     region_cache: dict = field(default_factory=dict)
     pending_handover: CogMessage | None = None
     last_reports: dict = field(default_factory=dict)
-    report_ring: deque = field(default_factory=lambda: deque(maxlen=256))
     retune_until_ms: float = 0.0
 
     def record_report(self, report):
         self.last_reports[report.channel_index] = report
-        self.report_ring.append(report)
 
     def region(self, channel_index):
         return self.region_cache.get(channel_index, Region.WHITE)

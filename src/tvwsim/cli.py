@@ -29,35 +29,33 @@ def _cmd_simulate(args):
     if cfg.interference is not None:
         curve, guard = harness.run_interference_study(cfg.interference)
         print(guard.summary_line())
-    written = harness.emit_report(metrics, cfg, args.out, events, curve)
-    records = [r for r in metrics.handover_records if not r.aborted]
+    written = harness.emit_report(metrics, args.out, events, curve)
     print(f"simulated {cfg.duration_ms} ms, {metrics.plr.size} plr samples")
-    print(f"handovers: {len(records)}")
-    if records:
-        lats = [r.latency_ms for r in records]
-        print(f"mean_latency_ms: {np.mean(lats):.10g}")
-        print(f"max_latency_ms: {np.max(lats):.10g}")
+    print(harness.handover_summary(metrics))
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _parse_power_range(text):
-    lo, hi, step = (float(p) for p in text.split(":"))
-    n = int(round((hi - lo) / step))
-    return [lo + i * step for i in range(n + 1)]
+def _option(flag, parse, value):
+    """Parse a command-line value; a bad one is a configuration error."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {flag}: {exc}") from exc
 
 
 def _cmd_roc(args):
     cfg = sensing.load_calibration(args.calibration) if args.calibration != "default" \
         else sensing.default_calibration()
-    powers = _parse_power_range(args.powers)
-    points = sensing.estimate_roc(cfg, powers, trials=args.trials, seed=args.seed)
+    powers = _option("--powers", harness.parse_range, args.powers)
+    trials = _option("--trials", harness.positive_int, args.trials)
+    points = sensing.estimate_roc(cfg, powers, trials=trials, seed=args.seed)
     print("power_dbm,pd,pfa")
     for p in points:
         print(f"{p.power_dbm:.10g},{p.pd:.10g},{p.pfa:.10g}")
     if args.out:
-        sensing.roc_to_csv(points, args.trials, args.out)
+        sensing.roc_to_csv(points, trials, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -84,13 +82,9 @@ def _cmd_acir(args):
 
 
 def _grid_from_args(args):
-    excluded = []
-    if args.exclude:
-        for part in args.exclude.split(";"):
-            lo, hi = (float(x) for x in part.split("-"))
-            excluded.append(FrequencyBand(lo, hi))
+    excluded = _option("--exclude", harness.parse_exclusions, args.exclude)
     return build_channel_grid(FrequencyBand(args.band_low, args.band_high),
-                              args.channel_mhz, tuple(excluded))
+                              args.channel_mhz, excluded)
 
 
 def _prop_from_args(args):

@@ -23,7 +23,7 @@ class ParseError(TvwsimError):
         super().__init__(f"{loc}: {message}" if loc else message)
 
 
-class AlignmentError(TvwsimError):
+class AlignmentError(ConfigError):
     """Channel grid boundaries do not align with the channel width."""
 
 

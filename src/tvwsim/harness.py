@@ -1,13 +1,16 @@
 """Scenario configuration, the deterministic event loop, metrics, reports.
 
 A scenario is an INI-style text file of ``section.key = value`` lines
-(UTF-8, ``#`` comments).  The loop advances in 1 ms subframe ticks:
-each frame senses in the configured windows, fuses reports over X2,
-decides at the following frame boundary, broadcasts on the downlink
-pilot instant, and executes handovers at their activation boundary.
-Downlink subframes deliver a fixed packet budget unless the block is
-co-channel with an active TV transmitter, the radio is retuning, or no
-block is held; the packet-loss ratio is sampled every 10 ms.
+(UTF-8, ``#`` comments); a bad value is a ``ConfigError`` at load time.
+``parse_range`` (``lo:hi:step``) and ``parse_exclusions`` (``lo-hi;...``
+in MHz) also parse the command line's sweep and exclusion options.  Each
+``cenb.FRAME_MS`` frame senses in the configured windows, fuses reports
+over X2, decides at the following frame boundary, broadcasts on the
+downlink pilot instant, and executes handovers at their activation
+boundary.  Downlink subframes deliver a fixed packet budget unless the
+block is co-channel with an active TV transmitter, the radio is
+retuning, or no block is held; the packet-loss ratio is sampled once
+per frame.
 
 Everything is a pure function of (config bytes, seed): random streams
 derive from the scenario seed and fixed integer tags, so equal inputs
@@ -24,11 +27,10 @@ from . import geodb as geodb_mod
 from . import interference as interf_mod
 from . import sensing as sensing_mod
 from .cenb import (
+    FRAME_MS,
     CenbState,
     FrameSchedule,
-    HandoverEvent,
     MsgKind,
-    Subframe,
     asm_allocate,
     build_frame_schedule,
     execute_handover,
@@ -47,8 +49,6 @@ from .radio_env import (
     transmitters_from_csv,
 )
 from .sensing import Decision, SensingReport, analytic_threshold_dbm
-
-FRAME_MS = 10
 
 
 def parse_ini(path):
@@ -87,13 +87,36 @@ def _parse_block(text):
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _parse_range(text):
+def parse_range(text):
     """``lo:hi:step`` inclusive sweep specification."""
     lo, hi, step = (float(p) for p in text.split(":"))
     if step <= 0 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
+        raise ValueError(f"bad range {text!r}: need step > 0 and hi >= lo")
     n = int(round((hi - lo) / step))
     return [lo + i * step for i in range(n + 1)]
+
+
+def parse_exclusions(text):
+    """``lo-hi;lo-hi`` excluded bands in MHz; empty text excludes nothing."""
+    bands = []
+    for part in text.split(";") if text else ():
+        lo, hi = (float(x) for x in part.split("-"))
+        bands.append(FrequencyBand(lo, hi))
+    return tuple(bands)
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _probability(text):
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"expected a value in (0, 1], got {value:g}")
+    return value
 
 
 @dataclass
@@ -181,17 +204,16 @@ def _load_interference(reader, prefix="interference"):
         tv_noise_figure_db=reader.take(f"{prefix}.tv_noise_figure_db", float, 7.0),
         ue_noise_figure_db=reader.take(f"{prefix}.ue_noise_figure_db", float, 9.0),
         cenb_noise_figure_db=reader.take(f"{prefix}.cenb_noise_figure_db", float, 3.0),
-        n_tv_receivers=reader.take(f"{prefix}.tv_receivers", int, 10),
-        ues_per_sector=reader.take(f"{prefix}.ues_per_sector", int, 10),
+        n_tv_receivers=reader.take(f"{prefix}.tv_receivers", positive_int, 10),
+        ues_per_sector=reader.take(f"{prefix}.ues_per_sector", positive_int, 10),
         min_coupling_m=reader.take(f"{prefix}.min_coupling_m", float, 10.0),
         exponent=reader.take(f"{prefix}.exponent", float, 3.5),
         freq_mhz=reader.take(f"{prefix}.freq_mhz", float, 700.0),
     )
     return InterferenceStudy(
         topology=topo, coex=coex,
-        acir_list=reader.take(f"{prefix}.acir_db", _parse_range,
-                              _parse_range("0:100:5")),
-        snapshots=reader.take(f"{prefix}.snapshots", int, 1000),
+        acir_list=reader.take(f"{prefix}.acir_db", parse_range, parse_range("0:100:5")),
+        snapshots=reader.take(f"{prefix}.snapshots", positive_int, 1000),
         seed=reader.take(f"{prefix}.seed", int, 1),
         loss_budget=reader.take(f"{prefix}.loss_budget", float, 0.05),
     )
@@ -215,18 +237,13 @@ def load_scenario(path):
     duration = reader.take("sim.duration_ms", int, 2000)
     if duration <= 0 or duration % FRAME_MS != 0:
         raise ConfigError(f"{path}: duration_ms must be a positive multiple of "
-                          f"{FRAME_MS} ms (got {duration})")
+                          f"{FRAME_MS:g} ms (got {duration})")
 
     low = reader.take("grid.low_mhz", float, 470.0)
     high = reader.take("grid.high_mhz", float, 806.0)
     width = reader.take("grid.channel_mhz", float, 8.0)
-    excl_text = reader.take("grid.exclusions", str, "566-606")
-    excluded = []
-    if excl_text:
-        for part in excl_text.split(";"):
-            lo, hi = (float(x) for x in part.split("-"))
-            excluded.append(FrequencyBand(lo, hi))
-    grid = build_channel_grid(FrequencyBand(low, high), width, tuple(excluded))
+    excluded = reader.take("grid.exclusions", parse_exclusions, parse_exclusions("566-606"))
+    grid = build_channel_grid(FrequencyBand(low, high), width, excluded)
 
     schedule = build_frame_schedule(
         config_id=reader.take("frame.pattern", str, "tdd-2"),
@@ -237,13 +254,16 @@ def load_scenario(path):
     )
 
     ref_loss = reader.take("prop.ref_loss_db", float, None)
-    prop = PropagationConfig(
-        exponent=reader.take("prop.exponent", float, 3.5),
-        ref_distance_m=reader.take("prop.ref_distance_m", float, 1.0),
-        ref_loss_db=ref_loss,
-        shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", float, 0.0),
-        seed=seed,
-    )
+    try:
+        prop = PropagationConfig(
+            exponent=reader.take("prop.exponent", float, 3.5),
+            ref_distance_m=reader.take("prop.ref_distance_m", float, 1.0),
+            ref_loss_db=ref_loss,
+            shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", float, 0.0),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad propagation model: {exc}") from exc
 
     calib = reader.take("files.calibration", str, "default")
     if calib == "default":
@@ -305,12 +325,12 @@ def load_scenario(path):
         schedule=schedule,
         prop=prop,
         detector=detector,
-        operational_pfa=reader.take("sim.operational_pfa", float, 1e-8),
-        packets_per_dl_subframe=reader.take("sim.packets_per_dl_subframe", int, 10),
+        operational_pfa=reader.take("sim.operational_pfa", _probability, 1e-8),
+        packets_per_dl_subframe=reader.take("sim.packets_per_dl_subframe", positive_int, 10),
         retune_ms=reader.take("sim.retune_ms", float, 10.0),
         random_loss_floor=reader.take("sim.random_loss_floor", float, 0.0),
         fusion_rule=reader.take("sim.fusion_rule", str, "OR").upper(),
-        asm_epoch_frames=reader.take("sim.asm_epoch_frames", int, 100),
+        asm_epoch_frames=reader.take("sim.asm_epoch_frames", positive_int, 100),
         asm_reuse_distance_m=reader.take("sim.asm_reuse_distance_m", float, 1000.0),
         transmitters=txs,
         geodb=db,
@@ -337,13 +357,11 @@ class HandoverRecord:
 
 @dataclass
 class MetricsSeries:
-    """Per-10 ms packet-loss samples and the handover/sensing records."""
+    """Per-frame packet-loss samples, handover records and bandwidths."""
 
     plr: np.ndarray
     sample_t_ms: np.ndarray
     handover_records: list = field(default_factory=list)
-    handover_events: list = field(default_factory=list)
-    sensing_log: list = field(default_factory=list)
     bandwidth_mhz: dict = field(default_factory=dict)
     packets_offered: int = 0
     packets_lost: int = 0
@@ -383,7 +401,7 @@ def _initial_regions(setup, cfg):
 
 def run_simulation(cfg):
     """Drive the full scenario; returns (MetricsSeries, event rows)."""
-    n_frames = cfg.duration_ms // FRAME_MS
+    n_frames = int(cfg.duration_ms // FRAME_MS)
     op_det = replace(cfg.detector,
                      target_pfa=cfg.operational_pfa,
                      sense_duration_ms=cfg.schedule.sensing_time_ms,
@@ -392,15 +410,10 @@ def run_simulation(cfg):
     windows = _WindowIndex(cfg.grid, op_det, cfg.rbw_khz)
     n_snapshots = op_det.n_snapshots()
 
-    states = []
-    regions = {}
-    for setup in cfg.cenbs:
-        reg = _initial_regions(setup, cfg)
-        state = CenbState(id=setup.id, location=setup.location,
-                          dedicated_band=setup.dedicated_band,
-                          tx_power_dbm=setup.tx_power_dbm, region_cache=reg)
-        regions[setup.id] = reg
-        states.append(state)
+    states = [CenbState(id=setup.id, location=setup.location,
+                        dedicated_band=setup.dedicated_band,
+                        region_cache=_initial_regions(setup, cfg))
+              for setup in cfg.cenbs]
 
     # Initial block assignment: explicit blocks are validated, the rest
     # come from one ASM pass over the non-black channels.
@@ -414,7 +427,7 @@ def run_simulation(cfg):
             if not cfg.grid.valid_index(ch):
                 raise StartupError(f"{state.id}: initial block channel {ch} "
                                    "outside the grid")
-            if regions[state.id][ch] is Region.BLACK:
+            if state.region_cache[ch] is Region.BLACK:
                 raise StartupError(f"{state.id}: initial block channel {ch} "
                                    "is in the black region")
         runs = cfg.grid.contiguous_runs(block)
@@ -424,7 +437,7 @@ def run_simulation(cfg):
         state.active_block = tuple(sorted(block))
         state.bandwidth_mhz = select_bandwidth(len(block))
     if auto:
-        availability = {s.id: [ch for ch, r in regions[s.id].items()
+        availability = {s.id: [ch for ch, r in s.region_cache.items()
                                if r is not Region.BLACK] for s in auto}
         assignment = asm_allocate(auto, availability, cfg.asm_reuse_distance_m,
                                   cfg.grid, epoch=0)
@@ -443,6 +456,7 @@ def run_simulation(cfg):
                     else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
                 if cfg.random_loss_floor > 0 else None)
+    dl_subframes = cfg.schedule.downlink_subframes()
 
     for frame in range(n_frames):
         t0 = float(frame * FRAME_MS)
@@ -457,7 +471,6 @@ def run_simulation(cfg):
             msg = state.pending_handover
             if msg is not None and msg.activation_frame == frame:
                 state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
-                metrics.handover_events.append(ev)
                 if ev.aborted:
                     events.append((t0, state.id, "RETUNE_ABORT", "target occupied"))
                 else:
@@ -477,7 +490,7 @@ def run_simulation(cfg):
                 reports = fresh_reports[state.id]
                 fresh_reports[state.id] = []
                 active_before = state.active_block or ()
-                msg = spectrum_decision(state, reports, regions[state.id],
+                msg = spectrum_decision(state, reports, state.region_cache,
                                         cfg.grid, frame_no=frame)
                 if msg is not None and msg.kind is MsgKind.PCOGCH_DECISION:
                     trigger_ts = [state.last_reports[ch].t_ms for ch in active_before
@@ -511,7 +524,6 @@ def run_simulation(cfg):
                 for ch in monitored]
             raw_reports[state.id] = reports
             n_occ = sum(r.decision is Decision.OCCUPIED for r in reports)
-            metrics.sensing_log.append((t_sense, state.id, len(reports), n_occ))
             events.append((t_sense, state.id, "SENSE",
                            f"channels={len(reports)} occupied={n_occ}"))
 
@@ -533,9 +545,7 @@ def run_simulation(cfg):
 
         offered = 0
         lost = 0
-        for sf_idx, sf in enumerate(cfg.schedule.pattern):
-            if sf is not Subframe.DOWNLINK:
-                continue
+        for sf_idx in dl_subframes:
             t = t0 + sf_idx
             for state in states:
                 offered += cfg.packets_per_dl_subframe
@@ -559,7 +569,17 @@ def run_simulation(cfg):
     return metrics, events
 
 
-def emit_report(metrics, cfg, out_dir, events=(), curve=None):
+def handover_summary(metrics):
+    """Completed handovers and their mean and max latency (blank if none), one per line."""
+    lats = [r.latency_ms for r in metrics.handover_records if not r.aborted]
+    if not lats:
+        return "handovers: 0\nmean_latency_ms:\nmax_latency_ms:"
+    return (f"handovers: {len(lats)}\n"
+            f"mean_latency_ms: {np.mean(lats):.10g}\n"
+            f"max_latency_ms: {np.max(lats):.10g}")
+
+
+def emit_report(metrics, out_dir, events=(), curve=None):
     """Write plr.csv, events.csv, handover_summary.txt (and acir_curve.csv)."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -579,16 +599,8 @@ def emit_report(metrics, cfg, out_dir, events=(), curve=None):
     written.append(ev_path)
 
     summary_path = os.path.join(out_dir, "handover_summary.txt")
-    records = [r for r in metrics.handover_records if not r.aborted]
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(f"handovers: {len(records)}\n")
-        if records:
-            lats = [r.latency_ms for r in records]
-            fh.write(f"mean_latency_ms: {np.mean(lats):.10g}\n")
-            fh.write(f"max_latency_ms: {np.max(lats):.10g}\n")
-        else:
-            fh.write("mean_latency_ms:\n")
-            fh.write("max_latency_ms:\n")
+        fh.write(handover_summary(metrics) + "\n")
     written.append(summary_path)
 
     if curve is not None:

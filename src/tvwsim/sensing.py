@@ -111,8 +111,10 @@ def per_carrier_pfa(target_pfa, k, n):
 def _gamma_mean1_isf(p, shape):
     """Upper-tail quantile of Gamma(shape)/shape via Wilson-Hilferty.
 
-    Good to ~1e-6 relative for the shape counts used here (>= 100);
-    serves as the analytic counterpart of the Monte Carlo calibration.
+    The relative error falls with the shape: at shape 100 it is 4e-5 at
+    p = 1e-2 and 1e-3 at p = 1e-8; at the operating shape of 21 250
+    (1.7 ms of sensing) it stays below 5e-7 for p down to 1e-8.  Serves
+    as the analytic counterpart of the Monte Carlo calibration.
     """
     z = _norm_isf(p)
     a = 1.0 / (9.0 * shape)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from tvwsim.cenb import build_frame_schedule
 from tvwsim.errors import CalibrationError, CoverageError, ParseError
 from tvwsim.radio_env import (
     PropagationConfig,
@@ -14,6 +17,7 @@ from tvwsim.radio_env import (
 from tvwsim.sensing import (
     Decision,
     DetectorConfig,
+    _gamma_mean1_isf,
     analytic_threshold_dbm,
     calibrate_threshold,
     carrier_signal_mw,
@@ -71,6 +75,23 @@ class TestCalibration:
         m = cfg.n_snapshots()
         expected = 10 * np.log10(cfg.window_noise_mw() * sps.gamma.isf(p1, a=m) / m)
         assert analytic_threshold_dbm(cfg) == pytest.approx(expected, abs=1e-3)
+
+    def test_operating_shape(self):
+        schedule = build_frame_schedule()
+        cfg = replace(default_calibration(), sense_duration_ms=schedule.sensing_time_ms)
+        assert cfg.n_snapshots() == 21_250
+
+    @pytest.mark.parametrize("shape, pfa, bound", [
+        (100, 1e-2, 5e-5),
+        (100, 1e-8, 1.1e-3),
+        (21_250, 1e-2, 5e-7),
+        (21_250, 1e-4, 5e-7),
+        (21_250, 1e-6, 5e-7),
+        (21_250, 1e-8, 5e-7),
+    ])
+    def test_wilson_hilferty_error_within_documented_bound(self, shape, pfa, bound):
+        exact = sps.gamma.isf(pfa, a=shape, scale=1.0 / shape)
+        assert abs(_gamma_mean1_isf(pfa, shape) / exact - 1.0) < bound
 
     def test_too_few_trials_rejected(self):
         cfg = DetectorConfig(target_pfa=0.001)
