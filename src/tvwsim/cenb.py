@@ -152,6 +152,12 @@ class CenbState:
     def region(self, channel_index):
         return self.region_cache.get(channel_index, Region.WHITE)
 
+    def unavailable(self, channel_index):
+        """Black in the database view, or last sensed occupied."""
+        rep = self.last_reports.get(channel_index)
+        return (self.region(channel_index) is Region.BLACK
+                or (rep is not None and rep.decision is Decision.OCCUPIED))
+
     def retuning_at(self, t_ms):
         return t_ms < self.retune_until_ms
 
@@ -196,22 +202,14 @@ def spectrum_decision(state, reports, regions, grid, frame_no):
                 raise StaleSensingError(
                     f"no fresh sensing report for grey channel {ch}")
 
-    def occupied(ch):
-        rep = state.last_reports.get(ch)
-        return rep is not None and rep.decision is Decision.OCCUPIED
-
-    triggered = (state.active_block is None
-                 or any(state.region(ch) is Region.BLACK for ch in active)
-                 or any(occupied(ch) for ch in active))
-    if not triggered:
+    if state.active_block is not None and not any(state.unavailable(ch) for ch in active):
         return None
 
     def usable(ch):
         # Grey channels count as vacant only once sensing has cleared them.
-        region = state.region(ch)
-        if ch in active or region is Region.BLACK or occupied(ch):
+        if ch in active or state.unavailable(ch):
             return False
-        return region is not Region.GREY or ch in state.last_reports
+        return state.region(ch) is not Region.GREY or ch in state.last_reports
 
     run = best_vacant_run(grid, [ch for ch in range(grid.n_channels) if usable(ch)])
     block = tuple(run[:MAX_BLOCK_CHANNELS])
@@ -259,13 +257,7 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
                          f"({msg.activation_frame * FRAME_MS} ms), not {now_ms} ms")
     state.pending_handover = None
     from_block = state.active_block or ()
-
-    def bad(ch):
-        rep = state.last_reports.get(ch)
-        return (state.region(ch) is Region.BLACK
-                or (rep is not None and rep.decision is Decision.OCCUPIED))
-
-    if any(bad(ch) for ch in msg.target_block):
+    if any(state.unavailable(ch) for ch in msg.target_block):
         event = HandoverEvent(cenb_id=state.id, t_decision_ms=msg.frame_no * FRAME_MS,
                               t_activation_ms=now_ms, t_restored_ms=now_ms,
                               from_block=from_block, to_block=(), aborted=True)

@@ -109,15 +109,17 @@ def classify_region(db, point, channel_index, cenb_max_eirp_dbm, prop, grid,
     if not grid.valid_index(channel_index):
         raise IndexError(f"channel index {channel_index} outside grid "
                          f"(0..{grid.n_channels - 1})")
+    records = db.co_channel(channel_index)
+    if not records:
+        return Region.WHITE
+    r_interf = contour_radius_m(cenb_max_eirp_dbm, db.protection_floor_dbm, prop, freq_mhz)
     region = Region.WHITE
-    for rec in db.co_channel(channel_index):
+    for rec in records:
         d = float(np.hypot(point[0] - rec.service.location[0],
                            point[1] - rec.service.location[1]))
         r_protected = protected_radius(rec, prop, freq_mhz)
         if d <= r_protected:
             return Region.BLACK
-        r_interf = contour_radius_m(cenb_max_eirp_dbm, db.protection_floor_dbm,
-                                    prop, freq_mhz)
         if d <= r_protected + r_interf + db.grey_margin_m:
             region = min(region, Region.GREY)
     return region

@@ -37,14 +37,13 @@ from .cenb import (
     select_bandwidth,
     spectrum_decision,
 )
-from .errors import ConfigError, ParseError, StartupError
+from .errors import ConfigError, CoverageError, ParseError, StartupError
 from .geodb import GeoDb, Region, query_vacant_channels
 from .radio_env import (
     DEFAULT_RBW_KHZ,
     FrequencyBand,
     PropagationConfig,
     build_channel_grid,
-    mw_to_dbm,
     received_spectrum,
     transmitters_from_csv,
 )
@@ -112,11 +111,27 @@ def positive_int(text):
     return value
 
 
-def _probability(text):
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"expected a value in (0, 1], got {value:g}")
-    return value
+def _checked_float(accept, expected):
+    """Float parser that rejects a value failing ``accept``."""
+    def parse(text):
+        value = float(text)
+        if not accept(value):
+            raise ValueError(f"expected {expected}, got {value:g}")
+        return value
+    return parse
+
+
+_positive = _checked_float(lambda v: v > 0.0, "a positive number")
+_non_negative = _checked_float(lambda v: v >= 0.0, "a non-negative number")
+_fraction = _checked_float(lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
+_probability = _checked_float(lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
+
+
+def _band(path, what, low_mhz, high_mhz):
+    try:
+        return FrequencyBand(low_mhz, high_mhz)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad {what}: {exc}") from exc
 
 
 @dataclass
@@ -191,7 +206,7 @@ def _resolve(path, base_dir):
 
 
 def _load_interference(reader, prefix="interference"):
-    isd = reader.take(f"{prefix}.isd_m", float, 150.0)
+    isd = reader.take(f"{prefix}.isd_m", _positive, 150.0)
     radius = reader.take(f"{prefix}.tv_radius_m", float, 350.0)
     off_x = reader.take(f"{prefix}.offset_x_m", float, 10.0)
     off_y = reader.take(f"{prefix}.offset_y_m", float, 0.0)
@@ -241,9 +256,9 @@ def load_scenario(path):
 
     low = reader.take("grid.low_mhz", float, 470.0)
     high = reader.take("grid.high_mhz", float, 806.0)
-    width = reader.take("grid.channel_mhz", float, 8.0)
+    width = reader.take("grid.channel_mhz", _positive, 8.0)
     excluded = reader.take("grid.exclusions", parse_exclusions, parse_exclusions("566-606"))
-    grid = build_channel_grid(FrequencyBand(low, high), width, excluded)
+    grid = build_channel_grid(_band(path, "grid band", low, high), width, excluded)
 
     schedule = build_frame_schedule(
         config_id=reader.take("frame.pattern", str, "tdd-2"),
@@ -257,7 +272,7 @@ def load_scenario(path):
     try:
         prop = PropagationConfig(
             exponent=reader.take("prop.exponent", float, 3.5),
-            ref_distance_m=reader.take("prop.ref_distance_m", float, 1.0),
+            ref_distance_m=reader.take("prop.ref_distance_m", _positive, 1.0),
             ref_loss_db=ref_loss,
             shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", float, 0.0),
             seed=seed,
@@ -305,7 +320,7 @@ def load_scenario(path):
             location=(reader.take(f"{prefix}.x_m", float, 0.0),
                       reader.take(f"{prefix}.y_m", float, 0.0)),
             tx_power_dbm=reader.take(f"{prefix}.power_dbm", float, 20.0),
-            dedicated_band=FrequencyBand(ded_lo, ded_hi),
+            dedicated_band=_band(path, f"{prefix} dedicated band", ded_lo, ded_hi),
             initial_block=reader.take(f"{prefix}.block", _parse_block, None),
         ))
         index += 1
@@ -327,15 +342,15 @@ def load_scenario(path):
         detector=detector,
         operational_pfa=reader.take("sim.operational_pfa", _probability, 1e-8),
         packets_per_dl_subframe=reader.take("sim.packets_per_dl_subframe", positive_int, 10),
-        retune_ms=reader.take("sim.retune_ms", float, 10.0),
-        random_loss_floor=reader.take("sim.random_loss_floor", float, 0.0),
+        retune_ms=reader.take("sim.retune_ms", _non_negative, 10.0),
+        random_loss_floor=reader.take("sim.random_loss_floor", _fraction, 0.0),
         fusion_rule=reader.take("sim.fusion_rule", str, "OR").upper(),
         asm_epoch_frames=reader.take("sim.asm_epoch_frames", positive_int, 100),
         asm_reuse_distance_m=reader.take("sim.asm_reuse_distance_m", float, 1000.0),
         transmitters=txs,
         geodb=db,
         cenbs=cenbs,
-        rbw_khz=reader.take("radio.rbw_khz", float, DEFAULT_RBW_KHZ),
+        rbw_khz=reader.take("radio.rbw_khz", _positive, DEFAULT_RBW_KHZ),
         interference=study,
     )
     if cfg.fusion_rule not in ("OR", "MAJORITY", "OFF"):
@@ -367,31 +382,6 @@ class MetricsSeries:
     packets_lost: int = 0
 
 
-class _WindowIndex:
-    """Per-channel carrier-window bin indices on a fixed spectrum layout."""
-
-    def __init__(self, grid, det_cfg, rbw_khz):
-        rbw_mhz = rbw_khz / 1000.0
-        n_bins = int(round(grid.band.width_mhz / rbw_mhz))
-        centers = grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz
-        half = det_cfg.det_bw_khz / 1000.0 / 2
-        per_carrier = []
-        for off in det_cfg.carrier_offsets_mhz:
-            rows = []
-            for ch in range(grid.n_channels):
-                f0 = grid.low_edge_mhz(ch) + off
-                rows.append(np.nonzero(np.abs(centers - f0) <= half + 1e-9)[0])
-            width = {len(r) for r in rows}
-            if len(width) != 1 or 0 in width:
-                raise ConfigError("carrier windows not representable on this grid")
-            per_carrier.append(np.vstack(rows))
-        self.per_carrier = per_carrier
-
-    def stats_dbm(self, bins_mw):
-        cols = [bins_mw[idx].sum(axis=1) for idx in self.per_carrier]
-        return mw_to_dbm(np.stack(cols, axis=1))  # (n_channels, n_carriers)
-
-
 def _initial_regions(setup, cfg):
     if cfg.geodb is None:
         return {ch: Region.WHITE for ch in range(cfg.grid.n_channels)}
@@ -407,7 +397,14 @@ def run_simulation(cfg):
                      sense_duration_ms=cfg.schedule.sensing_time_ms,
                      threshold_dbm=None)
     op_det.threshold_dbm = analytic_threshold_dbm(op_det)
-    windows = _WindowIndex(cfg.grid, op_det, cfg.rbw_khz)
+    rbw_mhz = cfg.rbw_khz / 1000.0
+    n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))
+    try:
+        windows = sensing_mod.carrier_windows(
+            cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz,
+            cfg.grid.low_edges_mhz, op_det)
+    except CoverageError as exc:
+        raise ConfigError(f"carrier windows not representable on this grid: {exc}") from exc
     n_snapshots = op_det.n_snapshots()
 
     states = [CenbState(id=setup.id, location=setup.location,
@@ -451,7 +448,7 @@ def run_simulation(cfg):
                             sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS,
                             bandwidth_mhz={s.id: [] for s in states})
     pending_detect_t = {}
-    fresh_reports = {s.id: [] for s in states}
+    fused_reports = {s.id: [] for s in states}
     sense_offset = (3.0 if cfg.schedule.wide_scan
                     else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
@@ -487,15 +484,12 @@ def run_simulation(cfg):
 
         if frame > 0:
             for state in states:
-                reports = fresh_reports[state.id]
-                fresh_reports[state.id] = []
                 active_before = state.active_block or ()
-                msg = spectrum_decision(state, reports, state.region_cache,
+                msg = spectrum_decision(state, fused_reports[state.id], state.region_cache,
                                         cfg.grid, frame_no=frame)
                 if msg is not None and msg.kind is MsgKind.PCOGCH_DECISION:
                     trigger_ts = [state.last_reports[ch].t_ms for ch in active_before
-                                  if ch in state.last_reports
-                                  and state.last_reports[ch].decision is Decision.OCCUPIED]
+                                  if ch in state.last_reports and state.unavailable(ch)]
                     pending_detect_t[(state.id, msg.activation_frame)] = (
                         min(trigger_ts) if trigger_ts else t0)
                     events.append((t0, state.id, "DECIDE",
@@ -512,9 +506,8 @@ def run_simulation(cfg):
                 state.location, cfg.transmitters, t_sense, cfg.prop, cfg.grid,
                 rbw_khz=cfg.rbw_khz, noise_figure_db=op_det.noise_figure_db,
                 snapshots=n_snapshots, rng=rng)
-            stats = windows.stats_dbm(spectrum.bins_mw())
-            fired = (stats >= op_det.threshold_dbm).sum(axis=1)
-            occupied = fired >= op_det.k_required
+            stats, occupied = sensing_mod.detect_channels(op_det, spectrum.bins_mw(),
+                                                          windows)
             monitored = (range(cfg.grid.n_channels) if cfg.schedule.wide_scan
                          else list(state.active_block or ()))
             reports = [SensingReport(
@@ -527,21 +520,19 @@ def run_simulation(cfg):
             events.append((t_sense, state.id, "SENSE",
                            f"channels={len(reports)} occupied={n_occ}"))
 
-        for state in states:
-            mine = raw_reports[state.id]
-            if cfg.fusion_rule == "OFF" or len(states) == 1:
-                fresh_reports[state.id] = mine
-                continue
+        if cfg.fusion_rule == "OFF" or len(states) == 1:
+            fused_reports = raw_reports
+        else:
+            # X2 exchange: every CeNB fuses its verdict with all others' on that channel.
             by_channel = {}
-            for other in states:
-                if other.id == state.id:
-                    continue
-                for rep in raw_reports[other.id]:
+            for reports in raw_reports.values():
+                for rep in reports:
                     by_channel.setdefault(rep.channel_index, []).append(rep)
-            fresh_reports[state.id] = [
-                cenb_mod.fuse_cooperative(rep, by_channel.get(rep.channel_index, ()),
-                                          cfg.fusion_rule)
-                for rep in mine]
+            fused_reports = {
+                cenb_id: [cenb_mod.fuse_cooperative(
+                    rep, [r for r in by_channel[rep.channel_index] if r is not rep],
+                    cfg.fusion_rule) for rep in reports]
+                for cenb_id, reports in raw_reports.items()}
 
         offered = 0
         lost = 0

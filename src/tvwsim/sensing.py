@@ -199,39 +199,59 @@ def calibrate_threshold(cfg, noise_window_dbm=None, trials=None, seed=0):
     return cfg.threshold_dbm
 
 
-def carrier_window_indices(spectrum, grid, channel_index, cfg):
-    """Bin indices of each carrier window for a channel, or CoverageError."""
+def carrier_windows(bin_centers_mhz, channel_low_edges_mhz, cfg):
+    """Bin indices of every carrier window, shape (channels, carriers, width).
+
+    Window (c, j) holds the bins whose centers lie within half the
+    detection bandwidth of ``channel_low_edges_mhz[c]`` plus carrier
+    offset j.  Raises CoverageError when a window has no bins or the
+    windows differ in width.
+    """
+    centers = np.asarray(bin_centers_mhz, dtype=float)
+    half = cfg.det_bw_khz / 1000.0 / 2
+    rows = [np.nonzero(np.abs(centers - (lo + off)) <= half + 1e-9)[0]
+            for lo in channel_low_edges_mhz for off in cfg.carrier_offsets_mhz]
+    widths = {row.size for row in rows}
+    if 0 in widths or len(widths) != 1:
+        raise CoverageError(f"carrier windows of {cfg.det_bw_khz:g} kHz hold "
+                            f"{sorted(widths)} bins; need one non-zero width")
+    return np.stack(rows).reshape(len(channel_low_edges_mhz), cfg.n_carriers, -1)
+
+
+def _k_of_n(stats, threshold, k):
+    """k-of-n rule: True where at least k statistics (last axis) reach the threshold."""
+    return (stats >= threshold).sum(axis=-1) >= k
+
+
+def detect_channels(cfg, bins_mw, windows):
+    """Carrier statistics (dBm) and verdicts for every channel of ``windows``.
+
+    The per-carrier statistic is the linear power summed over its
+    window; returns the (channels, carriers) statistics and the
+    (channels,) occupied flags.
+    """
+    stats = mw_to_dbm(bins_mw[windows].sum(axis=2))
+    return stats, _k_of_n(stats, cfg.threshold_dbm, cfg.k_required)
+
+
+def detect_tv(cfg, spectrum, channel_index, grid, cenb_id="", t_ms=0.0):
+    """Apply the k-of-n carrier rule to one channel of a received spectrum.
+
+    Pure function of (cfg, spectrum).
+    """
+    if cfg.threshold_dbm is None:
+        raise CalibrationError("threshold not calibrated; run calibrate_threshold first")
     lo = grid.low_edge_mhz(channel_index)
     hi = grid.high_edge_mhz(channel_index)
     if not spectrum.covers(lo, hi):
         raise CoverageError(
             f"spectrum {spectrum.start_mhz}-{spectrum.stop_mhz} MHz does not "
             f"cover channel {channel_index} ({lo}-{hi} MHz)")
-    wins = []
-    for off in cfg.carrier_offsets_mhz:
-        idx = spectrum.window_indices(lo + off, cfg.det_bw_khz / 1000.0)
-        if idx.size == 0:
-            raise CoverageError(f"no bins in carrier window at {lo + off} MHz")
-        wins.append(idx)
-    return wins
-
-
-def detect_tv(cfg, spectrum, channel_index, grid, cenb_id="", t_ms=0.0):
-    """Apply the k-of-n carrier rule to a received spectrum.
-
-    The per-carrier statistic is the linear power summed over the
-    detection window.  Pure function of (cfg, spectrum).
-    """
-    if cfg.threshold_dbm is None:
-        raise CalibrationError("threshold not calibrated; run calibrate_threshold first")
-    bins_mw = spectrum.bins_mw()
-    stats = []
-    for idx in carrier_window_indices(spectrum, grid, channel_index, cfg):
-        stats.append(float(mw_to_dbm(bins_mw[idx].sum())))
-    n_above = sum(s >= cfg.threshold_dbm for s in stats)
-    decision = Decision.OCCUPIED if n_above >= cfg.k_required else Decision.VACANT
+    windows = carrier_windows(spectrum.bin_centers_mhz(), [lo], cfg)
+    stats, occupied = detect_channels(cfg, spectrum.bins_mw(), windows)
     return SensingReport(cenb_id=cenb_id, channel_index=channel_index,
-                         decision=decision, carrier_stats_dbm=tuple(stats), t_ms=t_ms)
+                         decision=Decision.OCCUPIED if occupied[0] else Decision.VACANT,
+                         carrier_stats_dbm=tuple(float(s) for s in stats[0]), t_ms=t_ms)
 
 
 def channel_energy_dbm(spectrum, channel_index, grid):
@@ -264,11 +284,8 @@ def carrier_signal_mw(cfg, total_power_dbm, channel_width_mhz=8.0,
                        location=(0.0, 0.0), eirp_dbm=total_power_dbm)
     spec = synthesize_tv_spectrum(tx, grid, cfg.det_bw_khz, total_power_dbm,
                                   carrier_split)
-    bins_mw = spec.bins_mw()
-    out = []
-    for idx in carrier_window_indices(spec, grid, 0, cfg):
-        out.append(bins_mw[idx].sum())
-    return np.asarray(out)
+    windows = carrier_windows(spec.bin_centers_mhz(), grid.low_edges_mhz[:1], cfg)
+    return spec.bins_mw()[windows[0]].sum(axis=1)
 
 
 def _detect_counts(cfg, signal_mw, noise_mw, trials, rng, shared_g=None):
@@ -277,8 +294,7 @@ def _detect_counts(cfg, signal_mw, noise_mw, trials, rng, shared_g=None):
     g = rng.gamma(m, 1.0 / m, size=(trials, cfg.n_carriers)) if shared_g is None else shared_g
     tau = float(dbm_to_mw(cfg.threshold_dbm))
     stats = (noise_mw + signal_mw[None, :]) * g
-    fired = (stats >= tau).sum(axis=1)
-    return int((fired >= cfg.k_required).sum())
+    return int(_k_of_n(stats, tau, cfg.k_required).sum())
 
 
 def measure_pfa(cfg, trials=100_000, seed=1, noise_window_dbm=None):

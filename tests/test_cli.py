@@ -24,7 +24,16 @@ BAD_INPUTS = [
     ("simulate", "prop.exponent = 1"),
     ("simulate", "sim.asm_epoch_frames = 0"),
     ("simulate", "sim.packets_per_dl_subframe = 0"),
+    ("simulate", "radio.rbw_khz = 0"),
+    ("simulate", "grid.channel_mhz = 0"),
+    ("simulate", "grid.low_mhz = 900"),
+    ("simulate", "cenb1.dedicated_low_mhz = 710"),
+    ("simulate", "interference.enabled = true\ninterference.isd_m = 0"),
+    ("simulate", "sim.random_loss_floor = 2"),
+    ("simulate", "prop.ref_distance_m = 0"),
+    ("simulate", "sim.retune_ms = -5"),
     ("acir", "interference.snapshots = 0"),
+    ("acir", "interference.isd_m = 0"),
     ("geodb", "--exclude=566-6x6"),
     ("occupancy", "--exclude=566-6x6"),
 ]
