@@ -118,7 +118,11 @@ class MsgKind(Enum):
 
 @dataclass(frozen=True)
 class CogMessage:
-    """CR control message (RRC report on CogCCH, or decision on PCogCH)."""
+    """CR control message (RRC report on CogCCH, or decision on PCogCH).
+
+    ``t_detect_ms`` is when the cause of the message was sensed; a
+    message built without one takes the start of its decision frame.
+    """
 
     kind: MsgKind
     target_block: tuple
@@ -126,10 +130,13 @@ class CogMessage:
     activation_frame: int
     origin: str
     frame_no: int
+    t_detect_ms: float | None = None
 
     def __post_init__(self):
         if self.kind is MsgKind.PCOGCH_DECISION and self.activation_frame <= self.frame_no:
             raise ValueError("activation frame must follow the decision frame")
+        if self.t_detect_ms is None:
+            object.__setattr__(self, "t_detect_ms", self.frame_no * FRAME_MS)
 
 
 @dataclass
@@ -184,8 +191,11 @@ def spectrum_decision(state, reports, regions, grid, frame_no):
     target is the best vacant contiguous run (longest, ties to the
     lowest index), capped at three channels, activating next frame.
     A handover vacates the whole active block: none of its channels,
-    vacant or not, is part of the target.  Returns None in the
-    all-clear steady state.
+    vacant or not, is part of the target.  The message's detection time
+    is the earliest report time of the unavailable active channels that
+    have a report, or the start of frame ``frame_no`` if there is none
+    (a Black region without a report, or no active block).  Returns
+    None in the all-clear steady state.
     """
     for rep in reports:
         state.record_report(rep)
@@ -215,20 +225,26 @@ def spectrum_decision(state, reports, regions, grid, frame_no):
     block = tuple(run[:MAX_BLOCK_CHANNELS])
     if state.active_block is None and not block:
         return None
+    sensed = [state.last_reports[ch].t_ms for ch in active
+              if ch in state.last_reports and state.unavailable(ch)]
     msg = CogMessage(kind=MsgKind.PCOGCH_DECISION, target_block=block,
                      bandwidth_mhz=select_bandwidth(len(run)),
                      activation_frame=frame_no + 1, origin=state.id,
-                     frame_no=frame_no)
+                     frame_no=frame_no, t_detect_ms=min(sensed, default=frame_start))
     state.pending_handover = msg
     return msg
 
 
 @dataclass(frozen=True)
 class HandoverEvent:
-    """Timing record of one executed (or aborted) spectrum handover."""
+    """Timing record of one executed (or aborted) spectrum handover.
+
+    ``t_detect_ms`` is the decision message's detection time, so
+    ``latency_ms`` runs from detection to restored data service.
+    """
 
     cenb_id: str
-    t_decision_ms: float
+    t_detect_ms: float
     t_activation_ms: float
     t_restored_ms: float
     from_block: tuple
@@ -237,7 +253,7 @@ class HandoverEvent:
 
     @property
     def latency_ms(self):
-        return self.t_restored_ms - self.t_decision_ms
+        return self.t_restored_ms - self.t_detect_ms
 
 
 def execute_handover(state, msg, now_ms, retune_ms=10.0):
@@ -257,18 +273,15 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
                          f"({msg.activation_frame * FRAME_MS} ms), not {now_ms} ms")
     state.pending_handover = None
     from_block = state.active_block or ()
-    if any(state.unavailable(ch) for ch in msg.target_block):
-        event = HandoverEvent(cenb_id=state.id, t_decision_ms=msg.frame_no * FRAME_MS,
-                              t_activation_ms=now_ms, t_restored_ms=now_ms,
-                              from_block=from_block, to_block=(), aborted=True)
-        return state, event
-    state.active_block = msg.target_block or None
-    state.bandwidth_mhz = msg.bandwidth_mhz
-    state.retune_until_ms = now_ms + retune_ms
-    event = HandoverEvent(cenb_id=state.id, t_decision_ms=msg.frame_no * FRAME_MS,
-                          t_activation_ms=now_ms, t_restored_ms=now_ms + retune_ms,
-                          from_block=from_block, to_block=msg.target_block)
-    return state, event
+    aborted = any(state.unavailable(ch) for ch in msg.target_block)
+    if not aborted:
+        state.active_block = msg.target_block or None
+        state.bandwidth_mhz = msg.bandwidth_mhz
+        state.retune_until_ms = now_ms + retune_ms
+    return state, HandoverEvent(
+        cenb_id=state.id, t_detect_ms=msg.t_detect_ms, t_activation_ms=now_ms,
+        t_restored_ms=now_ms if aborted else now_ms + retune_ms, from_block=from_block,
+        to_block=() if aborted else msg.target_block, aborted=aborted)
 
 
 def fuse_cooperative(own, neighbors, rule="OR"):

@@ -87,14 +87,17 @@ def _grid_from_args(args):
                               args.channel_mhz, excluded)
 
 
-def _prop_from_args(args):
-    return PropagationConfig(exponent=args.exponent, ref_loss_db=args.ref_loss_db)
-
-
 def _cmd_geodb(args):
-    prop = _prop_from_args(args)
+    if args.geodb_cmd == "separation":
+        table = (geodb_mod.default_separation_table() if args.table == "default"
+                 else geodb_mod.separation_table_from_csv(args.table))
+        sep, clamped = geodb_mod.required_separation(table, args.power, args.height)
+        flag = " (clamped to table hull)" if clamped else ""
+        print(f"required_separation_m: {sep:.10g}{flag}")
+        return EXIT_OK
+    prop = PropagationConfig(exponent=args.exponent, ref_loss_db=args.ref_loss_db)
+    db = geodb_mod.load(args.db, prop)
     if args.geodb_cmd == "query":
-        db = geodb_mod.load(args.db, prop)
         grid = _grid_from_args(args)
         rows = query_vacant_channels(db, (args.x, args.y), args.eirp, prop, grid,
                                      args.freq)
@@ -103,19 +106,12 @@ def _cmd_geodb(args):
             print(f"{ch},{grid.low_edge_mhz(ch):.10g},{region.name.title()}")
         usable = sum(1 for _, r in rows if r is not geodb_mod.Region.BLACK)
         print(f"# usable channels (white+grey): {usable}")
-    elif args.geodb_cmd == "contour":
-        db = geodb_mod.load(args.db, prop)
+    else:  # contour
         print("id,channel,protected_radius_m")
         for key in sorted(db.records):
             rec = db.records[key]
             radius = geodb_mod.protected_radius(rec, prop, args.freq)
             print(f"{key},{rec.service.channel_index},{radius:.10g}")
-    else:  # separation
-        table = (geodb_mod.default_separation_table() if args.table == "default"
-                 else geodb_mod.separation_table_from_csv(args.table))
-        sep, clamped = geodb_mod.required_separation(table, args.power, args.height)
-        flag = " (clamped to table hull)" if clamped else ""
-        print(f"required_separation_m: {sep:.10g}{flag}")
     return EXIT_OK
 
 
@@ -190,8 +186,6 @@ def build_parser():
     g.add_argument("--table", default="default", help="separation table CSV")
     g.add_argument("--power", type=float, required=True)
     g.add_argument("--height", type=float, required=True)
-    g.add_argument("--exponent", type=float, default=3.5)
-    g.add_argument("--ref-loss-db", type=float, default=None)
     p.set_defaults(func=_cmd_geodb)
 
     p = sub.add_parser("occupancy", help="duty-cycle analytics over a trace")

@@ -30,7 +30,6 @@ from .cenb import (
     FRAME_MS,
     CenbState,
     FrameSchedule,
-    MsgKind,
     asm_allocate,
     build_frame_schedule,
     execute_handover,
@@ -80,10 +79,21 @@ def _parse_bool(text):
     raise ValueError(f"expected boolean, got {text!r}")
 
 
-def _parse_block(text):
-    if text.lower() == "auto":
-        return None
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _block_parser(grid):
+    """``auto``, or a comma list of at most three frequency-contiguous grid channels."""
+    def parse(text):
+        if text.lower() == "auto":
+            return None
+        block = tuple(sorted(int(p) for p in text.split(",") if p.strip()))
+        for ch in block:
+            if not grid.valid_index(ch):
+                raise ValueError(f"channel {ch} outside the grid")
+        if (grid.contiguous_runs(block) != [list(block)]
+                or len(block) > cenb_mod.MAX_BLOCK_CHANNELS):
+            raise ValueError(f"{block} is not a contiguous run of 1 to "
+                             f"{cenb_mod.MAX_BLOCK_CHANNELS} channels")
+        return block
+    return parse
 
 
 def parse_range(text):
@@ -321,7 +331,7 @@ def load_scenario(path):
                       reader.take(f"{prefix}.y_m", float, 0.0)),
             tx_power_dbm=reader.take(f"{prefix}.power_dbm", float, 20.0),
             dedicated_band=_band(path, f"{prefix} dedicated band", ded_lo, ded_hi),
-            initial_block=reader.take(f"{prefix}.block", _parse_block, None),
+            initial_block=reader.take(f"{prefix}.block", _block_parser(grid), None),
         ))
         index += 1
     if not cenbs:
@@ -359,25 +369,13 @@ def load_scenario(path):
     return cfg
 
 
-@dataclass(frozen=True)
-class HandoverRecord:
-    """Detection-to-restoration timing of one completed handover."""
-
-    cenb_id: str
-    t_detect_ms: float
-    t_restore_ms: float
-    latency_ms: float
-    aborted: bool = False
-
-
 @dataclass
 class MetricsSeries:
-    """Per-frame packet-loss samples, handover records and bandwidths."""
+    """Per-frame packet-loss samples and every executed or aborted ``HandoverEvent``."""
 
     plr: np.ndarray
     sample_t_ms: np.ndarray
     handover_records: list = field(default_factory=list)
-    bandwidth_mhz: dict = field(default_factory=dict)
     packets_offered: int = 0
     packets_lost: int = 0
 
@@ -412,26 +410,20 @@ def run_simulation(cfg):
                         region_cache=_initial_regions(setup, cfg))
               for setup in cfg.cenbs]
 
-    # Initial block assignment: explicit blocks are validated, the rest
-    # come from one ASM pass over the non-black channels.
+    # Initial block assignment: an explicit block (its shape checked at
+    # load time) must avoid the black region; the rest come from one ASM
+    # pass over the non-black channels.
     auto = []
     for setup, state in zip(cfg.cenbs, states):
-        if setup.initial_block is None:
+        block = setup.initial_block
+        if block is None:
             auto.append(state)
             continue
-        block = setup.initial_block
         for ch in block:
-            if not cfg.grid.valid_index(ch):
-                raise StartupError(f"{state.id}: initial block channel {ch} "
-                                   "outside the grid")
             if state.region_cache[ch] is Region.BLACK:
                 raise StartupError(f"{state.id}: initial block channel {ch} "
                                    "is in the black region")
-        runs = cfg.grid.contiguous_runs(block)
-        if len(runs) != 1 or len(block) > cenb_mod.MAX_BLOCK_CHANNELS:
-            raise StartupError(f"{state.id}: initial block {block} is not a "
-                               "contiguous run of at most 3 channels")
-        state.active_block = tuple(sorted(block))
+        state.active_block = block
         state.bandwidth_mhz = select_bandwidth(len(block))
     if auto:
         availability = {s.id: [ch for ch, r in s.region_cache.items()
@@ -445,9 +437,7 @@ def run_simulation(cfg):
 
     events = []
     metrics = MetricsSeries(plr=np.zeros(n_frames),
-                            sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS,
-                            bandwidth_mhz={s.id: [] for s in states})
-    pending_detect_t = {}
+                            sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
     fused_reports = {s.id: [] for s in states}
     sense_offset = (3.0 if cfg.schedule.wide_scan
                     else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
@@ -468,6 +458,7 @@ def run_simulation(cfg):
             msg = state.pending_handover
             if msg is not None and msg.activation_frame == frame:
                 state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
+                metrics.handover_records.append(ev)
                 if ev.aborted:
                     events.append((t0, state.id, "RETUNE_ABORT", "target occupied"))
                 else:
@@ -475,23 +466,12 @@ def run_simulation(cfg):
                                    f"to={','.join(str(c) for c in ev.to_block)}"))
                     events.append((ev.t_restored_ms, state.id, "RETUNE_END",
                                    f"bw={state.bandwidth_mhz}"))
-                    t_detect = pending_detect_t.pop((state.id, msg.activation_frame),
-                                                    msg.frame_no * FRAME_MS)
-                    metrics.handover_records.append(HandoverRecord(
-                        cenb_id=state.id, t_detect_ms=t_detect,
-                        t_restore_ms=ev.t_restored_ms,
-                        latency_ms=ev.t_restored_ms - t_detect))
 
         if frame > 0:
             for state in states:
-                active_before = state.active_block or ()
                 msg = spectrum_decision(state, fused_reports[state.id], state.region_cache,
                                         cfg.grid, frame_no=frame)
-                if msg is not None and msg.kind is MsgKind.PCOGCH_DECISION:
-                    trigger_ts = [state.last_reports[ch].t_ms for ch in active_before
-                                  if ch in state.last_reports and state.unavailable(ch)]
-                    pending_detect_t[(state.id, msg.activation_frame)] = (
-                        min(trigger_ts) if trigger_ts else t0)
+                if msg is not None:
                     events.append((t0, state.id, "DECIDE",
                                    f"target={','.join(str(c) for c in msg.target_block)}"
                                    f" bw={msg.bandwidth_mhz}"))
@@ -523,28 +503,31 @@ def run_simulation(cfg):
         if cfg.fusion_rule == "OFF" or len(states) == 1:
             fused_reports = raw_reports
         else:
-            # X2 exchange: every CeNB fuses its verdict with all others' on that channel.
+            # X2 exchange is all-to-all, so every CeNB that sensed a channel
+            # fuses the same reports: fuse each channel once and give its
+            # verdict to each of them.
             by_channel = {}
             for reports in raw_reports.values():
                 for rep in reports:
                     by_channel.setdefault(rep.channel_index, []).append(rep)
+            verdict = {ch: cenb_mod.fuse_cooperative(reps[0], reps[1:],
+                                                     cfg.fusion_rule).decision
+                       for ch, reps in by_channel.items()}
             fused_reports = {
-                cenb_id: [cenb_mod.fuse_cooperative(
-                    rep, [r for r in by_channel[rep.channel_index] if r is not rep],
-                    cfg.fusion_rule) for rep in reports]
+                cenb_id: [replace(rep, decision=verdict[rep.channel_index])
+                          for rep in reports]
                 for cenb_id, reports in raw_reports.items()}
 
         offered = 0
         lost = 0
         for sf_idx in dl_subframes:
             t = t0 + sf_idx
+            on_air = {tx.channel_index for tx in cfg.transmitters if tx.active_at(t)}
             for state in states:
                 offered += cfg.packets_per_dl_subframe
                 blocked = (state.active_block is None
                            or state.retuning_at(t)
-                           or any(tx.channel_index in state.active_block
-                                  and tx.active_at(t)
-                                  for tx in cfg.transmitters))
+                           or not on_air.isdisjoint(state.active_block))
                 if blocked:
                     lost += cfg.packets_per_dl_subframe
                 elif loss_rng is not None:
@@ -553,8 +536,6 @@ def run_simulation(cfg):
         metrics.plr[frame] = lost / offered if offered else 0.0
         metrics.packets_offered += offered
         metrics.packets_lost += lost
-        for state in states:
-            metrics.bandwidth_mhz[state.id].append(state.bandwidth_mhz)
 
     events.sort(key=lambda row: row[0])
     return metrics, events

@@ -171,24 +171,24 @@ class TvTransmitter:
 
 @dataclass
 class PowerSpectrum:
-    """Binned power-vs-frequency snapshot, dBm per RBW bin.
+    """Binned power-vs-frequency snapshot, linear mW per RBW bin.
 
-    Bin i covers [start + i*rbw, start + (i+1)*rbw); -inf marks a bin
-    with zero linear power.
+    Bin i covers [start + i*rbw, start + (i+1)*rbw).  ``bins_dbm`` is
+    derived from ``mw``, with -inf for a bin of zero power.
     """
 
     start_mhz: float
     rbw_khz: float
-    bins_dbm: np.ndarray
+    mw: np.ndarray
 
     def __post_init__(self):
-        self.bins_dbm = np.asarray(self.bins_dbm, dtype=float)
-        if self.bins_dbm.size < 1:
+        self.mw = np.asarray(self.mw, dtype=float)
+        if self.mw.size < 1:
             raise ValueError("spectrum needs at least one bin")
         if self.rbw_khz <= 0:
             raise ValueError("rbw must be positive")
-        if not np.isfinite(self.total_power_mw()):
-            raise ValueError("total spectrum power must be finite")
+        if not (np.isfinite(self.total_power_mw()) and np.all(self.mw >= 0)):
+            raise ValueError("bin powers must be non-negative with a finite total")
 
     @property
     def rbw_mhz(self):
@@ -196,19 +196,23 @@ class PowerSpectrum:
 
     @property
     def stop_mhz(self):
-        return self.start_mhz + self.bins_dbm.size * self.rbw_mhz
+        return self.start_mhz + self.mw.size * self.rbw_mhz
+
+    @property
+    def bins_dbm(self):
+        return mw_to_dbm(self.mw)
 
     def bin_centers_mhz(self):
-        return self.start_mhz + (np.arange(self.bins_dbm.size) + 0.5) * self.rbw_mhz
+        return self.start_mhz + (np.arange(self.mw.size) + 0.5) * self.rbw_mhz
 
     def covers(self, low_mhz, high_mhz):
         return self.start_mhz <= low_mhz + 1e-9 and high_mhz <= self.stop_mhz + 1e-9
 
     def bins_mw(self):
-        return 10.0 ** (self.bins_dbm / 10.0)
+        return self.mw
 
     def total_power_mw(self):
-        return float(np.sum(10.0 ** (self.bins_dbm / 10.0)))
+        return float(np.sum(self.mw))
 
     def window_indices(self, center_mhz, width_mhz):
         """Indices of bins whose centers fall within width/2 of center."""
@@ -295,7 +299,7 @@ def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.
     spreads evenly over the remaining in-channel bins, so the linear sum
     over the channel equals ``total_power_dbm`` exactly.  DTMB renders
     as flat in-channel power.  A transmitter that is off
-    (``total_power_dbm=-inf``) yields an all--inf spectrum.
+    (``total_power_dbm=-inf``) yields an all-zero spectrum.
     """
     rbw_mhz = rbw_khz / 1000.0
     offsets = np.asarray(PAL_D_CARRIER_OFFSETS_MHZ)
@@ -322,8 +326,7 @@ def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.
                 power_mw[plain] = residual * total_mw / len(plain)
             for b, frac in zip(carrier_bins, carrier_split):
                 power_mw[b] += frac * total_mw
-    return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz,
-                         bins_dbm=mw_to_dbm(power_mw))
+    return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=power_mw)
 
 
 def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,
@@ -352,8 +355,7 @@ def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,
         mean_mw += 10.0 ** (thermal_noise_dbm(rbw_khz, noise_figure_db) / 10.0)
     if rng is not None and snapshots >= 1:
         mean_mw = rng.gamma(snapshots, 1.0 / snapshots, size=n_bins) * mean_mw
-    return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz,
-                         bins_dbm=mw_to_dbm(mean_mw))
+    return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=mean_mw)
 
 
 def _parse_schedule(text):

@@ -215,6 +215,33 @@ class TestExecuteHandover:
                        bandwidth_mhz=5, activation_frame=3, origin="c1", frame_no=3)
 
 
+class TestDetectionTime:
+    def test_latency_runs_from_the_detecting_report(self, grid):
+        state = make_state(block=(24, 25, 26))
+        regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
+        reports = [report(24, Decision.VACANT, t_ms=1003.0),
+                   report(25, Decision.OCCUPIED, t_ms=1003.0)]
+        msg = spectrum_decision(state, reports, regions, grid, frame_no=101)
+        assert msg.t_detect_ms == 1003.0
+        _, event = execute_handover(state, msg, now_ms=1020.0, retune_ms=10.0)
+        assert event.t_detect_ms == 1003.0
+        assert event.latency_ms == 27.0
+
+    def test_black_region_without_report_uses_the_frame_start(self, grid):
+        state = make_state(block=(24, 25, 26))
+        regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
+        regions[25] = Region.BLACK
+        msg = spectrum_decision(state, [], regions, grid, frame_no=101)
+        assert msg.t_detect_ms == 1010.0
+        _, event = execute_handover(state, msg, now_ms=1020.0, retune_ms=10.0)
+        assert event.latency_ms == 20.0
+
+    def test_message_without_detection_time_uses_its_frame_start(self):
+        msg = CogMessage(kind=MsgKind.PCOGCH_DECISION, target_block=(1,),
+                         bandwidth_mhz=5, activation_frame=4, origin="c1", frame_no=3)
+        assert msg.t_detect_ms == 30.0
+
+
 class TestFusion:
     def test_or_rule_truth_table(self):
         own = report(4, Decision.VACANT)

@@ -32,6 +32,10 @@ BAD_INPUTS = [
     ("simulate", "sim.random_loss_floor = 2"),
     ("simulate", "prop.ref_distance_m = 0"),
     ("simulate", "sim.retune_ms = -5"),
+    ("simulate", "cenb1.block = 3,5"),
+    ("simulate", "cenb1.block = 40"),
+    ("simulate", "cenb1.block = 0,1,2,3"),
+    ("simulate", "cenb1.block ="),
     ("acir", "interference.snapshots = 0"),
     ("acir", "interference.isd_m = 0"),
     ("geodb", "--exclude=566-6x6"),
@@ -75,3 +79,12 @@ def test_run_without_handover_prints_the_summary_it_writes(tmp_path, capsys):
     summary = "handovers: 0\nmean_latency_ms:\nmax_latency_ms:\n"
     assert (out / "handover_summary.txt").read_text(encoding="utf-8") == summary
     assert summary in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--exponent=9", "--ref-loss-db=1"])
+def test_geodb_separation_rejects_propagation_flags(capsys, flag):
+    # The separation is a table lookup, so a propagation model would change nothing.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["geodb", "separation", "--power=30", "--height=30", flag])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -83,3 +83,36 @@ def test_three_cenb_fusion_events_are_pinned(tmp_path, rule):
     assert decided == [f"target={target} bw=20"] * 3
     events_csv = (tmp_path / "out" / "events.csv").read_bytes()
     assert hashlib.sha256(events_csv).hexdigest() == digest
+
+
+# The same three CeNBs with frame.wide_scan = false: each senses only its
+# own block, so the CeNBs fuse different channel sets.  OR decides twice
+# (0-2 at 1010 ms, then 12-14 once channel 1 is sensed occupied there);
+# MAJORITY decides once.
+NARROW_SCAN_OUTPUTS = {
+    "OR": (["0,1,2"] * 3 + ["12,13,14"] * 3,
+           "0df8aa6f6f0e8b230b1ed2870e922e8856237eac8015dddf0f7f7109ef3229ac",
+           "0e32d6ef006340b10e0641d48fa60ade66cd379cd6db329f4168e37a1402567f"),
+    "MAJORITY": (["0,1,2"] * 3,
+                 "4ca8e7c5c774f1723bb2c7baf42981125ae165d70aed8df97c3d8796da512497",
+                 "50bb076103e4a1437162aea784b8a33d2ff49b6ce59aaca44496bc7ba6168e21"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(NARROW_SCAN_OUTPUTS))
+def test_three_cenb_narrow_scan_outputs_are_pinned(tmp_path, rule):
+    (tmp_path / "tx.csv").write_text(TRANSMITTERS, encoding="utf-8")
+    cenbs = "".join(f"cenb{i}.x_m = {x}\ncenb{i}.block = 24,25,26\n"
+                    for i, x in enumerate((0, 3000, 40000), start=1))
+    scenario = tmp_path / "fusion.ini"
+    scenario.write_text(f"sim.seed = 7\nsim.duration_ms = 2000\nsim.fusion_rule = {rule}\n"
+                        f"frame.wide_scan = false\nprop.shadowing_sigma_db = 4\n"
+                        f"files.transmitters = tx.csv\n{cenbs}", encoding="utf-8")
+    metrics, events = harness.run_simulation(harness.load_scenario(scenario))
+    harness.emit_report(metrics, tmp_path / "out", events)
+
+    targets, events_digest, plr_digest = NARROW_SCAN_OUTPUTS[rule]
+    decided = [detail for _, _, kind, detail in events if kind == "DECIDE"]
+    assert decided == [f"target={t} bw=20" for t in targets]
+    for name, digest in (("events.csv", events_digest), ("plr.csv", plr_digest)):
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest

@@ -5,6 +5,7 @@ from tvwsim.errors import AlignmentError, ParseError, ResolutionError
 from tvwsim.radio_env import (
     OFF_POWER_DBM,
     FrequencyBand,
+    PowerSpectrum,
     PropagationConfig,
     TvStandard,
     TvTransmitter,
@@ -109,6 +110,18 @@ class TestSynthesizeSpectrum:
     def test_rbw_coarser_than_carrier_spacing_rejected(self, grid):
         with pytest.raises(ResolutionError):
             synthesize_tv_spectrum(pal_tx(), grid, rbw_khz=3000.0, total_power_dbm=0.0)
+
+
+class TestPowerSpectrum:
+    def test_stores_mw_and_derives_dbm(self):
+        spec = PowerSpectrum(start_mhz=470.0, rbw_khz=200.0, mw=[0.0, 1.0, 100.0])
+        assert spec.bins_mw() is spec.mw
+        np.testing.assert_array_equal(spec.bins_dbm, [-np.inf, 0.0, 20.0])
+
+    @pytest.mark.parametrize("mw", [[-1.0, 2.0], [np.inf], [np.nan], []])
+    def test_rejects_negative_infinite_or_missing_power(self, mw):
+        with pytest.raises(ValueError):
+            PowerSpectrum(start_mhz=470.0, rbw_khz=200.0, mw=mw)
 
 
 class TestPathLoss:
