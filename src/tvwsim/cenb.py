@@ -5,7 +5,7 @@ special subframe #1 hosts in-band sensing, the adjacent uplink subframe
 #2 is borrowed for wide scans, decisions ride the downlink pilot slot
 as broadcast messages, and the dedicated band keeps control alive while
 the data block retunes.  Inter-CeNB coordination is message passing
-only: cooperative report fusion over X2 and epoch-granularity channel
+only: cooperative report fusion over X2, and one start-up channel
 allocation by the global spectrum manager.
 """
 
@@ -112,13 +112,12 @@ def select_bandwidth(vacant_run_length):
 
 
 class MsgKind(Enum):
-    COG_CCH_RRC = "CogCchRrc"
     PCOGCH_DECISION = "PCogChDecision"
 
 
 @dataclass(frozen=True)
 class CogMessage:
-    """CR control message (RRC report on CogCCH, or decision on PCogCH).
+    """CR control message: a spectrum decision broadcast on the PCogCH.
 
     ``t_detect_ms`` is when the cause of the message was sensed; a
     message built without one takes the start of its decision frame.
@@ -133,7 +132,7 @@ class CogMessage:
     t_detect_ms: float | None = None
 
     def __post_init__(self):
-        if self.kind is MsgKind.PCOGCH_DECISION and self.activation_frame <= self.frame_no:
+        if self.activation_frame <= self.frame_no:
             raise ValueError("activation frame must follow the decision frame")
         if self.t_detect_ms is None:
             object.__setattr__(self, "t_detect_ms", self.frame_no * FRAME_MS)
@@ -141,7 +140,12 @@ class CogMessage:
 
 @dataclass
 class CenbState:
-    """Mutable state of one cognitive base station."""
+    """Mutable state of one cognitive base station.
+
+    The sensing view holds, per channel, the time of its last (fused)
+    verdict in ``sensed_ms`` and, in ``occupied``, the channels whose
+    last verdict was occupied.
+    """
 
     id: str
     location: tuple
@@ -150,20 +154,28 @@ class CenbState:
     bandwidth_mhz: int | None = None
     region_cache: dict = field(default_factory=dict)
     pending_handover: CogMessage | None = None
-    last_reports: dict = field(default_factory=dict)
+    sensed_ms: dict = field(default_factory=dict)
+    occupied: set = field(default_factory=set)
     retune_until_ms: float = 0.0
 
+    def record(self, channel_index, occupied, t_ms):
+        """Write one verdict, sensed at ``t_ms``, into the sensing view."""
+        self.sensed_ms[channel_index] = t_ms
+        if occupied:
+            self.occupied.add(channel_index)
+        else:
+            self.occupied.discard(channel_index)
+
     def record_report(self, report):
-        self.last_reports[report.channel_index] = report
+        self.record(report.channel_index, report.decision is Decision.OCCUPIED, report.t_ms)
 
     def region(self, channel_index):
         return self.region_cache.get(channel_index, Region.WHITE)
 
     def unavailable(self, channel_index):
         """Black in the database view, or last sensed occupied."""
-        rep = self.last_reports.get(channel_index)
         return (self.region(channel_index) is Region.BLACK
-                or (rep is not None and rep.decision is Decision.OCCUPIED))
+                or channel_index in self.occupied)
 
     def retuning_at(self, t_ms):
         return t_ms < self.retune_until_ms
@@ -185,17 +197,18 @@ def best_vacant_run(grid, vacant):
 def spectrum_decision(state, reports, regions, grid, frame_no):
     """Evaluate the active block and emit a handover decision if needed.
 
-    ``reports`` are this decision round's fresh sensing results and are
-    merged into the state.  A decision fires when any active channel is
-    detected occupied or has turned black in the database view; the
-    target is the best vacant contiguous run (longest, ties to the
-    lowest index), capped at three channels, activating next frame.
-    A handover vacates the whole active block: none of its channels,
-    vacant or not, is part of the target.  The message's detection time
-    is the earliest report time of the unavailable active channels that
-    have a report, or the start of frame ``frame_no`` if there is none
-    (a Black region without a report, or no active block).  Returns
-    None in the all-clear steady state.
+    ``reports`` are this decision round's fresh sensing results and
+    ``regions`` a fresh database view; both are merged into the state.
+    A decision fires when any active channel is detected occupied or has
+    turned black in the database view; the target is the best vacant
+    contiguous run (longest, ties to the lowest index), capped at three
+    channels, activating next frame.  A handover vacates the whole
+    active block: none of its channels, vacant or not, is part of the
+    target.  The message's detection time is the earliest sensing time
+    of the unavailable active channels that have a verdict, or the start
+    of frame ``frame_no`` if there is none (a Black region without a
+    verdict, or no active block).  Returns None in the all-clear steady
+    state.
     """
     for rep in reports:
         state.record_report(rep)
@@ -207,8 +220,8 @@ def spectrum_decision(state, reports, regions, grid, frame_no):
     frame_start = frame_no * FRAME_MS
     for ch in active:
         if state.region(ch) is Region.GREY:
-            rep = state.last_reports.get(ch)
-            if rep is None or rep.t_ms < frame_start - FRAME_MS:
+            t_ms = state.sensed_ms.get(ch)
+            if t_ms is None or t_ms < frame_start - FRAME_MS:
                 raise StaleSensingError(
                     f"no fresh sensing report for grey channel {ch}")
 
@@ -219,14 +232,14 @@ def spectrum_decision(state, reports, regions, grid, frame_no):
         # Grey channels count as vacant only once sensing has cleared them.
         if ch in active or state.unavailable(ch):
             return False
-        return state.region(ch) is not Region.GREY or ch in state.last_reports
+        return state.region(ch) is not Region.GREY or ch in state.sensed_ms
 
     run = best_vacant_run(grid, [ch for ch in range(grid.n_channels) if usable(ch)])
     block = tuple(run[:MAX_BLOCK_CHANNELS])
     if state.active_block is None and not block:
         return None
-    sensed = [state.last_reports[ch].t_ms for ch in active
-              if ch in state.last_reports and state.unavailable(ch)]
+    sensed = [state.sensed_ms[ch] for ch in active
+              if ch in state.sensed_ms and state.unavailable(ch)]
     msg = CogMessage(kind=MsgKind.PCOGCH_DECISION, target_block=block,
                      bandwidth_mhz=select_bandwidth(len(run)),
                      activation_frame=frame_no + 1, origin=state.id,
@@ -245,9 +258,7 @@ class HandoverEvent:
 
     cenb_id: str
     t_detect_ms: float
-    t_activation_ms: float
     t_restored_ms: float
-    from_block: tuple
     to_block: tuple
     aborted: bool = False
 
@@ -272,15 +283,14 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
         raise ValueError(f"handover must execute at the activation boundary "
                          f"({msg.activation_frame * FRAME_MS} ms), not {now_ms} ms")
     state.pending_handover = None
-    from_block = state.active_block or ()
     aborted = any(state.unavailable(ch) for ch in msg.target_block)
     if not aborted:
         state.active_block = msg.target_block or None
         state.bandwidth_mhz = msg.bandwidth_mhz
         state.retune_until_ms = now_ms + retune_ms
     return state, HandoverEvent(
-        cenb_id=state.id, t_detect_ms=msg.t_detect_ms, t_activation_ms=now_ms,
-        t_restored_ms=now_ms if aborted else now_ms + retune_ms, from_block=from_block,
+        cenb_id=state.id, t_detect_ms=msg.t_detect_ms,
+        t_restored_ms=now_ms if aborted else now_ms + retune_ms,
         to_block=() if aborted else msg.target_block, aborted=aborted)
 
 

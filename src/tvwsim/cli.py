@@ -25,11 +25,7 @@ EXIT_RUNTIME = 3
 def _cmd_simulate(args):
     cfg = harness.load_scenario(args.scenario)
     metrics, events = harness.run_simulation(cfg)
-    curve = None
-    if cfg.interference is not None:
-        curve, guard = harness.run_interference_study(cfg.interference)
-        print(guard.summary_line())
-    written = harness.emit_report(metrics, args.out, events, curve)
+    written = harness.emit_report(metrics, args.out, events)
     print(f"simulated {cfg.duration_ms} ms, {metrics.plr.size} plr samples")
     print(harness.handover_summary(metrics))
     for path in written:

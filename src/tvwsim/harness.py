@@ -4,17 +4,20 @@ A scenario is an INI-style text file of ``section.key = value`` lines
 (UTF-8, ``#`` comments); a bad value is a ``ConfigError`` at load time.
 ``parse_range`` (``lo:hi:step``) and ``parse_exclusions`` (``lo-hi;...``
 in MHz) also parse the command line's sweep and exclusion options.  Each
-``cenb.FRAME_MS`` frame senses in the configured windows, fuses reports
-over X2, decides at the following frame boundary, broadcasts on the
-downlink pilot instant, and executes handovers at their activation
-boundary.  Downlink subframes deliver a fixed packet budget unless the
-block is co-channel with an active TV transmitter, the radio is
-retuning, or no block is held; the packet-loss ratio is sampled once
-per frame.
+``cenb.FRAME_MS`` frame senses in the configured windows, fuses the
+verdicts over X2 when several CeNBs sense, decides at the following
+frame boundary, broadcasts on the downlink pilot instant, and executes
+handovers at their activation boundary.  Each CeNB's database view
+comes from one geo-database query at start-up, and the blocks not set
+by ``cenbN.block`` from one ``asm_allocate`` pass; neither is repeated
+during the run (an ``ASM_EPOCH`` event only logs the blocks held).
+Downlink subframes deliver a fixed packet budget unless the block is
+co-channel with an active TV transmitter, the radio is retuning, or no
+block is held; the packet-loss ratio is sampled once per frame.
 
 Everything is a pure function of (config bytes, seed): random streams
-derive from the scenario seed and fixed integer tags, so equal inputs
-give byte-identical outputs.
+derive from the scenario seed and fixed integer tags (shadowing from a
+fresh stream per run), so equal inputs give byte-identical outputs.
 """
 
 import os
@@ -155,7 +158,7 @@ class CenbSetup:
 
 @dataclass
 class InterferenceStudy:
-    """Parameters of the coexistence sweep (standalone or scenario-embedded)."""
+    """Parameters of the coexistence sweep."""
 
     topology: interf_mod.HexTopology
     coex: interf_mod.CoexistenceConfig
@@ -184,7 +187,6 @@ class ScenarioConfig:
     geodb: GeoDb | None
     cenbs: list
     rbw_khz: float
-    interference: InterferenceStudy | None = None
 
 
 class _KeyReader:
@@ -215,39 +217,38 @@ def _resolve(path, base_dir):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-def _load_interference(reader, prefix="interference"):
-    isd = reader.take(f"{prefix}.isd_m", _positive, 150.0)
-    radius = reader.take(f"{prefix}.tv_radius_m", float, 350.0)
-    off_x = reader.take(f"{prefix}.offset_x_m", float, 10.0)
-    off_y = reader.take(f"{prefix}.offset_y_m", float, 0.0)
+def _load_interference(reader):
+    isd = reader.take("interference.isd_m", _positive, 150.0)
+    radius = reader.take("interference.tv_radius_m", float, 350.0)
+    off_x = reader.take("interference.offset_x_m", float, 10.0)
+    off_y = reader.take("interference.offset_y_m", float, 0.0)
     topo = interf_mod.build_topology(isd, radius, (off_x, off_y))
     coex = interf_mod.CoexistenceConfig(
-        cenb_power_dbm=reader.take(f"{prefix}.cenb_power_dbm", float, 20.0),
-        ue_power_dbm=reader.take(f"{prefix}.ue_power_dbm", float, 0.0),
-        tv_eirp_dbm=reader.take(f"{prefix}.tv_eirp_dbm", float, 59.0),
-        tv_protection_snr_db=reader.take(f"{prefix}.tv_protection_snr_db", float, 23.0),
-        tv_noise_figure_db=reader.take(f"{prefix}.tv_noise_figure_db", float, 7.0),
-        ue_noise_figure_db=reader.take(f"{prefix}.ue_noise_figure_db", float, 9.0),
-        cenb_noise_figure_db=reader.take(f"{prefix}.cenb_noise_figure_db", float, 3.0),
-        n_tv_receivers=reader.take(f"{prefix}.tv_receivers", positive_int, 10),
-        ues_per_sector=reader.take(f"{prefix}.ues_per_sector", positive_int, 10),
-        min_coupling_m=reader.take(f"{prefix}.min_coupling_m", float, 10.0),
-        exponent=reader.take(f"{prefix}.exponent", float, 3.5),
-        freq_mhz=reader.take(f"{prefix}.freq_mhz", float, 700.0),
+        cenb_power_dbm=reader.take("interference.cenb_power_dbm", float, 20.0),
+        ue_power_dbm=reader.take("interference.ue_power_dbm", float, 0.0),
+        tv_eirp_dbm=reader.take("interference.tv_eirp_dbm", float, 59.0),
+        tv_protection_snr_db=reader.take("interference.tv_protection_snr_db", float, 23.0),
+        tv_noise_figure_db=reader.take("interference.tv_noise_figure_db", float, 7.0),
+        ue_noise_figure_db=reader.take("interference.ue_noise_figure_db", float, 9.0),
+        cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", float, 3.0),
+        n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
+        ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
+        min_coupling_m=reader.take("interference.min_coupling_m", float, 10.0),
+        exponent=reader.take("interference.exponent", float, 3.5),
+        freq_mhz=reader.take("interference.freq_mhz", float, 700.0),
     )
     return InterferenceStudy(
         topology=topo, coex=coex,
-        acir_list=reader.take(f"{prefix}.acir_db", parse_range, parse_range("0:100:5")),
-        snapshots=reader.take(f"{prefix}.snapshots", positive_int, 1000),
-        seed=reader.take(f"{prefix}.seed", int, 1),
-        loss_budget=reader.take(f"{prefix}.loss_budget", float, 0.05),
+        acir_list=reader.take("interference.acir_db", parse_range, parse_range("0:100:5")),
+        snapshots=reader.take("interference.snapshots", positive_int, 1000),
+        seed=reader.take("interference.seed", int, 1),
+        loss_budget=reader.take("interference.loss_budget", float, 0.05),
     )
 
 
 def load_acir_study(path):
     """Standalone coexistence-study configuration file."""
     reader = _KeyReader(parse_ini(path), path)
-    reader.take("interference.enabled", _parse_bool, True)
     study = _load_interference(reader)
     reader.reject_unknown()
     return study
@@ -339,10 +340,6 @@ def load_scenario(path):
                            dedicated_band=FrequencyBand(698.0, 706.0),
                            initial_block=None)]
 
-    study = None
-    if reader.take("interference.enabled", _parse_bool, False):
-        study = _load_interference(reader)
-
     cfg = ScenarioConfig(
         seed=seed,
         duration_ms=duration,
@@ -361,7 +358,6 @@ def load_scenario(path):
         geodb=db,
         cenbs=cenbs,
         rbw_khz=reader.take("radio.rbw_khz", _positive, DEFAULT_RBW_KHZ),
-        interference=study,
     )
     if cfg.fusion_rule not in ("OR", "MAJORITY", "OFF"):
         raise ConfigError(f"{path}: fusion_rule must be OR, MAJORITY, or OFF")
@@ -438,7 +434,11 @@ def run_simulation(cfg):
     events = []
     metrics = MetricsSeries(plr=np.zeros(n_frames),
                             sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
-    fused_reports = {s.id: [] for s in states}
+    prop = replace(cfg.prop, _rng=None)   # a fresh shadowing stream, so cfg is not advanced
+    all_channels = tuple(range(cfg.grid.n_channels))
+    fuse = cfg.fusion_rule != "OFF" and len(states) > 1
+    sensed = []         # (state, monitored channels, verdict row) from the last frame
+    t_sense = None
     sense_offset = (3.0 if cfg.schedule.wide_scan
                     else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
@@ -467,56 +467,51 @@ def run_simulation(cfg):
                     events.append((ev.t_restored_ms, state.id, "RETUNE_END",
                                    f"bw={state.bandwidth_mhz}"))
 
-        if frame > 0:
-            for state in states:
-                msg = spectrum_decision(state, fused_reports[state.id], state.region_cache,
-                                        cfg.grid, frame_no=frame)
-                if msg is not None:
-                    events.append((t0, state.id, "DECIDE",
-                                   f"target={','.join(str(c) for c in msg.target_block)}"
-                                   f" bw={msg.bandwidth_mhz}"))
-                    events.append((t0 + 1.0, state.id, "BROADCAST",
-                                   f"pcogch activation_frame={msg.activation_frame}"))
+        # The decision at this boundary acts on the verdicts sensed last frame.
+        for state, monitored, verdict in sensed:
+            for ch in monitored:
+                state.record(ch, verdict[ch], t_sense)
+            msg = spectrum_decision(state, (), {}, cfg.grid, frame_no=frame)
+            if msg is not None:
+                events.append((t0, state.id, "DECIDE",
+                               f"target={','.join(str(c) for c in msg.target_block)}"
+                               f" bw={msg.bandwidth_mhz}"))
+                events.append((t0 + 1.0, state.id, "BROADCAST",
+                               f"pcogch activation_frame={msg.activation_frame}"))
 
         t_sense = t0 + sense_offset
-        raw_reports = {}
+        sensed = []
+        x2 = {}             # channel -> the X2 reports of the CeNBs that sensed it
         for idx, state in enumerate(states):
             rng = np.random.default_rng([cfg.seed, 0x5E45E, frame, idx])
             spectrum = received_spectrum(
-                state.location, cfg.transmitters, t_sense, cfg.prop, cfg.grid,
+                state.location, cfg.transmitters, t_sense, prop, cfg.grid,
                 rbw_khz=cfg.rbw_khz, noise_figure_db=op_det.noise_figure_db,
                 snapshots=n_snapshots, rng=rng)
             stats, occupied = sensing_mod.detect_channels(op_det, spectrum.bins_mw(),
                                                           windows)
-            monitored = (range(cfg.grid.n_channels) if cfg.schedule.wide_scan
-                         else list(state.active_block or ()))
-            reports = [SensingReport(
-                cenb_id=state.id, channel_index=ch,
-                decision=Decision.OCCUPIED if occupied[ch] else Decision.VACANT,
-                carrier_stats_dbm=tuple(float(v) for v in stats[ch]), t_ms=t_sense)
-                for ch in monitored]
-            raw_reports[state.id] = reports
-            n_occ = sum(r.decision is Decision.OCCUPIED for r in reports)
+            monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
+            sensed.append((state, monitored, occupied))
+            n_occ = sum(bool(occupied[ch]) for ch in monitored)
             events.append((t_sense, state.id, "SENSE",
-                           f"channels={len(reports)} occupied={n_occ}"))
+                           f"channels={len(monitored)} occupied={n_occ}"))
+            if fuse:
+                for ch in monitored:
+                    x2.setdefault(ch, []).append(SensingReport(
+                        cenb_id=state.id, channel_index=ch,
+                        decision=Decision.OCCUPIED if occupied[ch] else Decision.VACANT,
+                        carrier_stats_dbm=tuple(float(v) for v in stats[ch]), t_ms=t_sense))
 
-        if cfg.fusion_rule == "OFF" or len(states) == 1:
-            fused_reports = raw_reports
-        else:
+        if fuse:
             # X2 exchange is all-to-all, so every CeNB that sensed a channel
             # fuses the same reports: fuse each channel once and give its
             # verdict to each of them.
-            by_channel = {}
-            for reports in raw_reports.values():
-                for rep in reports:
-                    by_channel.setdefault(rep.channel_index, []).append(rep)
-            verdict = {ch: cenb_mod.fuse_cooperative(reps[0], reps[1:],
+            fused = np.zeros(cfg.grid.n_channels, dtype=bool)
+            for ch, reports in x2.items():
+                decision = cenb_mod.fuse_cooperative(reports[0], reports[1:],
                                                      cfg.fusion_rule).decision
-                       for ch, reps in by_channel.items()}
-            fused_reports = {
-                cenb_id: [replace(rep, decision=verdict[rep.channel_index])
-                          for rep in reports]
-                for cenb_id, reports in raw_reports.items()}
+                fused[ch] = decision is Decision.OCCUPIED
+            sensed = [(state, monitored, fused) for state, monitored, _ in sensed]
 
         offered = 0
         lost = 0
@@ -551,8 +546,8 @@ def handover_summary(metrics):
             f"max_latency_ms: {np.max(lats):.10g}")
 
 
-def emit_report(metrics, out_dir, events=(), curve=None):
-    """Write plr.csv, events.csv, handover_summary.txt (and acir_curve.csv)."""
+def emit_report(metrics, out_dir, events=()):
+    """Write plr.csv, events.csv and handover_summary.txt."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -574,16 +569,11 @@ def emit_report(metrics, out_dir, events=(), curve=None):
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(handover_summary(metrics) + "\n")
     written.append(summary_path)
-
-    if curve is not None:
-        curve_path = os.path.join(out_dir, "acir_curve.csv")
-        interf_mod.curve_to_csv(curve, curve_path)
-        written.append(curve_path)
     return written
 
 
 def run_interference_study(study):
-    """Execute an embedded or standalone coexistence study."""
+    """Run the coexistence sweep and pick the guard band."""
     curve = interf_mod.acir_sweep(study.topology, study.acir_list,
                                   study.snapshots, study.seed, study.coex)
     result = interf_mod.determine_guard_band(

@@ -332,3 +332,32 @@ class TestBestVacantRun:
 
     def test_prefers_length_then_lowest(self, grid):
         assert best_vacant_run(grid, [1, 2, 3, 20, 21, 22]) == [1, 2, 3]
+
+
+class TestSensingView:
+    # Decision at frame 101 (1010 ms): a verdict sensed before 1000 ms is stale.
+    @pytest.mark.parametrize("t_ms, stale", [(1003.0, False), (993.0, True)])
+    def test_record_report_and_record_agree(self, grid, t_ms, stale):
+        verdicts = [(24, Decision.OCCUPIED), (25, Decision.VACANT),
+                    (24, Decision.VACANT), (26, Decision.OCCUPIED)]
+        by_report = make_state(block=(24, 25, 26))
+        by_record = make_state(block=(24, 25, 26))
+        for ch, decision in verdicts:
+            by_report.record_report(report(ch, decision, t_ms=t_ms))
+            by_record.record(ch, decision is Decision.OCCUPIED, t_ms)
+        for ch in range(grid.n_channels):
+            assert by_report.unavailable(ch) == by_record.unavailable(ch)
+        assert [ch for ch in (24, 25, 26) if by_record.unavailable(ch)] == [26]
+
+        regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
+        regions[25] = Region.GREY
+
+        def decide(state):
+            try:
+                return spectrum_decision(state, [], regions, grid, frame_no=101)
+            except StaleSensingError:
+                return "stale"
+
+        outcome = decide(by_report)
+        assert outcome == decide(by_record)
+        assert (outcome == "stale") == stale

@@ -88,3 +88,65 @@ def test_geodb_separation_rejects_propagation_flags(capsys, flag):
         cli.main(["geodb", "separation", "--power=30", "--height=30", flag])
     assert exc.value.code == cli.EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Stdout goldens of the analytics commands on small inline inputs.  In the
+# database, channel 0's service is 1 km away inside its 2 km contour (Black),
+# channel 1's is 1 km outside its 4 km contour (Grey) and channel 2's is far
+# away with its radius computed from the propagation model (White).
+GEODB = (GEODB_HEADER
+         + "near,AnalogPalD,0,1000,0,60,100,-80,2000\n"
+           "edge,DigitalDtmb,1,5000,0,60,100,-80,4000\n"
+           "far,AnalogPalD,2,90000,0,60,100,-80,\n")
+GEODB_STDOUT = {
+    "query": ("channel,low_mhz,region\n0,470,Black\n1,478,Grey\n2,486,White\n"
+              "# usable channels (white+grey): 2\n"),
+    "contour": ("id,channel,protected_radius_m\n"
+                "edge,1,4000\nfar,2,1450.226661\nnear,0,2000\n"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(GEODB_STDOUT))
+def test_geodb_stdout(tmp_path, capsys, sub):
+    path = tmp_path / "db.csv"
+    path.write_text(GEODB, encoding="utf-8")
+    args = ["--x=0", "--y=0", "--band-low=470", "--band-high=494", "--exclude="]
+    argv = ["geodb", sub, str(path), *(args if sub == "query" else [])]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == GEODB_STDOUT[sub]
+
+
+# Two channels of two bins each: channel 0 has one bin always on, channel 1
+# one cell on in eight.
+OCCUPANCY_TRACE = ("t_ms,p_471,p_475,p_479,p_483\n"
+                   "0,-100,-60,-101,-99\n10,-99,-61,-70,-100\n"
+                   "20,-101,-59,-100,-98\n30,-100,-62,-99,-101\n")
+OCCUPANCY_STDOUT = """\
+threshold rule: p10 noise estimate + 6 dB margin
+noise floor estimate: -101 dBm
+channel,low_mhz,duty_cycle,class
+0,470,0.5,Intermittent
+1,478,0.125,Sporadic
+band_average: 0.3125
+threshold rule: p10 noise estimate + 6 dB margin
+    sub-band (MHz)  bandwidth  occupancy  label
+     470-478              8M     0.5000  low
+     478-486              8M     0.1250  high
+           overall        16M     0.3125
+wrote {out}
+"""
+
+
+def test_occupancy_stdout_with_subbands(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(OCCUPANCY_TRACE, encoding="utf-8")
+    table = tmp_path / "subbands.csv"
+    table.write_text("low_mhz,high_mhz,label\n470,478,low\n478,486,high\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["occupancy", str(trace), "--band-low=470", "--band-high=486",
+                     "--exclude=", "--subbands", str(table), "--out", str(out)]) == cli.EXIT_OK
+    report = out / "subband_report.csv"
+    assert capsys.readouterr().out == OCCUPANCY_STDOUT.format(out=report)
+    assert report.read_text(encoding="utf-8") == (
+        "low_mhz,high_mhz,bandwidth_mhz,occupancy,label\n"
+        "470,478,8,0.5,low\n478,486,8,0.125,high\noverall,,16,0.3125,\n")

@@ -53,6 +53,20 @@ def test_fig17_handover_timeline():
     assert np.array_equal(metrics.plr, lost)
 
 
+def test_two_runs_on_one_loaded_config_agree(tmp_path):
+    # TVs from 3 to 20 km with 8 dB shadowing: some sit at the detection
+    # edge, where each shadowing draw can flip a verdict.
+    rows = "".join(f"tv{ch},AnalogPalD,{ch},{d},0,43,30,\n"
+                   for ch, d in enumerate(range(3000, 20001, 1000)))
+    (tmp_path / "tx.csv").write_text(
+        "id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n" + rows, encoding="utf-8")
+    scenario = tmp_path / "edge.ini"
+    scenario.write_text("sim.seed = 3\nsim.duration_ms = 500\nprop.shadowing_sigma_db = 8\n"
+                        "files.transmitters = tx.csv\n", encoding="utf-8")
+    cfg = harness.load_scenario(scenario)
+    assert harness.run_simulation(cfg)[1] == harness.run_simulation(cfg)[1]
+
+
 # Three CeNBs on channels 24-26.  tv-a (channel 25, on from 1 s) is seen by
 # cenb1 and cenb2; tv-b (channel 1, always on) only by cenb3.  OR fuses
 # channel 1 to occupied everywhere, so all three move to 12-14; MAJORITY
