@@ -14,13 +14,14 @@ closed-form inversion of the log-distance model at median propagation.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
 
 from .errors import DegenerateContourError, ParseError
-from .radio_env import TvStandard, TvTransmitter
+from .radio_env import TvStandard, TvTransmitter, finite_float
 
 DEFAULT_REQUIRED_RX_DBM = -84.0
 DEFAULT_GREY_MARGIN_M = 1000.0
@@ -45,10 +46,10 @@ class GeoRecord:
     protected_radius_m: float | None = None
 
     def __post_init__(self):
-        if self.required_rx_dbm >= self.service.eirp_dbm:
-            raise ValueError("required receive level must be below the service EIRP")
-        if self.protected_radius_m is not None and self.protected_radius_m <= 0:
-            raise ValueError("protected radius must be positive")
+        if not -math.inf < self.required_rx_dbm < self.service.eirp_dbm:
+            raise ValueError("required receive level must be finite and below the service EIRP")
+        if self.protected_radius_m is not None and not 0 < self.protected_radius_m < math.inf:
+            raise ValueError("protected radius must be positive and finite")
 
 
 def contour_radius_m(eirp_dbm, floor_dbm, prop, freq_mhz=DEFAULT_TV_FREQ_MHZ):
@@ -76,27 +77,48 @@ class GeoDb:
     """Keyed record set plus the grey-boundary parameters.
 
     ``version`` increments on every mutation, letting coordinators
-    detect stale availability views.
+    detect stale availability views.  Change the records through
+    ``add`` and ``remove``: they drop the per-channel arrays that
+    ``co_channel_arrays`` builds.
     """
 
     records: dict = field(default_factory=dict)
     grey_margin_m: float = DEFAULT_GREY_MARGIN_M
     protection_floor_dbm: float = DEFAULT_PROTECTION_FLOOR_DBM
     version: int = 0
+    _by_channel: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, rec):
         if rec.service.id in self.records:
             raise ValueError(f"duplicate record id {rec.service.id!r}")
         self.records[rec.service.id] = rec
         self.version += 1
+        self._by_channel = None
 
     def remove(self, record_id):
         del self.records[record_id]
         self.version += 1
+        self._by_channel = None
 
-    def co_channel(self, channel_index):
-        return [r for r in self.records.values()
-                if r.service.channel_index == channel_index]
+    def co_channel_arrays(self, channel_index):
+        """The records on a channel, in insertion order, as arrays.
+
+        Returns (records, (n, 2) service locations, (n,) stored protected
+        radii with NaN where none is stored), or None when the channel
+        has no record.  Every channel's arrays are built in one pass on
+        first use after a change.
+        """
+        if self._by_channel is None:
+            groups = {}
+            for rec in self.records.values():
+                groups.setdefault(rec.service.channel_index, []).append(rec)
+            self._by_channel = {
+                ch: (recs,
+                     np.array([r.service.location for r in recs], dtype=float),
+                     np.array([np.nan if r.protected_radius_m is None else r.protected_radius_m
+                               for r in recs], dtype=float))
+                for ch, recs in groups.items()}
+        return self._by_channel.get(channel_index)
 
 
 def classify_region(db, point, channel_index, cenb_max_eirp_dbm, prop, grid,
@@ -105,24 +127,31 @@ def classify_region(db, point, channel_index, cenb_max_eirp_dbm, prop, grid,
 
     Only co-channel services constrain the region; adjacent channels are
     handled by guard bands elsewhere.  No co-channel record means White.
+    A record without a stored radius gets one from the propagation
+    model, in record order, so its DegenerateContourError is raised
+    unless an earlier record already puts the point in Black.
     """
     if not grid.valid_index(channel_index):
         raise IndexError(f"channel index {channel_index} outside grid "
                          f"(0..{grid.n_channels - 1})")
-    records = db.co_channel(channel_index)
-    if not records:
+    co_channel = db.co_channel_arrays(channel_index)
+    if co_channel is None:
         return Region.WHITE
+    records, sites, radii = co_channel
     r_interf = contour_radius_m(cenb_max_eirp_dbm, db.protection_floor_dbm, prop, freq_mhz)
-    region = Region.WHITE
-    for rec in records:
-        d = float(np.hypot(point[0] - rec.service.location[0],
-                           point[1] - rec.service.location[1]))
-        r_protected = protected_radius(rec, prop, freq_mhz)
-        if d <= r_protected:
-            return Region.BLACK
-        if d <= r_protected + r_interf + db.grey_margin_m:
-            region = min(region, Region.GREY)
-    return region
+    d = np.hypot(point[0] - sites[:, 0], point[1] - sites[:, 1])
+    blank = np.flatnonzero(np.isnan(radii))
+    if blank.size:
+        radii = radii.copy()
+        for i in blank:
+            if np.any(d[:i] <= radii[:i]):
+                return Region.BLACK
+            radii[i] = protected_radius(records[i], prop, freq_mhz)
+    if np.any(d <= radii):
+        return Region.BLACK
+    if np.any(d <= radii + r_interf + db.grey_margin_m):
+        return Region.GREY
+    return Region.WHITE
 
 
 def query_vacant_channels(db, point, cenb_max_eirp_dbm, prop, grid,
@@ -253,17 +282,18 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
         if line.startswith("#"):
             try:
                 key, value = line[1:].strip().split("=", 1)
+                key = key.strip()
+                if key == "version":
+                    db.version = int(value)
+                elif key == "grey_margin_m":
+                    db.grey_margin_m = finite_float(value)
+                elif key == "protection_floor_dbm":
+                    db.protection_floor_dbm = finite_float(value)
+                else:
+                    raise ParseError(f"unknown metadata key {key!r}", line=lineno, path=path)
             except ValueError as exc:
-                raise ParseError("malformed metadata line", line=lineno, path=path) from exc
-            key = key.strip()
-            if key == "version":
-                db.version = int(value)
-            elif key == "grey_margin_m":
-                db.grey_margin_m = float(value)
-            elif key == "protection_floor_dbm":
-                db.protection_floor_dbm = float(value)
-            else:
-                raise ParseError(f"unknown metadata key {key!r}", line=lineno, path=path)
+                raise ParseError(f"malformed metadata line: {exc}", line=lineno,
+                                 path=path) from exc
             body_start = lineno
         else:
             break

@@ -1,7 +1,8 @@
 """Scenario configuration, the deterministic event loop, metrics, reports.
 
 A scenario is an INI-style text file of ``section.key = value`` lines
-(UTF-8, ``#`` comments); a bad value is a ``ConfigError`` at load time.
+(UTF-8, ``#`` comments); a bad value, a non-finite number included, is
+a ``ConfigError`` at load time.
 ``parse_range`` (``lo:hi:step``) and ``parse_exclusions`` (``lo-hi;...``
 in MHz) also parse the command line's sweep and exclusion options.  Each
 ``cenb.FRAME_MS`` frame senses in the configured windows, fuses the
@@ -11,6 +12,18 @@ handovers at their activation boundary.  Each CeNB's database view
 comes from one geo-database query at start-up, and the blocks not set
 by ``cenbN.block`` from one ``asm_allocate`` pass; neither is repeated
 during the run (an ``ASM_EPOCH`` event only logs the blocks held).
+
+The frame loop's radio inputs are arrays built once per run:
+``sensing_links`` gives the carrier-window bins and a ``LinkArrays`` of
+every (CeNB, transmitter) distance and every transmitter's unit-power
+template at those bins, and a ``ScheduleTable`` holds the schedules as
+intervals.  Each frame takes transmitter activity at the sensing
+instant and at each downlink subframe in one call, draws shadowing
+once for all active links, and forms the mean window powers of every
+CeNB in one product; each CeNB then multiplies its own seeded Gamma
+draw, taken at the window bins, by its row.  ``received_spectrum`` is
+the single-point, whole-band API over the same arrays.
+
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
 block is held; the packet-loss ratio is sampled once per frame.
@@ -44,9 +57,12 @@ from .geodb import GeoDb, Region, query_vacant_channels
 from .radio_env import (
     DEFAULT_RBW_KHZ,
     FrequencyBand,
+    LinkArrays,
     PropagationConfig,
+    ScheduleTable,
     build_channel_grid,
-    received_spectrum,
+    finite_float,
+    received_spectrum,  # noqa: F401  (the single-point API, kept importable from here)
     transmitters_from_csv,
 )
 from .sensing import Decision, SensingReport, analytic_threshold_dbm
@@ -101,7 +117,7 @@ def _block_parser(grid):
 
 def parse_range(text):
     """``lo:hi:step`` inclusive sweep specification."""
-    lo, hi, step = (float(p) for p in text.split(":"))
+    lo, hi, step = (finite_float(p) for p in text.split(":"))
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}: need step > 0 and hi >= lo")
     n = int(round((hi - lo) / step))
@@ -112,7 +128,7 @@ def parse_exclusions(text):
     """``lo-hi;lo-hi`` excluded bands in MHz; empty text excludes nothing."""
     bands = []
     for part in text.split(";") if text else ():
-        lo, hi = (float(x) for x in part.split("-"))
+        lo, hi = (finite_float(x) for x in part.split("-"))
         bands.append(FrequencyBand(lo, hi))
     return tuple(bands)
 
@@ -125,9 +141,9 @@ def positive_int(text):
 
 
 def _checked_float(accept, expected):
-    """Float parser that rejects a value failing ``accept``."""
+    """Finite-float parser that also rejects a value failing ``accept``."""
     def parse(text):
-        value = float(text)
+        value = finite_float(text)
         if not accept(value):
             raise ValueError(f"expected {expected}, got {value:g}")
         return value
@@ -219,30 +235,30 @@ def _resolve(path, base_dir):
 
 def _load_interference(reader):
     isd = reader.take("interference.isd_m", _positive, 150.0)
-    radius = reader.take("interference.tv_radius_m", float, 350.0)
-    off_x = reader.take("interference.offset_x_m", float, 10.0)
-    off_y = reader.take("interference.offset_y_m", float, 0.0)
+    radius = reader.take("interference.tv_radius_m", finite_float, 350.0)
+    off_x = reader.take("interference.offset_x_m", finite_float, 10.0)
+    off_y = reader.take("interference.offset_y_m", finite_float, 0.0)
     topo = interf_mod.build_topology(isd, radius, (off_x, off_y))
     coex = interf_mod.CoexistenceConfig(
-        cenb_power_dbm=reader.take("interference.cenb_power_dbm", float, 20.0),
-        ue_power_dbm=reader.take("interference.ue_power_dbm", float, 0.0),
-        tv_eirp_dbm=reader.take("interference.tv_eirp_dbm", float, 59.0),
-        tv_protection_snr_db=reader.take("interference.tv_protection_snr_db", float, 23.0),
-        tv_noise_figure_db=reader.take("interference.tv_noise_figure_db", float, 7.0),
-        ue_noise_figure_db=reader.take("interference.ue_noise_figure_db", float, 9.0),
-        cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", float, 3.0),
+        cenb_power_dbm=reader.take("interference.cenb_power_dbm", finite_float, 20.0),
+        ue_power_dbm=reader.take("interference.ue_power_dbm", finite_float, 0.0),
+        tv_eirp_dbm=reader.take("interference.tv_eirp_dbm", finite_float, 59.0),
+        tv_protection_snr_db=reader.take("interference.tv_protection_snr_db", finite_float, 23.0),
+        tv_noise_figure_db=reader.take("interference.tv_noise_figure_db", finite_float, 7.0),
+        ue_noise_figure_db=reader.take("interference.ue_noise_figure_db", finite_float, 9.0),
+        cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", finite_float, 3.0),
         n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
         ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
-        min_coupling_m=reader.take("interference.min_coupling_m", float, 10.0),
-        exponent=reader.take("interference.exponent", float, 3.5),
-        freq_mhz=reader.take("interference.freq_mhz", float, 700.0),
+        min_coupling_m=reader.take("interference.min_coupling_m", finite_float, 10.0),
+        exponent=reader.take("interference.exponent", finite_float, 3.5),
+        freq_mhz=reader.take("interference.freq_mhz", finite_float, 700.0),
     )
     return InterferenceStudy(
         topology=topo, coex=coex,
         acir_list=reader.take("interference.acir_db", parse_range, parse_range("0:100:5")),
         snapshots=reader.take("interference.snapshots", positive_int, 1000),
         seed=reader.take("interference.seed", int, 1),
-        loss_budget=reader.take("interference.loss_budget", float, 0.05),
+        loss_budget=reader.take("interference.loss_budget", finite_float, 0.05),
     )
 
 
@@ -265,27 +281,27 @@ def load_scenario(path):
         raise ConfigError(f"{path}: duration_ms must be a positive multiple of "
                           f"{FRAME_MS:g} ms (got {duration})")
 
-    low = reader.take("grid.low_mhz", float, 470.0)
-    high = reader.take("grid.high_mhz", float, 806.0)
+    low = reader.take("grid.low_mhz", finite_float, 470.0)
+    high = reader.take("grid.high_mhz", finite_float, 806.0)
     width = reader.take("grid.channel_mhz", _positive, 8.0)
     excluded = reader.take("grid.exclusions", parse_exclusions, parse_exclusions("566-606"))
     grid = build_channel_grid(_band(path, "grid band", low, high), width, excluded)
 
     schedule = build_frame_schedule(
         config_id=reader.take("frame.pattern", str, "tdd-2"),
-        special_split=(reader.take("frame.dwpts_ms", float, 0.2),
-                       reader.take("frame.gp_ms", float, 0.7),
-                       reader.take("frame.uppts_ms", float, 0.1)),
+        special_split=(reader.take("frame.dwpts_ms", finite_float, 0.2),
+                       reader.take("frame.gp_ms", finite_float, 0.7),
+                       reader.take("frame.uppts_ms", finite_float, 0.1)),
         wide_scan=reader.take("frame.wide_scan", _parse_bool, True),
     )
 
-    ref_loss = reader.take("prop.ref_loss_db", float, None)
+    ref_loss = reader.take("prop.ref_loss_db", finite_float, None)
     try:
         prop = PropagationConfig(
-            exponent=reader.take("prop.exponent", float, 3.5),
+            exponent=reader.take("prop.exponent", finite_float, 3.5),
             ref_distance_m=reader.take("prop.ref_distance_m", _positive, 1.0),
             ref_loss_db=ref_loss,
-            shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", float, 0.0),
+            shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", finite_float, 0.0),
             seed=seed,
         )
     except ValueError as exc:
@@ -324,13 +340,13 @@ def load_scenario(path):
     index = 1
     while any(k.startswith(f"cenb{index}.") for k in reader.data):
         prefix = f"cenb{index}"
-        ded_lo = reader.take(f"{prefix}.dedicated_low_mhz", float, 698.0)
-        ded_hi = reader.take(f"{prefix}.dedicated_high_mhz", float, 706.0)
+        ded_lo = reader.take(f"{prefix}.dedicated_low_mhz", finite_float, 698.0)
+        ded_hi = reader.take(f"{prefix}.dedicated_high_mhz", finite_float, 706.0)
         cenbs.append(CenbSetup(
             id=reader.take(f"{prefix}.id", str, prefix),
-            location=(reader.take(f"{prefix}.x_m", float, 0.0),
-                      reader.take(f"{prefix}.y_m", float, 0.0)),
-            tx_power_dbm=reader.take(f"{prefix}.power_dbm", float, 20.0),
+            location=(reader.take(f"{prefix}.x_m", finite_float, 0.0),
+                      reader.take(f"{prefix}.y_m", finite_float, 0.0)),
+            tx_power_dbm=reader.take(f"{prefix}.power_dbm", finite_float, 20.0),
             dedicated_band=_band(path, f"{prefix} dedicated band", ded_lo, ded_hi),
             initial_block=reader.take(f"{prefix}.block", _block_parser(grid), None),
         ))
@@ -353,7 +369,7 @@ def load_scenario(path):
         random_loss_floor=reader.take("sim.random_loss_floor", _fraction, 0.0),
         fusion_rule=reader.take("sim.fusion_rule", str, "OR").upper(),
         asm_epoch_frames=reader.take("sim.asm_epoch_frames", positive_int, 100),
-        asm_reuse_distance_m=reader.take("sim.asm_reuse_distance_m", float, 1000.0),
+        asm_reuse_distance_m=reader.take("sim.asm_reuse_distance_m", finite_float, 1000.0),
         transmitters=txs,
         geodb=db,
         cenbs=cenbs,
@@ -383,6 +399,28 @@ def _initial_regions(setup, cfg):
                                       cfg.prop, cfg.grid))
 
 
+def sensing_links(cfg, det, points):
+    """The frame loop's carrier windows and its ``LinkArrays`` at those bins.
+
+    ``windows`` are the (channels, carriers, width) bin indices of
+    ``det``'s carrier windows on the scenario grid; the links hold every
+    transmitter's distance to each of ``points`` and its unit-power
+    template at the window bins, with shadowing drawn from a fresh
+    stream seeded like ``cfg.prop`` (so ``cfg`` is not advanced).
+    """
+    rbw_mhz = cfg.rbw_khz / 1000.0
+    n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))
+    try:
+        windows = sensing_mod.carrier_windows(
+            cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz,
+            cfg.grid.low_edges_mhz, det)
+    except CoverageError as exc:
+        raise ConfigError(f"carrier windows not representable on this grid: {exc}") from exc
+    links = LinkArrays(points, cfg.transmitters, replace(cfg.prop, _rng=None), cfg.grid,
+                       windows, cfg.rbw_khz, det.noise_figure_db)
+    return windows, links
+
+
 def run_simulation(cfg):
     """Drive the full scenario; returns (MetricsSeries, event rows)."""
     n_frames = int(cfg.duration_ms // FRAME_MS)
@@ -391,14 +429,11 @@ def run_simulation(cfg):
                      sense_duration_ms=cfg.schedule.sensing_time_ms,
                      threshold_dbm=None)
     op_det.threshold_dbm = analytic_threshold_dbm(op_det)
-    rbw_mhz = cfg.rbw_khz / 1000.0
-    n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))
-    try:
-        windows = sensing_mod.carrier_windows(
-            cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz,
-            cfg.grid.low_edges_mhz, op_det)
-    except CoverageError as exc:
-        raise ConfigError(f"carrier windows not representable on this grid: {exc}") from exc
+    # Radio inputs, built once: window bins, link arrays, schedule intervals.
+    windows, links = sensing_links(cfg, op_det, [setup.location for setup in cfg.cenbs])
+    schedules = ScheduleTable(cfg.transmitters)
+    tx_channel = np.array([tx.channel_index for tx in cfg.transmitters], dtype=np.intp)
+    n_bins = int(round(cfg.grid.band.width_mhz / (cfg.rbw_khz / 1000.0)))
     n_snapshots = op_det.n_snapshots()
 
     states = [CenbState(id=setup.id, location=setup.location,
@@ -434,7 +469,6 @@ def run_simulation(cfg):
     events = []
     metrics = MetricsSeries(plr=np.zeros(n_frames),
                             sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
-    prop = replace(cfg.prop, _rng=None)   # a fresh shadowing stream, so cfg is not advanced
     all_channels = tuple(range(cfg.grid.n_channels))
     fuse = cfg.fusion_rule != "OFF" and len(states) > 1
     sensed = []         # (state, monitored channels, verdict row) from the last frame
@@ -480,27 +514,27 @@ def run_simulation(cfg):
                                f"pcogch activation_frame={msg.activation_frame}"))
 
         t_sense = t0 + sense_offset
+        # Transmitter activity at the sensing instant, then at each downlink subframe.
+        active = schedules.active([t_sense, *(t0 + sf for sf in dl_subframes)])
+        means = links.mean_mw(active[0]).reshape(len(states), *windows.shape)
         sensed = []
         x2 = {}             # channel -> the X2 reports of the CeNBs that sensed it
         for idx, state in enumerate(states):
             rng = np.random.default_rng([cfg.seed, 0x5E45E, frame, idx])
-            spectrum = received_spectrum(
-                state.location, cfg.transmitters, t_sense, prop, cfg.grid,
-                rbw_khz=cfg.rbw_khz, noise_figure_db=op_det.noise_figure_db,
-                snapshots=n_snapshots, rng=rng)
-            stats, occupied = sensing_mod.detect_channels(op_det, spectrum.bins_mw(),
-                                                          windows)
+            window_mw = rng.gamma(n_snapshots, 1.0 / n_snapshots, size=n_bins)[windows]
+            stats, occupied = sensing_mod.detect_channels(op_det, window_mw * means[idx])
             monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
             sensed.append((state, monitored, occupied))
-            n_occ = sum(bool(occupied[ch]) for ch in monitored)
+            n_occ = np.count_nonzero(occupied[list(monitored)])
             events.append((t_sense, state.id, "SENSE",
                            f"channels={len(monitored)} occupied={n_occ}"))
             if fuse:
+                stat_rows, flags = stats.tolist(), occupied.tolist()
                 for ch in monitored:
                     x2.setdefault(ch, []).append(SensingReport(
                         cenb_id=state.id, channel_index=ch,
-                        decision=Decision.OCCUPIED if occupied[ch] else Decision.VACANT,
-                        carrier_stats_dbm=tuple(float(v) for v in stats[ch]), t_ms=t_sense))
+                        decision=Decision.OCCUPIED if flags[ch] else Decision.VACANT,
+                        carrier_stats_dbm=tuple(stat_rows[ch]), t_ms=t_sense))
 
         if fuse:
             # X2 exchange is all-to-all, so every CeNB that sensed a channel
@@ -513,16 +547,18 @@ def run_simulation(cfg):
                 fused[ch] = decision is Decision.OCCUPIED
             sensed = [(state, monitored, fused) for state, monitored, _ in sensed]
 
+        on_air = np.zeros((len(dl_subframes), cfg.grid.n_channels), dtype=bool)
+        sf_rows, tx_cols = np.nonzero(active[1:])
+        on_air[sf_rows, tx_channel[tx_cols]] = True
+        tv_on_block = [on_air[:, list(s.active_block)].any(axis=1)
+                       if s.active_block is not None else None for s in states]
         offered = 0
         lost = 0
-        for sf_idx in dl_subframes:
+        for k, sf_idx in enumerate(dl_subframes):
             t = t0 + sf_idx
-            on_air = {tx.channel_index for tx in cfg.transmitters if tx.active_at(t)}
-            for state in states:
+            for state, tv_on in zip(states, tv_on_block):
                 offered += cfg.packets_per_dl_subframe
-                blocked = (state.active_block is None
-                           or state.retuning_at(t)
-                           or not on_air.isdisjoint(state.active_block))
+                blocked = (tv_on is None or state.retuning_at(t) or tv_on[k])
                 if blocked:
                     lost += cfg.packets_per_dl_subframe
                 elif loss_rng is not None:

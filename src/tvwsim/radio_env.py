@@ -5,9 +5,16 @@ with the 566-606 MHz carve-out in the default grid), the narrowband
 carrier structure of analog TV signals, log-distance propagation with
 optional log-normal shadowing, and thermal noise, producing received
 power spectra at arbitrary planar points.
+
+``ScheduleTable`` and ``LinkArrays`` hold a transmitter list as arrays:
+the schedules as flat intervals, and per (receiver point, transmitter)
+link a distance and per transmitter a unit-power spectrum at chosen
+bins.  ``received_spectrum`` is their one-point, all-bins case; the
+frame loop builds them once per run for every CeNB at once.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -144,6 +151,7 @@ class TvTransmitter:
 
     ``schedule`` is a tuple of (on_ms, off_ms) activity intervals,
     sorted and non-overlapping; an empty schedule means always on.
+    Location, EIRP, height and schedule times must be finite.
     """
 
     id: str
@@ -155,6 +163,10 @@ class TvTransmitter:
     schedule: tuple = ()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.location, self.eirp_dbm, self.antenna_height_m,
+                                       *(t for interval in self.schedule for t in interval)))):
+            raise ValueError(f"transmitter {self.id}: non-finite location, EIRP, "
+                             "height or schedule time")
         prev_end = None
         for on_ms, off_ms in self.schedule:
             if off_ms <= on_ms:
@@ -163,10 +175,29 @@ class TvTransmitter:
                 raise ValueError(f"transmitter {self.id}: overlapping schedule intervals")
             prev_end = off_ms
 
-    def active_at(self, t_ms):
-        if not self.schedule:
-            return True
-        return any(on <= t_ms < off for on, off in self.schedule)
+
+class ScheduleTable:
+    """The schedules of a transmitter list as flat interval arrays.
+
+    Interval k runs over [on_ms[k], off_ms[k]) and belongs to transmitter
+    ``owner[k]``; a transmitter with an empty schedule is always on.
+    """
+
+    def __init__(self, txs):
+        intervals = [(i, on, off) for i, tx in enumerate(txs) for on, off in tx.schedule]
+        owner, on, off = zip(*intervals) if intervals else ((), (), ())
+        self.always_on = np.array([not tx.schedule for tx in txs], dtype=bool)
+        self.owner = np.array(owner, dtype=np.intp)
+        self.on_ms = np.array(on, dtype=float)
+        self.off_ms = np.array(off, dtype=float)
+
+    def active(self, t_ms):
+        """(times, transmitters) flags: True where a transmitter is on at a time."""
+        t = np.asarray(t_ms, dtype=float).reshape(-1, 1)
+        flags = np.repeat(self.always_on[None, :], t.shape[0], axis=0)
+        rows, k = np.nonzero((self.on_ms <= t) & (t < self.off_ms))
+        flags[rows, self.owner[k]] = True
+        return flags
 
 
 @dataclass
@@ -245,9 +276,12 @@ class PropagationConfig:
     """Log-distance path loss with optional seeded log-normal shadowing.
 
     ``ref_loss_db=None`` means free-space loss at the carrier frequency
-    and reference distance is used.  The shadowing stream is owned by
-    this config; identical seeds and call orders reproduce identical
-    draws.
+    and reference distance is used.  ``rng()`` is the shadowing stream
+    that ``path_loss`` draws from, made from ``seed`` on first use;
+    identical seeds and call orders reproduce identical draws.
+    ``harness.run_simulation`` draws from a copy with a fresh stream
+    (``replace(prop, _rng=None)``), so a run starts from ``seed`` and
+    does not advance the loaded config's stream.
     """
 
     exponent: float = 3.5
@@ -283,11 +317,16 @@ class PropagationConfig:
 
 
 def path_loss(cfg, distance_m, freq_mhz):
-    """Path loss in dB at one distance, including a shadowing draw if enabled."""
-    loss = float(cfg.median_loss_db(distance_m, freq_mhz))
+    """Path loss in dB, with one shadowing draw per element if enabled.
+
+    Arguments broadcast; a scalar gives a float.  The draws come from
+    ``cfg.rng()`` in C order, so one call on n links takes the same
+    values as n scalar calls in sequence.
+    """
+    loss = cfg.median_loss_db(distance_m, freq_mhz)
     if cfg.shadowing_sigma_db > 0:
-        loss += float(cfg.rng().normal(0.0, cfg.shadowing_sigma_db))
-    return loss
+        loss = loss + cfg.rng().normal(0.0, cfg.shadowing_sigma_db, size=np.shape(loss))
+    return float(loss) if np.ndim(loss) == 0 else loss
 
 
 def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.0,
@@ -329,33 +368,84 @@ def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.
     return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=power_mw)
 
 
+class LinkArrays:
+    """Mean received power of many points from a transmitter list, at chosen bins.
+
+    Built once: ``distance_m`` (points, transmitters), clamped below at
+    the reference distance, and ``templates`` (transmitters, bins), the
+    0 dBm ``synthesize_tv_spectrum`` of each transmitter taken at
+    ``bins`` (any integer index array into the grid-band spectrum,
+    flattened).  ``mean_mw(active)`` is then the thermal floor plus the
+    sum over the active transmitters of link gain x template.  Without
+    shadowing the link gains are fixed and computed here; with it, each
+    ``mean_mw`` call makes one ``path_loss`` call over the active links,
+    in (point, transmitter) row-major order.  ``noise_figure_db=None``
+    omits the floor.
+    """
+
+    def __init__(self, points, txs, cfg, grid, bins, rbw_khz=DEFAULT_RBW_KHZ,
+                 noise_figure_db=DEFAULT_NOISE_FIGURE_DB):
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        sites = np.array([tx.location for tx in txs], dtype=float).reshape(-1, 2)
+        bins = np.asarray(bins).ravel()
+        self.cfg = cfg
+        self.eirp_dbm = np.array([tx.eirp_dbm for tx in txs], dtype=float)
+        self.freq_mhz = np.array([grid.center_mhz(tx.channel_index) for tx in txs],
+                                 dtype=float)
+        self.distance_m = np.maximum(
+            np.hypot(points[:, None, 0] - sites[None, :, 0],
+                     points[:, None, 1] - sites[None, :, 1]),
+            cfg.ref_distance_m)
+        self.templates = np.array([synthesize_tv_spectrum(tx, grid, rbw_khz).mw[bins]
+                                   for tx in txs]).reshape(len(txs), bins.size)
+        self.noise_mw = (0.0 if noise_figure_db is None
+                         else dbm_to_mw(thermal_noise_dbm(rbw_khz, noise_figure_db)))
+        self._fixed_gains = None
+        if cfg.shadowing_sigma_db == 0:
+            self._fixed_gains = self.gains_mw(np.ones(len(txs), dtype=bool))
+
+    def gains_mw(self, active):
+        """(points, active transmitters) link gains times EIRP, in mW."""
+        if self._fixed_gains is not None:
+            return self._fixed_gains[:, active]
+        loss = path_loss(self.cfg, self.distance_m[:, active], self.freq_mhz[active])
+        return dbm_to_mw(self.eirp_dbm[active] - loss)
+
+    def mean_mw(self, active):
+        """(points, bins) mean power; ``active`` masks the transmitters that are on."""
+        return self.noise_mw + self.gains_mw(active) @ self.templates[active]
+
+
 def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,
                       noise_figure_db=DEFAULT_NOISE_FIGURE_DB, snapshots=1, rng=None):
     """Received spectrum at a point: attenuated transmitters plus noise.
 
-    The signal part is the linear sum of each schedule-active
-    transmitter's synthesized spectrum attenuated by its path loss.
-    ``noise_figure_db=None`` omits the thermal floor entirely.  With
-    ``rng=None`` the mean spectrum is returned; with a Generator each
-    bin is drawn as the average of ``snapshots`` independent
-    exponential-power snapshots (a Gamma(snapshots) variate around the
-    bin mean).
+    The single-point API over ``ScheduleTable`` and ``LinkArrays``: the
+    signal part is the linear sum of each schedule-active transmitter's
+    unit-power spectrum times its EIRP over the path loss, over the
+    whole grid band.  ``noise_figure_db=None`` omits the thermal floor
+    entirely.  With ``rng=None`` the mean spectrum is returned; with a
+    Generator each bin is drawn as the average of ``snapshots``
+    independent exponential-power snapshots (a Gamma(snapshots) variate
+    around the bin mean).
     """
-    point = np.asarray(point, dtype=float)
     n_bins = int(round(grid.band.width_mhz / (rbw_khz / 1000.0)))
-    mean_mw = np.zeros(n_bins)
-    for tx in txs:
-        if not tx.active_at(t_ms):
-            continue
-        d = float(np.hypot(point[0] - tx.location[0], point[1] - tx.location[1]))
-        loss = path_loss(cfg, max(d, cfg.ref_distance_m), grid.center_mhz(tx.channel_index))
-        spec = synthesize_tv_spectrum(tx, grid, rbw_khz, tx.eirp_dbm - loss)
-        mean_mw += spec.bins_mw()
-    if noise_figure_db is not None:
-        mean_mw += 10.0 ** (thermal_noise_dbm(rbw_khz, noise_figure_db) / 10.0)
+    on = ScheduleTable(txs).active(t_ms)[0]
+    active = [tx for tx, is_on in zip(txs, on) if is_on]
+    links = LinkArrays([point], active, cfg, grid, np.arange(n_bins), rbw_khz,
+                       noise_figure_db)
+    mean_mw = links.mean_mw(np.ones(len(active), dtype=bool))[0]
     if rng is not None and snapshots >= 1:
         mean_mw = rng.gamma(snapshots, 1.0 / snapshots, size=n_bins) * mean_mw
     return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=mean_mw)
+
+
+def finite_float(text):
+    """``float(text)`` that rejects infinities and NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_schedule(text):

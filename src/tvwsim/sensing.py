@@ -223,14 +223,18 @@ def _k_of_n(stats, threshold, k):
     return (stats >= threshold).sum(axis=-1) >= k
 
 
-def detect_channels(cfg, bins_mw, windows):
+def detect_channels(cfg, mw, windows=None):
     """Carrier statistics (dBm) and verdicts for every channel of ``windows``.
 
+    ``mw`` holds bin powers and ``windows`` the bin indices of
+    ``carrier_windows``; with ``windows=None``, ``mw`` holds the powers
+    already taken at those bins, shape (channels, carriers, width).
     The per-carrier statistic is the linear power summed over its
     window; returns the (channels, carriers) statistics and the
     (channels,) occupied flags.
     """
-    stats = mw_to_dbm(bins_mw[windows].sum(axis=2))
+    window_mw = mw if windows is None else mw[windows]
+    stats = mw_to_dbm(window_mw.sum(axis=2))
     return stats, _k_of_n(stats, cfg.threshold_dbm, cfg.k_required)
 
 

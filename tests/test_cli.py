@@ -36,8 +36,17 @@ BAD_INPUTS = [
     ("simulate", "cenb1.block = 40"),
     ("simulate", "cenb1.block = 0,1,2,3"),
     ("simulate", "cenb1.block ="),
+    ("simulate", "cenb1.x_m = nan"),
+    ("simulate", "cenb1.x_m = inf"),
+    ("simulate", "cenb1.power_dbm = nan"),
+    ("simulate", "prop.shadowing_sigma_db = nan"),
+    ("simulate", "prop.exponent = inf"),
+    ("simulate", "prop.ref_distance_m = inf"),
+    ("simulate", "grid.exclusions = 566-inf"),
     ("acir", "interference.snapshots = 0"),
     ("acir", "interference.isd_m = 0"),
+    ("acir", "interference.freq_mhz = nan"),
+    ("acir", "interference.acir_db = 0:inf:5"),
     ("geodb", "--exclude=566-6x6"),
     ("occupancy", "--exclude=566-6x6"),
 ]
@@ -65,6 +74,36 @@ def _argv(tmp_path, command, arg):
                          ids=[f"{c} {a}" for c, a in BAD_INPUTS])
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, arg):
     assert cli.main(_argv(tmp_path, command, arg)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+TX_HEADER = "id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+
+# Input files with one non-finite number each.
+BAD_FILE_ROWS = [
+    ("transmitters", "tv,AnalogPalD,3,100,0,inf,30,"),
+    ("transmitters", "tv,AnalogPalD,3,100,0,nan,30,"),
+    ("transmitters", "tv,AnalogPalD,3,100,0,-inf,30,"),
+    ("transmitters", "tv,AnalogPalD,3,inf,0,40,30,"),
+    ("transmitters", "tv,AnalogPalD,3,100,0,40,30,nan:5"),
+    ("geodb", "db,AnalogPalD,3,nan,0,60,30,-84,"),
+    ("geodb", "db,AnalogPalD,3,0,0,60,30,-inf,"),
+    ("geodb", "db,AnalogPalD,3,0,0,60,30,-84,inf"),
+]
+
+
+@pytest.mark.parametrize("kind, row", BAD_FILE_ROWS,
+                         ids=[f"{k} {r}" for k, r in BAD_FILE_ROWS])
+def test_non_finite_file_value_is_a_config_error(tmp_path, capsys, kind, row):
+    header = TX_HEADER if kind == "transmitters" else GEODB_HEADER
+    (tmp_path / "input.csv").write_text(f"{header}{row}\n", encoding="utf-8")
+    scenario = tmp_path / "input.ini"
+    scenario.write_text(f"{SCENARIO_HEAD}files.{kind} = input.csv\n", encoding="utf-8")
+    argv = ["simulate", str(scenario), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -231,3 +231,84 @@ class TestPersistence:
                          protected_radius_m=1.0))
         db.remove("a")
         assert db.version == 3
+
+
+def loop_classify(db, point, channel, cenb_eirp, prop, freq=700.0):
+    """Reference: the per-record scan, in record order."""
+    records = [r for r in db.records.values() if r.service.channel_index == channel]
+    if not records:
+        return Region.WHITE
+    r_interf = contour_radius_m(cenb_eirp, db.protection_floor_dbm, prop, freq)
+    region = Region.WHITE
+    for rec in records:
+        d = float(np.hypot(point[0] - rec.service.location[0],
+                           point[1] - rec.service.location[1]))
+        r_protected = protected_radius(rec, prop, freq)
+        if d <= r_protected:
+            return Region.BLACK
+        if d <= r_protected + r_interf + db.grey_margin_m:
+            region = min(region, Region.GREY)
+    return region
+
+
+class TestChannelArrays:
+    def random_db(self, seed, n_records=300):
+        rng = np.random.default_rng(seed)
+        db = GeoDb()
+        for i in range(n_records):
+            radius = None if i % 5 == 0 else float(rng.uniform(500.0, 3000.0))
+            db.add(GeoRecord(service=service(channel=int(rng.integers(0, 37)),
+                                             x=float(rng.uniform(-20e3, 20e3)),
+                                             y=float(rng.uniform(-20e3, 20e3)),
+                                             eirp=float(rng.uniform(50.0, 70.0)),
+                                             sid=f"r{i}"),
+                             required_rx_dbm=-84.0, protected_radius_m=radius))
+        return db
+
+    def assert_matches_the_scan(self, db, prop, grid, points):
+        seen = set()
+        for point in points:
+            for ch in range(grid.n_channels):
+                region = classify_region(db, point, ch, 20.0, prop, grid)
+                assert region is loop_classify(db, point, ch, 20.0, prop), (point, ch)
+                seen.add(region)
+        return seen
+
+    def test_matches_the_per_record_scan(self, prop, grid):
+        db = self.random_db(11)
+        points = np.random.default_rng(12).uniform(-20e3, 20e3, size=(40, 2))
+        seen = self.assert_matches_the_scan(db, prop, grid, points)
+        assert seen == {Region.BLACK, Region.GREY, Region.WHITE}
+
+    def test_stays_right_after_add_and_remove(self, prop, grid):
+        db = self.random_db(21, n_records=60)
+        points = np.random.default_rng(22).uniform(-20e3, 20e3, size=(15, 2))
+        self.assert_matches_the_scan(db, prop, grid, points)
+        db.add(GeoRecord(service=service(channel=4, x=float(points[0, 0]),
+                                         y=float(points[0, 1]), sid="new"),
+                         required_rx_dbm=-84.0))
+        assert classify_region(db, points[0], 4, 20.0, prop, grid) is Region.BLACK
+        self.assert_matches_the_scan(db, prop, grid, points)
+        for key in list(db.records)[::2]:
+            db.remove(key)
+        self.assert_matches_the_scan(db, prop, grid, points)
+
+    def test_degenerate_contour_only_with_a_co_channel_record(self, prop, grid):
+        db = GeoDb()
+        db.add(GeoRecord(service=service(channel=10, x=50e3), required_rx_dbm=-84.0))
+        # A CeNB EIRP below the protection floor plus the reference loss
+        # has no interference contour: that matters only where a record is.
+        assert classify_region(db, (0.0, 0.0), 11, -100.0, prop, grid) is Region.WHITE
+        with pytest.raises(DegenerateContourError):
+            classify_region(db, (0.0, 0.0), 10, -100.0, prop, grid)
+
+    def test_degenerate_record_after_a_black_one_is_not_reached(self, prop, grid):
+        db = GeoDb()
+        db.add(GeoRecord(service=service(channel=10, sid="near"), required_rx_dbm=-84.0,
+                         protected_radius_m=1000.0))
+        # Its contour needs -20 dBm at 1 m from a 0 dBm service: degenerate.
+        db.add(GeoRecord(service=service(channel=10, x=9e3, eirp=0.0, sid="weak"),
+                         required_rx_dbm=-20.0))
+        assert classify_region(db, (0.0, 0.0), 10, 20.0, prop, grid) is Region.BLACK
+        with pytest.raises(DegenerateContourError):
+            classify_region(db, (5e3, 0.0), 10, 20.0, prop, grid)

@@ -1,6 +1,7 @@
 """Frame loop of ``harness.run_simulation``: detector, handover timeline, X2 fusion."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,15 @@ import pytest
 from tvwsim import harness
 from tvwsim.radio_env import (
     PropagationConfig,
+    ScheduleTable,
     TvStandard,
     TvTransmitter,
     china_tv_grid,
+    dbm_to_mw,
+    path_loss,
     received_spectrum,
+    synthesize_tv_spectrum,
+    thermal_noise_dbm,
 )
 from tvwsim.sensing import (
     Decision,
@@ -43,6 +49,67 @@ def test_detect_tv_matches_the_frame_loop_detector():
         report = detect_tv(cfg, spectrum, ch, grid)
         assert (report.decision is Decision.OCCUPIED) == bool(occupied[ch])
         assert report.carrier_stats_dbm == tuple(stats[ch])
+
+
+# Two CeNBs and three TVs: a scheduled PAL-D service 22 m from cenb1, inside
+# the 50 m reference distance, an always-on DTMB service and a PAL-D
+# service with two on-intervals.
+ARRAY_TRANSMITTERS = ("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                      "near,AnalogPalD,4,20,10,43,30,100:300\n"
+                      "dtmb,DigitalDtmb,9,900,-400,40,30,\n"
+                      "far,AnalogPalD,25,3000,2500,46,30,0:150;250:400\n")
+
+
+def _array_scenario(tmp_path, extra=""):
+    (tmp_path / "tx.csv").write_text(ARRAY_TRANSMITTERS, encoding="utf-8")
+    scenario = tmp_path / "arrays.ini"
+    scenario.write_text("sim.seed = 5\nsim.duration_ms = 400\nprop.ref_distance_m = 50\n"
+                        "files.transmitters = tx.csv\ncenb1.x_m = 0\n"
+                        f"cenb2.x_m = 1500\ncenb2.y_m = 700\n{extra}", encoding="utf-8")
+    cfg = harness.load_scenario(scenario)
+    return cfg, [c.location for c in cfg.cenbs], default_calibration()
+
+
+def _link_distance(cfg, point, tx):
+    d = np.hypot(point[0] - tx.location[0], point[1] - tx.location[1])
+    return max(d, cfg.prop.ref_distance_m)
+
+
+def test_frame_loop_window_means_equal_the_single_point_api(tmp_path):
+    cfg, points, det = _array_scenario(tmp_path)
+    windows, links = harness.sensing_links(cfg, det, points)
+    schedules = ScheduleTable(cfg.transmitters)
+    noise_mw = dbm_to_mw(thermal_noise_dbm(cfg.rbw_khz, det.noise_figure_db))
+    for t in (0.0, 120.0, 200.0, 260.0, 350.0):
+        on = schedules.active(t)[0]
+        means = links.mean_mw(on).reshape(len(points), *windows.shape)
+        for point, mean in zip(points, means):
+            single = received_spectrum(point, cfg.transmitters, t, cfg.prop, cfg.grid,
+                                       rbw_khz=cfg.rbw_khz, noise_figure_db=det.noise_figure_db)
+            np.testing.assert_allclose(mean, single.bins_mw()[windows], rtol=1e-12)
+            # The same sum, one synthesized spectrum per active transmitter.
+            total = noise_mw + sum(
+                synthesize_tv_spectrum(tx, cfg.grid, cfg.rbw_khz, tx.eirp_dbm - path_loss(
+                    cfg.prop, _link_distance(cfg, point, tx),
+                    cfg.grid.center_mhz(tx.channel_index))).bins_mw()
+                for tx, is_on in zip(cfg.transmitters, on) if is_on)
+            np.testing.assert_allclose(mean, total[windows], rtol=1e-12)
+
+
+def test_frame_loop_shadowing_takes_the_sequential_path_loss_draws(tmp_path):
+    cfg, points, det = _array_scenario(tmp_path, "prop.shadowing_sigma_db = 6\n")
+    _, links = harness.sensing_links(cfg, det, points)
+    sequential = replace(cfg.prop, _rng=None)
+    schedules = ScheduleTable(cfg.transmitters)
+    for t in (200.0, 350.0):        # two frames: the stream runs on
+        on = schedules.active(t)[0]
+        expected = [[10.0 ** ((tx.eirp_dbm - path_loss(
+                        sequential, _link_distance(cfg, point, tx),
+                        cfg.grid.center_mhz(tx.channel_index))) / 10.0)
+                     for tx, is_on in zip(cfg.transmitters, on) if is_on]
+                    for point in points]
+        np.testing.assert_allclose(links.gains_mw(on), expected, rtol=1e-12)
+    assert cfg.prop._rng is None    # the loaded config's stream is not advanced
 
 
 def test_fig17_handover_timeline():

@@ -7,6 +7,7 @@ from tvwsim.radio_env import (
     FrequencyBand,
     PowerSpectrum,
     PropagationConfig,
+    ScheduleTable,
     TvStandard,
     TvTransmitter,
     build_channel_grid,
@@ -230,3 +231,33 @@ class TestTransmitterCsv:
     def test_overlapping_schedule_rejected(self):
         with pytest.raises(ValueError):
             pal_tx(schedule=((0.0, 100.0), (50.0, 150.0)))
+
+
+class TestArrays:
+    def test_vectorised_path_loss_takes_the_sequential_draws(self):
+        seq = PropagationConfig(shadowing_sigma_db=6.0, seed=4)
+        vec = PropagationConfig(shadowing_sigma_db=6.0, seed=4)
+        distances = np.array([[100.0, 250.0, 900.0], [40.0, 3000.0, 7.0]])
+        expected = [[path_loss(seq, d, 700.0) for d in row] for row in distances]
+        np.testing.assert_array_equal(path_loss(vec, distances, 700.0), expected)
+
+    def test_schedule_table_agrees_with_the_intervals(self):
+        txs = [pal_tx(schedule=((0.0, 10.0), (20.0, 30.0))), pal_tx(),
+               pal_tx(schedule=((5.0, 25.0),))]
+        times = [-1.0, 0.0, 5.0, 9.999, 10.0, 15.0, 20.0, 25.0, 29.0, 30.0, 1e9]
+        expected = [[not tx.schedule or any(on <= t < off for on, off in tx.schedule)
+                     for tx in txs] for t in times]
+        np.testing.assert_array_equal(ScheduleTable(txs).active(times), expected)
+        assert ScheduleTable([]).active([0.0, 1.0]).shape == (2, 0)
+
+    @pytest.mark.parametrize("field, value", [("eirp", "inf"), ("eirp", "nan"),
+                                              ("eirp", "-inf"), ("x", "inf"),
+                                              ("schedule", "nan:5")])
+    def test_non_finite_row_rejected(self, tmp_path, field, value):
+        row = {"x": "0", "eirp": "40", "schedule": ""}
+        row[field] = value
+        path = tmp_path / "txs.csv"
+        path.write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                        f"t,AnalogPalD,3,{row['x']},0,{row['eirp']},10,{row['schedule']}\n")
+        with pytest.raises(ParseError, match=":2"):
+            transmitters_from_csv(path)
