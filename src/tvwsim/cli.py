@@ -15,7 +15,7 @@ from . import geodb as geodb_mod
 from . import harness, occupancy, sensing
 from .errors import ConfigError, ParseError, TvwsimError
 from .geodb import query_vacant_channels
-from .radio_env import FrequencyBand, PropagationConfig, build_channel_grid
+from .radio_env import FrequencyBand, PropagationConfig, build_channel_grid, finite_float
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,30 +167,30 @@ def build_parser():
     for name in ("query", "contour"):
         g = gsub.add_parser(name)
         g.add_argument("db", help="geodb CSV file")
-        g.add_argument("--freq", type=float, default=700.0)
-        g.add_argument("--exponent", type=float, default=3.5)
-        g.add_argument("--ref-loss-db", type=float, default=None)
+        g.add_argument("--freq", type=finite_float, default=700.0)
+        g.add_argument("--exponent", type=finite_float, default=3.5)
+        g.add_argument("--ref-loss-db", type=finite_float, default=None)
         if name == "query":
-            g.add_argument("--x", type=float, required=True)
-            g.add_argument("--y", type=float, required=True)
-            g.add_argument("--eirp", type=float, default=20.0)
-            g.add_argument("--band-low", type=float, default=470.0)
-            g.add_argument("--band-high", type=float, default=806.0)
-            g.add_argument("--channel-mhz", type=float, default=8.0)
+            g.add_argument("--x", type=finite_float, required=True)
+            g.add_argument("--y", type=finite_float, required=True)
+            g.add_argument("--eirp", type=finite_float, default=20.0)
+            g.add_argument("--band-low", type=finite_float, default=470.0)
+            g.add_argument("--band-high", type=finite_float, default=806.0)
+            g.add_argument("--channel-mhz", type=finite_float, default=8.0)
             g.add_argument("--exclude", default="566-606")
     g = gsub.add_parser("separation")
     g.add_argument("--table", default="default", help="separation table CSV")
-    g.add_argument("--power", type=float, required=True)
-    g.add_argument("--height", type=float, required=True)
+    g.add_argument("--power", type=finite_float, required=True)
+    g.add_argument("--height", type=finite_float, required=True)
     p.set_defaults(func=_cmd_geodb)
 
     p = sub.add_parser("occupancy", help="duty-cycle analytics over a trace")
     p.add_argument("trace", help="sweep trace CSV")
-    p.add_argument("--band-low", type=float, default=470.0)
-    p.add_argument("--band-high", type=float, default=806.0)
-    p.add_argument("--channel-mhz", type=float, default=8.0)
+    p.add_argument("--band-low", type=finite_float, default=470.0)
+    p.add_argument("--band-high", type=finite_float, default=806.0)
+    p.add_argument("--channel-mhz", type=finite_float, default=8.0)
     p.add_argument("--exclude", default="566-606")
-    p.add_argument("--threshold-dbm", type=float, default=None)
+    p.add_argument("--threshold-dbm", type=finite_float, default=None)
     p.add_argument("--subbands", default=None, help="sub-band table CSV")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_occupancy)

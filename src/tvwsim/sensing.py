@@ -13,9 +13,20 @@ m = sense_duration_ms * snapshots_per_ms * (det_bw / 200 kHz) and mu
 the window signal-plus-noise power.  Monte Carlo routines sample that
 Gamma law directly, which is exact and keeps a 1e5-trial run under a
 second.
+
+The Monte Carlo never forms the statistics themselves.  A trial's
+statistic on carrier c is fl(a_c * g) for a unit-mean Gamma draw g and
+window mean a_c = noise + signal_c, and it fires when it reaches the
+threshold tau in mW.  Round-to-nearest multiplication is monotone in g,
+so for a_c >= 0 the firing draws are exactly those with g >= g*_c, the
+smallest double whose product reaches tau (``_draw_threshold``).
+Comparing the shared draws with the per-carrier g*_c therefore selects
+the same trials, bit for bit, as comparing the products with tau.
 """
 
 import csv
+import math
+import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -219,8 +230,17 @@ def carrier_windows(bin_centers_mhz, channel_low_edges_mhz, cfg):
 
 
 def _k_of_n(stats, threshold, k):
-    """k-of-n rule: True where at least k statistics (last axis) reach the threshold."""
-    return (stats >= threshold).sum(axis=-1) >= k
+    """k-of-n rule: True where at least k statistics (last axis) reach the threshold.
+
+    ``threshold`` is one scalar for every carrier or a vector with one
+    entry per carrier (the last axis).  Hits are counted in uint8, one
+    carrier column at a time, which holds for fewer than 256 carriers.
+    """
+    hit = (stats >= threshold).view(np.uint8)
+    count = hit[..., 0]
+    for j in range(1, hit.shape[-1]):
+        count = count + hit[..., j]
+    return count >= k
 
 
 def detect_channels(cfg, mw, windows=None):
@@ -292,13 +312,82 @@ def carrier_signal_mw(cfg, total_power_dbm, channel_width_mhz=8.0,
     return spec.bins_mw()[windows[0]].sum(axis=1)
 
 
-def _detect_counts(cfg, signal_mw, noise_mw, trials, rng, shared_g=None):
-    """Occupied count over Monte Carlo trials for fixed window means."""
+# Non-negative doubles order like their bit patterns read as integers.
+_INF_BITS = 0x7FF0000000000000
+
+
+def _double_bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _draw_threshold(scale, tau):
+    """Smallest draw g >= 0 with ``fl(scale * g) >= tau``; NaN if there is none.
+
+    Rounding to nearest is monotone, so a finite draw g >= 0 has
+    ``scale * g >= tau`` exactly when ``g >= _draw_threshold(scale, tau)``,
+    for every scale >= 0 and every tau.  The search is a bisection over
+    the bit patterns of [0, inf], started at the patterns next to
+    ``tau / scale``: in the normal range the answer lies between them,
+    so it costs three products.  The edges need no branch of their own: tau = 0 gives 0
+    (every draw fires), a product that underflows into subnormals or
+    overflows to inf only lengthens the bisection, and a scale of 0 gives
+    NaN when tau > 0 (no draw fires).
+    """
+
+    def fires(bits):
+        return scale * _bits_double(bits) >= tau
+
+    lo, hi = -1, _INF_BITS + 1  # patterns outside [0, inf] that never / always fire
+    guess = _double_bits(tau / scale) if scale > 0 else _INF_BITS
+    for bits in (guess - 1, guess + 1):
+        if 0 <= bits <= _INF_BITS:
+            if fires(bits):
+                hi = min(hi, bits)
+            else:
+                lo = max(lo, bits)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fires(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _bits_double(hi) if hi <= _INF_BITS else math.nan
+
+
+_DRAW_CHUNK = 1 << 15  # trials per Gamma call in _unit_gamma_draws
+
+
+def _unit_gamma_draws(cfg, trials, rng):
+    """Unit-mean Gamma window draws, shape (trials, carriers), carrier-major.
+
+    The values are those of ``rng.gamma(m, 1/m, size=(trials, carriers))``:
+    the stream is drawn in trial-major chunks and copied into a
+    Fortran-ordered array.  Each carrier's draws are then contiguous, so
+    comparing them with a per-carrier threshold runs at unit stride.
+    """
     m = cfg.n_snapshots()
-    g = rng.gamma(m, 1.0 / m, size=(trials, cfg.n_carriers)) if shared_g is None else shared_g
+    g = np.empty((trials, cfg.n_carriers), order="F")
+    for start in range(0, trials, _DRAW_CHUNK):
+        stop = min(trials, start + _DRAW_CHUNK)
+        g[start:stop] = rng.gamma(m, 1.0 / m, size=(stop - start, cfg.n_carriers))
+    return g
+
+
+def _detect_counts(cfg, signal_mw, noise_mw, g):
+    """Occupied count over the trials (rows) of unit-mean Gamma draws ``g``.
+
+    The statistic of carrier c is ``fl((noise_mw + signal_mw[c]) * g)``;
+    the count compares g with each carrier's ``_draw_threshold``
+    instead, which by monotone rounding fires on exactly the same
+    trials, and never forms the products.
+    """
     tau = float(dbm_to_mw(cfg.threshold_dbm))
-    stats = (noise_mw + signal_mw[None, :]) * g
-    return int(_k_of_n(stats, tau, cfg.k_required).sum())
+    g_star = np.array([_draw_threshold(float(noise_mw + s), tau) for s in signal_mw])
+    return int(np.count_nonzero(_k_of_n(g, g_star, cfg.k_required)))
 
 
 def measure_pfa(cfg, trials=100_000, seed=1, noise_window_dbm=None):
@@ -307,8 +396,8 @@ def measure_pfa(cfg, trials=100_000, seed=1, noise_window_dbm=None):
         raise CalibrationError("threshold not calibrated")
     noise_mw = cfg.window_noise_mw() if noise_window_dbm is None else float(
         dbm_to_mw(noise_window_dbm))
-    rng = np.random.default_rng([seed, 0x0FA])
-    count = _detect_counts(cfg, np.zeros(cfg.n_carriers), noise_mw, trials, rng)
+    g = _unit_gamma_draws(cfg, trials, np.random.default_rng([seed, 0x0FA]))
+    count = _detect_counts(cfg, np.zeros(cfg.n_carriers), noise_mw, g)
     return count / trials
 
 
@@ -317,8 +406,8 @@ def measure_pd(cfg, total_power_dbm, trials=100_000, seed=1, channel_width_mhz=8
     if cfg.threshold_dbm is None:
         raise CalibrationError("threshold not calibrated")
     sig = carrier_signal_mw(cfg, total_power_dbm, channel_width_mhz)
-    rng = np.random.default_rng([seed, 0x0D0])
-    count = _detect_counts(cfg, sig, cfg.window_noise_mw(), trials, rng)
+    g = _unit_gamma_draws(cfg, trials, np.random.default_rng([seed, 0x0D0]))
+    count = _detect_counts(cfg, sig, cfg.window_noise_mw(), g)
     return count / trials
 
 
@@ -334,19 +423,21 @@ def estimate_roc(cfg, signal_power_dbm, trials=100_000, seed=1, channel_width_mh
 
     Common random numbers are shared across power levels, so the
     estimated curve is exactly non-decreasing in power; the reported
-    pfa is re-measured once on a disjoint substream.
+    pfa is re-measured once on a disjoint substream, before the shared
+    draws are made, so that the two draw arrays are never held at once.
+    Each power compares the shared draws with per-carrier draw
+    thresholds (``_detect_counts``): the counts are those of the
+    products, exactly, without forming them.
     """
     if cfg.threshold_dbm is None:
         raise CalibrationError("threshold not calibrated")
     noise_mw = cfg.window_noise_mw()
-    m = cfg.n_snapshots()
-    rng = np.random.default_rng([seed, 0x20C])
-    g = rng.gamma(m, 1.0 / m, size=(trials, cfg.n_carriers))
     pfa = measure_pfa(cfg, trials, seed)
+    g = _unit_gamma_draws(cfg, trials, np.random.default_rng([seed, 0x20C]))
     points = []
     for power in signal_power_dbm:
         sig = carrier_signal_mw(cfg, power, channel_width_mhz)
-        count = _detect_counts(cfg, sig, noise_mw, trials, rng, shared_g=g)
+        count = _detect_counts(cfg, sig, noise_mw, g)
         points.append(RocPoint(power_dbm=float(power), pd=count / trials, pfa=pfa))
     return points
 

@@ -129,6 +129,29 @@ def test_geodb_separation_rejects_propagation_flags(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# A non-finite number in a float option is a usage error: argparse exits 2
+# before the command runs.
+NON_FINITE_OPTIONS = [
+    ("geodb", "--x=nan"),
+    ("geodb", "--eirp=inf"),
+    ("separation", "--power=nan"),
+    ("occupancy", "--threshold-dbm=-inf"),
+]
+
+
+@pytest.mark.parametrize("command, arg", NON_FINITE_OPTIONS,
+                         ids=[f"{c} {a}" for c, a in NON_FINITE_OPTIONS])
+def test_non_finite_option_is_a_usage_error(tmp_path, capsys, command, arg):
+    argv = (["geodb", "separation", "--power=30", "--height=30", arg]
+            if command == "separation" else _argv(tmp_path, command, arg))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {arg.split('=')[0]}: invalid finite_float value" in captured.err
+
+
 # Stdout goldens of the analytics commands on small inline inputs.  In the
 # database, channel 0's service is 1 km away inside its 2 km contour (Black),
 # channel 1's is 1 km outside its 4 km contour (Grey) and channel 2's is far

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,14 +11,20 @@ from tvwsim.radio_env import (
     PropagationConfig,
     build_channel_grid,
     FrequencyBand,
+    dbm_to_mw,
     received_spectrum,
     TvStandard,
     TvTransmitter,
 )
 from tvwsim.sensing import (
+    _DRAW_CHUNK,
     Decision,
     DetectorConfig,
+    _detect_counts,
+    _draw_threshold,
     _gamma_mean1_isf,
+    _k_of_n,
+    _unit_gamma_draws,
     analytic_threshold_dbm,
     calibrate_threshold,
     carrier_signal_mw,
@@ -265,3 +272,57 @@ class TestConfigValidation:
     def test_target_pfa_range(self):
         with pytest.raises(ValueError):
             DetectorConfig(target_pfa=0.0)
+
+
+def product_count(cfg, signal_mw, noise_mw, g):
+    """Reference count: the k-of-n rule on the formed products (noise + signal) * g."""
+    tau = float(dbm_to_mw(cfg.threshold_dbm))
+    return int(_k_of_n((noise_mw + signal_mw) * g, tau, cfg.k_required).sum())
+
+
+class TestThresholdOnDraws:
+    """Counting draws against per-carrier draw thresholds equals the product rule."""
+
+    @pytest.mark.parametrize("power", [float("-inf"), -125.0, -120.0, -110.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_draws_at_and_just_below_each_threshold(self, k, power):
+        cfg = replace(default_calibration(), k_required=k)
+        noise = cfg.window_noise_mw()
+        sig = carrier_signal_mw(cfg, power)
+        tau = float(dbm_to_mw(cfg.threshold_dbm))
+        g_star = np.array([_draw_threshold(float(noise + s), tau) for s in sig])
+        # every mix of "at g*" (1) and "one double below g*" (0) over the carriers
+        at = np.array(list(itertools.product([0, 1], repeat=cfg.n_carriers)))
+        g = np.where(at == 1, g_star, np.nextafter(g_star, 0.0))
+        expected = int((at.sum(axis=1) >= k).sum())
+        assert product_count(cfg, sig, noise, g) == expected
+        assert _detect_counts(cfg, sig, noise, g) == expected
+
+    def test_roc_sweeps_equal_the_product_rule(self):
+        base = default_calibration()
+        m, n = base.n_snapshots(), base.n_carriers
+        noise = base.window_noise_mw()
+        powers = list(range(-135, -104))
+        trials = 1000
+        partial = 0
+        for k in (1, 2, 3):
+            cfg = replace(base, k_required=k)
+            signals = [carrier_signal_mw(cfg, p) for p in powers]
+            for seed in range(20):
+                g = np.random.default_rng([seed, 0x0FA]).gamma(m, 1.0 / m, size=(trials, n))
+                pfa = product_count(cfg, np.zeros(n), noise, g) / trials
+                g = np.random.default_rng([seed, 0x20C]).gamma(m, 1.0 / m, size=(trials, n))
+                expected = [(float(p), product_count(cfg, sig, noise, g) / trials, pfa)
+                            for p, sig in zip(powers, signals)]
+                points = estimate_roc(cfg, powers, trials=trials, seed=seed)
+                assert [(q.power_dbm, q.pd, q.pfa) for q in points] == expected
+                partial += sum(0.0 < pd < 1.0 for _, pd, _ in expected)
+        assert partial > 0  # the sweeps cross the detection transition
+
+    def test_chunked_draws_equal_one_gamma_call(self):
+        cfg = default_calibration()
+        m, trials = cfg.n_snapshots(), 2 * _DRAW_CHUNK + 7
+        one = np.random.default_rng(5).gamma(m, 1.0 / m, size=(trials, cfg.n_carriers))
+        chunked = _unit_gamma_draws(cfg, trials, np.random.default_rng(5))
+        assert chunked.flags.f_contiguous
+        assert np.array_equal(chunked, one)
