@@ -1,9 +1,10 @@
 """Numpy kernels of the coexistence Monte Carlo: distances and path loss.
 
-The ACIR study spends nearly all of its time evaluating log-distance
-path loss over transmitter/receiver position arrays.  No randomness
-lives in here: callers draw from numpy Generators and pass plain arrays.
-``BACKEND`` names this implementation in run records.
+``path_loss_db_matrix`` is the one log-distance path-loss formula of the
+ACIR study; the study's per-sweep evaluator runs it once per drop, in
+place, over all of that drop's links.  No randomness lives in here:
+callers draw from numpy Generators and pass plain arrays.  ``BACKEND``
+names this implementation in run records.
 """
 
 import numpy as np
@@ -17,10 +18,19 @@ def pairwise_distances(a, b):
     return np.sqrt((d * d).sum(axis=2))
 
 
-def path_loss_db_matrix(dist_m, ref_loss_db, exponent, ref_distance_m, min_distance_m):
-    """Log-distance path loss (dB), distances clamped below at ``min_distance_m``."""
-    d = np.maximum(dist_m, min_distance_m)
-    return ref_loss_db + 10.0 * exponent * np.log10(d / ref_distance_m)
+def path_loss_db_matrix(dist_m, ref_loss_db, exponent, ref_distance_m, min_distance_m,
+                        out=None):
+    """Log-distance path loss (dB), distances clamped below at ``min_distance_m``.
+
+    The loss is written to ``out`` when given; ``out`` may be ``dist_m``
+    itself.  The result is the same either way, bit for bit.
+    """
+    d = np.maximum(dist_m, min_distance_m, out=out)
+    d /= ref_distance_m
+    np.log10(d, out=d)
+    d *= 10.0 * exponent
+    d += ref_loss_db
+    return d
 
 
 # aggregate_rx_power_mw calls these bindings rather than the public names,

@@ -235,7 +235,7 @@ def _resolve(path, base_dir):
 
 def _load_interference(reader):
     isd = reader.take("interference.isd_m", _positive, 150.0)
-    radius = reader.take("interference.tv_radius_m", finite_float, 350.0)
+    radius = reader.take("interference.tv_radius_m", _positive, 350.0)
     off_x = reader.take("interference.offset_x_m", finite_float, 10.0)
     off_y = reader.take("interference.offset_y_m", finite_float, 0.0)
     topo = interf_mod.build_topology(isd, radius, (off_x, off_y))
@@ -249,9 +249,9 @@ def _load_interference(reader):
         cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", finite_float, 3.0),
         n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
         ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
-        min_coupling_m=reader.take("interference.min_coupling_m", finite_float, 10.0),
+        min_coupling_m=reader.take("interference.min_coupling_m", _positive, 10.0),
         exponent=reader.take("interference.exponent", finite_float, 3.5),
-        freq_mhz=reader.take("interference.freq_mhz", finite_float, 700.0),
+        freq_mhz=reader.take("interference.freq_mhz", _positive, 700.0),
     )
     return InterferenceStudy(
         topology=topo, coex=coex,

@@ -9,7 +9,11 @@ enough that every constraint stays inside its loss budget.
 
 Each snapshot drop is evaluated across the whole ACIR list, so curves
 are exactly monotone per drop (paired seeds) and the infinite-ACIR
-baseline is the capacity reference by construction.
+baseline is the capacity reference by construction.  A sweep builds one
+evaluator (``_DropSums``) that holds what no drop changes and one
+(UE, ACIR) work buffer, and adds its drops one at a time: the working
+set is that of one drop, whatever the number of drops.
+``simulate_snapshot`` is the same evaluator with one drop and one ACIR.
 """
 
 import csv
@@ -118,89 +122,199 @@ def _noise_mw(nf_db):
     return 10.0 ** (thermal_noise_dbm(TV_CHANNEL_BANDWIDTH_MHZ * 1e3, nf_db) / 10.0)
 
 
-def _drop(topo, cfg, rng):
-    """Uniform user and receiver positions for one snapshot."""
-    r = topo.tv_radius_m * np.sqrt(rng.random(cfg.n_tv_receivers))
-    t = 2 * np.pi * rng.random(cfg.n_tv_receivers)
-    tv_rx = topo.tv_center + np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    n_sec = topo.n_sectors
-    k = cfg.ues_per_sector
-    boresight = np.deg2rad(topo.sector_boresight_deg)
-    ang = (boresight[:, None] - np.pi / 3) + 2 * np.pi / 3 * rng.random((n_sec, k))
-    rad = topo.cell_radius_m * np.sqrt(rng.random((n_sec, k)))
-    centers = topo.sites[topo.sector_site]
-    ues = centers[:, None, :] + np.stack(
-        [rad * np.cos(ang), rad * np.sin(ang)], axis=2)
-    return tv_rx, ues.reshape(n_sec * k, 2)
+def _acir_linear(acir_db):
+    """Isolations in dB as linear factors (``inf`` stays ``inf``)."""
+    return 10.0 ** (np.asarray(acir_db, dtype=float) / 10.0)
 
 
-def _evaluate_drop(topo, cfg, tv_rx, ues, acir_linear):
-    """Outage counts and capacities of one drop across an ACIR array."""
-    ref = cfg.resolved_ref_loss_db()
-    kw = dict(ref_loss_db=ref, exponent=cfg.exponent,
-              ref_distance_m=cfg.ref_distance_m, min_distance_m=cfg.min_coupling_m)
-    n_sec = topo.n_sectors
-    k = cfg.ues_per_sector
-    serving = topo.sites[topo.sector_site]
-    scheduled = ues[::k]                    # one transmitting UE per sector
-
-    # TV side: desired level and aggregate LTE interference per receiver.
-    d_tv = _kernels.pairwise_distances(tv_rx, topo.tv_center[None, :])[:, 0]
-    s_rx = 10.0 ** ((cfg.tv_eirp_dbm - _kernels.path_loss_db_matrix(
-        d_tv, **kw)) / 10.0)
-    site_p = np.full(topo.n_sites, cfg.cenb_power_dbm + 10.0 * np.log10(3.0))
-    i_dl = _kernels.aggregate_rx_power_mw(topo.sites, site_p, tv_rx, **kw)
-    i_ul = _kernels.aggregate_rx_power_mw(
-        scheduled, np.full(n_sec, cfg.ue_power_dbm), tv_rx, **kw)
-    n_tv = _noise_mw(cfg.tv_noise_figure_db)
-    th = 10.0 ** (cfg.tv_protection_snr_db / 10.0)
-    sinr_dl = s_rx[:, None] / (n_tv + i_dl[:, None] / acir_linear[None, :])
-    sinr_ul = s_rx[:, None] / (n_tv + i_ul[:, None] / acir_linear[None, :])
-    out_dl = (sinr_dl < th).sum(axis=0)
-    out_ul = (sinr_ul < th).sum(axis=0)
-    out_base = int((s_rx / n_tv < th).sum())
-
-    # LTE side: served by the own sector's site; TV leaks through the
-    # receiving-side ACIR.  Co-channel LTE self-interference is absent by
-    # construction (the global manager assigns orthogonal blocks).
-    serving_per_ue = serving[np.repeat(np.arange(n_sec), k)]
-    d_srv = np.hypot(ues[:, 0] - serving_per_ue[:, 0], ues[:, 1] - serving_per_ue[:, 1])
-    loss_srv = _kernels.path_loss_db_matrix(d_srv, **kw)
-    s_dl = 10.0 ** ((cfg.cenb_power_dbm - loss_srv) / 10.0)
-    s_ul = 10.0 ** ((cfg.ue_power_dbm - loss_srv) / 10.0)
-    d_tv_ue = _kernels.pairwise_distances(ues, topo.tv_center[None, :])[:, 0]
-    i_tv_ue = 10.0 ** ((cfg.tv_eirp_dbm - _kernels.path_loss_db_matrix(
-        d_tv_ue, **kw)) / 10.0)
-    d_tv_site = _kernels.pairwise_distances(topo.sites, topo.tv_center[None, :])[:, 0]
-    i_tv_site = 10.0 ** ((cfg.tv_eirp_dbm - _kernels.path_loss_db_matrix(
-        d_tv_site, **kw)) / 10.0)
-    i_tv_srv = i_tv_site[topo.sector_site][np.repeat(np.arange(n_sec), k)]
-    n_ue = _noise_mw(cfg.ue_noise_figure_db)
-    n_bs = _noise_mw(cfg.cenb_noise_figure_db)
-    cap_dl = np.log2(1 + s_dl[:, None] / (n_ue + i_tv_ue[:, None] / acir_linear)).mean(axis=0)
-    cap_ul = np.log2(1 + s_ul[:, None] / (n_bs + i_tv_srv[:, None] / acir_linear)).mean(axis=0)
-    cap_dl_base = float(np.log2(1 + s_dl / n_ue).mean())
-    cap_ul_base = float(np.log2(1 + s_ul / n_bs).mean())
-    return out_dl, out_ul, out_base, cap_dl, cap_ul, cap_dl_base, cap_ul_base
+def _drop_rng(seed, drop):
+    """The stream of drop ``drop`` of a sweep with ``seed``."""
+    return np.random.default_rng([int(seed), 0xD207, int(drop)])
 
 
-def simulate_snapshot(topo, acir_db, drop_seed, cfg=CoexistenceConfig()):
+class _DropSums:
+    """One sweep's evaluator: drops evaluated across a fixed ACIR array
+    and summed in drop order.
+
+    Everything that no drop changes is computed once, here: the loss
+    constants, the serving site of each UE, the power of every link,
+    the noise floors and protection threshold, and the uplink
+    denominator ``n_bs + i_tv_site / acir`` of every (site, ACIR).  Each
+    drop then makes one path-loss pass over all of its links and fills
+    one reused (UE, ACIR) buffer, first with the downlink capacity terms
+    and then with the uplink ones.  Row 0 of ``outage`` and ``capacity``
+    is the downlink, row 1 the uplink.
+    """
+
+    def __init__(self, topo, cfg, acir_linear):
+        self._loss = dict(ref_loss_db=cfg.resolved_ref_loss_db(), exponent=cfg.exponent,
+                          ref_distance_m=cfg.ref_distance_m,
+                          min_distance_m=cfg.min_coupling_m)
+        n_rx, n_sites, n_sec, k = (cfg.n_tv_receivers, topo.n_sites, topo.n_sectors,
+                                   cfg.ues_per_sector)
+        n_ue = n_sec * k
+        n_acir = acir_linear.size
+        self._n_ue = n_ue
+        self._acir = acir_linear
+
+        # One drop's uniforms, in draw order: receiver radii and angles,
+        # then UE angles and radii, one row per sector.
+        self._uniform = np.empty(2 * n_rx + 2 * n_ue)
+        self._u_rx_r, self._u_rx_t = self._uniform[:2 * n_rx].reshape(2, n_rx)
+        self._u_ue_ang, self._u_ue_r = self._uniform[2 * n_rx:].reshape(2, n_sec, k)
+        self._tv_x, self._tv_y = topo.tv_center
+        self._tv_radius = topo.tv_radius_m
+        self._cell_radius = topo.cell_radius_m
+        # Per (sector, UE) rather than per sector, so that no per-drop
+        # operation broadcasts over short rows.
+        self._wedge_start = np.repeat(
+            np.deg2rad(topo.sector_boresight_deg)[:, None] - np.pi / 3, k, axis=1)
+        centers = topo.sites[topo.sector_site]
+        self._sector_x = np.repeat(centers[:, :1], k, axis=1)
+        self._sector_y = np.repeat(centers[:, 1:], k, axis=1)
+        self._ue_site = np.repeat(topo.sector_site, k)
+
+        # All links of a drop in one array.  TV receivers (rows) see the TV
+        # transmitter, every site and the scheduled (transmitting) UE of
+        # every sector, in that column order.  Each UE sees its serving
+        # site at the downlink and at the uplink power, and the TV.
+        self._src_x = np.concatenate([topo.tv_center[:1], topo.sites[:, 0], np.zeros(n_sec)])
+        self._src_y = np.concatenate([topo.tv_center[1:], topo.sites[:, 1], np.zeros(n_sec)])
+        self._first_ue = 1 + n_sites
+        site_p = cfg.cenb_power_dbm + 10.0 * np.log10(3.0)
+        tv_p = np.concatenate([[cfg.tv_eirp_dbm], np.full(n_sites, site_p),
+                               np.full(n_sec, cfg.ue_power_dbm)])
+        ue_p = np.repeat([cfg.cenb_power_dbm, cfg.ue_power_dbm, cfg.tv_eirp_dbm], n_ue)
+        self._p_dbm = np.concatenate([np.tile(tv_p, n_rx), ue_p])
+        self._links = np.empty_like(self._p_dbm)
+        self._tv_links = self._links[:n_rx * tv_p.size].reshape(n_rx, tv_p.size)
+        self._ue_links = self._links[n_rx * tv_p.size:].reshape(3, n_sec, k)
+        self._dx = np.empty_like(self._tv_links)
+
+        self._n_tv = _noise_mw(cfg.tv_noise_figure_db)
+        self._th = 10.0 ** (cfg.tv_protection_snr_db / 10.0)
+        self._noise_dl_ul = np.array([[_noise_mw(cfg.ue_noise_figure_db)],
+                                      [_noise_mw(cfg.cenb_noise_figure_db)]])
+        d_tv_site = _kernels.pairwise_distances(topo.sites, topo.tv_center[None, :])[:, 0]
+        i_tv_site = 10.0 ** ((cfg.tv_eirp_dbm - _kernels.path_loss_db_matrix(
+            d_tv_site, **self._loss)) / 10.0)
+        self._ul_denom = self._noise_dl_ul[1, 0] + i_tv_site[:, None] / acir_linear
+
+        self._i_tv = np.empty((2, n_rx))
+        self._sinr = np.empty((2, n_rx, n_acir))
+        self._hit = np.empty((2, n_rx, n_acir), dtype=bool)
+        self._buf = np.empty((n_ue, n_acir))
+        self._base = np.empty((2, n_ue))
+
+        self.outage = np.zeros((2, n_acir))
+        self.outage_baseline = 0
+        self.capacity = np.zeros((2, n_acir))
+        self.capacity_baseline = np.zeros(2)
+
+    def add(self, rng):
+        """Draw one drop from ``rng`` and add its results to the sums."""
+        rng.random(out=self._uniform)
+        self._link_mw()
+        self._add_tv_outage()
+        self._add_lte_capacity()
+
+    def _link_mw(self):
+        """Place the drop's receivers and UEs, then the received power
+        (mW) on every link of the drop."""
+        # Uniform TV receivers in the TV circle, uniform UEs in their
+        # sector's 120-degree wedge.
+        r = self._tv_radius * np.sqrt(self._u_rx_r)
+        t = 2 * np.pi * self._u_rx_t
+        rx_x = self._tv_x + r * np.cos(t)
+        rx_y = self._tv_y + r * np.sin(t)
+        ang = self._wedge_start + 2 * np.pi / 3 * self._u_ue_ang
+        rad = self._cell_radius * np.sqrt(self._u_ue_r)
+        ue_x = self._sector_x + rad * np.cos(ang)
+        ue_y = self._sector_y + rad * np.sin(ang)
+
+        self._src_x[self._first_ue:] = ue_x[:, 0]
+        self._src_y[self._first_ue:] = ue_y[:, 0]
+        dx, d_tv = self._dx, self._tv_links
+        np.subtract(rx_x[:, None], self._src_x, out=dx)
+        np.subtract(rx_y[:, None], self._src_y, out=d_tv)
+        dx *= dx
+        d_tv *= d_tv
+        d_tv += dx
+        np.sqrt(d_tv, out=d_tv)
+        d_ue = self._ue_links
+        np.hypot(ue_x - self._sector_x, ue_y - self._sector_y, out=d_ue[0])
+        d_ue[1] = d_ue[0]
+        dx, dy = ue_x - self._tv_x, ue_y - self._tv_y
+        np.sqrt(dx * dx + dy * dy, out=d_ue[2])
+
+        mw = _kernels.path_loss_db_matrix(self._links, **self._loss, out=self._links)
+        np.subtract(self._p_dbm, mw, out=mw)
+        mw /= 10.0
+        np.power(10.0, mw, out=mw)
+
+    def _add_tv_outage(self):
+        """TV side: desired level and aggregate LTE interference per
+        receiver, against the protection threshold."""
+        s_rx = self._tv_links[:, 0]
+        i_tv = self._i_tv
+        np.add.reduce(self._tv_links[:, 1:self._first_ue], axis=1, out=i_tv[0])
+        np.add.reduce(self._tv_links[:, self._first_ue:], axis=1, out=i_tv[1])
+        sinr = self._sinr
+        np.divide(i_tv[:, :, None], self._acir, out=sinr)
+        sinr += self._n_tv
+        np.divide(s_rx[:, None], sinr, out=sinr)
+        np.less(sinr, self._th, out=self._hit)
+        self.outage += self._hit.sum(axis=1)
+        self.outage_baseline += int(np.count_nonzero(s_rx / self._n_tv < self._th))
+
+    def _add_lte_capacity(self):
+        """LTE side: each UE is served by its own sector's site, and TV
+        leaks in through the receiving-side ACIR.  Co-channel LTE
+        self-interference is absent by construction (the global manager
+        assigns orthogonal blocks)."""
+        s_dl, s_ul, i_tv_ue = self._ue_links.reshape(3, self._n_ue)
+        buf = self._buf
+        # Copying first and dividing in place broadcasts one operand per
+        # call, which halves numpy's transient iteration buffers.
+        np.copyto(buf, i_tv_ue[:, None])
+        buf /= self._acir
+        buf += self._noise_dl_ul[0, 0]
+        self._add_mean_log2(0, s_dl)
+        np.take(self._ul_denom, self._ue_site, axis=0, out=buf, mode="clip")
+        self._add_mean_log2(1, s_ul)
+        base = self._base
+        np.divide(self._ue_links[:2].reshape(2, self._n_ue), self._noise_dl_ul, out=base)
+        base += 1.0
+        np.log2(base, out=base)
+        self.capacity_baseline += np.add.reduce(base, axis=1) / self._n_ue
+
+    def _add_mean_log2(self, row, signal):
+        """Add the UE mean of log2(1 + signal / denominator) to capacity
+        row ``row``, with the (UE, ACIR) denominators in the work buffer."""
+        buf = self._buf
+        np.divide(signal[:, None], buf, out=buf)
+        buf += 1.0
+        np.log2(buf, out=buf)
+        self.capacity[row] += np.add.reduce(buf, axis=0) / self._n_ue
+
+
+def simulate_snapshot(topo, acir_db, drop_seed, cfg=CoexistenceConfig(), drop=0):
     """One uniform drop evaluated at a single ACIR.
 
-    ``acir_db=inf`` gives the perfectly isolated baseline.  Identical
-    (topology, seed, config) reproduce identical results; the same drop
-    appears as one column of an acir_sweep using the same seed.
+    ``acir_db=inf`` gives the perfectly isolated baseline.  The drop is
+    drop ``drop`` of an ``acir_sweep`` with seed ``drop_seed``: a sweep
+    over the single ACIR ``acir_db`` sums exactly these results in drop
+    order.
     """
-    rng = np.random.default_rng([int(drop_seed), 0xD207])
-    tv_rx, ues = _drop(topo, cfg, rng)
-    acir_linear = np.asarray([np.inf if np.isinf(acir_db) else 10.0 ** (acir_db / 10.0)])
-    out_dl, out_ul, out_base, cap_dl, cap_ul, cdl0, cul0 = _evaluate_drop(
-        topo, cfg, tv_rx, ues, acir_linear)
+    sums = _DropSums(topo, cfg, _acir_linear([acir_db]))
+    sums.add(_drop_rng(drop_seed, drop))
+    (out_dl, out_ul), (cap_dl, cap_ul) = sums.outage[:, 0], sums.capacity[:, 0]
+    cap_dl_base, cap_ul_base = sums.capacity_baseline
     return SnapshotResult(
-        tv_outage_dl=int(out_dl[0]), tv_outage_ul=int(out_ul[0]),
-        tv_outage_baseline=out_base,
-        dl_capacity=float(cap_dl[0]), ul_capacity=float(cap_ul[0]),
-        dl_capacity_baseline=cdl0, ul_capacity_baseline=cul0)
+        tv_outage_dl=int(out_dl), tv_outage_ul=int(out_ul),
+        tv_outage_baseline=sums.outage_baseline,
+        dl_capacity=float(cap_dl), ul_capacity=float(cap_ul),
+        dl_capacity_baseline=float(cap_dl_base), ul_capacity_baseline=float(cap_ul_base))
 
 
 @dataclass(frozen=True)
@@ -244,26 +358,12 @@ def acir_sweep(topo, acir_list, snapshots, seed, cfg=CoexistenceConfig()):
     acirs = np.asarray(sorted(float(a) for a in acir_list))
     if acirs.size == 0 or np.any(np.diff(acirs) == 0):
         raise ValueError("acir_list must be non-empty and without duplicates")
-    acir_linear = 10.0 ** (acirs / 10.0)
-    out_dl = np.zeros(acirs.size)
-    out_ul = np.zeros(acirs.size)
-    cap_dl = np.zeros(acirs.size)
-    cap_ul = np.zeros(acirs.size)
-    out_base = 0.0
-    cap_dl_base = 0.0
-    cap_ul_base = 0.0
+    sums = _DropSums(topo, cfg, _acir_linear(acirs))
     for snap in range(snapshots):
-        rng = np.random.default_rng([int(seed), 0xD207, snap])
-        tv_rx, ues = _drop(topo, cfg, rng)
-        odl, oul, ob, cdl, cul, cdl0, cul0 = _evaluate_drop(
-            topo, cfg, tv_rx, ues, acir_linear)
-        out_dl += odl
-        out_ul += oul
-        out_base += ob
-        cap_dl += cdl
-        cap_ul += cul
-        cap_dl_base += cdl0
-        cap_ul_base += cul0
+        sums.add(_drop_rng(seed, snap))
+    out_dl, out_ul = sums.outage
+    cap_dl, cap_ul = sums.capacity
+    cap_dl_base, cap_ul_base = sums.capacity_baseline
     n_rx = snapshots * cfg.n_tv_receivers
     points = tuple(
         AcirPoint(acir_db=float(a),
@@ -273,7 +373,7 @@ def acir_sweep(topo, acir_list, snapshots, seed, cfg=CoexistenceConfig()):
                   ul_capacity_loss=float(1.0 - cap_ul[i] / cap_ul_base))
         for i, a in enumerate(acirs))
     return AcirCurve(points=points, snapshots=snapshots, seed=seed,
-                     baseline_tv_outage=float(out_base / n_rx))
+                     baseline_tv_outage=float(sums.outage_baseline / n_rx))
 
 
 def curve_to_csv(curve, path):

@@ -39,6 +39,7 @@ from .radio_env import (
     TvStandard,
     TvTransmitter,
     dbm_to_mw,
+    finite_float,
     mw_to_dbm,
     synthesize_tv_spectrum,
     thermal_noise_dbm,
@@ -451,7 +452,15 @@ def roc_to_csv(points, trials, path):
                              f"{p.pfa:.10g}", trials])
 
 
-CALIBRATION_FIELDS = ("noise_figure_db", "snapshots_per_ms", "threshold_dbm", "k_required")
+def _calibrated_threshold(text):
+    """A finite threshold, or the always-fire one that target_pfa = 1 saves."""
+    value = float(text)
+    return value if value == THRESHOLD_ALWAYS_FIRE_DBM else finite_float(text)
+
+
+# Calibration CSV parameters and their value parsers.
+CALIBRATION_FIELDS = {"noise_figure_db": finite_float, "snapshots_per_ms": finite_float,
+                      "threshold_dbm": _calibrated_threshold, "k_required": int}
 
 
 def save_calibration(cfg, path):
@@ -483,15 +492,17 @@ def load_calibration(path, base=None):
             if key not in CALIBRATION_FIELDS:
                 raise ParseError(f"unknown calibration param {key!r}",
                                  line=lineno, path=path)
-            values[key] = value
+            try:
+                values[key] = CALIBRATION_FIELDS[key](value)
+            except ValueError as exc:
+                raise ParseError(f"bad {key}: {exc}", line=lineno, path=path) from exc
     missing = [k for k in CALIBRATION_FIELDS if k not in values]
     if missing:
         raise ParseError(f"missing calibration params: {', '.join(missing)}", path=path)
-    return replace(cfg,
-                   noise_figure_db=float(values["noise_figure_db"]),
-                   snapshots_per_ms=float(values["snapshots_per_ms"]),
-                   threshold_dbm=float(values["threshold_dbm"]),
-                   k_required=int(values["k_required"]))
+    try:
+        return replace(cfg, **values)
+    except ValueError as exc:
+        raise ParseError(f"bad calibration: {exc}", path=path) from exc
 
 
 def default_calibration():

@@ -212,3 +212,52 @@ def test_occupancy_stdout_with_subbands(tmp_path, capsys):
     assert report.read_text(encoding="utf-8") == (
         "low_mhz,high_mhz,bandwidth_mhz,occupancy,label\n"
         "470,478,8,0.5,low\n478,486,8,0.125,high\noverall,,16,0.3125,\n")
+
+
+# Study-file geometry that must be positive.
+BAD_STUDY_GEOMETRY = [
+    "interference.tv_radius_m = -5",
+    "interference.tv_radius_m = 0",
+    "interference.min_coupling_m = 0",
+    "interference.min_coupling_m = -1",
+    "interference.freq_mhz = 0",
+]
+
+
+def _assert_config_error(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("line", BAD_STUDY_GEOMETRY)
+def test_bad_study_geometry_is_a_config_error(tmp_path, capsys, line):
+    _assert_config_error(capsys, _argv(tmp_path, "acir", line))
+
+
+CALIBRATION = {"noise_figure_db": "6", "snapshots_per_ms": "12500",
+               "threshold_dbm": "-114.9", "k_required": "2"}
+
+# One bad value in an otherwise good calibration file.
+BAD_CALIBRATION = [
+    ("threshold_dbm", "nan"),
+    ("threshold_dbm", "inf"),
+    ("threshold_dbm", "-1e999x"),
+    ("snapshots_per_ms", "inf"),
+    ("snapshots_per_ms", "0"),
+    ("noise_figure_db", "nan"),
+    ("k_required", "2.5"),
+    ("k_required", "9"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_CALIBRATION,
+                         ids=[f"{k}={v}" for k, v in BAD_CALIBRATION])
+def test_bad_calibration_value_is_a_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "cal.csv"
+    rows = {**CALIBRATION, key: value}
+    path.write_text("param,value\n" + "".join(f"{k},{v}\n" for k, v in rows.items()),
+                    encoding="utf-8")
+    _assert_config_error(capsys, ["roc", str(path), "--trials=1000", "--powers=-120:-118:1"])

@@ -1,6 +1,8 @@
 """The coexistence study: kernel maths against hand values, and the
 invariants of the ACIR sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,69 @@ class TestSweep:
         point = acir_sweep(topo, [300.0], 5, seed=3).points[0]
         assert point.dl_capacity_loss == pytest.approx(0.0, abs=1e-12)
         assert point.ul_capacity_loss == pytest.approx(0.0, abs=1e-12)
+
+
+SEEDS = (1, 7, 2024)
+ACIRS_DB = (0.0, 37.5, 100.0, 300.0)
+DROPS = 4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_is_its_snapshots_summed_in_drop_order(topo, seed):
+    cfg = CoexistenceConfig()
+    n_rx = DROPS * cfg.n_tv_receivers
+    for acir in ACIRS_DB:
+        curve = acir_sweep(topo, [acir], DROPS, seed, cfg)
+        out_dl = out_ul = out_base = 0
+        cap_dl = cap_ul = cap_dl_base = cap_ul_base = 0.0
+        for drop in range(DROPS):
+            snap = simulate_snapshot(topo, acir, seed, cfg, drop=drop)
+            out_dl += snap.tv_outage_dl
+            out_ul += snap.tv_outage_ul
+            out_base += snap.tv_outage_baseline
+            cap_dl += snap.dl_capacity
+            cap_ul += snap.ul_capacity
+            cap_dl_base += snap.dl_capacity_baseline
+            cap_ul_base += snap.ul_capacity_baseline
+        point = curve.points[0]
+        assert point.tv_outage_dl == out_dl / n_rx
+        assert point.tv_outage_ul == out_ul / n_rx
+        assert curve.baseline_tv_outage == out_base / n_rx
+        assert point.dl_capacity_loss == 1.0 - cap_dl / cap_dl_base
+        assert point.ul_capacity_loss == 1.0 - cap_ul / cap_ul_base
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_all_acirs_at_once_match_one_acir_at_a_time(topo, seed):
+    # The outage counts are exact; the capacities of a multi-ACIR sweep sum
+    # each ACIR's column row by row rather than pairwise, so they may differ
+    # from a one-ACIR sweep in the last bits.
+    together = acir_sweep(topo, ACIRS_DB, DROPS, seed)
+    for acir, point in zip(ACIRS_DB, together.points):
+        alone = acir_sweep(topo, [acir], DROPS, seed).points[0]
+        assert point.tv_outage_dl == alone.tv_outage_dl
+        assert point.tv_outage_ul == alone.tv_outage_ul
+        assert point.dl_capacity_loss == pytest.approx(alone.dl_capacity_loss, abs=1e-12)
+        assert point.ul_capacity_loss == pytest.approx(alone.ul_capacity_loss, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_infinite_acir_snapshot_is_its_own_baseline(topo, seed):
+    for drop in range(DROPS):
+        snap = simulate_snapshot(topo, np.inf, seed, drop=drop)
+        assert snap.dl_capacity == snap.dl_capacity_baseline
+        assert snap.ul_capacity == snap.ul_capacity_baseline
+        assert snap.tv_outage_dl == snap.tv_outage_ul == snap.tv_outage_baseline
+
+
+def test_sweep_memory_is_one_drops_working_set(topo):
+    def peak_bytes(drops):
+        tracemalloc.start()
+        try:
+            acir_sweep(topo, range(0, 101, 5), drops, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(2)   # one-time allocations outside the sweep
+    assert peak_bytes(200) <= 1.1 * peak_bytes(20)

@@ -254,6 +254,13 @@ class TestCalibrationFile:
         with pytest.raises(ParseError, match="missing"):
             load_calibration(path)
 
+    def test_always_fire_calibration_round_trips(self, tmp_path):
+        cfg = DetectorConfig(target_pfa=1.0)
+        calibrate_threshold(cfg)
+        path = tmp_path / "cal.csv"
+        save_calibration(cfg, path)
+        assert load_calibration(path).threshold_dbm == float("-inf")
+
     def test_shipped_calibration_loads(self):
         cfg = default_calibration()
         assert cfg.threshold_dbm is not None
