@@ -13,7 +13,7 @@ baseline is the capacity reference by construction.  A sweep builds one
 evaluator (``_DropSums``) that holds what no drop changes and one
 (UE, ACIR) work buffer, and adds its drops one at a time: the working
 set is that of one drop, whatever the number of drops.
-``simulate_snapshot`` is the same evaluator with one drop and one ACIR.
+``simulate_snapshot`` is the same evaluator with drop 0 and one ACIR.
 """
 
 import csv
@@ -298,16 +298,15 @@ class _DropSums:
         self.capacity[row] += np.add.reduce(buf, axis=0) / self._n_ue
 
 
-def simulate_snapshot(topo, acir_db, drop_seed, cfg=CoexistenceConfig(), drop=0):
+def simulate_snapshot(topo, acir_db, drop_seed, cfg=CoexistenceConfig()):
     """One uniform drop evaluated at a single ACIR.
 
     ``acir_db=inf`` gives the perfectly isolated baseline.  The drop is
-    drop ``drop`` of an ``acir_sweep`` with seed ``drop_seed``: a sweep
-    over the single ACIR ``acir_db`` sums exactly these results in drop
-    order.
+    drop 0 of an ``acir_sweep`` with seed ``drop_seed``, so a one-drop
+    sweep over ``acir_db`` gives exactly these results.
     """
     sums = _DropSums(topo, cfg, _acir_linear([acir_db]))
-    sums.add(_drop_rng(drop_seed, drop))
+    sums.add(_drop_rng(drop_seed, 0))
     (out_dl, out_ul), (cap_dl, cap_ul) = sums.outage[:, 0], sums.capacity[:, 0]
     cap_dl_base, cap_ul_base = sums.capacity_baseline
     return SnapshotResult(

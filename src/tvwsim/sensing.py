@@ -86,6 +86,8 @@ class DetectorConfig:
             raise ValueError("detection bandwidth exceeds minimum carrier spacing")
         if self.sense_duration_ms <= 0 or self.snapshots_per_ms <= 0:
             raise ValueError("sense duration and snapshot rate must be positive")
+        if not math.isfinite(self._averaging_count(self.sense_duration_ms)):
+            raise ValueError("averaging count (duration x snapshot rate) is not finite")
 
     @property
     def n_carriers(self):
@@ -94,8 +96,10 @@ class DetectorConfig:
     def n_snapshots(self, duration_ms=None):
         """Averaging count: duration x rate, scaled to the detection bandwidth."""
         duration = self.sense_duration_ms if duration_ms is None else duration_ms
-        m = duration * self.snapshots_per_ms * (self.det_bw_khz / 200.0)
-        return max(1, int(round(m)))
+        return max(1, int(round(self._averaging_count(duration))))
+
+    def _averaging_count(self, duration_ms):
+        return duration_ms * self.snapshots_per_ms * (self.det_bw_khz / 200.0)
 
     def window_noise_mw(self):
         return float(dbm_to_mw(thermal_noise_dbm(self.det_bw_khz, self.noise_figure_db)))

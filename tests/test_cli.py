@@ -246,6 +246,7 @@ BAD_CALIBRATION = [
     ("threshold_dbm", "inf"),
     ("threshold_dbm", "-1e999x"),
     ("snapshots_per_ms", "inf"),
+    ("snapshots_per_ms", "1e308"),
     ("snapshots_per_ms", "0"),
     ("noise_figure_db", "nan"),
     ("k_required", "2.5"),

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvwsim import _kernels
+from tvwsim import _kernels, interference
 from tvwsim.interference import (
     CONSTRAINT_NAMES,
     CoexistenceConfig,
@@ -77,6 +77,13 @@ ACIRS_DB = (0.0, 37.5, 100.0, 300.0)
 DROPS = 4
 
 
+def _one_drop(topo, cfg, acir_db, seed, drop):
+    """Drop ``drop`` of a sweep with ``seed``, evaluated on its own."""
+    sums = interference._DropSums(topo, cfg, interference._acir_linear([acir_db]))
+    sums.add(interference._drop_rng(seed, drop))
+    return sums
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sweep_is_its_snapshots_summed_in_drop_order(topo, seed):
     cfg = CoexistenceConfig()
@@ -86,14 +93,21 @@ def test_sweep_is_its_snapshots_summed_in_drop_order(topo, seed):
         out_dl = out_ul = out_base = 0
         cap_dl = cap_ul = cap_dl_base = cap_ul_base = 0.0
         for drop in range(DROPS):
-            snap = simulate_snapshot(topo, acir, seed, cfg, drop=drop)
-            out_dl += snap.tv_outage_dl
-            out_ul += snap.tv_outage_ul
-            out_base += snap.tv_outage_baseline
-            cap_dl += snap.dl_capacity
-            cap_ul += snap.ul_capacity
-            cap_dl_base += snap.dl_capacity_baseline
-            cap_ul_base += snap.ul_capacity_baseline
+            sums = _one_drop(topo, cfg, acir, seed, drop)
+            if drop == 0:
+                snap = simulate_snapshot(topo, acir, seed, cfg)
+                assert (snap.tv_outage_dl, snap.tv_outage_ul) == tuple(sums.outage[:, 0])
+                assert snap.tv_outage_baseline == sums.outage_baseline
+                assert (snap.dl_capacity, snap.ul_capacity) == tuple(sums.capacity[:, 0])
+                assert ((snap.dl_capacity_baseline, snap.ul_capacity_baseline)
+                        == tuple(sums.capacity_baseline))
+            out_dl += int(sums.outage[0, 0])
+            out_ul += int(sums.outage[1, 0])
+            out_base += sums.outage_baseline
+            cap_dl += float(sums.capacity[0, 0])
+            cap_ul += float(sums.capacity[1, 0])
+            cap_dl_base += float(sums.capacity_baseline[0])
+            cap_ul_base += float(sums.capacity_baseline[1])
         point = curve.points[0]
         assert point.tv_outage_dl == out_dl / n_rx
         assert point.tv_outage_ul == out_ul / n_rx
@@ -118,11 +132,14 @@ def test_all_acirs_at_once_match_one_acir_at_a_time(topo, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_infinite_acir_snapshot_is_its_own_baseline(topo, seed):
-    for drop in range(DROPS):
-        snap = simulate_snapshot(topo, np.inf, seed, drop=drop)
-        assert snap.dl_capacity == snap.dl_capacity_baseline
-        assert snap.ul_capacity == snap.ul_capacity_baseline
-        assert snap.tv_outage_dl == snap.tv_outage_ul == snap.tv_outage_baseline
+    snap = simulate_snapshot(topo, np.inf, seed)
+    assert snap.dl_capacity == snap.dl_capacity_baseline
+    assert snap.ul_capacity == snap.ul_capacity_baseline
+    assert snap.tv_outage_dl == snap.tv_outage_ul == snap.tv_outage_baseline
+    for drop in range(1, DROPS):
+        sums = _one_drop(topo, CoexistenceConfig(), np.inf, seed, drop)
+        assert sums.capacity[:, 0].tolist() == sums.capacity_baseline.tolist()
+        assert sums.outage[:, 0].tolist() == [sums.outage_baseline] * 2
 
 
 def test_sweep_memory_is_one_drops_working_set(topo):
