@@ -2,7 +2,12 @@
 
 Exit codes are a stable contract: 0 success, 2 configuration or input
 error, 3 runtime error.  All outputs are byte-deterministic functions
-of the inputs.
+of the inputs.  The contract covers the command-line options and every
+input file: the scenario and study INI files, and the six CSV formats
+(transmitters, geo-database, separation table, detector calibration,
+sweep trace and sub-band table).  A bad value in any of them is exit 2
+with one ``error:`` line that names the file (and, in a CSV file, the
+line), printed before anything goes to stdout.
 """
 
 import argparse
@@ -92,7 +97,7 @@ def _cmd_geodb(args):
         print(f"required_separation_m: {sep:.10g}{flag}")
         return EXIT_OK
     prop = PropagationConfig(exponent=args.exponent, ref_loss_db=args.ref_loss_db)
-    db = geodb_mod.load(args.db, prop)
+    db = geodb_mod.load(args.db, prop, args.freq)
     if args.geodb_cmd == "query":
         grid = _grid_from_args(args)
         rows = query_vacant_channels(db, (args.x, args.y), args.eirp, prop, grid,
@@ -117,6 +122,8 @@ def _cmd_occupancy(args):
             if args.threshold_dbm is not None else occupancy.ThresholdRule())
     grid = _grid_from_args(args)
     duty = occupancy.duty_cycle(matrix, grid, rule)
+    summary = (occupancy.summarize_band(matrix, occupancy.load_subband_table(args.subbands),
+                                        rule) if args.subbands else None)
     noise = float(np.percentile(matrix.power_dbm, 10.0))
     print(f"threshold rule: {rule.describe()}")
     print(f"noise floor estimate: {noise:.10g} dBm")
@@ -126,9 +133,8 @@ def _cmd_occupancy(args):
         label = cls.label.value + ("(never-seen)" if cls.never_seen else "")
         print(f"{ch},{grid.low_edge_mhz(ch):.10g},{duty[ch]:.10g},{label}")
     print(f"band_average: {occupancy.band_average(grid, duty):.10g}")
-    if args.subbands:
-        rows, overall = occupancy.summarize_band(
-            matrix, occupancy.load_subband_table(args.subbands), rule)
+    if summary is not None:
+        rows, overall = summary
         print(occupancy.render_report(rows, overall, rule))
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -15,13 +15,20 @@ closed-form inversion of the log-distance model at median propagation.
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateContourError, ParseError
-from .radio_env import TvStandard, TvTransmitter, finite_float
+from .errors import DegenerateContourError
+from .radio_env import (
+    PropagationConfig,
+    TvStandard,
+    TvTransmitter,
+    csv_rows,
+    finite_float,
+    row_errors,
+)
 
 DEFAULT_REQUIRED_RX_DBM = -84.0
 DEFAULT_GREY_MARGIN_M = 1000.0
@@ -208,27 +215,19 @@ def required_separation(table, wsd_power_dbm, wsd_height_m):
 
 def separation_table_from_csv(path):
     """Load a separation table: header ``power_dbm,<h1>,<h2>,...``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "power_dbm" or len(header) < 2:
-            raise ParseError("expected header power_dbm,<height>,...", line=1, path=path)
-        try:
-            heights = tuple(float(h) for h in header[1:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=1, path=path) from exc
-        powers, values = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError("row width does not match header", line=lineno, path=path)
-            try:
-                powers.append(float(row[0]))
-                values.extend(float(v) for v in row[1:])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno, path=path) from exc
-    return SeparationTable(tuple(powers), heights, tuple(values))
+    heights, powers, values = [], [], []
+
+    def check_header(cells):
+        if cells[:1] != ["power_dbm"] or len(cells) < 2:
+            raise ValueError("expected header power_dbm,<height>,...")
+        heights.extend(finite_float(h) for h in cells[1:])
+
+    for lineno, row in csv_rows(path, check_header):
+        with row_errors(path, lineno):
+            powers.append(finite_float(row[0]))
+            values.extend(finite_float(v) for v in row[1:])
+    with row_errors(path, None):
+        return SeparationTable(tuple(powers), tuple(heights), tuple(values))
 
 
 def separation_table_to_csv(table, path):
@@ -275,60 +274,36 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     ``prop`` is only consulted for records whose radius field is blank.
     """
     db = GeoDb()
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body_start = 0
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            try:
-                key, value = line[1:].strip().split("=", 1)
-                key = key.strip()
-                if key == "version":
-                    db.version = int(value)
-                elif key == "grey_margin_m":
-                    db.grey_margin_m = finite_float(value)
-                elif key == "protection_floor_dbm":
-                    db.protection_floor_dbm = finite_float(value)
-                else:
-                    raise ParseError(f"unknown metadata key {key!r}", line=lineno, path=path)
-            except ValueError as exc:
-                raise ParseError(f"malformed metadata line: {exc}", line=lineno,
-                                 path=path) from exc
-            body_start = lineno
-        else:
-            break
-    body = lines[body_start:]
-    if not body or body[0].split(",") != GEODB_FIELDS:
-        raise ParseError(f"expected header {','.join(GEODB_FIELDS)}",
-                         line=body_start + 1, path=path)
-    version = db.version
-    for offset, row in enumerate(csv.reader(body[1:]), start=body_start + 2):
-        if not row:
-            continue
-        if len(row) != len(GEODB_FIELDS):
-            raise ParseError("wrong column count", line=offset, path=path)
-        try:
-            svc = TvTransmitter(id=row[0], standard=TvStandard(row[1]),
-                                channel_index=int(row[2]),
-                                location=(float(row[3]), float(row[4])),
-                                eirp_dbm=float(row[5]), antenna_height_m=float(row[6]))
-            rec = GeoRecord(service=svc, required_rx_dbm=float(row[7]),
-                            protected_radius_m=None)
-            if row[8].strip():
-                rec = replace(rec, protected_radius_m=float(row[8]))
+    prop = prop if prop is not None else PropagationConfig()
+
+    def metadata(lineno, line):
+        with row_errors(path, lineno):
+            key, value = (part.strip() for part in line[1:].split("=", 1))
+            if key == "version":
+                db.version = int(value)
+            elif key == "grey_margin_m":
+                db.grey_margin_m = finite_float(value)
+            elif key == "protection_floor_dbm":
+                db.protection_floor_dbm = finite_float(value)
             else:
-                rec = replace(rec, protected_radius_m=protected_radius(
-                    rec, prop if prop is not None else _default_prop(), freq_mhz))
-        except (ValueError, KeyError) as exc:
-            raise ParseError(str(exc), line=offset, path=path) from exc
-        if svc.id in db.records:
-            raise ParseError(f"duplicate record id {svc.id!r}", line=offset, path=path)
-        db.records[svc.id] = rec
-    db.version = version
+                raise ValueError(f"unknown metadata key {key!r}")
+
+    for lineno, row in csv_rows(path, GEODB_FIELDS, metadata):
+        rec_id, standard, channel, x, y, eirp, height, required, radius = row
+        with row_errors(path, lineno):
+            svc = TvTransmitter(id=rec_id, standard=TvStandard(standard),
+                                channel_index=int(channel),
+                                location=(finite_float(x), finite_float(y)),
+                                eirp_dbm=finite_float(eirp),
+                                antenna_height_m=finite_float(height))
+            required = finite_float(required)
+            try:
+                radius = (finite_float(radius) if radius.strip()
+                          else contour_radius_m(svc.eirp_dbm, required, prop, freq_mhz))
+            except DegenerateContourError as exc:
+                raise ValueError(f"record {rec_id!r}: {exc}") from exc
+            if rec_id in db.records:
+                raise ValueError(f"duplicate record id {rec_id!r}")
+            db.records[rec_id] = GeoRecord(service=svc, required_rx_dbm=required,
+                                           protected_radius_m=radius)
     return db
-
-
-def _default_prop():
-    from .radio_env import PropagationConfig
-
-    return PropagationConfig()

@@ -154,6 +154,7 @@ _positive = _checked_float(lambda v: v > 0.0, "a positive number")
 _non_negative = _checked_float(lambda v: v >= 0.0, "a non-negative number")
 _fraction = _checked_float(lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _probability = _checked_float(lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
+_open_fraction = _checked_float(lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 
 
 def _band(path, what, low_mhz, high_mhz):
@@ -250,7 +251,7 @@ def _load_interference(reader):
         n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
         ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
         min_coupling_m=reader.take("interference.min_coupling_m", _positive, 10.0),
-        exponent=reader.take("interference.exponent", finite_float, 3.5),
+        exponent=reader.take("interference.exponent", _positive, 3.5),
         freq_mhz=reader.take("interference.freq_mhz", _positive, 700.0),
     )
     return InterferenceStudy(
@@ -258,7 +259,7 @@ def _load_interference(reader):
         acir_list=reader.take("interference.acir_db", parse_range, parse_range("0:100:5")),
         snapshots=reader.take("interference.snapshots", positive_int, 1000),
         seed=reader.take("interference.seed", int, 1),
-        loss_budget=reader.take("interference.loss_budget", finite_float, 0.05),
+        loss_budget=reader.take("interference.loss_budget", _open_fraction, 0.05),
     )
 
 

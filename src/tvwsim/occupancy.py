@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CoverageError, InsufficientDataError, ParseError
+from .radio_env import FrequencyBand, csv_rows, finite_float, row_errors
 
 DEFAULT_NOISE_PERCENTILE = 10.0
 DEFAULT_THRESHOLD_MARGIN_DB = 6.0
@@ -81,51 +82,43 @@ def ingest_trace(path, site="", rbw_khz=200.0):
     """Parse a sweep-trace CSV into a validated matrix.
 
     Header is ``t_ms[,lat,lon],p_<f1>,p_<f2>,...`` with bin-center
-    frequencies in MHz.  Ragged rows, NaN cells, and non-monotone
-    timestamps are rejected with the offending line number.
+    frequencies in MHz.  Ragged rows, non-finite cells and non-increasing
+    timestamps are rejected with the offending line number, and a trace
+    without data rows is rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t_ms":
-            raise ParseError("first column must be t_ms", line=1, path=path)
-        has_pos = len(header) > 2 and header[1] == "lat" and header[2] == "lon"
-        first_p = 3 if has_pos else 1
-        freqs = []
-        for name in header[first_p:]:
+    has_pos = False
+    freqs, times, latlon, rows = [], [], [], []
+
+    def check_header(cells):
+        nonlocal has_pos
+        if cells[:1] != ["t_ms"]:
+            raise ValueError("first column must be t_ms")
+        has_pos = cells[1:3] == ["lat", "lon"]
+        for name in cells[3 if has_pos else 1:]:
             m = _FREQ_COL.match(name)
             if not m:
-                raise ParseError(f"bad frequency column {name!r}", line=1, path=path)
+                raise ValueError(f"bad frequency column {name!r}")
             freqs.append(float(m.group(1)))
         if not freqs:
-            raise ParseError("no frequency columns", line=1, path=path)
-        times, rows, latlon = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"ragged row ({len(row)} of {len(header)} columns)",
-                                 line=lineno, path=path)
-            try:
-                times.append(float(row[0]))
-                if has_pos:
-                    latlon.append((float(row[1]), float(row[2])))
-                vals = np.array([float(v) for v in row[first_p:]], dtype=float)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno, path=path) from exc
-            if np.any(np.isnan(vals)):
-                raise ParseError("NaN power cell", line=lineno, path=path)
-            rows.append(vals)
-        if len(times) > 1 and np.any(np.diff(np.asarray(times)) <= 0):
-            raise ParseError("timestamps not strictly increasing", path=path)
-    try:
+            raise ValueError("no frequency columns")
+
+    for lineno, row in csv_rows(path, check_header):
+        with row_errors(path, lineno):
+            t = finite_float(row[0])
+            if times and t <= times[-1]:
+                raise ValueError("timestamps not strictly increasing")
+            times.append(t)
+            if has_pos:
+                latlon.append((finite_float(row[1]), finite_float(row[2])))
+            rows.append([finite_float(v) for v in row[3 if has_pos else 1:]])
+    if not rows:
+        raise ParseError("no data rows", path=path)
+    # The one check left to the matrix: the header's frequencies ascend.
+    with row_errors(path, 1):
         return OccupancyMatrix(
             timestamps_ms=np.asarray(times), freqs_mhz=np.asarray(freqs),
-            power_dbm=np.vstack(rows) if rows else np.empty((0, len(freqs))),
-            site=site, rbw_khz=rbw_khz,
-            latlon=np.asarray(latlon) if has_pos else None)
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from exc
+            power_dbm=np.array(rows, dtype=float),
+            site=site, rbw_khz=rbw_khz, latlon=np.asarray(latlon) if has_pos else None)
 
 
 @dataclass(frozen=True)
@@ -252,18 +245,10 @@ class SubbandRow:
 def load_subband_table(path):
     """Sub-band definition CSV: ``low_mhz,high_mhz,label``."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["low_mhz", "high_mhz", "label"]:
-            raise ParseError("expected header low_mhz,high_mhz,label", line=1, path=path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1]), row[2]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(str(exc), line=lineno, path=path) from exc
+    for lineno, (low, high, label) in csv_rows(path, ["low_mhz", "high_mhz", "label"]):
+        with row_errors(path, lineno):
+            band = FrequencyBand(finite_float(low), finite_float(high))
+        rows.append((band.low_mhz, band.high_mhz, label))
     return rows
 
 

@@ -14,6 +14,7 @@ frame loop builds them once per run for every CeNB at once.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -448,13 +449,62 @@ def finite_float(text):
     return value
 
 
+class row_errors:
+    """Context that reports a cell's ValueError, KeyError or TypeError as a
+    ParseError at ``lineno`` of ``path``."""
+
+    def __init__(self, path, lineno):
+        self.path = path
+        self.lineno = lineno
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, KeyError, TypeError)):
+            raise ParseError(str(exc), line=self.lineno, path=self.path) from exc
+
+
+def csv_rows(path, header, metadata=None):
+    """Stream the data rows of a UTF-8 CSV file as (line number, cells).
+
+    ``header`` is the exact header row, or a function that raises
+    ValueError on header cells it rejects.  Every data row must be as
+    wide as the header; blank rows are skipped.  Leading lines that
+    start with ``#`` go to ``metadata(line number, text)`` when it is
+    given; otherwise the first line is the header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        first, header_line = fh.readline(), 1
+        while metadata is not None and first.startswith("#"):
+            metadata(header_line, first)
+            first, header_line = fh.readline(), header_line + 1
+        reader = csv.reader(itertools.chain([first], fh))
+        cells = next(reader, [])
+        if callable(header):
+            with row_errors(path, header_line):
+                header(cells)
+        elif cells != header:
+            raise ParseError(f"expected header {','.join(header)}", line=header_line,
+                             path=path)
+        end = reader.line_num
+        for row in reader:
+            lineno, end = header_line + end, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(cells):
+                raise ParseError(f"expected {len(cells)} columns, got {len(row)}",
+                                 line=lineno, path=path)
+            yield lineno, row
+
+
 def _parse_schedule(text):
     if not text:
         return ()
     out = []
     for part in text.split(";"):
         on, off = part.split(":")
-        out.append((float(on), float(off)))
+        out.append((finite_float(on), finite_float(off)))
     return tuple(out)
 
 
@@ -469,24 +519,14 @@ TRANSMITTER_FIELDS = ["id", "standard", "channel", "x_m", "y_m", "eirp_dbm",
 def transmitters_from_csv(path):
     """Load transmitter fixtures from CSV (see TRANSMITTER_FIELDS)."""
     txs = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRANSMITTER_FIELDS:
-            raise ParseError(f"expected header {','.join(TRANSMITTER_FIELDS)}",
-                             line=1, path=path)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                txs.append(TvTransmitter(
-                    id=row["id"],
-                    standard=TvStandard(row["standard"]),
-                    channel_index=int(row["channel"]),
-                    location=(float(row["x_m"]), float(row["y_m"])),
-                    eirp_dbm=float(row["eirp_dbm"]),
-                    antenna_height_m=float(row["height_m"]),
-                    schedule=_parse_schedule(row["schedule"].strip()),
-                ))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(str(exc), line=lineno, path=path) from exc
+    for lineno, row in csv_rows(path, TRANSMITTER_FIELDS):
+        tx_id, standard, channel, x, y, eirp, height, schedule = row
+        with row_errors(path, lineno):
+            txs.append(TvTransmitter(
+                id=tx_id, standard=TvStandard(standard), channel_index=int(channel),
+                location=(finite_float(x), finite_float(y)), eirp_dbm=finite_float(eirp),
+                antenna_height_m=finite_float(height),
+                schedule=_parse_schedule(schedule.strip())))
     return txs
 
 

@@ -38,9 +38,11 @@ from .radio_env import (
     PAL_D_CARRIER_OFFSETS_MHZ,
     TvStandard,
     TvTransmitter,
+    csv_rows,
     dbm_to_mw,
     finite_float,
     mw_to_dbm,
+    row_errors,
     synthesize_tv_spectrum,
     thermal_noise_dbm,
 )
@@ -132,35 +134,11 @@ def _gamma_mean1_isf(p, shape):
     (1.7 ms of sensing) it stays below 5e-7 for p down to 1e-8.  Serves
     as the analytic counterpart of the Monte Carlo calibration.
     """
-    z = _norm_isf(p)
+    from statistics import NormalDist
+
+    z = -NormalDist().inv_cdf(p)
     a = 1.0 / (9.0 * shape)
     return (1.0 - a + z * np.sqrt(a)) ** 3
-
-
-def _norm_isf(p):
-    """Inverse upper-tail of the standard normal (Acklam rational fit)."""
-    p = 1.0 - p
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = np.sqrt(-2 * np.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > p_high:
-        q = np.sqrt(-2 * np.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
 
 
 def analytic_threshold_dbm(cfg, noise_window_dbm=None, duration_ms=None):
@@ -174,11 +152,6 @@ def analytic_threshold_dbm(cfg, noise_window_dbm=None, duration_ms=None):
     p1 = per_carrier_pfa(cfg.target_pfa, cfg.k_required, cfg.n_carriers)
     m = cfg.n_snapshots(duration_ms)
     return float(mw_to_dbm(noise_mw * _gamma_mean1_isf(p1, m)))
-
-
-def _noise_trial_stats(cfg, noise_mw, trials, rng):
-    m = cfg.n_snapshots()
-    return noise_mw * rng.gamma(m, 1.0 / m, size=(trials, cfg.n_carriers))
 
 
 def calibrate_threshold(cfg, noise_window_dbm=None, trials=None, seed=0):
@@ -202,7 +175,7 @@ def calibrate_threshold(cfg, noise_window_dbm=None, trials=None, seed=0):
     if not np.isfinite(noise_mw) or noise_mw <= 0:
         raise CalibrationError("degenerate noise model")
     rng = np.random.default_rng(seed)
-    stats = _noise_trial_stats(cfg, noise_mw, trials, rng)
+    stats = noise_mw * _unit_gamma_draws(cfg, trials, rng)
     # k-th largest per trial: the rule fires iff it exceeds the threshold.
     kth = np.partition(stats, cfg.n_carriers - cfg.k_required, axis=1)[
         :, cfg.n_carriers - cfg.k_required]
@@ -482,31 +455,17 @@ def load_calibration(path, base=None):
     """Detector config from a calibration CSV, on top of defaults."""
     cfg = base if base is not None else DetectorConfig()
     values = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["param", "value"]:
-            raise ParseError("expected header param,value", line=1, path=path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError("expected two columns", line=lineno, path=path)
-            key, value = row[0].strip(), row[1].strip()
+    for lineno, (key, value) in csv_rows(path, ["param", "value"]):
+        with row_errors(path, lineno):
+            key = key.strip()
             if key not in CALIBRATION_FIELDS:
-                raise ParseError(f"unknown calibration param {key!r}",
-                                 line=lineno, path=path)
-            try:
-                values[key] = CALIBRATION_FIELDS[key](value)
-            except ValueError as exc:
-                raise ParseError(f"bad {key}: {exc}", line=lineno, path=path) from exc
+                raise ValueError(f"unknown calibration param {key!r}")
+            values[key] = CALIBRATION_FIELDS[key](value.strip())
     missing = [k for k in CALIBRATION_FIELDS if k not in values]
     if missing:
         raise ParseError(f"missing calibration params: {', '.join(missing)}", path=path)
-    try:
+    with row_errors(path, None):
         return replace(cfg, **values)
-    except ValueError as exc:
-        raise ParseError(f"bad calibration: {exc}", path=path) from exc
 
 
 def default_calibration():

@@ -47,6 +47,10 @@ BAD_INPUTS = [
     ("acir", "interference.isd_m = 0"),
     ("acir", "interference.freq_mhz = nan"),
     ("acir", "interference.acir_db = 0:inf:5"),
+    ("acir", "interference.loss_budget = -1"),
+    ("acir", "interference.loss_budget = 2"),
+    ("acir", "interference.exponent = -3"),
+    ("acir", "interference.exponent = 0"),
     ("geodb", "--exclude=566-6x6"),
     ("occupancy", "--exclude=566-6x6"),
 ]
@@ -262,3 +266,59 @@ def test_bad_calibration_value_is_a_config_error(tmp_path, capsys, key, value):
     path.write_text("param,value\n" + "".join(f"{k},{v}\n" for k, v in rows.items()),
                     encoding="utf-8")
     _assert_config_error(capsys, ["roc", str(path), "--trials=1000", "--powers=-120:-118:1"])
+
+
+# A bad row or cell in a CSV input: (what reads it, file name, file text,
+# line of the bad cell).  The sub-band table is read before anything is
+# printed.  The last geodb record needs -20 dBm at the 1 m reference
+# distance from a 0 dBm service, so its blank radius has no contour.
+BAD_CSV = [
+    ("transmitters", "input.csv", TX_HEADER + "tv,AnalogPalD,3,100,0,40,30,,ninth\n", 2),
+    ("geodb", "input.csv", GEODB_HEADER + "db,AnalogPalD,3,0,0,60,30,-84,,tenth\n", 2),
+    ("geodb", "input.csv", GEODB_HEADER + "\ndb,AnalogPalD,3,0,0,0,30,-20,\n", 3),
+    ("separation", "sep.csv", "power_dbm,10,30\n0,100,nan\n10,300,400\n", 2),
+    ("separation", "sep.csv", "power_dbm,10,30\n0,100,200\n10,inf,400\n", 3),
+    ("separation", "sep.csv", "power_dbm,10,inf\n0,100,200\n10,300,400\n", 1),
+    ("occupancy", "trace.csv", "t_ms,p_470.1,p_470.3\n0,-100,inf\n", 2),
+    ("occupancy", "trace.csv", "t_ms,lat,lon,p_470.1\n0,nan,116.3,-100\n", 2),
+    ("subbands", "subbands.csv", "low_mhz,high_mhz,label\n470,inf,open\n", 2),
+    ("subbands", "subbands.csv", "low_mhz,high_mhz,label\n470,478,a\n478,470,b\n", 3),
+    ("subbands", "subbands.csv", "low_mhz,high_mhz\n470,478\n", 1),
+]
+
+
+@pytest.mark.parametrize("command, name, text, line", BAD_CSV,
+                         ids=[f"{c} {t.splitlines()[n - 1]}" for c, _, t, n in BAD_CSV])
+def test_bad_csv_cell_names_file_and_line(tmp_path, capsys, command, name, text, line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if command in ("transmitters", "geodb"):
+        scenario = tmp_path / "input.ini"
+        scenario.write_text(f"{SCENARIO_HEAD}files.{command} = input.csv\n", encoding="utf-8")
+        argv = ["simulate", str(scenario), "--out", str(tmp_path / "out")]
+    elif command == "separation":
+        argv = ["geodb", "separation", "--table", str(path), "--power=5", "--height=20"]
+    elif command == "occupancy":
+        argv = ["occupancy", str(path)]
+    else:
+        trace = tmp_path / "trace.csv"
+        trace.write_text(OCCUPANCY_TRACE, encoding="utf-8")
+        argv = ["occupancy", str(trace), "--band-low=470", "--band-high=486", "--exclude=",
+                "--subbands", str(path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}:{line}: ")
+
+
+@pytest.mark.parametrize("freq", [500.0, 800.0])
+def test_geodb_blank_radius_follows_freq(tmp_path, capsys, freq):
+    from tvwsim.geodb import contour_radius_m
+    from tvwsim.radio_env import PropagationConfig
+
+    path = tmp_path / "db.csv"
+    path.write_text(GEODB_HEADER + "far,AnalogPalD,2,90000,0,60,100,-84,\n", encoding="utf-8")
+    radius = contour_radius_m(60.0, -84.0, PropagationConfig(), freq)
+    assert cli.main(["geodb", "contour", str(path), f"--freq={freq}"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"id,channel,protected_radius_m\nfar,2,{radius:.10g}\n"
