@@ -122,8 +122,13 @@ def _cmd_occupancy(args):
             if args.threshold_dbm is not None else occupancy.ThresholdRule())
     grid = _grid_from_args(args)
     duty = occupancy.duty_cycle(matrix, grid, rule)
-    summary = (occupancy.summarize_band(matrix, occupancy.load_subband_table(args.subbands),
-                                        rule) if args.subbands else None)
+    summary = None
+    if args.subbands:
+        subbands = occupancy.load_subband_table(args.subbands)
+        try:
+            summary = occupancy.summarize_band(matrix, subbands, rule)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.subbands}: {exc}") from exc
     noise = float(np.percentile(matrix.power_dbm, 10.0))
     print(f"threshold rule: {rule.describe()}")
     print(f"noise floor estimate: {noise:.10g} dBm")

@@ -20,9 +20,11 @@ template at those bins, and a ``ScheduleTable`` holds the schedules as
 intervals.  Each frame takes transmitter activity at the sensing
 instant and at each downlink subframe in one call, draws shadowing
 once for all active links, and forms the mean window powers of every
-CeNB in one product; each CeNB then multiplies its own seeded Gamma
-draw, taken at the window bins, by its row.  ``received_spectrum`` is
-the single-point, whole-band API over the same arrays.
+CeNB in one product.  The detector noise is one unit-mean Gamma draw
+per frame, taken only at the window bins of every CeNB from the run's
+one sensing stream, and multiplied into those powers in place.
+``received_spectrum`` is the single-point, whole-band API over the same
+arrays.
 
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
@@ -434,8 +436,8 @@ def run_simulation(cfg):
     windows, links = sensing_links(cfg, op_det, [setup.location for setup in cfg.cenbs])
     schedules = ScheduleTable(cfg.transmitters)
     tx_channel = np.array([tx.channel_index for tx in cfg.transmitters], dtype=np.intp)
-    n_bins = int(round(cfg.grid.band.width_mhz / (cfg.rbw_khz / 1000.0)))
     n_snapshots = op_det.n_snapshots()
+    sense_rng = np.random.default_rng([cfg.seed, 0x5E45E])
 
     states = [CenbState(id=setup.id, location=setup.location,
                         dedicated_band=setup.dedicated_band,
@@ -517,13 +519,12 @@ def run_simulation(cfg):
         t_sense = t0 + sense_offset
         # Transmitter activity at the sensing instant, then at each downlink subframe.
         active = schedules.active([t_sense, *(t0 + sf for sf in dl_subframes)])
-        means = links.mean_mw(active[0]).reshape(len(states), *windows.shape)
+        window_mw = links.mean_mw(active[0]).reshape(len(states), *windows.shape)
+        window_mw *= sense_rng.gamma(n_snapshots, 1.0 / n_snapshots, size=window_mw.shape)
         sensed = []
         x2 = {}             # channel -> the X2 reports of the CeNBs that sensed it
         for idx, state in enumerate(states):
-            rng = np.random.default_rng([cfg.seed, 0x5E45E, frame, idx])
-            window_mw = rng.gamma(n_snapshots, 1.0 / n_snapshots, size=n_bins)[windows]
-            stats, occupied = sensing_mod.detect_channels(op_det, window_mw * means[idx])
+            stats, occupied = sensing_mod.detect_channels(op_det, window_mw[idx])
             monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
             sensed.append((state, monitored, occupied))
             n_occ = np.count_nonzero(occupied[list(monitored)])

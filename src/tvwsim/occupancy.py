@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CoverageError, InsufficientDataError, ParseError
+from .errors import ConfigError, CoverageError, InsufficientDataError, ParseError
 from .radio_env import FrequencyBand, csv_rows, finite_float, row_errors
 
 DEFAULT_NOISE_PERCENTILE = 10.0
@@ -253,11 +253,15 @@ def load_subband_table(path):
 
 
 def summarize_band(matrix, subbands, rule=ThresholdRule()):
-    """Per-sub-band duty cycles plus the bandwidth-weighted overall row."""
+    """Per-sub-band duty cycles plus the bandwidth-weighted overall row.
+
+    Overlapping sub-bands are a ``ConfigError`` that names both.
+    """
     ordered = sorted(subbands)
-    for (lo1, hi1, _), (lo2, _, _) in zip(ordered, ordered[1:]):
+    for (lo1, hi1, label1), (lo2, hi2, label2) in zip(ordered, ordered[1:]):
         if lo2 < hi1:
-            raise ValueError(f"sub-bands overlap at {lo2} MHz")
+            raise ConfigError(f"sub-bands {label1!r} ({lo1:g}-{hi1:g} MHz) and "
+                              f"{label2!r} ({lo2:g}-{hi2:g} MHz) overlap")
     rows = []
     for lo, hi, label in subbands:
         cells = matrix.power_dbm[:, matrix.band_columns(lo, hi)]

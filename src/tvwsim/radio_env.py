@@ -254,8 +254,7 @@ class PowerSpectrum:
 
 def mw_to_dbm(mw):
     mw = np.asarray(mw, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(mw > 0, 10.0 * np.log10(np.maximum(mw, 1e-300)), -np.inf)
+    return np.where(mw > 0, 10.0 * np.log10(np.maximum(mw, 1e-300)), -np.inf)
 
 
 def dbm_to_mw(dbm):

@@ -312,6 +312,19 @@ def test_bad_csv_cell_names_file_and_line(tmp_path, capsys, command, name, text,
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}:{line}: ")
 
 
+def test_overlapping_subbands_are_a_config_error(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(OCCUPANCY_TRACE, encoding="utf-8")
+    table = tmp_path / "subbands.csv"
+    table.write_text("low_mhz,high_mhz,label\n470,478,a\n474,486,b\n", encoding="utf-8")
+    assert cli.main(["occupancy", str(trace), "--band-low=470", "--band-high=486",
+                     "--exclude=", "--subbands", str(table)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {table}: sub-bands 'a' (470-478 MHz) and "
+                            "'b' (474-486 MHz) overlap\n")
+
+
 @pytest.mark.parametrize("freq", [500.0, 800.0])
 def test_geodb_blank_radius_follows_freq(tmp_path, capsys, freq):
     from tvwsim.geodb import contour_radius_m

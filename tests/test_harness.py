@@ -3,6 +3,7 @@
 import hashlib
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from tvwsim.radio_env import (
 )
 from tvwsim.sensing import (
     Decision,
+    analytic_threshold_dbm,
     carrier_windows,
     default_calibration,
     detect_channels,
     detect_tv,
+    estimate_roc,
+    measure_pfa,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -197,3 +201,66 @@ def test_three_cenb_narrow_scan_outputs_are_pinned(tmp_path, rule):
     assert decided == [f"target={t} bw=20" for t in targets]
     for name, digest in (("events.csv", events_digest), ("plr.csv", plr_digest)):
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+# One CeNB off the TV's channel, no shadowing, 2000 frames.  The TV on
+# channel 20 at 7 km is received near the operational threshold
+# (pd about 0.56), so the share of frames that sense it checks the frame
+# loop's detector noise against the detector's own ROC.
+ROC_TV = "tv,AnalogPalD,20,7000,0,43,30,\n"
+
+
+def _roc_run(tmp_path, tv_row="", extra=""):
+    (tmp_path / "tx.csv").write_text(
+        "id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n" + tv_row, encoding="utf-8")
+    scenario = tmp_path / "roc.ini"
+    scenario.write_text("sim.seed = 11\nsim.duration_ms = 20000\nfiles.transmitters = tx.csv\n"
+                        f"cenb1.block = 0,1,2\n{extra}", encoding="utf-8")
+    cfg = harness.load_scenario(scenario)
+    # The frame loop's operational detector, as run_simulation builds it.
+    op_det = replace(cfg.detector, target_pfa=cfg.operational_pfa,
+                     sense_duration_ms=cfg.schedule.sensing_time_ms, threshold_dbm=None)
+    op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+    metrics, events = harness.run_simulation(cfg)
+    occupied = [int(detail.rpartition("occupied=")[2])
+                for _, _, kind, detail in events if kind == "SENSE"]
+    return cfg, op_det, metrics, events, np.array(occupied)
+
+
+def _wilson_99(hits, n):
+    """99 % Wilson score interval of a binomial share."""
+    z = NormalDist().inv_cdf(0.995)
+    p = hits / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+    return centre - half, centre + half
+
+
+def test_frame_loop_detections_match_the_roc(tmp_path):
+    cfg, op_det, _, _, occupied = _roc_run(tmp_path, ROC_TV)
+    tv = cfg.transmitters[0]
+    rx_dbm = tv.eirp_dbm - path_loss(cfg.prop, _link_distance(cfg, cfg.cenbs[0].location, tv),
+                                     cfg.grid.center_mhz(tv.channel_index))
+    pd = estimate_roc(op_det, [rx_dbm])[0].pd
+    assert occupied.size == 2000
+    assert set(occupied.tolist()) <= {0, 1}     # no false alarm at pfa 1e-8
+    lo, hi = _wilson_99(np.count_nonzero(occupied), occupied.size)
+    assert 0.3 < pd < 0.7 and lo <= pd <= hi
+
+
+def test_frame_loop_false_alarms_match_the_roc(tmp_path):
+    cfg, op_det, _, _, occupied = _roc_run(tmp_path, extra="sim.operational_pfa = 0.02\n")
+    trials = occupied.size * cfg.grid.n_channels     # frames x channels
+    lo, hi = _wilson_99(int(occupied.sum()), trials)
+    assert lo <= measure_pfa(op_det) <= hi
+
+
+# A change to the frame loop's noise stream moves this digest, and must
+# be declared as a change in behaviour.
+def test_frame_loop_verdict_stream_is_pinned(tmp_path):
+    _, _, metrics, events, occupied = _roc_run(tmp_path, ROC_TV)
+    harness.emit_report(metrics, tmp_path / "out", events)
+    events_csv = (tmp_path / "out" / "events.csv").read_bytes()
+    assert occupied.sum() == 1127
+    assert (hashlib.sha256(events_csv).hexdigest()
+            == "10a8084b8f4c87236b46921eae8ca5a910e33e284508cb03279fe1115177d2e6")
