@@ -92,6 +92,9 @@ def build_frame_schedule(config_id="tdd-2", special_split=(0.2, 0.7, 0.1),
         sensing = (1, 2)
     sched = FrameSchedule(pattern=pattern, special_split=tuple(special_split),
                           sensing_subframes=sensing, wide_scan=wide_scan)
+    if sched.sensing_time_ms <= 0:
+        raise ConfigError("the frame has no sensing time: narrow scan needs a guard "
+                          "period longer than 0 ms")
     if sched.sensing_time_ms > MAX_SENSING_MS + 1e-9:
         raise ConfigError(f"sensing budget {sched.sensing_time_ms} ms exceeds "
                           f"{MAX_SENSING_MS} ms per frame")
@@ -144,7 +147,8 @@ class CenbState:
 
     The sensing view holds, per channel, the time of its last (fused)
     verdict in ``sensed_ms`` and, in ``occupied``, the channels whose
-    last verdict was occupied.
+    last verdict was occupied.  ``record_view`` writes the verdicts of
+    one sensing round at once; ``record`` is its one-channel case.
     """
 
     id: str
@@ -158,13 +162,20 @@ class CenbState:
     occupied: set = field(default_factory=set)
     retune_until_ms: float = 0.0
 
+    def record_view(self, channels, occupied, t_ms):
+        """Write the verdicts on ``channels``, sensed at ``t_ms``, into the sensing view.
+
+        ``occupied`` lists the channels among ``channels`` sensed occupied;
+        the others were sensed vacant.
+        """
+        for ch in channels:
+            self.sensed_ms[ch] = t_ms
+        self.occupied.difference_update(channels)
+        self.occupied.update(occupied)
+
     def record(self, channel_index, occupied, t_ms):
         """Write one verdict, sensed at ``t_ms``, into the sensing view."""
-        self.sensed_ms[channel_index] = t_ms
-        if occupied:
-            self.occupied.add(channel_index)
-        else:
-            self.occupied.discard(channel_index)
+        self.record_view((channel_index,), (channel_index,) if occupied else (), t_ms)
 
     def record_report(self, report):
         self.record(report.channel_index, report.decision is Decision.OCCUPIED, report.t_ms)

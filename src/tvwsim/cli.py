@@ -51,7 +51,8 @@ def _cmd_roc(args):
         else sensing.default_calibration()
     powers = _option("--powers", harness.parse_range, args.powers)
     trials = _option("--trials", harness.positive_int, args.trials)
-    points = sensing.estimate_roc(cfg, powers, trials=trials, seed=args.seed)
+    seed = _option("--seed", harness.seed_int, args.seed)
+    points = sensing.estimate_roc(cfg, powers, trials=trials, seed=seed)
     print("power_dbm,pd,pfa")
     for p in points:
         print(f"{p.power_dbm:.10g},{p.pd:.10g},{p.pfa:.10g}")

@@ -17,14 +17,20 @@ The frame loop's radio inputs are arrays built once per run:
 ``sensing_links`` gives the carrier-window bins and a ``LinkArrays`` of
 every (CeNB, transmitter) distance and every transmitter's unit-power
 template at those bins, and a ``ScheduleTable`` holds the schedules as
-intervals.  Each frame takes transmitter activity at the sensing
-instant and at each downlink subframe in one call, draws shadowing
-once for all active links, and forms the mean window powers of every
-CeNB in one product.  The detector noise is one unit-mean Gamma draw
-per frame, taken only at the window bins of every CeNB from the run's
-one sensing stream, and multiplied into those powers in place.
-``received_spectrum`` is the single-point, whole-band API over the same
-arrays.
+activity segments.  The radio work does not depend on any CeNB's
+decisions, so the loop does it for a block of consecutive frames at
+once (several frames when there are few CeNBs, one when there are
+many): one activity query for every sensing instant and downlink
+subframe of the block, the mean window powers of every frame and CeNB
+(shadowing drawn one frame at a time, in frame order), one unit-mean
+Gamma draw of the detector noise at all their window bins from the
+run's one sensing stream, one k-of-n pass, and the block's table of
+channels on air at each downlink subframe.  numpy fills a draw for
+many frames in the order of one draw per frame, so no output depends
+on the block length.  The per-frame state machine then reads each
+CeNB's verdicts from the block and writes them into its sensing view
+in one call.  ``received_spectrum`` is the single-point, whole-band API
+over the same arrays.
 
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
@@ -139,6 +145,14 @@ def positive_int(text):
     value = int(text)
     if value < 1:
         raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def seed_int(text):
+    """A random seed: numpy seeds its streams from non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {value}")
     return value
 
 
@@ -260,7 +274,7 @@ def _load_interference(reader):
         topology=topo, coex=coex,
         acir_list=reader.take("interference.acir_db", parse_range, parse_range("0:100:5")),
         snapshots=reader.take("interference.snapshots", positive_int, 1000),
-        seed=reader.take("interference.seed", int, 1),
+        seed=reader.take("interference.seed", seed_int, 1),
         loss_budget=reader.take("interference.loss_budget", _open_fraction, 0.05),
     )
 
@@ -278,7 +292,7 @@ def load_scenario(path):
     base_dir = os.path.dirname(os.path.abspath(path))
     reader = _KeyReader(parse_ini(path), path)
 
-    seed = reader.take("sim.seed", int, required=True)
+    seed = reader.take("sim.seed", seed_int, required=True)
     duration = reader.take("sim.duration_ms", int, 2000)
     if duration <= 0 or duration % FRAME_MS != 0:
         raise ConfigError(f"{path}: duration_ms must be a positive multiple of "
@@ -290,13 +304,17 @@ def load_scenario(path):
     excluded = reader.take("grid.exclusions", parse_exclusions, parse_exclusions("566-606"))
     grid = build_channel_grid(_band(path, "grid band", low, high), width, excluded)
 
-    schedule = build_frame_schedule(
+    frame_keys = dict(
         config_id=reader.take("frame.pattern", str, "tdd-2"),
         special_split=(reader.take("frame.dwpts_ms", finite_float, 0.2),
                        reader.take("frame.gp_ms", finite_float, 0.7),
                        reader.take("frame.uppts_ms", finite_float, 0.1)),
         wide_scan=reader.take("frame.wide_scan", _parse_bool, True),
     )
+    try:
+        schedule = build_frame_schedule(**frame_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     ref_loss = reader.take("prop.ref_loss_db", finite_float, None)
     try:
@@ -424,6 +442,67 @@ def sensing_links(cfg, det, points):
     return windows, links
 
 
+# Window bins (frames x CeNBs x bins per CeNB) that one pass of the frame
+# loop's radio work covers.  A scenario with few CeNBs then senses
+# several frames per numpy call (9 for one CeNB on the default grid),
+# and the block's arrays stay a few kB; one with many CeNBs gets one
+# frame per block.
+_BLOCK_BINS = 1024
+
+
+class _BlockRadio:
+    """The frame loop's radio work for a block of consecutive frames.
+
+    Transmitter activity, mean window powers, detector noise and each
+    CeNB's own verdicts depend only on the scenario, the seed and the
+    frame number, never on a CeNB's decisions, so ``sense`` forms them
+    for every frame of a block in one pass.  The noise is one Gamma
+    call per block from the run's one sensing stream; numpy fills it in
+    the order of one call per frame, so the values do not depend on the
+    block length.  With shadowing, the mean powers take their
+    ``path_loss`` draws one frame at a time, in frame order.
+    """
+
+    def __init__(self, cfg, op_det, points, offsets_ms):
+        self.windows, self.links = sensing_links(cfg, op_det, points)
+        self.schedules = ScheduleTable(cfg.transmitters)
+        self.tx_channel = np.array([tx.channel_index for tx in cfg.transmitters],
+                                   dtype=np.intp)
+        self.offsets_ms = np.asarray(offsets_ms, dtype=float)
+        self.op_det = op_det
+        self.n_snapshots = op_det.n_snapshots()
+        self.rng = np.random.default_rng([cfg.seed, 0x5E45E])
+        self.n_points = len(points)
+        self.n_channels = cfg.grid.n_channels
+        self.frames_per_block = max(1, _BLOCK_BINS // (self.n_points * self.windows.size))
+
+    def sense(self, first, count):
+        """Frames ``first`` to ``first + count - 1``: (occupied, stats, on_air).
+
+        At the first offset, the sensing instant: ``occupied[frame][cenb]``
+        lists, in ascending order, the channels that CeNB's own verdict
+        found occupied, and ``stats`` holds every (frames, CeNBs,
+        channels, carriers) statistic in dBm.  At each later offset, a
+        downlink subframe: ``on_air`` flags, shape (frames, subframes,
+        channels), the channels with an active transmitter.
+        """
+        t_ms = (np.arange(first, first + count) * FRAME_MS)[:, None] + self.offsets_ms
+        active = self.schedules.active(t_ms.ravel()).reshape(count, self.offsets_ms.size, -1)
+        window_mw = self.links.mean_mw(active[:, 0]).reshape(count, self.n_points,
+                                                             *self.windows.shape)
+        window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
+                                    size=window_mw.shape)
+        stats, verdicts = sensing_mod.detect_channels(self.op_det, window_mw)
+        occupied = [[[] for _ in range(self.n_points)] for _ in range(count)]
+        frames, points, channels = np.nonzero(verdicts)
+        for f, point, ch in zip(frames.tolist(), points.tolist(), channels.tolist()):
+            occupied[f][point].append(ch)
+        on_air = np.zeros((count, self.offsets_ms.size - 1, self.n_channels), dtype=bool)
+        frame, subframe, tx = np.nonzero(active[:, 1:])
+        on_air[frame, subframe, self.tx_channel[tx]] = True
+        return occupied, stats, on_air
+
+
 def run_simulation(cfg):
     """Drive the full scenario; returns (MetricsSeries, event rows)."""
     n_frames = int(cfg.duration_ms // FRAME_MS)
@@ -432,12 +511,12 @@ def run_simulation(cfg):
                      sense_duration_ms=cfg.schedule.sensing_time_ms,
                      threshold_dbm=None)
     op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+    sense_offset = (3.0 if cfg.schedule.wide_scan
+                    else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
+    dl_subframes = cfg.schedule.downlink_subframes()
     # Radio inputs, built once: window bins, link arrays, schedule intervals.
-    windows, links = sensing_links(cfg, op_det, [setup.location for setup in cfg.cenbs])
-    schedules = ScheduleTable(cfg.transmitters)
-    tx_channel = np.array([tx.channel_index for tx in cfg.transmitters], dtype=np.intp)
-    n_snapshots = op_det.n_snapshots()
-    sense_rng = np.random.default_rng([cfg.seed, 0x5E45E])
+    radio = _BlockRadio(cfg, op_det, [setup.location for setup in cfg.cenbs],
+                        [sense_offset, *dl_subframes])
 
     states = [CenbState(id=setup.id, location=setup.location,
                         dedicated_band=setup.dedicated_band,
@@ -472,103 +551,102 @@ def run_simulation(cfg):
     events = []
     metrics = MetricsSeries(plr=np.zeros(n_frames),
                             sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
-    all_channels = tuple(range(cfg.grid.n_channels))
+    all_channels = range(cfg.grid.n_channels)
     fuse = cfg.fusion_rule != "OFF" and len(states) > 1
-    sensed = []         # (state, monitored channels, verdict row) from the last frame
+    sensed = []         # (state, monitored channels, occupied ones) from the last frame
     t_sense = None
-    sense_offset = (3.0 if cfg.schedule.wide_scan
-                    else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
                 if cfg.random_loss_floor > 0 else None)
-    dl_subframes = cfg.schedule.downlink_subframes()
 
-    for frame in range(n_frames):
-        t0 = float(frame * FRAME_MS)
+    for first in range(0, n_frames, radio.frames_per_block):
+        count = min(radio.frames_per_block, n_frames - first)
+        block_occupied, block_stats, block_on_air = radio.sense(first, count)
+        tv_on_held = {}     # active block -> (frames, subframes) flags of a TV on it
+        for i, frame in enumerate(range(first, first + count)):
+            t0 = float(frame * FRAME_MS)
 
-        if frame > 0 and frame % cfg.asm_epoch_frames == 0:
-            detail = ";".join(
-                f"{s.id}:{','.join(str(c) for c in (s.active_block or ()))}"
-                for s in states)
-            events.append((t0, "asm", "ASM_EPOCH", detail))
+            if frame > 0 and frame % cfg.asm_epoch_frames == 0:
+                detail = ";".join(
+                    f"{s.id}:{','.join(str(c) for c in (s.active_block or ()))}"
+                    for s in states)
+                events.append((t0, "asm", "ASM_EPOCH", detail))
 
-        for state in states:
-            msg = state.pending_handover
-            if msg is not None and msg.activation_frame == frame:
-                state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
-                metrics.handover_records.append(ev)
-                if ev.aborted:
-                    events.append((t0, state.id, "RETUNE_ABORT", "target occupied"))
-                else:
-                    events.append((t0, state.id, "RETUNE_START",
-                                   f"to={','.join(str(c) for c in ev.to_block)}"))
-                    events.append((ev.t_restored_ms, state.id, "RETUNE_END",
-                                   f"bw={state.bandwidth_mhz}"))
+            for state in states:
+                msg = state.pending_handover
+                if msg is not None and msg.activation_frame == frame:
+                    state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
+                    metrics.handover_records.append(ev)
+                    if ev.aborted:
+                        events.append((t0, state.id, "RETUNE_ABORT", "target occupied"))
+                    else:
+                        events.append((t0, state.id, "RETUNE_START",
+                                       f"to={','.join(str(c) for c in ev.to_block)}"))
+                        events.append((ev.t_restored_ms, state.id, "RETUNE_END",
+                                       f"bw={state.bandwidth_mhz}"))
 
-        # The decision at this boundary acts on the verdicts sensed last frame.
-        for state, monitored, verdict in sensed:
-            for ch in monitored:
-                state.record(ch, verdict[ch], t_sense)
-            msg = spectrum_decision(state, (), {}, cfg.grid, frame_no=frame)
-            if msg is not None:
-                events.append((t0, state.id, "DECIDE",
-                               f"target={','.join(str(c) for c in msg.target_block)}"
-                               f" bw={msg.bandwidth_mhz}"))
-                events.append((t0 + 1.0, state.id, "BROADCAST",
-                               f"pcogch activation_frame={msg.activation_frame}"))
+            # The decision at this boundary acts on the verdicts sensed last frame.
+            for state, monitored, hits in sensed:
+                state.record_view(monitored, hits, t_sense)
+                msg = spectrum_decision(state, (), {}, cfg.grid, frame_no=frame)
+                if msg is not None:
+                    events.append((t0, state.id, "DECIDE",
+                                   f"target={','.join(str(c) for c in msg.target_block)}"
+                                   f" bw={msg.bandwidth_mhz}"))
+                    events.append((t0 + 1.0, state.id, "BROADCAST",
+                                   f"pcogch activation_frame={msg.activation_frame}"))
 
-        t_sense = t0 + sense_offset
-        # Transmitter activity at the sensing instant, then at each downlink subframe.
-        active = schedules.active([t_sense, *(t0 + sf for sf in dl_subframes)])
-        window_mw = links.mean_mw(active[0]).reshape(len(states), *windows.shape)
-        window_mw *= sense_rng.gamma(n_snapshots, 1.0 / n_snapshots, size=window_mw.shape)
-        sensed = []
-        x2 = {}             # channel -> the X2 reports of the CeNBs that sensed it
-        for idx, state in enumerate(states):
-            stats, occupied = sensing_mod.detect_channels(op_det, window_mw[idx])
-            monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
-            sensed.append((state, monitored, occupied))
-            n_occ = np.count_nonzero(occupied[list(monitored)])
-            events.append((t_sense, state.id, "SENSE",
-                           f"channels={len(monitored)} occupied={n_occ}"))
+            t_sense = t0 + sense_offset
+            sensed = []
+            x2 = {}             # channel -> the X2 reports of the CeNBs that sensed it
+            for idx, state in enumerate(states):
+                monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
+                hits = [ch for ch in block_occupied[i][idx] if ch in monitored]
+                sensed.append((state, monitored, hits))
+                events.append((t_sense, state.id, "SENSE",
+                               f"channels={len(monitored)} occupied={len(hits)}"))
+                if fuse:
+                    stat_rows, flags = block_stats[i, idx].tolist(), set(hits)
+                    for ch in monitored:
+                        x2.setdefault(ch, []).append(SensingReport(
+                            cenb_id=state.id, channel_index=ch,
+                            decision=Decision.OCCUPIED if ch in flags else Decision.VACANT,
+                            carrier_stats_dbm=tuple(stat_rows[ch]), t_ms=t_sense))
+
             if fuse:
-                stat_rows, flags = stats.tolist(), occupied.tolist()
-                for ch in monitored:
-                    x2.setdefault(ch, []).append(SensingReport(
-                        cenb_id=state.id, channel_index=ch,
-                        decision=Decision.OCCUPIED if flags[ch] else Decision.VACANT,
-                        carrier_stats_dbm=tuple(stat_rows[ch]), t_ms=t_sense))
+                # X2 exchange is all-to-all, so every CeNB that sensed a channel
+                # fuses the same reports: fuse each channel once and give its
+                # verdict to each of them.
+                fused = {ch for ch, reports in x2.items()
+                         if cenb_mod.fuse_cooperative(reports[0], reports[1:],
+                                                      cfg.fusion_rule).decision
+                         is Decision.OCCUPIED}
+                sensed = [(state, monitored, [ch for ch in monitored if ch in fused])
+                          for state, monitored, _ in sensed]
 
-        if fuse:
-            # X2 exchange is all-to-all, so every CeNB that sensed a channel
-            # fuses the same reports: fuse each channel once and give its
-            # verdict to each of them.
-            fused = np.zeros(cfg.grid.n_channels, dtype=bool)
-            for ch, reports in x2.items():
-                decision = cenb_mod.fuse_cooperative(reports[0], reports[1:],
-                                                     cfg.fusion_rule).decision
-                fused[ch] = decision is Decision.OCCUPIED
-            sensed = [(state, monitored, fused) for state, monitored, _ in sensed]
-
-        on_air = np.zeros((len(dl_subframes), cfg.grid.n_channels), dtype=bool)
-        sf_rows, tx_cols = np.nonzero(active[1:])
-        on_air[sf_rows, tx_channel[tx_cols]] = True
-        tv_on_block = [on_air[:, list(s.active_block)].any(axis=1)
-                       if s.active_block is not None else None for s in states]
-        offered = 0
-        lost = 0
-        for k, sf_idx in enumerate(dl_subframes):
-            t = t0 + sf_idx
-            for state, tv_on in zip(states, tv_on_block):
-                offered += cfg.packets_per_dl_subframe
-                blocked = (tv_on is None or state.retuning_at(t) or tv_on[k])
-                if blocked:
-                    lost += cfg.packets_per_dl_subframe
-                elif loss_rng is not None:
-                    lost += int(loss_rng.binomial(cfg.packets_per_dl_subframe,
-                                                  cfg.random_loss_floor))
-        metrics.plr[frame] = lost / offered if offered else 0.0
-        metrics.packets_offered += offered
-        metrics.packets_lost += lost
+            tv_on_block = []
+            for s in states:
+                if s.active_block is not None and s.active_block not in tv_on_held:
+                    tv_on_held[s.active_block] = (
+                        block_on_air[:, :, list(s.active_block)].any(axis=2).tolist())
+                tv_on_block.append(None if s.active_block is None
+                                   else tv_on_held[s.active_block][i])
+            offered = 0
+            lost = 0
+            for k, sf_idx in enumerate(dl_subframes):
+                t = t0 + sf_idx
+                for state, tv_on in zip(states, tv_on_block):
+                    offered += cfg.packets_per_dl_subframe
+                    blocked = (tv_on is None or state.retuning_at(t) or tv_on[k])
+                    if blocked:
+                        lost += cfg.packets_per_dl_subframe
+                    elif loss_rng is not None:
+                        lost += int(loss_rng.binomial(cfg.packets_per_dl_subframe,
+                                                      cfg.random_loss_floor))
+            metrics.plr[frame] = lost / offered if offered else 0.0
+            metrics.packets_offered += offered
+            metrics.packets_lost += lost
+        # Release this block's arrays before the next block's are formed.
+        del block_occupied, block_stats, block_on_air, tv_on_held
 
     events.sort(key=lambda row: row[0])
     return metrics, events

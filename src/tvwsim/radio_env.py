@@ -7,10 +7,11 @@ optional log-normal shadowing, and thermal noise, producing received
 power spectra at arbitrary planar points.
 
 ``ScheduleTable`` and ``LinkArrays`` hold a transmitter list as arrays:
-the schedules as flat intervals, and per (receiver point, transmitter)
-link a distance and per transmitter a unit-power spectrum at chosen
-bins.  ``received_spectrum`` is their one-point, all-bins case; the
-frame loop builds them once per run for every CeNB at once.
+the schedules as a table of activity segments, and per (receiver
+point, transmitter) link a distance and per transmitter a unit-power
+spectrum at chosen bins.  ``received_spectrum`` is their one-point,
+all-bins case; the frame loop builds them once per run for every CeNB
+at once.
 """
 
 import csv
@@ -37,6 +38,7 @@ DEFAULT_CARRIER_SPLIT = (0.80, 0.05, 0.10)
 DEFAULT_RBW_KHZ = 200.0
 DEFAULT_NOISE_FIGURE_DB = 6.0
 OFF_POWER_DBM = float("-inf")
+MIN_REF_DISTANCE_M = 1e-3
 
 
 class TvStandard(Enum):
@@ -178,27 +180,33 @@ class TvTransmitter:
 
 
 class ScheduleTable:
-    """The schedules of a transmitter list as flat interval arrays.
+    """The schedules of a transmitter list as a table of activity segments.
 
-    Interval k runs over [on_ms[k], off_ms[k]) and belongs to transmitter
-    ``owner[k]``; a transmitter with an empty schedule is always on.
+    Between two consecutive interval edges (the distinct ``on_ms`` and
+    ``off_ms`` of every interval, sorted in ``edges_ms``) no transmitter
+    switches, so ``segments`` holds one (transmitters,) row of flags per
+    stretch: row 0 before the first edge, row j from edge j - 1 up to
+    edge j.  Intervals are [on_ms, off_ms); a transmitter with an empty
+    schedule is always on.
     """
 
     def __init__(self, txs):
         intervals = [(i, on, off) for i, tx in enumerate(txs) for on, off in tx.schedule]
         owner, on, off = zip(*intervals) if intervals else ((), (), ())
-        self.always_on = np.array([not tx.schedule for tx in txs], dtype=bool)
-        self.owner = np.array(owner, dtype=np.intp)
-        self.on_ms = np.array(on, dtype=float)
-        self.off_ms = np.array(off, dtype=float)
+        owner = np.array(owner, dtype=np.intp)
+        self.edges_ms = np.unique(np.array(on + off, dtype=float))
+        # +1 in the row where an interval starts, -1 where it ends; a
+        # transmitter's intervals do not overlap, so the running sums are 0 or 1.
+        change = np.zeros((self.edges_ms.size + 2, len(txs)), dtype=np.int8)
+        np.add.at(change, (np.searchsorted(self.edges_ms, on) + 1, owner), 1)
+        np.add.at(change, (np.searchsorted(self.edges_ms, off) + 1, owner), -1)
+        self.segments = np.cumsum(change[:-1], axis=0, dtype=np.int8) > 0
+        self.segments |= np.array([not tx.schedule for tx in txs], dtype=bool)
 
     def active(self, t_ms):
         """(times, transmitters) flags: True where a transmitter is on at a time."""
-        t = np.asarray(t_ms, dtype=float).reshape(-1, 1)
-        flags = np.repeat(self.always_on[None, :], t.shape[0], axis=0)
-        rows, k = np.nonzero((self.on_ms <= t) & (t < self.off_ms))
-        flags[rows, self.owner[k]] = True
-        return flags
+        t = np.asarray(t_ms, dtype=float).ravel()
+        return self.segments[np.searchsorted(self.edges_ms, t, side="right")]
 
 
 @dataclass
@@ -253,8 +261,16 @@ class PowerSpectrum:
 
 
 def mw_to_dbm(mw):
+    """Power in dBm; -inf for a zero, negative or NaN power.
+
+    ``log10`` runs only where the power is positive, so no input raises
+    a floating-point warning and subnormal powers keep their value.
+    """
     mw = np.asarray(mw, dtype=float)
-    return np.where(mw > 0, 10.0 * np.log10(np.maximum(mw, 1e-300)), -np.inf)
+    dbm = np.full(mw.shape, -np.inf)
+    np.log10(mw, out=dbm, where=mw > 0)
+    dbm *= 10.0
+    return dbm
 
 
 def dbm_to_mw(dbm):
@@ -294,6 +310,9 @@ class PropagationConfig:
     def __post_init__(self):
         if self.exponent < 2.0:
             raise ValueError("path-loss exponent must be >= 2")
+        # Below this, distance / reference distance can overflow a double.
+        if not self.ref_distance_m >= MIN_REF_DISTANCE_M:
+            raise ValueError(f"reference distance must be at least {MIN_REF_DISTANCE_M:g} m")
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing sigma must be >= 0")
 
@@ -378,7 +397,7 @@ class LinkArrays:
     flattened).  ``mean_mw(active)`` is then the thermal floor plus the
     sum over the active transmitters of link gain x template.  Without
     shadowing the link gains are fixed and computed here; with it, each
-    ``mean_mw`` call makes one ``path_loss`` call over the active links,
+    activity mask makes one ``path_loss`` call over the active links,
     in (point, transmitter) row-major order.  ``noise_figure_db=None``
     omits the floor.
     """
@@ -412,8 +431,26 @@ class LinkArrays:
         return dbm_to_mw(self.eirp_dbm[active] - loss)
 
     def mean_mw(self, active):
-        """(points, bins) mean power; ``active`` masks the transmitters that are on."""
-        return self.noise_mw + self.gains_mw(active) @ self.templates[active]
+        """(points, bins) mean power; ``active`` masks the transmitters that are on.
+
+        A (rows, transmitters) ``active``, one mask per time, gives
+        (rows, points, bins), formed row after row: with shadowing each
+        row takes its own ``path_loss`` draws, in row order; without, a
+        row equal to the one before it repeats that row's powers.
+        """
+        if active.ndim == 1:
+            return self.mean_mw(active[None])[0]
+        out = np.empty((len(active), len(self.distance_m), self.templates.shape[1]))
+        repeats = np.zeros(len(active), dtype=bool)
+        if self._fixed_gains is not None:
+            repeats[1:] = (active[1:] == active[:-1]).all(axis=1)
+        for row, (on, repeat) in enumerate(zip(active, repeats.tolist())):
+            if repeat:
+                out[row] = out[row - 1]
+            else:
+                np.matmul(self.gains_mw(on), self.templates[on], out=out[row])
+                out[row] += self.noise_mw
+        return out
 
 
 def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,

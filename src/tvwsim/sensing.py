@@ -226,13 +226,15 @@ def detect_channels(cfg, mw, windows=None):
 
     ``mw`` holds bin powers and ``windows`` the bin indices of
     ``carrier_windows``; with ``windows=None``, ``mw`` holds the powers
-    already taken at those bins, shape (channels, carriers, width).
-    The per-carrier statistic is the linear power summed over its
-    window; returns the (channels, carriers) statistics and the
-    (channels,) occupied flags.
+    already taken at those bins, shape (..., channels, carriers, width),
+    where any leading axes (frames and CeNBs in the frame loop) index
+    independent sensing rounds.  The per-carrier statistic is the linear
+    power summed over its window (the last axis); returns the
+    (..., channels, carriers) statistics and the (..., channels)
+    occupied flags.
     """
     window_mw = mw if windows is None else mw[windows]
-    stats = mw_to_dbm(window_mw.sum(axis=2))
+    stats = mw_to_dbm(window_mw.sum(axis=-1))
     return stats, _k_of_n(stats, cfg.threshold_dbm, cfg.k_required)
 
 

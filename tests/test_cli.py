@@ -335,3 +335,44 @@ def test_geodb_blank_radius_follows_freq(tmp_path, capsys, freq):
     radius = contour_radius_m(60.0, -84.0, PropagationConfig(), freq)
     assert cli.main(["geodb", "contour", str(path), f"--freq={freq}"]) == cli.EXIT_OK
     assert capsys.readouterr().out == f"id,channel,protected_radius_m\nfar,2,{radius:.10g}\n"
+
+
+# numpy seeds its streams from non-negative integers only.
+@pytest.mark.parametrize("command, arg", [("simulate", "sim.seed = -1"),
+                                          ("acir", "interference.seed = -3"),
+                                          ("roc", "--seed=-1")])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, arg):
+    argv = _argv(tmp_path, command, arg)
+    if command == "simulate":
+        (tmp_path / "input.ini").write_text(f"{arg}\n", encoding="utf-8")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative integer seed" in captured.err
+
+
+def test_frame_without_sensing_time_is_a_config_error(tmp_path, capsys):
+    # Narrow scan senses in the guard period only; a 0 ms guard period leaves none.
+    argv = _argv(tmp_path, "simulate", "frame.wide_scan = false\nframe.dwpts_ms = 0.9\n"
+                                       "frame.gp_ms = 0\nframe.uppts_ms = 0.1")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no sensing time" in captured.err
+
+
+def test_sub_millimetre_reference_distance_is_a_config_error(tmp_path, capsys):
+    # distance / reference distance would overflow a double.
+    argv = _argv(tmp_path, "simulate", "prop.ref_distance_m = 1e-306")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "reference distance must be at least" in captured.err
+
+
+@pytest.mark.parametrize("arg", ["frame.pattern = tdd-9",
+                                 "frame.pattern = DDDDDDDDDD",
+                                 "frame.gp_ms = 0.5",
+                                 "frame.pattern = DSDDDDSDDD"])
+def test_bad_frame_schedule_names_the_scenario_file(tmp_path, capsys, arg):
+    argv = _argv(tmp_path, "simulate", arg)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {argv[1]}: ")

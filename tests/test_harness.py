@@ -264,3 +264,89 @@ def test_frame_loop_verdict_stream_is_pinned(tmp_path):
     assert occupied.sum() == 1127
     assert (hashlib.sha256(events_csv).hexdigest()
             == "10a8084b8f4c87236b46921eae8ca5a910e33e284508cb03279fe1115177d2e6")
+
+
+# Two CeNBs 20 km apart under MAJORITY, each sensing only its own block
+# (tdd-1, narrow scan), with random downlink loss and 4 dB shadowing.
+# tv-a is seen by cenb1 alone, so MAJORITY keeps the block; tv-b, between
+# the two, moves both to 0-2; tv-c is then seen by cenb2 alone.  Every
+# switch-on falls inside a frame, most of them in the second frame of a
+# two-frame pair, and the run is an odd number of frames.
+MAJORITY_TRANSMITTERS = ("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                         "tv-a,AnalogPalD,25,300,0,43,30,1013:1537;2205:2417\n"
+                         "tv-b,AnalogPalD,24,10000,0,65,30,1655:2100\n"
+                         "tv-c,AnalogPalD,1,20500,0,43,30,2512:2900\n")
+MAJORITY_LOSS_DIGESTS = {
+    "plr.csv": "094d7d580f8cffdb5d28fff35c5db4569360ec95bf747b28b4a11c64197a6e71",
+    "events.csv": "560337fe8ab00d01968f758ef6fb144cbfc2d3bda63c084c1312fe75e0715b2e",
+}
+
+
+def test_two_cenb_majority_run_with_random_loss_is_pinned(tmp_path):
+    (tmp_path / "tx.csv").write_text(MAJORITY_TRANSMITTERS, encoding="utf-8")
+    scenario = tmp_path / "majority.ini"
+    scenario.write_text("sim.seed = 13\nsim.duration_ms = 3070\nsim.fusion_rule = MAJORITY\n"
+                        "sim.random_loss_floor = 0.05\nframe.pattern = tdd-1\n"
+                        "frame.wide_scan = false\nprop.shadowing_sigma_db = 4\n"
+                        "files.transmitters = tx.csv\ncenb1.block = 24,25,26\n"
+                        "cenb2.x_m = 20000\ncenb2.block = 24,25,26\n", encoding="utf-8")
+    metrics, events = harness.run_simulation(harness.load_scenario(scenario))
+    harness.emit_report(metrics, tmp_path / "out", events)
+
+    decided = [(who, detail) for _, who, kind, detail in events if kind == "DECIDE"]
+    assert decided == [("cenb1", "target=0,1,2 bw=20"), ("cenb2", "target=0,1,2 bw=20")]
+    for name, digest in MAJORITY_LOSS_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+# The frame loop senses a block of frames per pass.  Its outputs equal
+# one pass per frame only because of the two facts below; a numpy
+# release that breaks one fails here under its own name.
+@pytest.mark.parametrize("shape", [(1, 37, 3, 1), (16, 37, 3, 1), (2, 5, 3, 4)])
+def test_one_gamma_call_equals_sequential_calls(shape):
+    k = default_calibration().n_snapshots(1.0)
+    frames = 5
+    sequential = np.random.default_rng([11, 0x5E45E])
+    one_call = np.random.default_rng([11, 0x5E45E])
+    expected = np.stack([sequential.gamma(k, 1.0 / k, size=shape) for _ in range(frames)])
+    assert np.array_equal(one_call.gamma(k, 1.0 / k, size=(frames, *shape)), expected)
+    assert sequential.random() == one_call.random()     # both streams end in one place
+
+
+def test_detect_channels_over_leading_axes_equals_one_call_per_round():
+    det = replace(default_calibration(), target_pfa=0.05, threshold_dbm=None)
+    det.threshold_dbm = analytic_threshold_dbm(det)
+    rng = np.random.default_rng(4)
+    threshold_mw = dbm_to_mw(det.threshold_dbm)
+    for width in (1, 3, 9):
+        # Window sums near the threshold, so both verdicts occur.
+        mw = threshold_mw / width * rng.gamma(4.0, 0.25, size=(4, 3, 37, det.n_carriers, width))
+        stats, occupied = detect_channels(det, mw)
+        assert stats.shape == (4, 3, 37, det.n_carriers) and occupied.shape == (4, 3, 37)
+        assert 0 < occupied.sum() < occupied.size
+        for f in range(4):
+            for cenb in range(3):
+                one_stats, one_occupied = detect_channels(det, mw[f, cenb])
+                assert np.array_equal(stats[f, cenb], one_stats)
+                assert np.array_equal(occupied[f, cenb], one_occupied)
+
+
+def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch):
+    (tmp_path / "tx.csv").write_text(MAJORITY_TRANSMITTERS, encoding="utf-8")
+    scenario = tmp_path / "or.ini"
+    cenbs = "".join(f"cenb{i}.x_m = {x}\ncenb{i}.block = 24,25,26\n"
+                    for i, x in enumerate((0, 20000, 9000), start=1))
+    scenario.write_text("sim.seed = 13\nsim.duration_ms = 3070\nsim.fusion_rule = OR\n"
+                        "sim.random_loss_floor = 0.05\nprop.shadowing_sigma_db = 4\n"
+                        f"files.transmitters = tx.csv\n{cenbs}", encoding="utf-8")
+    cfg = harness.load_scenario(scenario)
+    runs = []
+    # One frame per block, three (307 frames is not a multiple of 3), all in one.
+    for block_bins in (1, 3 * 3 * 111, 10**6):
+        monkeypatch.setattr(harness, "_BLOCK_BINS", block_bins)
+        runs.append(harness.run_simulation(cfg))
+    (metrics, events), *others = runs
+    assert any(kind == "DECIDE" for _, _, kind, _ in events)
+    for other_metrics, other_events in others:
+        assert other_events == events
+        assert np.array_equal(other_metrics.plr, metrics.plr)

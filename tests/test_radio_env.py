@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tvwsim.errors import AlignmentError, ParseError, ResolutionError
 from tvwsim.radio_env import (
     OFF_POWER_DBM,
     FrequencyBand,
+    LinkArrays,
     PowerSpectrum,
     PropagationConfig,
     ScheduleTable,
@@ -13,6 +16,7 @@ from tvwsim.radio_env import (
     build_channel_grid,
     china_tv_grid,
     free_space_ref_loss_db,
+    mw_to_dbm,
     path_loss,
     received_spectrum,
     synthesize_tv_spectrum,
@@ -261,3 +265,53 @@ class TestArrays:
                         f"t,AnalogPalD,3,{row['x']},0,{row['eirp']},10,{row['schedule']}\n")
         with pytest.raises(ParseError, match=":2"):
             transmitters_from_csv(path)
+
+
+class TestMwToDbm:
+    def test_subnormal_powers_keep_their_value(self):
+        tiny = [1e-300, 1e-310, 1e-320, 5e-324]
+        with np.errstate(all="raise"):
+            dbm = mw_to_dbm(tiny)
+        np.testing.assert_allclose(dbm, [10.0 * math.log10(p) for p in tiny], rtol=1e-15)
+        assert dbm[2] == pytest.approx(-3200.0, abs=1e-3)
+
+    def test_non_positive_or_nan_power_is_minus_infinity_without_a_warning(self):
+        with np.errstate(all="raise"):
+            dbm = mw_to_dbm([0.0, -0.0, -1.0, -np.inf, np.nan, np.inf, 1.0, 100.0])
+        np.testing.assert_array_equal(dbm, [-np.inf] * 5 + [np.inf, 0.0, 20.0])
+
+    def test_shape_follows_the_input(self):
+        assert mw_to_dbm(10.0).shape == ()
+        assert float(mw_to_dbm(10.0)) == 10.0
+        assert mw_to_dbm(np.ones((2, 3, 4))).shape == (2, 3, 4)
+
+
+class TestScheduleTable:
+    def test_adjacent_intervals_and_edges(self):
+        txs = [pal_tx(schedule=((10.0, 20.0), (20.0, 30.0))), pal_tx(schedule=((15.0, 20.0),)),
+               pal_tx(schedule=((-5.0, 0.5),)), pal_tx()]
+        times = [-10.0, -5.0, 0.0, 0.5, 10.0, 15.0, 19.999, 20.0, 29.0, 30.0, 45.0]
+        expected = [[not tx.schedule or any(on <= t < off for on, off in tx.schedule)
+                     for tx in txs] for t in times]
+        table = ScheduleTable(txs)
+        np.testing.assert_array_equal(table.active(times), expected)
+        assert table.active(20.0).shape == (1, 4)
+
+
+class TestLinkArraysRows:
+    @pytest.mark.parametrize("sigma", [0.0, 6.0])
+    def test_rows_equal_one_mask_at_a_time(self, grid, sigma):
+        txs = [pal_tx(channel=ch, x=d, eirp=43.0) for ch, d in ((3, 900.0), (9, 4000.0),
+                                                                (20, 2500.0))]
+        bins = np.arange(0, 1680, 7)
+        points = [(0.0, 0.0), (700.0, -300.0)]
+        rows = np.array([[1, 0, 1], [1, 0, 1], [0, 0, 0], [1, 1, 1], [1, 1, 1], [0, 1, 0]],
+                        dtype=bool)
+
+        def links():
+            prop = PropagationConfig(shadowing_sigma_db=sigma, seed=9)
+            return LinkArrays(points, txs, prop, grid, bins)
+
+        one_at_a_time = links()
+        expected = [one_at_a_time.mean_mw(row) for row in rows]
+        assert np.array_equal(links().mean_mw(rows), expected)
