@@ -312,23 +312,22 @@ def fuse_cooperative(own, neighbors, rule="OR"):
     occupied on a strict majority.  Reports must cover one channel
     within one frame period.
     """
-    reports = [own, *neighbors]
-    channels = {r.channel_index for r in reports}
-    if len(channels) != 1:
-        raise AggregationError(f"cannot fuse mixed channels {sorted(channels)}")
-    times = [r.t_ms for r in reports]
+    reports = (own, *neighbors)
+    # One transposing pass gives every field as a tuple.
+    _, channels, decisions, _, times = zip(*reports)
+    if channels.count(own.channel_index) != len(reports):
+        raise AggregationError(f"cannot fuse mixed channels {sorted(set(channels))}")
     if max(times) - min(times) > FRAME_MS + 1e-9:
         raise AggregationError("reports span more than one frame period")
-    n_occ = sum(r.decision is Decision.OCCUPIED for r in reports)
+    n_occ = decisions.count(Decision.OCCUPIED)
     if rule == "OR":
         fused = Decision.OCCUPIED if n_occ > 0 else Decision.VACANT
     elif rule == "MAJORITY":
         fused = Decision.OCCUPIED if 2 * n_occ > len(reports) else Decision.VACANT
     else:
         raise ValueError(f"unknown fusion rule {rule!r}")
-    return SensingReport(cenb_id=own.cenb_id, channel_index=own.channel_index,
-                         decision=fused, carrier_stats_dbm=own.carrier_stats_dbm,
-                         t_ms=own.t_ms)
+    return SensingReport(own.cenb_id, own.channel_index, fused, own.carrier_stats_dbm,
+                         own.t_ms)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ EXIT_RUNTIME = 3
 
 def _cmd_simulate(args):
     cfg = harness.load_scenario(args.scenario)
-    metrics, events = harness.run_simulation(cfg)
+    try:
+        metrics, events = harness.run_simulation(cfg)
+    except ConfigError as exc:      # a grid the carrier windows do not fit
+        raise ConfigError(f"{args.scenario}: {exc}") from exc
     written = harness.emit_report(metrics, args.out, events)
     print(f"simulated {cfg.duration_ms} ms, {metrics.plr.size} plr samples")
     print(harness.handover_summary(metrics))

@@ -29,8 +29,12 @@ channels on air at each downlink subframe.  numpy fills a draw for
 many frames in the order of one draw per frame, so no output depends
 on the block length.  The per-frame state machine then reads each
 CeNB's verdicts from the block and writes them into its sensing view
-in one call.  ``received_spectrum`` is the single-point, whole-band API
-over the same arrays.
+in one call.  When several CeNBs sense, each CeNB-frame's X2 reports are
+built in one pass over its rows of the block's statistics and verdicts
+and collected per channel; each channel's reports then go through one
+``fuse_cooperative`` call, the one implementation of the OR and MAJORITY
+rules.  ``received_spectrum`` is the single-point, whole-band API over
+the same arrays.
 
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
@@ -41,6 +45,7 @@ derive from the scenario seed and fixed integer tags (shadowing from a
 fresh stream per run), so equal inputs give byte-identical outputs.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -60,7 +65,7 @@ from .cenb import (
     select_bandwidth,
     spectrum_decision,
 )
-from .errors import ConfigError, CoverageError, ParseError, StartupError
+from .errors import AlignmentError, ConfigError, CoverageError, ParseError, StartupError
 from .geodb import GeoDb, Region, query_vacant_channels
 from .radio_env import (
     DEFAULT_RBW_KHZ,
@@ -124,11 +129,18 @@ def _block_parser(grid):
 
 
 def parse_range(text):
-    """``lo:hi:step`` inclusive sweep specification."""
+    """``lo:hi:step`` sweep from ``lo`` in steps of ``step``, up to and including ``hi``.
+
+    A step that does not divide the span stops at the last point below
+    ``hi``; one that divides it up to rounding (``0:0.3:0.1``) ends at ``hi``.
+    """
     lo, hi, step = (finite_float(p) for p in text.split(":"))
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}: need step > 0 and hi >= lo")
-    n = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"bad range {text!r}: too many points")
+    n = math.floor(steps + 1e-9 * max(1.0, steps))
     return [lo + i * step for i in range(n + 1)]
 
 
@@ -139,6 +151,15 @@ def parse_exclusions(text):
         lo, hi = (finite_float(x) for x in part.split("-"))
         bands.append(FrequencyBand(lo, hi))
     return tuple(bands)
+
+
+def _cenb_id(text):
+    """A CeNB id: non-empty, and free of the separators of the event details."""
+    if not text:
+        raise ValueError("expected a non-empty id")
+    if any(sep in text for sep in ",;:"):
+        raise ValueError(f"id {text!r} contains one of ',', ';' or ':'")
+    return text
 
 
 def positive_int(text):
@@ -302,7 +323,10 @@ def load_scenario(path):
     high = reader.take("grid.high_mhz", finite_float, 806.0)
     width = reader.take("grid.channel_mhz", _positive, 8.0)
     excluded = reader.take("grid.exclusions", parse_exclusions, parse_exclusions("566-606"))
-    grid = build_channel_grid(_band(path, "grid band", low, high), width, excluded)
+    try:
+        grid = build_channel_grid(_band(path, "grid band", low, high), width, excluded)
+    except AlignmentError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     frame_keys = dict(
         config_id=reader.take("frame.pattern", str, "tdd-2"),
@@ -358,13 +382,19 @@ def load_scenario(path):
         db = geodb_mod.load(db_path, prop)
 
     cenbs = []
+    prefixes = {}       # CeNB id -> the key prefix of the CeNB that has it
     index = 1
     while any(k.startswith(f"cenb{index}.") for k in reader.data):
         prefix = f"cenb{index}"
+        cenb_id = reader.take(f"{prefix}.id", _cenb_id, prefix)
+        if cenb_id in prefixes:
+            raise ConfigError(f"{path}: duplicate CeNB id {cenb_id!r}: "
+                              f"'{prefixes[cenb_id]}.id' and '{prefix}.id'")
+        prefixes[cenb_id] = prefix
         ded_lo = reader.take(f"{prefix}.dedicated_low_mhz", finite_float, 698.0)
         ded_hi = reader.take(f"{prefix}.dedicated_high_mhz", finite_float, 706.0)
         cenbs.append(CenbSetup(
-            id=reader.take(f"{prefix}.id", str, prefix),
+            id=cenb_id,
             location=(reader.take(f"{prefix}.x_m", finite_float, 0.0),
                       reader.take(f"{prefix}.y_m", finite_float, 0.0)),
             tx_power_dbm=reader.take(f"{prefix}.power_dbm", finite_float, 20.0),
@@ -449,6 +479,9 @@ def sensing_links(cfg, det, points):
 # frame per block.
 _BLOCK_BINS = 1024
 
+# A report's decision, indexed by its occupied flag.
+_DECISION = (Decision.VACANT, Decision.OCCUPIED)
+
 
 class _BlockRadio:
     """The frame loop's radio work for a block of consecutive frames.
@@ -477,14 +510,15 @@ class _BlockRadio:
         self.frames_per_block = max(1, _BLOCK_BINS // (self.n_points * self.windows.size))
 
     def sense(self, first, count):
-        """Frames ``first`` to ``first + count - 1``: (occupied, stats, on_air).
+        """Frames ``first`` to ``first + count - 1``: (occupied, stats, verdicts, on_air).
 
         At the first offset, the sensing instant: ``occupied[frame][cenb]``
         lists, in ascending order, the channels that CeNB's own verdict
-        found occupied, and ``stats`` holds every (frames, CeNBs,
-        channels, carriers) statistic in dBm.  At each later offset, a
-        downlink subframe: ``on_air`` flags, shape (frames, subframes,
-        channels), the channels with an active transmitter.
+        found occupied, ``stats`` holds every (frames, CeNBs, channels,
+        carriers) statistic in dBm and ``verdicts`` every (frames, CeNBs,
+        channels) occupied flag.  At each later offset, a downlink
+        subframe: ``on_air`` flags, shape (frames, subframes, channels),
+        the channels with an active transmitter.
         """
         t_ms = (np.arange(first, first + count) * FRAME_MS)[:, None] + self.offsets_ms
         active = self.schedules.active(t_ms.ravel()).reshape(count, self.offsets_ms.size, -1)
@@ -500,7 +534,7 @@ class _BlockRadio:
         on_air = np.zeros((count, self.offsets_ms.size - 1, self.n_channels), dtype=bool)
         frame, subframe, tx = np.nonzero(active[:, 1:])
         on_air[frame, subframe, self.tx_channel[tx]] = True
-        return occupied, stats, on_air
+        return occupied, stats, verdicts, on_air
 
 
 def run_simulation(cfg):
@@ -560,7 +594,7 @@ def run_simulation(cfg):
 
     for first in range(0, n_frames, radio.frames_per_block):
         count = min(radio.frames_per_block, n_frames - first)
-        block_occupied, block_stats, block_on_air = radio.sense(first, count)
+        block_occupied, block_stats, block_verdicts, block_on_air = radio.sense(first, count)
         tv_on_held = {}     # active block -> (frames, subframes) flags of a TV on it
         for i, frame in enumerate(range(first, first + count)):
             t0 = float(frame * FRAME_MS)
@@ -597,7 +631,7 @@ def run_simulation(cfg):
 
             t_sense = t0 + sense_offset
             sensed = []
-            x2 = {}             # channel -> the X2 reports of the CeNBs that sensed it
+            x2 = [[] for _ in all_channels] if fuse else None   # per channel, its X2 reports
             for idx, state in enumerate(states):
                 monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
                 hits = [ch for ch in block_occupied[i][idx] if ch in monitored]
@@ -605,20 +639,22 @@ def run_simulation(cfg):
                 events.append((t_sense, state.id, "SENSE",
                                f"channels={len(monitored)} occupied={len(hits)}"))
                 if fuse:
-                    stat_rows, flags = block_stats[i, idx].tolist(), set(hits)
+                    # The CeNB's reports in one pass over its rows of the block.
+                    stat_rows = block_stats[i, idx].tolist()
+                    verdict_row = block_verdicts[i, idx].tolist()
                     for ch in monitored:
-                        x2.setdefault(ch, []).append(SensingReport(
-                            cenb_id=state.id, channel_index=ch,
-                            decision=Decision.OCCUPIED if ch in flags else Decision.VACANT,
-                            carrier_stats_dbm=tuple(stat_rows[ch]), t_ms=t_sense))
+                        x2[ch].append(SensingReport(state.id, ch, _DECISION[verdict_row[ch]],
+                                                    tuple(stat_rows[ch]), t_sense))
 
             if fuse:
                 # X2 exchange is all-to-all, so every CeNB that sensed a channel
                 # fuses the same reports: fuse each channel once and give its
-                # verdict to each of them.
-                fused = {ch for ch, reports in x2.items()
-                         if cenb_mod.fuse_cooperative(reports[0], reports[1:],
-                                                      cfg.fusion_rule).decision
+                # verdict to each of them.  The call stays per channel because
+                # fuse_cooperative is the one implementation of the OR and
+                # MAJORITY rules.
+                fused = {ch for ch, reports in enumerate(x2) if reports
+                         and cenb_mod.fuse_cooperative(reports[0], reports[1:],
+                                                       cfg.fusion_rule).decision
                          is Decision.OCCUPIED}
                 sensed = [(state, monitored, [ch for ch in monitored if ch in fused])
                           for state, monitored, _ in sensed]
@@ -646,7 +682,7 @@ def run_simulation(cfg):
             metrics.packets_offered += offered
             metrics.packets_lost += lost
         # Release this block's arrays before the next block's are formed.
-        del block_occupied, block_stats, block_on_air, tv_on_held
+        del block_occupied, block_stats, block_verdicts, block_on_air, tv_on_held
 
     events.sort(key=lambda row: row[0])
     return metrics, events

@@ -29,6 +29,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +56,8 @@ class Decision(Enum):
     VACANT = "Vacant"
 
 
-@dataclass(frozen=True)
-class SensingReport:
-    """One detector verdict for one channel at one instant."""
+class SensingReport(NamedTuple):
+    """One detector verdict for one channel at one instant, as an immutable value."""
 
     cenb_id: str
     channel_index: int

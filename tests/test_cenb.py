@@ -1,6 +1,11 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvwsim.cenb import (
+    FRAME_MS,
     CenbState,
     CogMessage,
     MsgKind,
@@ -268,6 +273,67 @@ class TestFusion:
         with pytest.raises(AggregationError):
             fuse_cooperative(report(4, Decision.VACANT, t_ms=0.0),
                              [report(4, Decision.VACANT, t_ms=25.0, cenb="c2")])
+
+
+# 1-20 reports on one channel within one frame: (channel, [(decision, t_ms)], stats).
+same_frame_reports = st.tuples(
+    st.integers(0, 40),
+    st.floats(0.0, 1e5),
+    st.lists(st.tuples(st.sampled_from(Decision), st.floats(0.0, FRAME_MS)),
+             min_size=1, max_size=20),
+    st.tuples(*[st.floats(-150.0, 0.0)] * 3),
+)
+
+
+def _reports(drawn):
+    channel, t0, verdicts, stats = drawn
+    return [SensingReport(cenb_id=f"c{i}", channel_index=channel, decision=decision,
+                          carrier_stats_dbm=stats if i == 0 else (-110.0,) * 3,
+                          t_ms=t0 + dt)
+            for i, (decision, dt) in enumerate(verdicts)]
+
+
+class TestFusionProperties:
+    @given(drawn=same_frame_reports)
+    def test_rules_count_the_occupied_reports(self, drawn):
+        own, *neighbors = reports = _reports(drawn)
+        n_occ = sum(r.decision is Decision.OCCUPIED for r in reports)
+        for rule, occupied in (("OR", n_occ > 0), ("MAJORITY", 2 * n_occ > len(reports))):
+            fused = fuse_cooperative(own, neighbors, rule)
+            assert fused.decision is (Decision.OCCUPIED if occupied else Decision.VACANT)
+            assert (fused.cenb_id, fused.channel_index, fused.carrier_stats_dbm,
+                    fused.t_ms) == (own.cenb_id, own.channel_index,
+                                    own.carrier_stats_dbm, own.t_ms)
+
+    @given(drawn=same_frame_reports, other=st.integers(0, 40), where=st.integers(0, 19))
+    def test_a_neighbor_on_another_channel_is_rejected(self, drawn, other, where):
+        own, *neighbors = _reports(drawn)
+        if other == own.channel_index:
+            other += 41
+        neighbors.insert(where % (len(neighbors) + 1),
+                         report(other, Decision.VACANT, t_ms=own.t_ms, cenb="cx"))
+        channels = sorted({own.channel_index, other})
+        for rule in ("OR", "MAJORITY"):
+            with pytest.raises(AggregationError, match=re.escape(str(channels))):
+                fuse_cooperative(own, neighbors, rule)
+
+    @given(drawn=same_frame_reports, late=st.floats(1e-6, 100.0), where=st.integers(0, 19))
+    def test_a_span_over_one_frame_is_rejected(self, drawn, late, where):
+        own, *neighbors = reports = _reports(drawn)
+        t_late = min(r.t_ms for r in reports) + FRAME_MS + late
+        neighbors.insert(where % (len(neighbors) + 1),
+                         report(own.channel_index, Decision.VACANT, t_ms=t_late, cenb="cx"))
+        for rule in ("OR", "MAJORITY"):
+            with pytest.raises(AggregationError):
+                fuse_cooperative(own, neighbors, rule)
+
+    @pytest.mark.parametrize("name", ["cenb_id", "channel_index", "decision",
+                                      "carrier_stats_dbm", "t_ms"])
+    def test_a_report_is_immutable(self, name):
+        rep = report(4, Decision.VACANT)
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+        assert rep == report(4, Decision.VACANT)
 
 
 class TestAsmAllocate:

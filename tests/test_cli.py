@@ -43,6 +43,14 @@ BAD_INPUTS = [
     ("simulate", "prop.exponent = inf"),
     ("simulate", "prop.ref_distance_m = inf"),
     ("simulate", "grid.exclusions = 566-inf"),
+    ("simulate", "cenb1.id = a\ncenb2.id = a\ncenb2.x_m = 100"),
+    ("simulate", "cenb1.id = cenb2\ncenb2.x_m = 100"),
+    ("simulate", "cenb1.id ="),
+    ("simulate", "cenb1.id = a,b"),
+    ("simulate", "cenb1.id = a;b"),
+    ("simulate", "cenb1.id = a:15"),
+    ("roc", "--powers=0:1e300:1e-300"),
+    ("acir", "interference.acir_db = 0:1e300:1e-300"),
     ("acir", "interference.snapshots = 0"),
     ("acir", "interference.isd_m = 0"),
     ("acir", "interference.freq_mhz = nan"),
@@ -82,6 +90,22 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, command, arg):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("ids, key", [
+    (("a", "a"), "'cenb2.id'"),
+    (("cenb2", None), "'cenb2.id'"),       # cenb2 keeps its default id
+    (("", None), "'cenb1.id'"),
+    (("x,y", None), "'cenb1.id'"),
+])
+def test_a_bad_cenb_id_names_its_key(tmp_path, capsys, ids, key):
+    lines = "".join(f"cenb{n}.id = {cenb_id}\n" for n, cenb_id in enumerate(ids, start=1)
+                    if cenb_id is not None)
+    path = tmp_path / "input.ini"
+    path.write_text(f"{SCENARIO_HEAD}{lines}cenb2.x_m = 100\n", encoding="utf-8")
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and key in captured.err
 
 
 TX_HEADER = "id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"

@@ -7,6 +7,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvwsim import harness
 from tvwsim.radio_env import (
@@ -350,3 +352,37 @@ def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypa
     for other_metrics, other_events in others:
         assert other_events == events
         assert np.array_equal(other_metrics.plr, metrics.plr)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-130:-110:3", [-130.0 + 3 * i for i in range(7)]),    # not -109
+    ("0:100:15", [15.0 * i for i in range(7)]),             # not 105
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 3 * 0.1]),                 # 0.3 / 0.1 < 3 in floats
+    ("2.5:2.5:1", [2.5]),
+])
+def test_parse_range_never_passes_hi(text, expected):
+    assert harness.parse_range(text) == expected
+
+
+@pytest.mark.parametrize("text", ["0:100:5", "-130:-110:1"])
+def test_parse_range_keeps_the_default_sweeps(text):
+    lo, hi, step = (float(p) for p in text.split(":"))
+    assert harness.parse_range(text) == [lo + i * step for i in range(int((hi - lo) / step) + 1)]
+
+
+tenths = st.integers(-2000, 2000).map(lambda k: k / 10)
+
+
+@given(lo=tenths, step=st.integers(1, 500).map(lambda k: k / 10), n=st.integers(0, 300))
+def test_parse_range_of_a_divided_span_ends_at_hi(lo, step, n):
+    hi = lo + n * step
+    assert harness.parse_range(f"{lo!r}:{hi!r}:{step!r}") == [lo + i * step
+                                                             for i in range(n + 1)]
+
+
+@given(lo=tenths, step=st.integers(1, 500).map(lambda k: k / 10), n=st.integers(0, 300),
+       part=st.floats(0.01, 0.99))
+def test_parse_range_of_an_undivided_span_stops_below_hi(lo, step, n, part):
+    hi = lo + (n + part) * step
+    points = harness.parse_range(f"{lo!r}:{hi!r}:{step!r}")
+    assert len(points) == n + 1 and points[-1] < hi

@@ -1,8 +1,9 @@
-"""Property tests of ``tvwsim simulate`` over generated scenario keys.
+"""Property tests of ``tvwsim simulate`` and ``tvwsim acir`` over generated keys.
 
-For any value of the ``sim.*``, ``frame.*`` and ``prop.*`` keys the
-command exits with 0, 2 or 3 and raises nothing (a traceback), a
-configuration error names the scenario file, and two runs on the same
+For any value of the ``sim.*``, ``frame.*``, ``prop.*``, ``grid.*`` and
+``cenbN.*`` scenario keys, and of the ``interference.*`` study keys,
+the command exits with 0, 2 or 3 and raises nothing (a traceback), a
+configuration error names the input file, and two runs on the same
 config bytes write the same bytes.
 """
 
@@ -67,12 +68,16 @@ def scenario_keys(draw):
     return keys
 
 
-def _simulate(scenario, out, capsys):
-    rc = cli.main(["simulate", str(scenario), "--out", str(out)])
+def _cli(command, path, out, capsys):
+    rc = cli.main([command, str(path), "--out", str(out)])
     captured = capsys.readouterr()
     files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))} \
         if out.exists() else {}
     return rc, captured.out, captured.err, files
+
+
+def _simulate(scenario, out, capsys):
+    return _cli("simulate", scenario, out, capsys)
 
 
 # Derandomized, so that every run of the suite checks the same examples.
@@ -100,3 +105,122 @@ def test_simulate_exit_code_contract_and_determinism(tmp_path_factory, capsys, k
     second = _simulate(scenario, work / "b", capsys)
     assert second[0] == rc and second[3] == files
     assert second[1].replace(str(work / "b"), str(work / "a")) == out
+
+
+def _check_contract(command, path, work, capsys, expected_files):
+    """Run twice on ``path``: exit-code contract, error line and equal bytes."""
+    rc, out, err, files = _cli(command, path, work / "a", capsys)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+    assert "Traceback" not in err
+    if rc == cli.EXIT_OK:
+        assert sorted(files) == expected_files
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if rc == cli.EXIT_CONFIG:
+        assert err.startswith(f"error: {path}: ")           # names the file
+    second = _cli(command, path, work / "b", capsys)
+    assert second[0] == rc and second[3] == files
+    assert second[1].replace(str(work / "b"), str(work / "a")) == out
+
+
+# A band of whole channels (low, width, count), so that most grids load.
+grid_band = st.tuples(st.sampled_from([470.0, 462.0, 300.5]),
+                      st.sampled_from([8.0, 6.0, 4.0, 16.0, 7.9]), st.integers(21, 45))
+EXCLUSIONS = st.sampled_from(["", "566-606", "470-478;566-606", "598-606", "600-700",
+                              "700-600"])
+CENB_IDS = st.sampled_from(["a", "b", "A", "cenb1", "cenb2", "cenb3", "c-1", "",
+                            "a,b", "x;y", "p:q"])
+CENB_KEYS = {
+    "id": CENB_IDS,
+    "y_m": _numbers(-3000.0, 3000.0),
+    "power_dbm": _numbers(-10.0, 50.0),
+    "block": st.sampled_from(["auto", "AUTO", "3", "3,4,5", "5,4", "20,21", "36", "0,1,2",
+                              "12,14"]),
+}
+
+
+@st.composite
+def cenb_grid_keys(draw):
+    keys = {}
+    if draw(st.booleans()):
+        low, width, count = draw(grid_band)
+        keys.update({"grid.low_mhz": f"{low:g}", "grid.channel_mhz": f"{width:g}",
+                     "grid.high_mhz": f"{low + width * count:g}"})
+    if draw(st.booleans()):
+        keys["grid.exclusions"] = draw(EXCLUSIONS)
+    # Every CeNB has an x_m key, so that each of them exists.
+    for n in range(1, draw(st.integers(1, 3)) + 1):
+        keys[f"cenb{n}.x_m"] = draw(_numbers(-3000.0, 3000.0))
+        for key, value in draw(st.fixed_dictionaries({}, optional=CENB_KEYS)).items():
+            keys[f"cenb{n}.{key}"] = value
+        if draw(st.booleans()):
+            ded_lo, ded_width = draw(st.floats(690.0, 720.0)), draw(st.floats(0.5, 20.0))
+            keys[f"cenb{n}.dedicated_low_mhz"] = f"{ded_lo:g}"
+            keys[f"cenb{n}.dedicated_high_mhz"] = f"{ded_lo + ded_width:g}"
+    if draw(st.integers(0, 3)) == 0:       # one key out of range or malformed
+        keys[draw(st.sampled_from(sorted(keys)))] = draw(BAD_TEXT)
+    return keys
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=cenb_grid_keys())
+def test_simulate_over_cenb_and_grid_keys(tmp_path_factory, capsys, keys):
+    work = tmp_path_factory.mktemp("scenario")
+    (work / "tx.csv").write_text(TRANSMITTERS, encoding="utf-8")
+    lines = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    scenario = work / "s.ini"
+    scenario.write_text(f"sim.seed = 1\nsim.duration_ms = 120\nfiles.transmitters = tx.csv\n"
+                        f"{lines}", encoding="utf-8")
+    _check_contract("simulate", scenario, work, capsys,
+                    ["events.csv", "handover_summary.txt", "plr.csv"])
+
+
+def _range(lo, span, step):
+    return f"{lo:g}:{lo + span:g}:{step:g}"
+
+
+INTERFERENCE_KEYS = {
+    "interference.isd_m": _numbers(20.0, 2000.0),
+    "interference.tv_radius_m": _numbers(10.0, 3000.0),
+    "interference.offset_x_m": _numbers(-500.0, 500.0),
+    "interference.offset_y_m": _numbers(-500.0, 500.0),
+    "interference.cenb_power_dbm": _numbers(-10.0, 50.0),
+    "interference.ue_power_dbm": _numbers(-30.0, 30.0),
+    "interference.tv_eirp_dbm": _numbers(20.0, 90.0),
+    "interference.tv_protection_snr_db": _numbers(-10.0, 50.0),
+    "interference.tv_noise_figure_db": _numbers(0.0, 20.0),
+    "interference.ue_noise_figure_db": _numbers(0.0, 20.0),
+    "interference.cenb_noise_figure_db": _numbers(0.0, 20.0),
+    "interference.tv_receivers": _ints(1, 12),
+    "interference.ues_per_sector": _ints(1, 12),
+    "interference.min_coupling_m": _numbers(0.1, 100.0),
+    "interference.exponent": _numbers(2.0, 6.0),
+    "interference.freq_mhz": _numbers(100.0, 3000.0),
+    # At most 61 ACIR points.
+    "interference.acir_db": st.builds(_range, st.floats(0.0, 100.0), st.floats(0.0, 60.0),
+                                      st.floats(1.0, 30.0)),
+    "interference.seed": _ints(0, 2**64 + 3),
+    "interference.loss_budget": _numbers(0.0, 1.0),
+}
+
+
+@st.composite
+def interference_keys(draw):
+    keys = draw(st.fixed_dictionaries({}, optional=INTERFERENCE_KEYS))
+    # At most 5 snapshots, so that no example runs the default 1000.
+    keys["interference.snapshots"] = draw(_ints(1, 5))
+    if draw(st.integers(0, 3)) == 0:       # one key out of range or malformed
+        keys[draw(st.sampled_from(sorted(keys)))] = draw(BAD_TEXT)
+    return keys
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=interference_keys())
+def test_acir_over_interference_keys(tmp_path_factory, capsys, keys):
+    work = tmp_path_factory.mktemp("study")
+    study = work / "study.ini"
+    study.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()),
+                     encoding="utf-8")
+    _check_contract("acir", study, work, capsys, ["acir_curve.csv", "guard_band.txt"])
