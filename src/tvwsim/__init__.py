@@ -7,7 +7,7 @@ Subsystems:
 * ``geodb``       - protected contours, three-region access classification
 * ``cenb``        - CR frame schedule, spectrum decisions, handover, ASM
 * ``interference``- ACIR coexistence study and guard-band determination
-* ``occupancy``   - duty-cycle, channel classification, periodicity
+* ``occupancy``   - duty cycles and channel classes on one noise floor per trace
 * ``harness``     - scenario loop, metrics, report files
 * ``cli``         - the ``tvwsim`` command
 """
@@ -72,7 +72,6 @@ from .occupancy import (  # noqa: F401
     OccupancyMatrix,
     ThresholdRule,
     classify_channel,
-    detect_periodicity,
     duty_cycle,
     ingest_trace,
     summarize_band,

@@ -14,8 +14,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import geodb as geodb_mod
 from . import harness, occupancy, sensing
 from .errors import ConfigError, ParseError, TvwsimError
@@ -29,10 +27,7 @@ EXIT_RUNTIME = 3
 
 def _cmd_simulate(args):
     cfg = harness.load_scenario(args.scenario)
-    try:
-        metrics, events = harness.run_simulation(cfg)
-    except ConfigError as exc:      # a grid the carrier windows do not fit
-        raise ConfigError(f"{args.scenario}: {exc}") from exc
+    metrics, events = harness.run_simulation(cfg)
     written = harness.emit_report(metrics, args.out, events)
     print(f"simulated {cfg.duration_ms} ms, {metrics.plr.size} plr samples")
     print(harness.handover_summary(metrics))
@@ -125,15 +120,15 @@ def _cmd_occupancy(args):
     rule = (occupancy.ThresholdRule(fixed_dbm=args.threshold_dbm)
             if args.threshold_dbm is not None else occupancy.ThresholdRule())
     grid = _grid_from_args(args)
-    duty = occupancy.duty_cycle(matrix, grid, rule)
+    noise, threshold = rule.levels(matrix)
+    duty = occupancy.duty_cycle(matrix, grid, threshold)
     summary = None
     if args.subbands:
         subbands = occupancy.load_subband_table(args.subbands)
         try:
-            summary = occupancy.summarize_band(matrix, subbands, rule)
+            summary = occupancy.summarize_band(matrix, subbands, threshold)
         except ConfigError as exc:
             raise ConfigError(f"{args.subbands}: {exc}") from exc
-    noise = float(np.percentile(matrix.power_dbm, 10.0))
     print(f"threshold rule: {rule.describe()}")
     print(f"noise floor estimate: {noise:.10g} dBm")
     print("channel,low_mhz,duty_cycle,class")
@@ -205,7 +200,10 @@ def build_parser():
     p.add_argument("--band-high", type=finite_float, default=806.0)
     p.add_argument("--channel-mhz", type=finite_float, default=8.0)
     p.add_argument("--exclude", default="566-606")
-    p.add_argument("--threshold-dbm", type=finite_float, default=None)
+    p.add_argument("--threshold-dbm", type=finite_float, default=None,
+                   help="fixed occupancy threshold in dBm (default: "
+                        f"{occupancy.ThresholdRule().describe()}, the noise floor "
+                        "estimated once over all of the trace's cells)")
     p.add_argument("--subbands", default=None, help="sub-band table CSV")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_occupancy)

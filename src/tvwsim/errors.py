@@ -57,7 +57,3 @@ class SweepRangeError(TvwsimError):
 
 class StartupError(TvwsimError):
     """Simulation cannot start from the configured initial state."""
-
-
-class InsufficientDataError(TvwsimError):
-    """Input series too short for the requested analysis."""

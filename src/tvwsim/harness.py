@@ -13,23 +13,24 @@ comes from one geo-database query at start-up, and the blocks not set
 by ``cenbN.block`` from one ``asm_allocate`` pass; neither is repeated
 during the run (an ``ASM_EPOCH`` event only logs the blocks held).
 
-The frame loop's radio inputs are arrays built once per run:
-``sensing_links`` gives the carrier-window bins and a ``LinkArrays`` of
-every (CeNB, transmitter) distance and every transmitter's unit-power
-template at those bins, and a ``ScheduleTable`` holds the schedules as
-activity segments.  The radio work does not depend on any CeNB's
-decisions, so the loop does it for a block of consecutive frames at
-once (several frames when there are few CeNBs, one when there are
-many): one activity query for every sensing instant and downlink
-subframe of the block, the mean window powers of every frame and CeNB
-(shadowing drawn one frame at a time, in frame order), one unit-mean
-Gamma draw of the detector noise at all their window bins from the
-run's one sensing stream, one k-of-n pass, and the block's table of
-channels on air at each downlink subframe.  numpy fills a draw for
-many frames in the order of one draw per frame, so no output depends
-on the block length.  The per-frame state machine then reads each
-CeNB's verdicts from the block and writes them into its sensing view
-in one call.  When several CeNBs sense, each CeNB-frame's X2 reports are
+The carrier-window bins are found once, at load, so a grid that cannot
+hold the windows is a load-time ``ConfigError`` too.  The frame loop's
+other radio inputs are arrays built once per run: ``sensing_links``
+gives a ``LinkArrays`` of every (CeNB, transmitter) distance and every
+transmitter's unit-power template at the window bins, and a
+``ScheduleTable`` holds the schedules as activity segments.  The radio
+work does not depend on any CeNB's decisions, so the loop does it for a
+block of consecutive frames at once (several frames when there are few
+CeNBs, one when there are many): one activity query for every sensing
+instant and downlink subframe of the block, the mean window powers of
+every frame and CeNB (shadowing drawn one frame at a time, in frame
+order), one unit-mean Gamma draw of the detector noise at all their
+window bins from the run's one sensing stream, one k-of-n pass, and the
+block's table of channels on air at each downlink subframe.  numpy fills
+a draw for many frames in the order of one draw per frame, so no output
+depends on the block length.  The per-frame state machine then reads each
+CeNB's verdicts from the block and writes them into its sensing view in
+one call.  When several CeNBs sense, each CeNB-frame's X2 reports are
 built in one pass over its rows of the block's statistics and verdicts
 and collected per channel; each channel's reports then go through one
 ``fuse_cooperative`` call, the one implementation of the OR and MAJORITY
@@ -128,19 +129,26 @@ def _block_parser(grid):
     return parse
 
 
+# Most points in a ``parse_range`` sweep: a 0.1 dB step over 100 dB.  An
+# ACIR sweep holds buffers that grow with its point count, so a sweep
+# of a million points would need gigabytes.
+MAX_RANGE_POINTS = 1001
+
+
 def parse_range(text):
     """``lo:hi:step`` sweep from ``lo`` in steps of ``step``, up to and including ``hi``.
 
     A step that does not divide the span stops at the last point below
     ``hi``; one that divides it up to rounding (``0:0.3:0.1``) ends at ``hi``.
+    A sweep of more than ``MAX_RANGE_POINTS`` points is rejected.
     """
     lo, hi, step = (finite_float(p) for p in text.split(":"))
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}: need step > 0 and hi >= lo")
-    steps = (hi - lo) / step
-    if not math.isfinite(steps):
-        raise ValueError(f"bad range {text!r}: too many points")
+    steps = min((hi - lo) / step, MAX_RANGE_POINTS)     # an infinite count included
     n = math.floor(steps + 1e-9 * max(1.0, steps))
+    if n >= MAX_RANGE_POINTS:
+        raise ValueError(f"bad range {text!r}: more than {MAX_RANGE_POINTS} points")
     return [lo + i * step for i in range(n + 1)]
 
 
@@ -241,6 +249,7 @@ class ScenarioConfig:
     geodb: GeoDb | None
     cenbs: list
     rbw_khz: float
+    windows: np.ndarray     # (channels, carriers, width) carrier-window bins
 
 
 class _KeyReader:
@@ -267,8 +276,17 @@ class _KeyReader:
             raise ConfigError(f"{self.path}: unknown key {name!r}")
 
 
-def _resolve(path, base_dir):
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+def _input_file(path, key, name, base_dir):
+    """The file ``key`` names, resolved against the scenario's directory.
+
+    A missing path or one that is not a regular file (a directory) is a
+    ``ConfigError`` that names the scenario, the key and the path.
+    """
+    resolved = name if os.path.isabs(name) else os.path.join(base_dir, name)
+    if not os.path.isfile(resolved):
+        what = "is not a file" if os.path.exists(resolved) else "not found"
+        raise ConfigError(f"{path}: {key} {what}: {resolved}")
+    return resolved
 
 
 def _load_interference(reader):
@@ -352,22 +370,27 @@ def load_scenario(path):
     except ValueError as exc:
         raise ConfigError(f"{path}: bad propagation model: {exc}") from exc
 
+    rbw_khz = reader.take("radio.rbw_khz", _positive, DEFAULT_RBW_KHZ)
     calib = reader.take("files.calibration", str, "default")
-    if calib == "default":
-        detector = sensing_mod.default_calibration()
-    else:
-        calib_path = _resolve(calib, base_dir)
-        if not os.path.exists(calib_path):
-            raise ConfigError(f"{path}: files.calibration not found: {calib_path}")
-        detector = sensing_mod.load_calibration(calib_path)
+    detector = (sensing_mod.default_calibration() if calib == "default" else
+                sensing_mod.load_calibration(
+                    _input_file(path, "files.calibration", calib, base_dir)))
+    # The calibration file sets no part of the carrier layout, so these
+    # windows are those of the run's operating detector too.
+    rbw_mhz = rbw_khz / 1000.0
+    n_bins = int(round(grid.band.width_mhz / rbw_mhz))
+    try:
+        windows = sensing_mod.carrier_windows(
+            grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz, grid.low_edges_mhz,
+            detector)
+    except CoverageError as exc:
+        raise ConfigError(f"{path}: carrier windows not representable on this grid: "
+                          f"{exc}") from exc
 
     txs = []
     tx_file = reader.take("files.transmitters", str, None)
     if tx_file is not None:
-        tx_path = _resolve(tx_file, base_dir)
-        if not os.path.exists(tx_path):
-            raise ConfigError(f"{path}: files.transmitters not found: {tx_path}")
-        txs = transmitters_from_csv(tx_path)
+        txs = transmitters_from_csv(_input_file(path, "files.transmitters", tx_file, base_dir))
         for tx in txs:
             if not grid.valid_index(tx.channel_index):
                 raise ConfigError(f"{path}: transmitter {tx.id!r} channel "
@@ -376,10 +399,7 @@ def load_scenario(path):
     db = None
     db_file = reader.take("files.geodb", str, None)
     if db_file is not None:
-        db_path = _resolve(db_file, base_dir)
-        if not os.path.exists(db_path):
-            raise ConfigError(f"{path}: files.geodb not found: {db_path}")
-        db = geodb_mod.load(db_path, prop)
+        db = geodb_mod.load(_input_file(path, "files.geodb", db_file, base_dir), prop)
 
     cenbs = []
     prefixes = {}       # CeNB id -> the key prefix of the CeNB that has it
@@ -424,7 +444,8 @@ def load_scenario(path):
         transmitters=txs,
         geodb=db,
         cenbs=cenbs,
-        rbw_khz=reader.take("radio.rbw_khz", _positive, DEFAULT_RBW_KHZ),
+        rbw_khz=rbw_khz,
+        windows=windows,
     )
     if cfg.fusion_rule not in ("OR", "MAJORITY", "OFF"):
         raise ConfigError(f"{path}: fusion_rule must be OR, MAJORITY, or OFF")
@@ -453,23 +474,17 @@ def _initial_regions(setup, cfg):
 def sensing_links(cfg, det, points):
     """The frame loop's carrier windows and its ``LinkArrays`` at those bins.
 
-    ``windows`` are the (channels, carriers, width) bin indices of
-    ``det``'s carrier windows on the scenario grid; the links hold every
-    transmitter's distance to each of ``points`` and its unit-power
-    template at the window bins, with shadowing drawn from a fresh
-    stream seeded like ``cfg.prop`` (so ``cfg`` is not advanced).
+    ``windows`` are ``cfg.windows``, the (channels, carriers, width) bin
+    indices of the detector's carrier windows on the scenario grid,
+    found once at load (``det`` shares the layout; it gives the noise
+    figure).  The links hold every transmitter's distance to each of
+    ``points`` and its unit-power template at the window bins, with
+    shadowing drawn from a fresh stream seeded like ``cfg.prop`` (so
+    ``cfg`` is not advanced).
     """
-    rbw_mhz = cfg.rbw_khz / 1000.0
-    n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))
-    try:
-        windows = sensing_mod.carrier_windows(
-            cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz,
-            cfg.grid.low_edges_mhz, det)
-    except CoverageError as exc:
-        raise ConfigError(f"carrier windows not representable on this grid: {exc}") from exc
     links = LinkArrays(points, cfg.transmitters, replace(cfg.prop, _rng=None), cfg.grid,
-                       windows, cfg.rbw_khz, det.noise_figure_db)
-    return windows, links
+                       cfg.windows, cfg.rbw_khz, det.noise_figure_db)
+    return cfg.windows, links
 
 
 # Window bins (frames x CeNBs x bins per CeNB) that one pass of the frame

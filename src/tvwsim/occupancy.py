@@ -1,11 +1,13 @@
 """Spectrum-occupancy analytics over measured (or synthetic) sweep traces.
 
-Ingests time-by-frequency power matrices, computes threshold-relative
-per-channel duty cycles, sorts channels into the three canonical
-utilization cases (persistently on, intermittently on, sporadically
-on), detects daily periodicity via circular autocorrelation, and
-renders sub-band summary tables.  Every derived statistic is relative
-to an explicit threshold rule, which is surfaced in report headers.
+Ingests time-by-frequency power matrices, computes per-channel duty
+cycles, sorts channels into the three canonical utilization cases
+(persistently on, intermittently on, sporadically on) after Wellens and
+Mähönen (MONET 2010), and renders sub-band summary tables.  A trace has
+one noise floor, estimated once over all of its cells by the
+``ThresholdRule``, and one occupancy threshold derived from it; every
+duty cycle, sub-band share and classification reads those two values,
+and the report headers state them.
 """
 
 import csv
@@ -15,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, InsufficientDataError, ParseError
+from .errors import ConfigError, CoverageError, ParseError
 from .radio_env import FrequencyBand, csv_rows, finite_float, row_errors
 
 DEFAULT_NOISE_PERCENTILE = 10.0
@@ -123,16 +125,24 @@ def ingest_trace(path, site="", rbw_khz=200.0):
 
 @dataclass(frozen=True)
 class ThresholdRule:
-    """Occupancy threshold: a fixed level, or noise percentile + margin."""
+    """Occupancy threshold: a fixed level, or the noise floor + a margin.
+
+    The noise floor is estimated once per trace: the rule's percentile
+    over all of the trace's cells.  It is estimated under a fixed level
+    too, because the channel classes read it.  Every channel and
+    sub-band of the trace is judged against the one threshold.
+    """
 
     fixed_dbm: float | None = None
     noise_percentile: float = DEFAULT_NOISE_PERCENTILE
     margin_db: float = DEFAULT_THRESHOLD_MARGIN_DB
 
-    def threshold_for(self, samples_dbm):
+    def levels(self, matrix):
+        """The trace's (noise floor, occupancy threshold), both in dBm."""
+        noise = float(np.percentile(matrix.power_dbm, self.noise_percentile))
         if self.fixed_dbm is not None:
-            return self.fixed_dbm
-        return float(np.percentile(samples_dbm, self.noise_percentile)) + self.margin_db
+            return noise, self.fixed_dbm
+        return noise, noise + self.margin_db
 
     def describe(self):
         if self.fixed_dbm is not None:
@@ -141,12 +151,12 @@ class ThresholdRule:
                 f"{self.margin_db:g} dB margin")
 
 
-def duty_cycle(matrix, grid, rule=ThresholdRule()):
-    """Fraction of time-frequency cells above threshold, per channel."""
+def duty_cycle(matrix, grid, threshold_dbm):
+    """Fraction of time-frequency cells above ``threshold_dbm``, per channel."""
     out = np.empty(grid.n_channels)
     for ch in range(grid.n_channels):
         cells = matrix.power_dbm[:, matrix.channel_columns(grid, ch)]
-        out[ch] = float(np.mean(cells > rule.threshold_for(cells)))
+        out[ch] = float(np.mean(cells > threshold_dbm))
     return out
 
 
@@ -167,10 +177,12 @@ def classify_channel(matrix, grid, channel_index, noise_floor_dbm,
                      gamma_spread_db=DEFAULT_GAMMA_SPREAD_DB):
     """Three-case utilization classification of one channel.
 
-    Statistics are taken over the channel's dB cells: Persistent when
-    the average sits above the noise floor and close to the maximum;
-    Intermittent when both are high but spread apart; Sporadic when
-    only the maximum is high (never-active channels flag ``never_seen``).
+    Statistics are taken over the channel's dB cells against the
+    trace's noise floor (``ThresholdRule.levels``): Persistent when the
+    average sits ``delta_on_db`` above the floor and close to the
+    maximum; Intermittent when both are high but spread apart; Sporadic
+    when only the maximum is high (never-active channels flag
+    ``never_seen``).
     """
     cells = matrix.power_dbm[:, matrix.channel_columns(grid, channel_index)]
     avg = float(np.mean(cells))
@@ -183,51 +195,6 @@ def classify_channel(matrix, grid, channel_index, noise_floor_dbm,
             return ChannelClassification(ChannelClass.PERSISTENT)
         return ChannelClassification(ChannelClass.INTERMITTENT)
     return ChannelClassification(ChannelClass.SPORADIC)
-
-
-@dataclass(frozen=True)
-class PeriodicityResult:
-    period_hours: float | None
-    strength: float
-    significant: bool
-
-
-def detect_periodicity(occupancy_series, interval_ms, lag_range_h=(12.0, 36.0),
-                       strength_floor=0.2):
-    """Dominant period of a band-occupancy series via circular autocorrelation.
-
-    Searches lags between 12 and 36 hours and returns the peak lag in
-    hours with its normalized autocorrelation as the strength; flat
-    series come back insignificant with strength 0.
-    """
-    x = np.asarray(occupancy_series, dtype=float)
-    interval_h = interval_ms / 3.6e6
-    span_h = x.size * interval_h
-    if span_h < 2 * lag_range_h[1]:
-        raise InsufficientDataError(
-            f"series spans {span_h:.1f} h; need >= {2 * lag_range_h[1]:.0f} h")
-    lo = max(1, int(round(lag_range_h[0] / interval_h)))
-    hi = min(x.size - 1, int(round(lag_range_h[1] / interval_h)))
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
-    if denom <= 0:
-        return PeriodicityResult(period_hours=None, strength=0.0, significant=False)
-    lags = np.arange(lo, hi + 1)
-    corr = np.array([np.dot(centered, np.roll(centered, -lag)) / denom for lag in lags])
-    best = int(np.argmax(corr))
-    strength = float(corr[best])
-    period = float(lags[best] * interval_h)
-    return PeriodicityResult(period_hours=period, strength=strength,
-                             significant=strength >= strength_floor)
-
-
-def band_occupancy_series(matrix, rule=ThresholdRule(), bucket_ms=3.6e6):
-    """Per-bucket occupancy of the whole trace (default: hourly buckets)."""
-    thr = rule.threshold_for(matrix.power_dbm)
-    above = matrix.power_dbm > thr
-    buckets = np.floor(matrix.timestamps_ms / bucket_ms).astype(int)
-    series = [above[buckets == b].mean() for b in np.unique(buckets)]
-    return np.asarray(series)
 
 
 @dataclass(frozen=True)
@@ -252,8 +219,8 @@ def load_subband_table(path):
     return rows
 
 
-def summarize_band(matrix, subbands, rule=ThresholdRule()):
-    """Per-sub-band duty cycles plus the bandwidth-weighted overall row.
+def summarize_band(matrix, subbands, threshold_dbm):
+    """Per-sub-band shares of cells above ``threshold_dbm``, and the weighted overall row.
 
     Overlapping sub-bands are a ``ConfigError`` that names both.
     """
@@ -265,7 +232,7 @@ def summarize_band(matrix, subbands, rule=ThresholdRule()):
     rows = []
     for lo, hi, label in subbands:
         cells = matrix.power_dbm[:, matrix.band_columns(lo, hi)]
-        occ = float(np.mean(cells > rule.threshold_for(cells)))
+        occ = float(np.mean(cells > threshold_dbm))
         rows.append(SubbandRow(low_mhz=lo, high_mhz=hi, label=label, occupancy=occ))
     total_bw = sum(r.bandwidth_mhz for r in rows)
     overall = sum(r.occupancy * r.bandwidth_mhz for r in rows) / total_bw

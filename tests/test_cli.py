@@ -59,6 +59,8 @@ BAD_INPUTS = [
     ("acir", "interference.loss_budget = 2"),
     ("acir", "interference.exponent = -3"),
     ("acir", "interference.exponent = 0"),
+    ("roc", "--powers=-130:-110:1e-3"),
+    ("acir", "interference.acir_db = 0:1:1e-6"),
     ("geodb", "--exclude=566-6x6"),
     ("occupancy", "--exclude=566-6x6"),
 ]
@@ -400,3 +402,25 @@ def test_bad_frame_schedule_names_the_scenario_file(tmp_path, capsys, arg):
     assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {argv[1]}: ")
+
+
+@pytest.mark.parametrize("command, arg, name", [
+    ("roc", "--powers=-130:-110:1e-3", "--powers"),
+    ("acir", "interference.acir_db = 0:1:1e-6", "'interference.acir_db'"),
+    ("acir", "interference.acir_db = 0:1001:1", "'interference.acir_db'"),
+])
+def test_a_sweep_over_the_point_cap_names_its_key(tmp_path, capsys, command, arg, name):
+    assert cli.main(_argv(tmp_path, command, arg)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and "more than 1001 points" in captured.err
+
+
+@pytest.mark.parametrize("key", ["files.calibration", "files.transmitters", "files.geodb"])
+def test_a_directory_for_an_input_file_names_its_key(tmp_path, capsys, key):
+    (tmp_path / "inputs").mkdir()
+    argv = _argv(tmp_path, "simulate", f"{key} = inputs")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[1]}: {key} is not a file: {tmp_path / 'inputs'}\n"

@@ -1,6 +1,7 @@
 """Frame loop of ``harness.run_simulation``: detector, handover timeline, X2 fusion."""
 
 import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvwsim import harness
+from tvwsim.errors import ConfigError
 from tvwsim.radio_env import (
     PropagationConfig,
     ScheduleTable,
@@ -386,3 +388,25 @@ def test_parse_range_of_an_undivided_span_stops_below_hi(lo, step, n, part):
     hi = lo + (n + part) * step
     points = harness.parse_range(f"{lo!r}:{hi!r}:{step!r}")
     assert len(points) == n + 1 and points[-1] < hi
+
+
+@pytest.mark.parametrize("grid_keys", [
+    "grid.channel_mhz = 4\n",
+    "grid.channel_mhz = 7.9\ngrid.high_mhz = 786\ngrid.exclusions =\nradio.rbw_khz = 100\n",
+    "grid.low_mhz = 300.5\ngrid.high_mhz = 804.5\ngrid.exclusions =\nradio.rbw_khz = 100\n",
+])
+def test_a_grid_the_carrier_windows_do_not_fit_fails_at_load(tmp_path, grid_keys):
+    scenario = tmp_path / "grid.ini"
+    scenario.write_text(f"sim.seed = 1\nsim.duration_ms = 100\n{grid_keys}", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(scenario))}: carrier windows"):
+        harness.load_scenario(scenario)
+
+
+def test_the_run_uses_the_windows_found_at_load(tmp_path):
+    cfg, points, det = _array_scenario(tmp_path)
+    windows, _ = harness.sensing_links(cfg, det, points)
+    assert windows is cfg.windows
+    rbw_mhz = cfg.rbw_khz / 1000.0
+    n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))
+    centers = cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz
+    np.testing.assert_array_equal(windows, carrier_windows(centers, cfg.grid.low_edges_mhz, det))

@@ -1,10 +1,10 @@
 """Property tests of ``tvwsim simulate`` and ``tvwsim acir`` over generated keys.
 
-For any value of the ``sim.*``, ``frame.*``, ``prop.*``, ``grid.*`` and
-``cenbN.*`` scenario keys, and of the ``interference.*`` study keys,
-the command exits with 0, 2 or 3 and raises nothing (a traceback), a
-configuration error names the input file, and two runs on the same
-config bytes write the same bytes.
+For any value of the ``sim.*``, ``frame.*``, ``prop.*``, ``grid.*``,
+``cenbN.*`` and ``files.*`` scenario keys, and of the ``interference.*``
+study keys, the command exits with 0, 2 or 3 and raises nothing (a
+traceback), a configuration error names the input file, and two runs on
+the same config bytes write the same bytes.
 """
 
 import os
@@ -224,3 +224,72 @@ def test_acir_over_interference_keys(tmp_path_factory, capsys, keys):
     study.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()),
                      encoding="utf-8")
     _check_contract("acir", study, work, capsys, ["acir_curve.csv", "guard_band.txt"])
+
+
+# Each ``files.*`` key takes a valid file, ``default`` (calibration
+# only), a missing path, a directory, an empty file, a wrong header or a
+# file with one bad cell: (valid text, text with one bad cell) per key.
+FILE_TEXTS = {
+    "files.calibration": (
+        "param,value\nnoise_figure_db,6\nsnapshots_per_ms,400\nthreshold_dbm,-114.9\n"
+        "k_required,2\n",
+        "param,value\nnoise_figure_db,6\nsnapshots_per_ms,4x0\nthreshold_dbm,-114.9\n"
+        "k_required,2\n"),
+    "files.transmitters": (TRANSMITTERS, TRANSMITTERS.replace(",43,", ",4x3,")),
+    "files.geodb": (
+        "id,standard,channel,x_m,y_m,eirp_dbm,height_m,required_rx_dbm,protected_radius_m\n"
+        "db,AnalogPalD,5,20000,0,60,30,-84,\n",
+        "id,standard,channel,x_m,y_m,eirp_dbm,height_m,required_rx_dbm,protected_radius_m\n"
+        "db,AnalogPalD,5,2x0,0,60,30,-84,\n"),
+}
+FILE_KINDS = ["valid", "missing", "directory", "empty", "header", "cell"]
+
+
+@st.composite
+def file_keys(draw):
+    return draw(st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(FILE_KINDS + (["default"] if key == "files.calibration" else []))
+        for key in FILE_TEXTS}))
+
+
+def _input_file(work, key, kind):
+    """Write ``key``'s input of ``kind`` under ``work``; return the name to give the key."""
+    name = key.removeprefix("files.") + ".csv"
+    valid, bad_cell = FILE_TEXTS[key]
+    texts = {"valid": valid, "empty": "", "header": "a,b\n1,2\n", "cell": bad_cell}
+    if kind in texts:
+        (work / name).write_text(texts[kind], encoding="utf-8")
+    elif kind == "directory":
+        (work / name).mkdir()
+    return {"default": "default", "missing": "absent.csv"}.get(kind, name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=file_keys())
+def test_simulate_over_file_keys(tmp_path_factory, capsys, keys):
+    work = tmp_path_factory.mktemp("scenario")
+    names = {key: _input_file(work, key, kind) for key, kind in keys.items()}
+    scenario = work / "s.ini"
+    scenario.write_text("sim.seed = 1\nsim.duration_ms = 100\n" + CENBS + "".join(
+        f"{key} = {name}\n" for key, name in names.items()), encoding="utf-8")
+
+    rc, out, err, files = _simulate(scenario, work / "a", capsys)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+    assert "Traceback" not in err
+    # The scenario reads its files in FILE_TEXTS order; the first bad one fails.
+    bad = [(key, keys[key]) for key in FILE_TEXTS
+           if keys.get(key, "valid") not in ("valid", "default")]
+    if not bad:
+        assert rc == cli.EXIT_OK
+        assert sorted(files) == ["events.csv", "handover_summary.txt", "plr.csv"]
+    else:
+        key, kind = bad[0]
+        assert rc == cli.EXIT_CONFIG and out == "" and err.count("\n") == 1
+        if kind in ("missing", "directory"):
+            assert err.startswith(f"error: {scenario}: {key} ")
+        else:
+            assert err.startswith(f"error: {work / names[key]}:")
+    second = _simulate(scenario, work / "b", capsys)
+    assert second[0] == rc and second[3] == files
+    assert second[1].replace(str(work / "b"), str(work / "a")) == out
