@@ -33,7 +33,6 @@ from .sensing import (  # noqa: F401
     SensingReport,
     calibrate_threshold,
     default_calibration,
-    detect_tv,
     estimate_roc,
 )
 from .geodb import (  # noqa: F401
@@ -65,7 +64,6 @@ from .interference import (  # noqa: F401
     acir_sweep,
     build_topology,
     determine_guard_band,
-    simulate_snapshot,
 )
 from .occupancy import (  # noqa: F401
     ChannelClass,

@@ -147,8 +147,9 @@ class CenbState:
 
     The sensing view holds, per channel, the time of its last (fused)
     verdict in ``sensed_ms`` and, in ``occupied``, the channels whose
-    last verdict was occupied.  ``record_view`` writes the verdicts of
-    one sensing round at once; ``record`` is its one-channel case.
+    last verdict was occupied; ``record_view`` is its one writer, and
+    writes the verdicts of one sensing round at once.  ``region_cache``
+    is the CeNB's database view.
     """
 
     id: str
@@ -172,13 +173,6 @@ class CenbState:
             self.sensed_ms[ch] = t_ms
         self.occupied.difference_update(channels)
         self.occupied.update(occupied)
-
-    def record(self, channel_index, occupied, t_ms):
-        """Write one verdict, sensed at ``t_ms``, into the sensing view."""
-        self.record_view((channel_index,), (channel_index,) if occupied else (), t_ms)
-
-    def record_report(self, report):
-        self.record(report.channel_index, report.decision is Decision.OCCUPIED, report.t_ms)
 
     def region(self, channel_index):
         return self.region_cache.get(channel_index, Region.WHITE)
@@ -205,25 +199,21 @@ def best_vacant_run(grid, vacant):
     return max(runs, key=lambda r: (len(r), -r[0]))
 
 
-def spectrum_decision(state, reports, regions, grid, frame_no):
+def spectrum_decision(state, grid, frame_no):
     """Evaluate the active block and emit a handover decision if needed.
 
-    ``reports`` are this decision round's fresh sensing results and
-    ``regions`` a fresh database view; both are merged into the state.
-    A decision fires when any active channel is detected occupied or has
-    turned black in the database view; the target is the best vacant
-    contiguous run (longest, ties to the lowest index), capped at three
-    channels, activating next frame.  A handover vacates the whole
-    active block: none of its channels, vacant or not, is part of the
-    target.  The message's detection time is the earliest sensing time
-    of the unavailable active channels that have a verdict, or the start
-    of frame ``frame_no`` if there is none (a Black region without a
-    verdict, or no active block).  Returns None in the all-clear steady
-    state.
+    Reads the sensing view that ``CenbState.record_view`` writes and the
+    database view ``region_cache``; sets only ``pending_handover``.  A
+    decision fires when any active channel was last sensed occupied or
+    is black; the target is the best vacant contiguous run (longest,
+    ties to the lowest index), capped at three channels, activating next
+    frame.  A handover vacates the whole active block: none of its
+    channels, vacant or not, is part of the target.  The message's
+    detection time is the earliest sensing time of the unavailable
+    active channels that have a verdict, or the start of frame
+    ``frame_no`` if there is none (a Black region without a verdict, or
+    no active block).  Returns None in the all-clear steady state.
     """
-    for rep in reports:
-        state.record_report(rep)
-    state.region_cache.update(regions)
     if state.pending_handover is not None:
         return None
 

@@ -16,7 +16,7 @@ import sys
 
 from . import geodb as geodb_mod
 from . import harness, occupancy, sensing
-from .errors import ConfigError, ParseError, TvwsimError
+from .errors import ConfigError, CoverageError, ParseError, TvwsimError
 from .geodb import query_vacant_channels
 from .radio_env import FrequencyBand, PropagationConfig, build_channel_grid, finite_float
 
@@ -121,13 +121,17 @@ def _cmd_occupancy(args):
             if args.threshold_dbm is not None else occupancy.ThresholdRule())
     grid = _grid_from_args(args)
     noise, threshold = rule.levels(matrix)
-    duty = occupancy.duty_cycle(matrix, grid, threshold)
+    try:
+        duty = occupancy.duty_cycle(matrix, grid, threshold)
+    except CoverageError as exc:
+        raise ConfigError(f"{args.trace}: {exc}; --band-low, --band-high and --exclude "
+                          "must leave only channels the trace covers") from exc
     summary = None
     if args.subbands:
         subbands = occupancy.load_subband_table(args.subbands)
         try:
             summary = occupancy.summarize_band(matrix, subbands, threshold)
-        except ConfigError as exc:
+        except (ConfigError, CoverageError) as exc:
             raise ConfigError(f"{args.subbands}: {exc}") from exc
     print(f"threshold rule: {rule.describe()}")
     print(f"noise floor estimate: {noise:.10g} dBm")

@@ -14,28 +14,28 @@ by ``cenbN.block`` from one ``asm_allocate`` pass; neither is repeated
 during the run (an ``ASM_EPOCH`` event only logs the blocks held).
 
 The carrier-window bins are found once, at load, so a grid that cannot
-hold the windows is a load-time ``ConfigError`` too.  The frame loop's
-other radio inputs are arrays built once per run: ``sensing_links``
-gives a ``LinkArrays`` of every (CeNB, transmitter) distance and every
-transmitter's unit-power template at the window bins, and a
-``ScheduleTable`` holds the schedules as activity segments.  The radio
-work does not depend on any CeNB's decisions, so the loop does it for a
-block of consecutive frames at once (several frames when there are few
-CeNBs, one when there are many): one activity query for every sensing
-instant and downlink subframe of the block, the mean window powers of
-every frame and CeNB (shadowing drawn one frame at a time, in frame
-order), one unit-mean Gamma draw of the detector noise at all their
-window bins from the run's one sensing stream, one k-of-n pass, and the
-block's table of channels on air at each downlink subframe.  numpy fills
-a draw for many frames in the order of one draw per frame, so no output
-depends on the block length.  The per-frame state machine then reads each
-CeNB's verdicts from the block and writes them into its sensing view in
-one call.  When several CeNBs sense, each CeNB-frame's X2 reports are
-built in one pass over its rows of the block's statistics and verdicts
-and collected per channel; each channel's reports then go through one
-``fuse_cooperative`` call, the one implementation of the OR and MAJORITY
-rules.  ``received_spectrum`` is the single-point, whole-band API over
-the same arrays.
+hold the windows, or one of more than ``MAX_GRID_BINS`` RBW bins, is a
+load-time ``ConfigError`` too.  The frame loop's other radio inputs are
+arrays built once per run: ``sensing_links`` gives a ``LinkArrays`` of
+every (CeNB, transmitter) distance and every transmitter's unit-power
+template at the window bins, and a ``ScheduleTable`` holds the schedules
+as activity segments.  The radio work does not depend on any CeNB's
+decisions, so the loop does it for a block of consecutive frames at once
+(several frames when there are few CeNBs, one when there are many): one
+activity query for every sensing instant and downlink subframe of the
+block, the mean window powers of every frame and CeNB (shadowing drawn
+one frame at a time, in frame order), one unit-mean Gamma draw of the
+detector noise at all their window bins from the run's one sensing
+stream, one k-of-n pass, and the block's table of channels on air at
+each downlink subframe.  numpy fills a draw for many frames in the order
+of one draw per frame, so no output depends on the block length.  When
+several CeNBs sense, each CeNB-frame's X2 reports are built in one pass
+over its rows of the block's statistics and verdicts and collected per
+channel; each channel's reports then go through one ``fuse_cooperative``
+call, the one implementation of the OR and MAJORITY rules.  At the next
+frame boundary each CeNB's verdicts go into its sensing view in one
+``CenbState.record_view`` call, and ``spectrum_decision`` reads that
+view and the start-up database view.
 
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
@@ -76,7 +76,7 @@ from .radio_env import (
     ScheduleTable,
     build_channel_grid,
     finite_float,
-    received_spectrum,  # noqa: F401  (the single-point API, kept importable from here)
+    received_spectrum,  # noqa: F401  (the benchmark tracer patches harness.received_spectrum)
     transmitters_from_csv,
 )
 from .sensing import Decision, SensingReport, analytic_threshold_dbm
@@ -128,6 +128,10 @@ def _block_parser(grid):
         return block
     return parse
 
+
+# Most RBW bins in a grid band: the run synthesizes a whole-band spectrum
+# per transmitter, 8 MiB at this count (the default band at 0.33 kHz).
+MAX_GRID_BINS = 1 << 20
 
 # Most points in a ``parse_range`` sweep: a 0.1 dB step over 100 dB.  An
 # ACIR sweep holds buffers that grow with its point count, so a sweep
@@ -378,7 +382,10 @@ def load_scenario(path):
     # The calibration file sets no part of the carrier layout, so these
     # windows are those of the run's operating detector too.
     rbw_mhz = rbw_khz / 1000.0
-    n_bins = int(round(grid.band.width_mhz / rbw_mhz))
+    n_bins = round(min(grid.band.width_mhz / rbw_mhz, MAX_GRID_BINS + 1))
+    if n_bins > MAX_GRID_BINS:
+        raise ConfigError(f"{path}: radio.rbw_khz = {rbw_khz:g} splits the grid band into "
+                          f"more than {MAX_GRID_BINS} bins")
     try:
         windows = sensing_mod.carrier_windows(
             grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz, grid.low_edges_mhz,
@@ -636,7 +643,7 @@ def run_simulation(cfg):
             # The decision at this boundary acts on the verdicts sensed last frame.
             for state, monitored, hits in sensed:
                 state.record_view(monitored, hits, t_sense)
-                msg = spectrum_decision(state, (), {}, cfg.grid, frame_no=frame)
+                msg = spectrum_decision(state, cfg.grid, frame_no=frame)
                 if msg is not None:
                     events.append((t0, state.id, "DECIDE",
                                    f"target={','.join(str(c) for c in msg.target_block)}"

@@ -13,7 +13,6 @@ baseline is the capacity reference by construction.  A sweep builds one
 evaluator (``_DropSums``) that holds what no drop changes and one
 (UE, ACIR) work buffer, and adds its drops one at a time: the working
 set is that of one drop, whatever the number of drops.
-``simulate_snapshot`` is the same evaluator with drop 0 and one ACIR.
 """
 
 import csv
@@ -103,19 +102,6 @@ class CoexistenceConfig:
         from .radio_env import free_space_ref_loss_db
 
         return float(free_space_ref_loss_db(self.freq_mhz, self.ref_distance_m))
-
-
-@dataclass(frozen=True)
-class SnapshotResult:
-    """One drop evaluated at one ACIR (and at the infinite-ACIR baseline)."""
-
-    tv_outage_dl: int
-    tv_outage_ul: int
-    tv_outage_baseline: int
-    dl_capacity: float
-    ul_capacity: float
-    dl_capacity_baseline: float
-    ul_capacity_baseline: float
 
 
 def _noise_mw(nf_db):
@@ -296,24 +282,6 @@ class _DropSums:
         buf += 1.0
         np.log2(buf, out=buf)
         self.capacity[row] += np.add.reduce(buf, axis=0) / self._n_ue
-
-
-def simulate_snapshot(topo, acir_db, drop_seed, cfg=CoexistenceConfig()):
-    """One uniform drop evaluated at a single ACIR.
-
-    ``acir_db=inf`` gives the perfectly isolated baseline.  The drop is
-    drop 0 of an ``acir_sweep`` with seed ``drop_seed``, so a one-drop
-    sweep over ``acir_db`` gives exactly these results.
-    """
-    sums = _DropSums(topo, cfg, _acir_linear([acir_db]))
-    sums.add(_drop_rng(drop_seed, 0))
-    (out_dl, out_ul), (cap_dl, cap_ul) = sums.outage[:, 0], sums.capacity[:, 0]
-    cap_dl_base, cap_ul_base = sums.capacity_baseline
-    return SnapshotResult(
-        tv_outage_dl=int(out_dl), tv_outage_ul=int(out_ul),
-        tv_outage_baseline=sums.outage_baseline,
-        dl_capacity=float(cap_dl), ul_capacity=float(cap_ul),
-        dl_capacity_baseline=float(cap_dl_base), ul_capacity_baseline=float(cap_ul_base))
 
 
 @dataclass(frozen=True)

@@ -235,29 +235,17 @@ class PowerSpectrum:
         return self.rbw_khz / 1000.0
 
     @property
-    def stop_mhz(self):
-        return self.start_mhz + self.mw.size * self.rbw_mhz
-
-    @property
     def bins_dbm(self):
         return mw_to_dbm(self.mw)
 
     def bin_centers_mhz(self):
         return self.start_mhz + (np.arange(self.mw.size) + 0.5) * self.rbw_mhz
 
-    def covers(self, low_mhz, high_mhz):
-        return self.start_mhz <= low_mhz + 1e-9 and high_mhz <= self.stop_mhz + 1e-9
-
     def bins_mw(self):
         return self.mw
 
     def total_power_mw(self):
         return float(np.sum(self.mw))
-
-    def window_indices(self, center_mhz, width_mhz):
-        """Indices of bins whose centers fall within width/2 of center."""
-        centers = self.bin_centers_mhz()
-        return np.nonzero(np.abs(centers - center_mhz) <= width_mhz / 2 + 1e-9)[0]
 
 
 def mw_to_dbm(mw):
@@ -348,12 +336,11 @@ def path_loss(cfg, distance_m, freq_mhz):
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
-def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.0,
-                           carrier_split=DEFAULT_CARRIER_SPLIT):
+def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.0):
     """Noise-free transmit spectrum of one TV service over the grid band.
 
     PAL-D places narrowband carriers at the configured offsets from the
-    channel low edge with the given power split; the residual fraction
+    channel low edge, split as ``DEFAULT_CARRIER_SPLIT``; the residual
     spreads evenly over the remaining in-channel bins, so the linear sum
     over the channel equals ``total_power_dbm`` exactly.  DTMB renders
     as flat in-channel power.  A transmitter that is off
@@ -376,13 +363,11 @@ def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.
             power_mw[first:first + n_ch] = total_mw / n_ch
         else:
             carrier_bins = [first + int(np.floor(off / rbw_mhz + 1e-9)) for off in offsets]
-            residual = 1.0 - sum(carrier_split)
-            if residual < -1e-9:
-                raise ValueError("carrier split fractions exceed 1")
+            residual = 1.0 - sum(DEFAULT_CARRIER_SPLIT)
             plain = [b for b in range(first, first + n_ch) if b not in carrier_bins]
             if plain:
                 power_mw[plain] = residual * total_mw / len(plain)
-            for b, frac in zip(carrier_bins, carrier_split):
+            for b, frac in zip(carrier_bins, DEFAULT_CARRIER_SPLIT):
                 power_mw[b] += frac * total_mw
     return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=power_mw)
 

@@ -35,10 +35,11 @@ import numpy as np
 
 from .errors import CalibrationError, CoverageError, ParseError
 from .radio_env import (
-    DEFAULT_CARRIER_SPLIT,
     PAL_D_CARRIER_OFFSETS_MHZ,
+    FrequencyBand,
     TvStandard,
     TvTransmitter,
+    build_channel_grid,
     csv_rows,
     dbm_to_mw,
     finite_float,
@@ -141,17 +142,15 @@ def _gamma_mean1_isf(p, shape):
     return (1.0 - a + z * np.sqrt(a)) ** 3
 
 
-def analytic_threshold_dbm(cfg, noise_window_dbm=None, duration_ms=None):
+def analytic_threshold_dbm(cfg):
     """Closed-form threshold meeting target_pfa under the Gamma noise law."""
-    noise_mw = cfg.window_noise_mw() if noise_window_dbm is None else float(
-        dbm_to_mw(noise_window_dbm))
+    noise_mw = cfg.window_noise_mw()
     if not np.isfinite(noise_mw) or noise_mw <= 0:
         raise CalibrationError("degenerate noise model")
     if cfg.target_pfa >= 1.0:
         return THRESHOLD_ALWAYS_FIRE_DBM
     p1 = per_carrier_pfa(cfg.target_pfa, cfg.k_required, cfg.n_carriers)
-    m = cfg.n_snapshots(duration_ms)
-    return float(mw_to_dbm(noise_mw * _gamma_mean1_isf(p1, m)))
+    return float(mw_to_dbm(noise_mw * _gamma_mean1_isf(p1, cfg.n_snapshots())))
 
 
 def calibrate_threshold(cfg, noise_window_dbm=None, trials=None, seed=0):
@@ -191,15 +190,20 @@ def calibrate_threshold(cfg, noise_window_dbm=None, trials=None, seed=0):
 def carrier_windows(bin_centers_mhz, channel_low_edges_mhz, cfg):
     """Bin indices of every carrier window, shape (channels, carriers, width).
 
-    Window (c, j) holds the bins whose centers lie within half the
-    detection bandwidth of ``channel_low_edges_mhz[c]`` plus carrier
-    offset j.  Raises CoverageError when a window has no bins or the
-    windows differ in width.
+    Window (c, j) holds the bins whose centers (ascending) lie within
+    half the detection bandwidth of ``channel_low_edges_mhz[c]`` plus
+    carrier offset j, tested only on the slice a binary search finds,
+    widened by a bin on each side, so the cost does not grow with
+    windows x bins.  Raises CoverageError when a window has no bins or
+    the windows differ in width.
     """
     centers = np.asarray(bin_centers_mhz, dtype=float)
-    half = cfg.det_bw_khz / 1000.0 / 2
-    rows = [np.nonzero(np.abs(centers - (lo + off)) <= half + 1e-9)[0]
-            for lo in channel_low_edges_mhz for off in cfg.carrier_offsets_mhz]
+    reach = cfg.det_bw_khz / 1000.0 / 2 + 1e-9
+    mids = [lo + off for lo in channel_low_edges_mhz for off in cfg.carrier_offsets_mhz]
+    starts = np.maximum(np.searchsorted(centers, np.subtract(mids, reach)) - 1, 0).tolist()
+    stops = (np.searchsorted(centers, np.add(mids, reach), side="right") + 1).tolist()
+    rows = [a + np.nonzero(np.abs(centers[a:b] - mid) <= reach)[0]
+            for mid, a, b in zip(mids, starts, stops)]
     widths = {row.size for row in rows}
     if 0 in widths or len(widths) != 1:
         raise CoverageError(f"carrier windows of {cfg.det_bw_khz:g} kHz hold "
@@ -238,40 +242,8 @@ def detect_channels(cfg, mw, windows=None):
     return stats, _k_of_n(stats, cfg.threshold_dbm, cfg.k_required)
 
 
-def detect_tv(cfg, spectrum, channel_index, grid, cenb_id="", t_ms=0.0):
-    """Apply the k-of-n carrier rule to one channel of a received spectrum.
-
-    Pure function of (cfg, spectrum).
-    """
-    if cfg.threshold_dbm is None:
-        raise CalibrationError("threshold not calibrated; run calibrate_threshold first")
-    lo = grid.low_edge_mhz(channel_index)
-    hi = grid.high_edge_mhz(channel_index)
-    if not spectrum.covers(lo, hi):
-        raise CoverageError(
-            f"spectrum {spectrum.start_mhz}-{spectrum.stop_mhz} MHz does not "
-            f"cover channel {channel_index} ({lo}-{hi} MHz)")
-    windows = carrier_windows(spectrum.bin_centers_mhz(), [lo], cfg)
-    stats, occupied = detect_channels(cfg, spectrum.bins_mw(), windows)
-    return SensingReport(cenb_id=cenb_id, channel_index=channel_index,
-                         decision=Decision.OCCUPIED if occupied[0] else Decision.VACANT,
-                         carrier_stats_dbm=tuple(float(s) for s in stats[0]), t_ms=t_ms)
-
-
-def channel_energy_dbm(spectrum, channel_index, grid):
-    """Whole-channel energy statistic (linear sum over all channel bins)."""
-    lo = grid.low_edge_mhz(channel_index)
-    hi = grid.high_edge_mhz(channel_index)
-    if not spectrum.covers(lo, hi):
-        raise CoverageError(f"spectrum does not cover channel {channel_index}")
-    centers = spectrum.bin_centers_mhz()
-    idx = np.nonzero((centers > lo) & (centers < hi))[0]
-    return float(mw_to_dbm(spectrum.bins_mw()[idx].sum()))
-
-
-def carrier_signal_mw(cfg, total_power_dbm, channel_width_mhz=8.0,
-                      carrier_split=DEFAULT_CARRIER_SPLIT, grid=None):
-    """Mean received signal power inside each carrier window.
+def carrier_signal_mw(cfg, total_power_dbm):
+    """Mean received signal power inside each carrier window of an 8 MHz channel.
 
     Derived from the synthesized transmit spectrum so that Monte Carlo
     characterization and spectrum-level detection share one signal
@@ -279,15 +251,10 @@ def carrier_signal_mw(cfg, total_power_dbm, channel_width_mhz=8.0,
     """
     if total_power_dbm == float("-inf"):
         return np.zeros(cfg.n_carriers)
-    if grid is None:
-        from .radio_env import FrequencyBand, build_channel_grid
-
-        grid = build_channel_grid(FrequencyBand(470.0, 470.0 + channel_width_mhz),
-                                  channel_width_mhz)
+    grid = build_channel_grid(FrequencyBand(470.0, 478.0), 8.0)
     tx = TvTransmitter(id="ref", standard=TvStandard.ANALOG_PAL_D, channel_index=0,
                        location=(0.0, 0.0), eirp_dbm=total_power_dbm)
-    spec = synthesize_tv_spectrum(tx, grid, cfg.det_bw_khz, total_power_dbm,
-                                  carrier_split)
+    spec = synthesize_tv_spectrum(tx, grid, cfg.det_bw_khz, total_power_dbm)
     windows = carrier_windows(spec.bin_centers_mhz(), grid.low_edges_mhz[:1], cfg)
     return spec.bins_mw()[windows[0]].sum(axis=1)
 
@@ -338,7 +305,7 @@ def _draw_threshold(scale, tau):
     return _bits_double(hi) if hi <= _INF_BITS else math.nan
 
 
-_DRAW_CHUNK = 1 << 15  # trials per Gamma call in _unit_gamma_draws
+_DRAW_CHUNK = 1 << 15  # trials per Gamma call of the Monte Carlo draws
 
 
 def _unit_gamma_draws(cfg, trials, rng):
@@ -348,6 +315,8 @@ def _unit_gamma_draws(cfg, trials, rng):
     the stream is drawn in trial-major chunks and copied into a
     Fortran-ordered array.  Each carrier's draws are then contiguous, so
     comparing them with a per-carrier threshold runs at unit stride.
+    Only ``calibrate_threshold``, which needs an order statistic over
+    all the draws, holds them at once.
     """
     m = cfg.n_snapshots()
     g = np.empty((trials, cfg.n_carriers), order="F")
@@ -357,37 +326,37 @@ def _unit_gamma_draws(cfg, trials, rng):
     return g
 
 
-def _detect_counts(cfg, signal_mw, noise_mw, g):
-    """Occupied count over the trials (rows) of unit-mean Gamma draws ``g``.
-
-    The statistic of carrier c is ``fl((noise_mw + signal_mw[c]) * g)``;
-    the count compares g with each carrier's ``_draw_threshold``
-    instead, which by monotone rounding fires on exactly the same
-    trials, and never forms the products.
-    """
+def _draw_thresholds(cfg, signal_mw, noise_mw):
+    """Per-carrier draws at which ``fl((noise_mw + signal_mw[c]) * g)`` reaches
+    the threshold (``_draw_threshold``): comparing draws with them fires
+    on the same trials as comparing the products."""
     tau = float(dbm_to_mw(cfg.threshold_dbm))
-    g_star = np.array([_draw_threshold(float(noise_mw + s), tau) for s in signal_mw])
-    return int(np.count_nonzero(_k_of_n(g, g_star, cfg.k_required)))
+    return np.array([_draw_threshold(float(noise_mw + s), tau) for s in signal_mw])
 
 
-def measure_pfa(cfg, trials=100_000, seed=1, noise_window_dbm=None):
+def _detect_counts(cfg, g_stars, trials, rng):
+    """Occupied counts over the draws of ``_unit_gamma_draws(cfg, trials, rng)``,
+    one count per row of draw thresholds ``g_stars``.
+
+    Each ``_DRAW_CHUNK`` of draws is copied carrier-major, counted for
+    every row and dropped, so memory stays one chunk whatever ``trials``.
+    """
+    m = cfg.n_snapshots()
+    counts = [0] * len(g_stars)
+    for start in range(0, trials, _DRAW_CHUNK):
+        size = (min(_DRAW_CHUNK, trials - start), cfg.n_carriers)
+        g = np.asfortranarray(rng.gamma(m, 1.0 / m, size=size))
+        for i, g_star in enumerate(g_stars):
+            counts[i] += int(np.count_nonzero(_k_of_n(g, g_star, cfg.k_required)))
+    return counts
+
+
+def measure_pfa(cfg, trials=100_000, seed=1):
     """Empirical false-alarm rate under pure noise on a fresh stream."""
     if cfg.threshold_dbm is None:
         raise CalibrationError("threshold not calibrated")
-    noise_mw = cfg.window_noise_mw() if noise_window_dbm is None else float(
-        dbm_to_mw(noise_window_dbm))
-    g = _unit_gamma_draws(cfg, trials, np.random.default_rng([seed, 0x0FA]))
-    count = _detect_counts(cfg, np.zeros(cfg.n_carriers), noise_mw, g)
-    return count / trials
-
-
-def measure_pd(cfg, total_power_dbm, trials=100_000, seed=1, channel_width_mhz=8.0):
-    """Empirical detection probability at one received PAL-D power level."""
-    if cfg.threshold_dbm is None:
-        raise CalibrationError("threshold not calibrated")
-    sig = carrier_signal_mw(cfg, total_power_dbm, channel_width_mhz)
-    g = _unit_gamma_draws(cfg, trials, np.random.default_rng([seed, 0x0D0]))
-    count = _detect_counts(cfg, sig, cfg.window_noise_mw(), g)
+    g_star = _draw_thresholds(cfg, np.zeros(cfg.n_carriers), cfg.window_noise_mw())
+    (count,) = _detect_counts(cfg, [g_star], trials, np.random.default_rng([seed, 0x0FA]))
     return count / trials
 
 
@@ -398,28 +367,25 @@ class RocPoint:
     pfa: float
 
 
-def estimate_roc(cfg, signal_power_dbm, trials=100_000, seed=1, channel_width_mhz=8.0):
+def estimate_roc(cfg, signal_power_dbm, trials=100_000, seed=1):
     """Detection probability across received power levels.
 
     Common random numbers are shared across power levels, so the
     estimated curve is exactly non-decreasing in power; the reported
     pfa is re-measured once on a disjoint substream, before the shared
-    draws are made, so that the two draw arrays are never held at once.
-    Each power compares the shared draws with per-carrier draw
-    thresholds (``_detect_counts``): the counts are those of the
-    products, exactly, without forming them.
+    draws are made.  Each power compares the shared draws with its
+    per-carrier draw thresholds, found once per power: the counts are
+    those of the products, exactly, without forming them, and the draws
+    are held one chunk at a time (``_detect_counts``).  Raises
+    CalibrationError, through ``measure_pfa``, without a threshold.
     """
-    if cfg.threshold_dbm is None:
-        raise CalibrationError("threshold not calibrated")
-    noise_mw = cfg.window_noise_mw()
     pfa = measure_pfa(cfg, trials, seed)
-    g = _unit_gamma_draws(cfg, trials, np.random.default_rng([seed, 0x20C]))
-    points = []
-    for power in signal_power_dbm:
-        sig = carrier_signal_mw(cfg, power, channel_width_mhz)
-        count = _detect_counts(cfg, sig, noise_mw, g)
-        points.append(RocPoint(power_dbm=float(power), pd=count / trials, pfa=pfa))
-    return points
+    noise_mw = cfg.window_noise_mw()
+    g_stars = [_draw_thresholds(cfg, carrier_signal_mw(cfg, p), noise_mw)
+               for p in signal_power_dbm]
+    counts = _detect_counts(cfg, g_stars, trials, np.random.default_rng([seed, 0x20C]))
+    return [RocPoint(power_dbm=float(power), pd=count / trials, pfa=pfa)
+            for power, count in zip(signal_power_dbm, counts)]
 
 
 def roc_to_csv(points, trials, path):

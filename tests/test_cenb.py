@@ -30,6 +30,21 @@ def report(channel, decision, t_ms=3.0, cenb="c1"):
                          carrier_stats_dbm=(-110.0, -110.0, -110.0), t_ms=t_ms)
 
 
+def record(state, rep):
+    """Write one report's verdict into the sensing view."""
+    occupied = (rep.channel_index,) if rep.decision is Decision.OCCUPIED else ()
+    state.record_view((rep.channel_index,), occupied, rep.t_ms)
+
+
+def decide(state, reports, regions, grid, frame_no):
+    """``spectrum_decision`` after writing each of ``reports`` into the sensing
+    view, one ``record_view`` each, and ``regions`` into the database view."""
+    for rep in reports:
+        record(state, rep)
+    state.region_cache.update(regions)
+    return spectrum_decision(state, grid, frame_no)
+
+
 def make_state(block=(5, 6, 7), cenb="c1"):
     return CenbState(id=cenb, location=(0.0, 0.0),
                      dedicated_band=FrequencyBand(698.0, 706.0),
@@ -97,8 +112,8 @@ class TestSpectrumDecision:
                      if ch not in (5, 6, 7, 12, 13, 14, 20)}
         reports = [report(5, Decision.VACANT), report(6, Decision.OCCUPIED),
                    report(7, Decision.VACANT)]
-        msg = spectrum_decision(state, reports, self.regions(grid, overrides),
-                                grid, frame_no=1)
+        msg = decide(state, reports, self.regions(grid, overrides),
+                     grid, frame_no=1)
         assert msg is not None
         assert msg.target_block == (12, 13, 14)
         assert msg.bandwidth_mhz == 20
@@ -108,7 +123,7 @@ class TestSpectrumDecision:
     def test_all_clear_steady_state(self, grid):
         state = make_state()
         reports = [report(ch, Decision.VACANT) for ch in (5, 6, 7)]
-        assert spectrum_decision(state, reports, self.regions(grid), grid, 1) is None
+        assert decide(state, reports, self.regions(grid), grid, 1) is None
 
     def test_tie_breaks_to_lowest_index(self, grid):
         state = make_state()
@@ -117,29 +132,29 @@ class TestSpectrumDecision:
                      if ch not in keep}
         reports = [report(5, Decision.OCCUPIED), report(6, Decision.VACANT),
                    report(7, Decision.VACANT)]
-        msg = spectrum_decision(state, reports, self.regions(grid, overrides),
-                                grid, frame_no=4)
+        msg = decide(state, reports, self.regions(grid, overrides),
+                     grid, frame_no=4)
         assert msg.target_block == (8, 9, 10)
 
     def test_black_region_triggers_even_without_detection(self, grid):
         state = make_state()
         reports = [report(ch, Decision.VACANT) for ch in (5, 6, 7)]
-        msg = spectrum_decision(state, reports, self.regions(grid, {6: Region.BLACK}),
-                                grid, 1)
+        msg = decide(state, reports, self.regions(grid, {6: Region.BLACK}),
+                     grid, 1)
         assert msg is not None
         assert 6 not in msg.target_block
 
     def test_grey_active_channel_requires_fresh_report(self, grid):
         state = make_state()
         with pytest.raises(StaleSensingError):
-            spectrum_decision(state, [], self.regions(grid, {6: Region.GREY}),
-                              grid, frame_no=3)
+            decide(state, [], self.regions(grid, {6: Region.GREY}),
+                   grid, frame_no=3)
 
     def test_exhausted_band_falls_back_to_dedicated(self, grid):
         state = make_state(block=(5,))
         overrides = {ch: Region.BLACK for ch in range(grid.n_channels) if ch != 5}
-        msg = spectrum_decision(state, [report(5, Decision.OCCUPIED)],
-                                self.regions(grid, overrides), grid, 1)
+        msg = decide(state, [report(5, Decision.OCCUPIED)],
+                     self.regions(grid, overrides), grid, 1)
         assert msg.target_block == ()
         assert msg.bandwidth_mhz is None
 
@@ -147,9 +162,9 @@ class TestSpectrumDecision:
         state = make_state()
         reports = [report(5, Decision.OCCUPIED), report(6, Decision.VACANT),
                    report(7, Decision.VACANT)]
-        first = spectrum_decision(state, list(reports), self.regions(grid), grid, 1)
+        first = decide(state, list(reports), self.regions(grid), grid, 1)
         assert first is not None
-        again = spectrum_decision(state, list(reports), self.regions(grid), grid, 1)
+        again = decide(state, list(reports), self.regions(grid), grid, 1)
         assert again is None
 
     def test_grey_channels_need_clearance_to_be_targets(self, grid):
@@ -158,8 +173,8 @@ class TestSpectrumDecision:
                      if ch not in (5, 20, 21)}
         overrides.update({20: Region.GREY, 21: Region.GREY})
         reports = [report(5, Decision.OCCUPIED), report(20, Decision.VACANT)]
-        msg = spectrum_decision(state, reports, self.regions(grid, overrides),
-                                grid, 1)
+        msg = decide(state, reports, self.regions(grid, overrides),
+                     grid, 1)
         assert msg.target_block == (20,)  # 21 was never sensed
 
 
@@ -169,7 +184,7 @@ class TestExecuteHandover:
                    report(25, Decision.OCCUPIED, t_ms=1003.0),
                    report(26, Decision.VACANT, t_ms=1003.0)]
         regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
-        return spectrum_decision(state, reports, regions, grid, frame_no=frame_no)
+        return decide(state, reports, regions, grid, frame_no=frame_no)
 
     def test_timeline_restores_within_budget(self, grid):
         # detection 1003 -> decision boundary 1010 -> activation 1020
@@ -202,7 +217,7 @@ class TestExecuteHandover:
         state = make_state(block=(24, 25, 26))
         msg = self.pend(state, grid)
         target = msg.target_block[0]
-        state.record_report(report(target, Decision.OCCUPIED, t_ms=1013.0))
+        record(state, report(target, Decision.OCCUPIED, t_ms=1013.0))
         before_block = state.active_block
         state, event = execute_handover(state, msg, now_ms=1020.0)
         assert event.aborted
@@ -210,7 +225,7 @@ class TestExecuteHandover:
         assert state.pending_handover is None
         # next decision round finds a new target avoiding the occupied one
         regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
-        msg2 = spectrum_decision(state, [], regions, grid, frame_no=103)
+        msg2 = decide(state, [], regions, grid, frame_no=103)
         assert msg2 is not None
         assert target not in msg2.target_block
 
@@ -226,7 +241,7 @@ class TestDetectionTime:
         regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
         reports = [report(24, Decision.VACANT, t_ms=1003.0),
                    report(25, Decision.OCCUPIED, t_ms=1003.0)]
-        msg = spectrum_decision(state, reports, regions, grid, frame_no=101)
+        msg = decide(state, reports, regions, grid, frame_no=101)
         assert msg.t_detect_ms == 1003.0
         _, event = execute_handover(state, msg, now_ms=1020.0, retune_ms=10.0)
         assert event.t_detect_ms == 1003.0
@@ -236,7 +251,7 @@ class TestDetectionTime:
         state = make_state(block=(24, 25, 26))
         regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
         regions[25] = Region.BLACK
-        msg = spectrum_decision(state, [], regions, grid, frame_no=101)
+        msg = decide(state, [], regions, grid, frame_no=101)
         assert msg.t_detect_ms == 1010.0
         _, event = execute_handover(state, msg, now_ms=1020.0, retune_ms=10.0)
         assert event.latency_ms == 20.0
@@ -403,27 +418,30 @@ class TestBestVacantRun:
 class TestSensingView:
     # Decision at frame 101 (1010 ms): a verdict sensed before 1000 ms is stale.
     @pytest.mark.parametrize("t_ms, stale", [(1003.0, False), (993.0, True)])
-    def test_record_report_and_record_agree(self, grid, t_ms, stale):
+    def test_per_verdict_and_per_round_writes_agree(self, grid, t_ms, stale):
         verdicts = [(24, Decision.OCCUPIED), (25, Decision.VACANT),
                     (24, Decision.VACANT), (26, Decision.OCCUPIED)]
-        by_report = make_state(block=(24, 25, 26))
-        by_record = make_state(block=(24, 25, 26))
+        by_verdict = make_state(block=(24, 25, 26))
+        by_round = make_state(block=(24, 25, 26))
         for ch, decision in verdicts:
-            by_report.record_report(report(ch, decision, t_ms=t_ms))
-            by_record.record(ch, decision is Decision.OCCUPIED, t_ms)
+            record(by_verdict, report(ch, decision, t_ms=t_ms))
+        # One round: each channel's last verdict wins.
+        last = dict(verdicts)
+        by_round.record_view(sorted(last), [ch for ch, d in last.items()
+                                            if d is Decision.OCCUPIED], t_ms)
         for ch in range(grid.n_channels):
-            assert by_report.unavailable(ch) == by_record.unavailable(ch)
-        assert [ch for ch in (24, 25, 26) if by_record.unavailable(ch)] == [26]
+            assert by_verdict.unavailable(ch) == by_round.unavailable(ch)
+        assert by_verdict.sensed_ms == by_round.sensed_ms
+        assert [ch for ch in (24, 25, 26) if by_round.unavailable(ch)] == [26]
 
-        regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
-        regions[25] = Region.GREY
-
-        def decide(state):
+        def outcome(state):
+            state.region_cache.update({ch: Region.WHITE for ch in range(grid.n_channels)})
+            state.region_cache[25] = Region.GREY
             try:
-                return spectrum_decision(state, [], regions, grid, frame_no=101)
+                return spectrum_decision(state, grid, frame_no=101)
             except StaleSensingError:
                 return "stale"
 
-        outcome = decide(by_report)
-        assert outcome == decide(by_record)
-        assert (outcome == "stale") == stale
+        result = outcome(by_verdict)
+        assert result == outcome(by_round)
+        assert (result == "stale") == stale

@@ -5,6 +5,8 @@ exit code 2, a single ``error:`` line on stderr, nothing on stdout and
 no traceback.
 """
 
+import tracemalloc
+
 import pytest
 
 from tvwsim import cli
@@ -424,3 +426,46 @@ def test_a_directory_for_an_input_file_names_its_key(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {argv[1]}: {key} is not a file: {tmp_path / 'inputs'}\n"
+
+
+def test_a_trace_narrower_than_the_band_flags_names_the_trace_and_flags(tmp_path, capsys):
+    # A 470-502 MHz trace under the default 470-806 MHz band.
+    trace = tmp_path / "trace.csv"
+    freqs = [f"p_{470.1 + 0.2 * i:.1f}" for i in range(160)]
+    rows = "".join(f"{t},{','.join(['-100'] * len(freqs))}\n" for t in (0, 1000))
+    trace.write_text(f"t_ms,{','.join(freqs)}\n{rows}", encoding="utf-8")
+    assert cli.main(["occupancy", str(trace)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {trace}: channel 4 (502.0-510.0 MHz) has no bins")
+    assert "--band-low" in captured.err and "--band-high" in captured.err
+
+
+def test_a_sub_band_outside_the_trace_names_the_sub_band_table(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(OCCUPANCY_TRACE, encoding="utf-8")
+    table = tmp_path / "subbands.csv"
+    table.write_text("low_mhz,high_mhz,label\n470,478,a\n486,494,b\n", encoding="utf-8")
+    assert cli.main(["occupancy", str(trace), "--band-low=470", "--band-high=486",
+                     "--exclude=", "--subbands", str(table)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {table}: sub-band 486.0-494.0 MHz")
+
+
+# 0.3 kHz splits the default 336 MHz band into 1.12 M bins; 1e-310 kHz
+# into more bins than a double can count.
+@pytest.mark.parametrize("rbw", ["0.3", "1e-310"])
+def test_an_rbw_over_the_bin_cap_fails_before_its_bins_exist(tmp_path, capsys, rbw):
+    argv = _argv(tmp_path, "simulate", f"radio.rbw_khz = {rbw}")
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[1]}: radio.rbw_khz = {float(rbw):g} ")
+    assert peak < 8 * 1_120_000     # less than one float per bin

@@ -12,12 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvwsim import harness
-from tvwsim.errors import ConfigError
+from tvwsim.errors import ConfigError, CoverageError
 from tvwsim.radio_env import (
+    FrequencyBand,
     PropagationConfig,
     ScheduleTable,
     TvStandard,
     TvTransmitter,
+    build_channel_grid,
     china_tv_grid,
     dbm_to_mw,
     path_loss,
@@ -26,12 +28,10 @@ from tvwsim.radio_env import (
     thermal_noise_dbm,
 )
 from tvwsim.sensing import (
-    Decision,
     analytic_threshold_dbm,
     carrier_windows,
     default_calibration,
     detect_channels,
-    detect_tv,
     estimate_roc,
     measure_pfa,
 )
@@ -39,7 +39,7 @@ from tvwsim.sensing import (
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def test_detect_tv_matches_the_frame_loop_detector():
+def test_frame_loop_detector_finds_the_tvs_of_a_received_spectrum():
     grid = china_tv_grid()
     cfg = default_calibration()
     txs = [TvTransmitter(id=f"tv{ch}", standard=TvStandard.ANALOG_PAL_D, channel_index=ch,
@@ -53,10 +53,6 @@ def test_detect_tv_matches_the_frame_loop_detector():
 
     assert stats.shape == (grid.n_channels, cfg.n_carriers)
     assert occupied[5] and occupied[25] and occupied.sum() < grid.n_channels
-    for ch in range(grid.n_channels):
-        report = detect_tv(cfg, spectrum, ch, grid)
-        assert (report.decision is Decision.OCCUPIED) == bool(occupied[ch])
-        assert report.carrier_stats_dbm == tuple(stats[ch])
 
 
 # Two CeNBs and three TVs: a scheduled PAL-D service 22 m from cenb1, inside
@@ -335,7 +331,8 @@ def test_detect_channels_over_leading_axes_equals_one_call_per_round():
                 assert np.array_equal(occupied[f, cenb], one_occupied)
 
 
-def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch):
+def _three_cenb_or_scenario(tmp_path):
+    """Three CeNBs under OR with 4 dB shadowing and random downlink loss, 307 frames."""
     (tmp_path / "tx.csv").write_text(MAJORITY_TRANSMITTERS, encoding="utf-8")
     scenario = tmp_path / "or.ini"
     cenbs = "".join(f"cenb{i}.x_m = {x}\ncenb{i}.block = 24,25,26\n"
@@ -343,7 +340,11 @@ def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypa
     scenario.write_text("sim.seed = 13\nsim.duration_ms = 3070\nsim.fusion_rule = OR\n"
                         "sim.random_loss_floor = 0.05\nprop.shadowing_sigma_db = 4\n"
                         f"files.transmitters = tx.csv\n{cenbs}", encoding="utf-8")
-    cfg = harness.load_scenario(scenario)
+    return harness.load_scenario(scenario)
+
+
+def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch):
+    cfg = _three_cenb_or_scenario(tmp_path)
     runs = []
     # One frame per block, three (307 frames is not a multiple of 3), all in one.
     for block_bins in (1, 3 * 3 * 111, 10**6):
@@ -354,6 +355,67 @@ def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypa
     for other_metrics, other_events in others:
         assert other_events == events
         assert np.array_equal(other_metrics.plr, metrics.plr)
+
+
+def _fig17_with_random_loss(tmp_path):
+    """The Fig. 17 run (one CeNB, a TV switching on in its block) with random loss."""
+    cfg = harness.load_scenario(SCENARIOS / "handover_fig17.ini")
+    return replace(cfg, random_loss_floor=0.05)
+
+
+# Half runs end inside a block of frames: 130 frames against 9 per block,
+# 155 against 3.
+@pytest.mark.parametrize("make, duration_ms", [(_fig17_with_random_loss, 2600),
+                                               (_three_cenb_or_scenario, 3100)],
+                         ids=["fig17", "three_cenb_or"])
+def test_a_run_is_a_prefix_of_a_longer_run(tmp_path, make, duration_ms):
+    cfg = make(tmp_path)
+    half_ms = duration_ms // 2
+    long_metrics, long_events = harness.run_simulation(replace(cfg, duration_ms=duration_ms))
+    metrics, events = harness.run_simulation(replace(cfg, duration_ms=half_ms))
+    assert [e for e in events if e[0] < half_ms] == [e for e in long_events if e[0] < half_ms]
+    assert np.array_equal(metrics.plr, long_metrics.plr[:metrics.plr.size])
+    assert any(kind == "DECIDE" for t, _, kind, _ in events if t < half_ms)
+    assert np.any((metrics.plr > 0) & (metrics.plr < 1))    # random loss was drawn
+
+
+def _full_width_windows(centers, low_edges, cfg):
+    """Carrier-window rows found by one pass over every bin per window."""
+    half = cfg.det_bw_khz / 1000.0 / 2
+    return [np.nonzero(np.abs(centers - (lo + off)) <= half + 1e-9)[0]
+            for lo in low_edges for off in cfg.carrier_offsets_mhz]
+
+
+@pytest.mark.parametrize("rbw_khz", [200.0, 150.0, 100.0, 66.7, 25.0, 10.0, 3.3, 1.0])
+@pytest.mark.parametrize("low_mhz", [470.0, 470.1, 300.05])
+def test_carrier_windows_equal_the_full_width_form(rbw_khz, low_mhz):
+    det = default_calibration()
+    grid = build_channel_grid(FrequencyBand(low_mhz, low_mhz + 336.0), 8.0)
+    rbw_mhz = rbw_khz / 1000.0
+    centers = grid.band.low_mhz + (np.arange(round(336.0 / rbw_mhz)) + 0.5) * rbw_mhz
+    rows = _full_width_windows(centers, grid.low_edges_mhz, det)
+    if {row.size for row in rows} == {rows[0].size} and rows[0].size:
+        windows = carrier_windows(centers, grid.low_edges_mhz, det)
+        assert windows.dtype == rows[0].dtype
+        np.testing.assert_array_equal(windows.reshape(len(rows), -1), np.stack(rows))
+    else:
+        with pytest.raises(CoverageError):
+            carrier_windows(centers, grid.low_edges_mhz, det)
+    # Window by window, so that rows of unequal width are compared too.
+    offsets = det.carrier_offsets_mhz
+    for i, row in enumerate(rows):
+        one = replace(det, carrier_offsets_mhz=(offsets[i % len(offsets)],), k_required=1)
+        lo = grid.low_edges_mhz[i // len(offsets)]
+        np.testing.assert_array_equal(carrier_windows(centers, [lo], one).ravel(), row)
+
+
+def test_committed_scenario_windows_equal_the_full_width_form():
+    cfg = harness.load_scenario(SCENARIOS / "handover_fig17.ini")
+    rbw_mhz = cfg.rbw_khz / 1000.0
+    n_bins = round(cfg.grid.band.width_mhz / rbw_mhz)
+    centers = cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz
+    rows = _full_width_windows(centers, cfg.grid.low_edges_mhz, cfg.detector)
+    np.testing.assert_array_equal(cfg.windows.reshape(len(rows), -1), np.stack(rows))
 
 
 @pytest.mark.parametrize("text, expected", [

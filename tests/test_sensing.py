@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,19 +19,17 @@ from tvwsim.radio_env import (
 )
 from tvwsim.sensing import (
     _DRAW_CHUNK,
-    Decision,
     DetectorConfig,
-    _detect_counts,
-    _draw_threshold,
+    _draw_thresholds,
     _gamma_mean1_isf,
     _k_of_n,
     _unit_gamma_draws,
     analytic_threshold_dbm,
     calibrate_threshold,
     carrier_signal_mw,
-    channel_energy_dbm,
+    carrier_windows,
     default_calibration,
-    detect_tv,
+    detect_channels,
     estimate_roc,
     load_calibration,
     measure_pfa,
@@ -133,67 +132,74 @@ class TestDetect:
                                  snapshots=self.cfg.n_snapshots(),
                                  rng=np.random.default_rng(seed))
 
+    def detect(self, spectrum):
+        """Channel 1's carrier statistics and verdict: ``detect_channels``
+        over the channel's ``carrier_windows`` of the spectrum."""
+        windows = carrier_windows(spectrum.bin_centers_mhz(), [self.grid.low_edge_mhz(1)],
+                                  self.cfg)
+        stats, occupied = detect_channels(self.cfg, spectrum.bins_mw(), windows)
+        return stats[0], bool(occupied[0])
+
     def test_strong_signal_occupied_on_all_carriers(self):
-        report = detect_tv(self.cfg, self.spectrum(-60.0), 1, self.grid)
-        assert report.decision is Decision.OCCUPIED
-        assert all(s > self.cfg.threshold_dbm for s in report.carrier_stats_dbm)
+        stats, occupied = self.detect(self.spectrum(-60.0))
+        assert occupied
+        assert all(s > self.cfg.threshold_dbm for s in stats)
 
     def test_noise_only_mostly_vacant(self):
         # spectrum-level route should reproduce the calibrated Pfa
-        hits = sum(
-            detect_tv(self.cfg, self.spectrum(None, seed=s), 1, self.grid).decision
-            is Decision.OCCUPIED for s in range(4000))
+        hits = sum(self.detect(self.spectrum(None, seed=s))[1] for s in range(4000))
         assert hits / 4000 == pytest.approx(0.01, abs=0.008)
 
     def test_uncovered_channel_rejected(self):
         small = build_channel_grid(FrequencyBand(470.0, 478.0), 8.0)
         spec = received_spectrum((0, 0), [], 0.0, self.prop, small)
         with pytest.raises(CoverageError):
-            detect_tv(self.cfg, spec, 2, self.grid)
+            carrier_windows(spec.bin_centers_mhz(), [self.grid.low_edge_mhz(2)], self.cfg)
 
     def test_uncalibrated_config_rejected(self):
         cfg = DetectorConfig()
         with pytest.raises(CalibrationError):
-            detect_tv(cfg, self.spectrum(-60.0), 1, self.grid)
+            estimate_roc(cfg, [-60.0], trials=10)
+        with pytest.raises(CalibrationError):
+            measure_pfa(cfg, trials=10)
 
     def test_detection_is_pure(self):
         spec = self.spectrum(-90.0)
-        a = detect_tv(self.cfg, spec, 1, self.grid)
-        b = detect_tv(self.cfg, spec, 1, self.grid)
-        assert a == b
+        a_stats, a_occupied = self.detect(spec)
+        b_stats, b_occupied = self.detect(spec)
+        assert np.array_equal(a_stats, b_stats) and a_occupied == b_occupied
 
     def test_spectrum_route_matches_direct_statistic_route(self):
         # same signal model on both paths: window means from the spectrum
         # synthesis equal noise + carrier fractions of the total power
         sig = carrier_signal_mw(self.cfg, -80.0)
         spec = received_spectrum((0, 0), [self.tx(-80.0)], 0.0, self.prop, self.grid)
-        lo = self.grid.low_edge_mhz(1)
-        for offset, expected in zip(self.cfg.carrier_offsets_mhz, sig):
-            idx = spec.window_indices(lo + offset, 0.2)
+        windows = carrier_windows(spec.bin_centers_mhz(), [self.grid.low_edge_mhz(1)],
+                                  self.cfg)
+        for idx, expected in zip(windows[0], sig):
             window = float(spec.bins_mw()[idx].sum()) - self.cfg.window_noise_mw()
             assert window == pytest.approx(expected, rel=1e-9)
 
 
 class TestOperatingPoint:
     def test_pd_at_minus_120_dbm(self):
-        from tvwsim.sensing import measure_pd
-
         cfg = default_calibration()
-        pd = measure_pd(cfg, -120.0, trials=20_000, seed=5)
-        assert pd >= 0.9985
+        (point,) = estimate_roc(cfg, [-120.0], trials=20_000, seed=5)
+        assert point.pd >= 0.9985
 
     def test_narrowband_gain_is_16_db(self, grid, prop, rng):
         # mean noise statistic of the 8 MHz energy detector vs the
         # 200 kHz feature window: 10*log10(8000/200) = 16.02 dB
         cfg = default_calibration()
+        lo, hi = grid.low_edge_mhz(5), grid.high_edge_mhz(5)
         energies = []
         windows = []
         for seed in range(300):
             spec = received_spectrum((0, 0), [], 0.0, prop, grid,
                                      rng=np.random.default_rng(seed), snapshots=1)
-            energies.append(10 ** (channel_energy_dbm(spec, 5, grid) / 10))
-            lo = grid.low_edge_mhz(5)
-            idx = spec.window_indices(lo + cfg.carrier_offsets_mhz[0], 0.2)
+            centers = spec.bin_centers_mhz()
+            energies.append(float(spec.bins_mw()[(centers > lo) & (centers < hi)].sum()))
+            idx = carrier_windows(centers, [lo], cfg)[0, 0]
             windows.append(float(spec.bins_mw()[idx].sum()))
         ratio_db = 10 * np.log10(np.mean(energies) / np.mean(windows))
         assert ratio_db == pytest.approx(16.02, abs=0.5)
@@ -296,14 +302,13 @@ class TestThresholdOnDraws:
         cfg = replace(default_calibration(), k_required=k)
         noise = cfg.window_noise_mw()
         sig = carrier_signal_mw(cfg, power)
-        tau = float(dbm_to_mw(cfg.threshold_dbm))
-        g_star = np.array([_draw_threshold(float(noise + s), tau) for s in sig])
+        g_star = _draw_thresholds(cfg, sig, noise)
         # every mix of "at g*" (1) and "one double below g*" (0) over the carriers
         at = np.array(list(itertools.product([0, 1], repeat=cfg.n_carriers)))
         g = np.where(at == 1, g_star, np.nextafter(g_star, 0.0))
         expected = int((at.sum(axis=1) >= k).sum())
         assert product_count(cfg, sig, noise, g) == expected
-        assert _detect_counts(cfg, sig, noise, g) == expected
+        assert int(np.count_nonzero(_k_of_n(g, g_star, k))) == expected
 
     def test_roc_sweeps_equal_the_product_rule(self):
         base = default_calibration()
@@ -333,3 +338,36 @@ class TestThresholdOnDraws:
         chunked = _unit_gamma_draws(cfg, trials, np.random.default_rng(5))
         assert chunked.flags.f_contiguous
         assert np.array_equal(chunked, one)
+
+
+def test_roc_counts_over_many_chunks_equal_the_product_rule():
+    # Trials over three draw chunks, the last one partial: the chunked
+    # counts equal the product rule on all the draws at once.
+    cfg = default_calibration()
+    m, n, noise = cfg.n_snapshots(), cfg.n_carriers, cfg.window_noise_mw()
+    powers = [float("-inf"), -125.0, -122.0, -120.0]
+    trials = 2 * _DRAW_CHUNK + 7
+    g = np.random.default_rng([4, 0x0FA]).gamma(m, 1.0 / m, size=(trials, n))
+    pfa = product_count(cfg, np.zeros(n), noise, g) / trials
+    g = np.random.default_rng([4, 0x20C]).gamma(m, 1.0 / m, size=(trials, n))
+    expected = [(p, product_count(cfg, carrier_signal_mw(cfg, p), noise, g) / trials, pfa)
+                for p in powers]
+    points = estimate_roc(cfg, powers, trials=trials, seed=4)
+    assert [(q.power_dbm, q.pd, q.pfa) for q in points] == expected
+    assert measure_pfa(cfg, trials=trials, seed=4) == pfa
+    assert 0.0 < expected[2][1] < 1.0
+
+
+def test_roc_memory_is_one_chunks_working_set():
+    cfg = default_calibration()
+
+    def peak_bytes(trials):
+        tracemalloc.start()
+        try:
+            estimate_roc(cfg, [-125.0, -120.0], trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(_DRAW_CHUNK)     # one-time allocations outside the sweep
+    assert peak_bytes(20 * _DRAW_CHUNK) <= 1.1 * peak_bytes(2 * _DRAW_CHUNK)
