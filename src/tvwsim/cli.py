@@ -16,7 +16,7 @@ import sys
 
 from . import geodb as geodb_mod
 from . import harness, occupancy, sensing
-from .errors import ConfigError, CoverageError, ParseError, TvwsimError
+from .errors import ConfigError, CoverageError, DegenerateContourError, ParseError, TvwsimError
 from .geodb import query_vacant_channels
 from .radio_env import FrequencyBand, PropagationConfig, build_channel_grid, finite_float
 
@@ -99,8 +99,13 @@ def _cmd_geodb(args):
     db = geodb_mod.load(args.db, prop, args.freq)
     if args.geodb_cmd == "query":
         grid = _grid_from_args(args)
-        rows = query_vacant_channels(db, (args.x, args.y), args.eirp, prop, grid,
-                                     args.freq)
+        try:
+            rows = query_vacant_channels(db, (args.x, args.y), args.eirp, prop, grid,
+                                         args.freq)
+        except DegenerateContourError as exc:
+            raise ConfigError(f"{args.db}: protection_floor_dbm = "
+                              f"{db.protection_floor_dbm:g} dBm is out of reach of "
+                              f"--eirp = {args.eirp:g} dBm ({exc})") from exc
         print("channel,low_mhz,region")
         for ch, region in rows:
             print(f"{ch},{grid.low_edge_mhz(ch):.10g},{region.name.title()}")

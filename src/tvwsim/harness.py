@@ -66,8 +66,15 @@ from .cenb import (
     select_bandwidth,
     spectrum_decision,
 )
-from .errors import AlignmentError, ConfigError, CoverageError, ParseError, StartupError
-from .geodb import GeoDb, Region, query_vacant_channels
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    CoverageError,
+    DegenerateContourError,
+    ParseError,
+    StartupError,
+)
+from .geodb import GeoDb, Region, contour_radius_m, query_vacant_channels
 from .radio_env import (
     DEFAULT_RBW_KHZ,
     FrequencyBand,
@@ -406,7 +413,8 @@ def load_scenario(path):
     db = None
     db_file = reader.take("files.geodb", str, None)
     if db_file is not None:
-        db = geodb_mod.load(_input_file(path, "files.geodb", db_file, base_dir), prop)
+        db_file = _input_file(path, "files.geodb", db_file, base_dir)
+        db = geodb_mod.load(db_file, prop)
 
     cenbs = []
     prefixes = {}       # CeNB id -> the key prefix of the CeNB that has it
@@ -433,6 +441,18 @@ def load_scenario(path):
         cenbs = [CenbSetup(id="cenb1", location=(0.0, 0.0), tx_power_dbm=20.0,
                            dedicated_band=FrequencyBand(698.0, 706.0),
                            initial_block=None)]
+    # A CeNB's interference contour must exist wherever a record
+    # constrains a grid channel.
+    if db is not None and any(db.co_channel_arrays(ch) is not None
+                              for ch in range(grid.n_channels)):
+        for n, setup in enumerate(cenbs, start=1):
+            try:
+                contour_radius_m(setup.tx_power_dbm, db.protection_floor_dbm, prop)
+            except DegenerateContourError as exc:
+                raise ConfigError(
+                    f"{path}: cenb{n}.power_dbm = {setup.tx_power_dbm:g} dBm cannot reach "
+                    f"protection_floor_dbm = {db.protection_floor_dbm:g} dBm of {db_file} "
+                    f"({exc})") from exc
 
     cfg = ScenarioConfig(
         seed=seed,

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, CoverageError, ParseError
-from .radio_env import FrequencyBand, csv_rows, finite_float, row_errors
+from .radio_env import FrequencyBand, csv_rows, finite_float, float_chunks, row_errors
 
 DEFAULT_NOISE_PERCENTILE = 10.0
 DEFAULT_THRESHOLD_MARGIN_DB = 6.0
@@ -86,17 +86,18 @@ def ingest_trace(path, site="", rbw_khz=200.0):
     Header is ``t_ms[,lat,lon],p_<f1>,p_<f2>,...`` with bin-center
     frequencies in MHz.  Ragged rows, non-finite cells and non-increasing
     timestamps are rejected with the offending line number, and a trace
-    without data rows is rejected.
+    without data rows is rejected.  Sweeps are parsed and checked a chunk
+    at a time as float arrays; only when a check fails is the file read
+    again row by row, which names the first bad line.
     """
-    has_pos = False
-    freqs, times, latlon, rows = [], [], [], []
+    header = {}
 
     def check_header(cells):
-        nonlocal has_pos
         if cells[:1] != ["t_ms"]:
             raise ValueError("first column must be t_ms")
-        has_pos = cells[1:3] == ["lat", "lon"]
-        for name in cells[3 if has_pos else 1:]:
+        header["first"] = 3 if cells[1:3] == ["lat", "lon"] else 1
+        header["freqs"] = freqs = []
+        for name in cells[header["first"]:]:
             m = _FREQ_COL.match(name)
             if not m:
                 raise ValueError(f"bad frequency column {name!r}")
@@ -104,23 +105,51 @@ def ingest_trace(path, site="", rbw_khz=200.0):
         if not freqs:
             raise ValueError("no frequency columns")
 
-    for lineno, row in csv_rows(path, check_header):
-        with row_errors(path, lineno):
-            t = finite_float(row[0])
-            if times and t <= times[-1]:
-                raise ValueError("timestamps not strictly increasing")
-            times.append(t)
-            if has_pos:
-                latlon.append((finite_float(row[1]), finite_float(row[2])))
-            rows.append([finite_float(v) for v in row[3 if has_pos else 1:]])
-    if not rows:
+    blocks = _trace_blocks(path, check_header)
+    if blocks is None:
+        blocks = _trace_rows(path, check_header)
+    if not blocks:
         raise ParseError("no data rows", path=path)
+    first = header["first"]
     # The one check left to the matrix: the header's frequencies ascend.
     with row_errors(path, 1):
         return OccupancyMatrix(
-            timestamps_ms=np.asarray(times), freqs_mhz=np.asarray(freqs),
-            power_dbm=np.array(rows, dtype=float),
-            site=site, rbw_khz=rbw_khz, latlon=np.asarray(latlon) if has_pos else None)
+            timestamps_ms=np.concatenate([b[:, 0] for b in blocks]),
+            freqs_mhz=np.asarray(header["freqs"]),
+            power_dbm=np.concatenate([b[:, first:] for b in blocks]),
+            site=site, rbw_khz=rbw_khz,
+            latlon=np.concatenate([b[:, 1:3] for b in blocks]) if first == 3 else None)
+
+
+def _trace_blocks(path, check_header):
+    """The trace's rows as float arrays, a chunk each; None when a row
+    fails a check."""
+    blocks, last_t = [], -np.inf
+    try:
+        for _, values in float_chunks(csv_rows(path, check_header)):
+            if values is None or not np.isfinite(values).all():
+                return None
+            t = values[:, 0]
+            if t[0] <= last_t or (t[1:] <= t[:-1]).any():
+                return None
+            last_t = t[-1]
+            blocks.append(values)
+    except ParseError:
+        return None
+    return blocks
+
+
+def _trace_rows(path, check_header):
+    """The trace's rows checked one at a time: the first bad one raises a
+    ParseError at its line.  Returns them as a list of one float array."""
+    rows = []
+    for lineno, cells in csv_rows(path, check_header):
+        with row_errors(path, lineno):
+            t = finite_float(cells[0])
+            if rows and t <= rows[-1][0]:
+                raise ValueError("timestamps not strictly increasing")
+            rows.append([t, *map(finite_float, cells[1:])])
+    return [np.array(rows, dtype=float)] if rows else []
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ at once.
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -517,6 +518,38 @@ def csv_rows(path, header, metadata=None):
                 raise ParseError(f"expected {len(cells)} columns, got {len(row)}",
                                  line=lineno, path=path)
             yield lineno, row
+
+
+# Cells per chunk of ``float_chunks``: a few hundred geo-database rows,
+# or one full-band sweep.
+CHUNK_CELLS = 2048
+
+
+def float_chunks(rows, columns=slice(None)):
+    """Group ``csv_rows``' rows into chunks of about ``CHUNK_CELLS`` cells.
+
+    Yields (chunk, values) per chunk: the cell lists of the chunk's
+    rows, and the (rows, k) float array of their ``columns`` (a slice),
+    parsed as ``float`` parses them, or None when one of those cells is
+    not a number.  The cells are held a chunk at a time, never the whole
+    file's.
+    """
+    cells = map(operator.itemgetter(1), rows)
+    chunk = list(itertools.islice(cells, 1))
+    size = max(1, CHUNK_CELLS // len(chunk[0])) if chunk else 1
+    chunk += itertools.islice(cells, size - 1)
+    while chunk:
+        yield chunk, float_array([row[columns] for row in chunk])
+        chunk = list(itertools.islice(cells, size))
+
+
+def float_array(cells):
+    """``cells`` as a float array, parsed as ``float`` parses each cell;
+    None when a cell is not a number."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return None
 
 
 def _parse_schedule(text):

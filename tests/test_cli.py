@@ -65,6 +65,9 @@ BAD_INPUTS = [
     ("acir", "interference.acir_db = 0:1:1e-6"),
     ("geodb", "--exclude=566-6x6"),
     ("occupancy", "--exclude=566-6x6"),
+    ("geodb", "# grey_margin_m=-1e9"),
+    ("geodb", "db,AnalogPalD,-1,0,0,60,30,-84,"),
+    ("geodb", "db,AnalogPalD,99999999999999999999999,0,0,60,30,-84,"),
 ]
 
 
@@ -78,9 +81,13 @@ def _argv(tmp_path, command, arg):
         path.write_text(f"{head}{arg}\n", encoding="utf-8")
         return [command, str(path), "--out", out]
     if command == "geodb":
+        # Not an option: the database's one metadata line, or its one record.
         path = tmp_path / "db.csv"
-        path.write_text(GEODB_HEADER, encoding="utf-8")
-        return ["geodb", "query", str(path), "--x=0", "--y=0", arg]
+        option = arg.startswith("--")
+        meta = "" if option or not arg.startswith("#") else f"{arg}\n"
+        record = "" if option or arg.startswith("#") else f"{arg}\n"
+        path.write_text(meta + GEODB_HEADER + record, encoding="utf-8")
+        return ["geodb", "query", str(path), "--x=0", "--y=0", *([arg] if option else [])]
     path = tmp_path / "trace.csv"
     path.write_text(TRACE, encoding="utf-8")
     return ["occupancy", str(path), arg]
@@ -304,6 +311,10 @@ BAD_CSV = [
     ("transmitters", "input.csv", TX_HEADER + "tv,AnalogPalD,3,100,0,40,30,,ninth\n", 2),
     ("geodb", "input.csv", GEODB_HEADER + "db,AnalogPalD,3,0,0,60,30,-84,,tenth\n", 2),
     ("geodb", "input.csv", GEODB_HEADER + "\ndb,AnalogPalD,3,0,0,0,30,-20,\n", 3),
+    ("geodb", "input.csv", "# grey_margin_m=-1e9\n" + GEODB_HEADER, 1),
+    ("geodb", "input.csv", GEODB_HEADER + "db,AnalogPalD,-1,0,0,60,30,-84,\n", 2),
+    ("geodb", "input.csv",
+     GEODB_HEADER + "db,AnalogPalD,99999999999999999999999,0,0,60,30,-84,\n", 2),
     ("separation", "sep.csv", "power_dbm,10,30\n0,100,nan\n10,300,400\n", 2),
     ("separation", "sep.csv", "power_dbm,10,30\n0,100,200\n10,inf,400\n", 3),
     ("separation", "sep.csv", "power_dbm,10,inf\n0,100,200\n10,300,400\n", 1),
@@ -469,3 +480,22 @@ def test_an_rbw_over_the_bin_cap_fails_before_its_bins_exist(tmp_path, capsys, r
     assert captured.out == ""
     assert captured.err.startswith(f"error: {argv[1]}: radio.rbw_khz = {float(rbw):g} ")
     assert peak < 8 * 1_120_000     # less than one float per bin
+
+
+# One record on channel 3 and a protection floor no 20 dBm CeNB reaches:
+# there is no interference contour to draw around the record.
+@pytest.mark.parametrize("command", ["query", "simulate"])
+def test_an_unreachable_protection_floor_is_a_config_error(tmp_path, capsys, command):
+    db = tmp_path / "db.csv"
+    db.write_text("# protection_floor_dbm=100\n" + GEODB_HEADER
+                  + "db,AnalogPalD,3,0,0,60,30,-84,\n", encoding="utf-8")
+    if command == "query":
+        argv, power = ["geodb", "query", str(db), "--x", "100", "--y", "0"], "--eirp"
+    else:
+        argv = _argv(tmp_path, "simulate", "files.geodb = db.csv")
+        power = "cenb1.power_dbm"
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert str(db) in captured.err and "protection_floor_dbm" in captured.err
+    assert power in captured.err
