@@ -149,7 +149,13 @@ class CenbState:
     verdict in ``sensed_ms`` and, in ``occupied``, the channels whose
     last verdict was occupied; ``record_view`` is its one writer, and
     writes the verdicts of one sensing round at once.  ``region_cache``
-    is the CeNB's database view.
+    is the CeNB's database view.  The frame loop writes a round only
+    when it may decide on it: a round that leaves the held block clear
+    (``block_clear``) is skipped, and the next round written, which
+    covers the same channels, overwrites the view before
+    ``spectrum_decision`` or ``execute_handover`` reads it, so between
+    decisions the view may lag the last round sensed.  ``retuning_at``
+    gives the data path's retune window to the downlink accounting.
     """
 
     id: str
@@ -184,6 +190,23 @@ class CenbState:
 
     def retuning_at(self, t_ms):
         return t_ms < self.retune_until_ms
+
+
+def block_clear(state, occupied):
+    """True when ``state`` holds a block none of whose channels is in ``occupied``
+    or Black in its database view.
+
+    ``spectrum_decision`` returns None on a clear block, with ``occupied``
+    the sensing view's occupied channels; the frame loop asks it of a
+    sensing round's occupied channels before writing them into the view.
+    """
+    if state.active_block is None:
+        return False
+    regions = state.region_cache
+    for ch in state.active_block:
+        if ch in occupied or regions.get(ch) is Region.BLACK:
+            return False
+    return True
 
 
 def vacant_runs(grid, vacant):
@@ -226,7 +249,7 @@ def spectrum_decision(state, grid, frame_no):
                 raise StaleSensingError(
                     f"no fresh sensing report for grey channel {ch}")
 
-    if state.active_block is not None and not any(state.unavailable(ch) for ch in active):
+    if block_clear(state, state.occupied):
         return None
 
     def usable(ch):

@@ -16,7 +16,14 @@ import sys
 
 from . import geodb as geodb_mod
 from . import harness, occupancy, sensing
-from .errors import ConfigError, CoverageError, DegenerateContourError, ParseError, TvwsimError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    CoverageError,
+    DegenerateContourError,
+    ParseError,
+    TvwsimError,
+)
 from .geodb import query_vacant_channels
 from .radio_env import FrequencyBand, PropagationConfig, build_channel_grid, finite_float
 
@@ -82,9 +89,18 @@ def _cmd_acir(args):
 
 
 def _grid_from_args(args):
+    """The channel grid of the band options; a grid they cannot form is a
+    configuration error that names them."""
     excluded = _option("--exclude", harness.parse_exclusions, args.exclude)
-    return build_channel_grid(FrequencyBand(args.band_low, args.band_high),
-                              args.channel_mhz, excluded)
+    if args.channel_mhz <= 0:
+        raise ConfigError(f"bad value for --channel-mhz: expected a positive number, "
+                          f"got {args.channel_mhz:g}")
+    try:
+        return build_channel_grid(FrequencyBand(args.band_low, args.band_high),
+                                  args.channel_mhz, excluded)
+    except (ValueError, AlignmentError) as exc:
+        raise ConfigError(f"bad --band-low, --band-high, --channel-mhz or --exclude: "
+                          f"{exc}") from exc
 
 
 def _cmd_geodb(args):

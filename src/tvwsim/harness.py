@@ -26,20 +26,34 @@ activity query for every sensing instant and downlink subframe of the
 block, the mean window powers of every frame and CeNB (shadowing drawn
 one frame at a time, in frame order), one unit-mean Gamma draw of the
 detector noise at all their window bins from the run's one sensing
-stream, one k-of-n pass, and the block's table of channels on air at
-each downlink subframe.  numpy fills a draw for many frames in the order
-of one draw per frame, so no output depends on the block length.  When
-several CeNBs sense, each CeNB-frame's X2 reports are built in one pass
-over its rows of the block's statistics and verdicts and collected per
-channel; each channel's reports then go through one ``fuse_cooperative``
-call, the one implementation of the OR and MAJORITY rules.  At the next
-frame boundary each CeNB's verdicts go into its sensing view in one
+stream, one k-of-n pass over the window sums in mW against the
+threshold's mW boundary (``sensing.threshold_mw``), and the block's
+table of channels on air at each downlink subframe.  numpy fills a draw
+for many frames in the order of one draw per frame, so no output depends
+on the block length.  When several CeNBs sense, the statistics in dBm of
+the X2 reports are formed once per block; each CeNB-frame's reports are
+built in one pass over its rows of them and collected per channel, and
+each channel's reports then go through one ``fuse_cooperative`` call,
+the one implementation of the OR and MAJORITY rules.  At the next frame
+boundary each CeNB's verdicts go into its sensing view in one
 ``CenbState.record_view`` call, and ``spectrum_decision`` reads that
-view and the start-up database view.
+view and the start-up database view.  A CeNB that holds a block, has no
+pending decision and executed no handover at that boundary skips both
+when the round leaves its block clear (``cenb.block_clear``, the test
+``spectrum_decision`` returns on): the decision would be None, and its
+next round covers the same channels, so it overwrites the view before
+the next decision or handover reads it.  Decisions and view writes thus
+cost per event, not per CeNB-frame.
 
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
-block is held; the packet-loss ratio is sampled once per frame.
+block is held; the packet-loss ratio is sampled once per frame.  For
+each block of frames and each block of channels held, one ``any``/``sum``
+over the on-air table gives the downlink subframes a TV blocks in each
+frame, so a CeNB-frame adds one count; only a CeNB-frame that is
+retuning goes subframe by subframe.  A frame's random losses are one
+binomial call over its unblocked subframes, which draws the values of
+one scalar call per subframe and leaves the stream in the same state.
 
 Everything is a pure function of (config bytes, seed): random streams
 derive from the scenario seed and fixed integer tags (shadowing from a
@@ -61,6 +75,7 @@ from .cenb import (
     CenbState,
     FrameSchedule,
     asm_allocate,
+    block_clear,
     build_frame_schedule,
     execute_handover,
     select_bandwidth,
@@ -83,6 +98,7 @@ from .radio_env import (
     ScheduleTable,
     build_channel_grid,
     finite_float,
+    mw_to_dbm,
     received_spectrum,  # noqa: F401  (the benchmark tracer patches harness.received_spectrum)
     transmitters_from_csv,
 )
@@ -552,15 +568,16 @@ class _BlockRadio:
         self.frames_per_block = max(1, _BLOCK_BINS // (self.n_points * self.windows.size))
 
     def sense(self, first, count):
-        """Frames ``first`` to ``first + count - 1``: (occupied, stats, verdicts, on_air).
+        """Frames ``first`` to ``first + count - 1``: (occupied, sums, verdicts, on_air).
 
         At the first offset, the sensing instant: ``occupied[frame][cenb]``
         lists, in ascending order, the channels that CeNB's own verdict
-        found occupied, ``stats`` holds every (frames, CeNBs, channels,
-        carriers) statistic in dBm and ``verdicts`` every (frames, CeNBs,
-        channels) occupied flag.  At each later offset, a downlink
-        subframe: ``on_air`` flags, shape (frames, subframes, channels),
-        the channels with an active transmitter.
+        found occupied, ``sums`` holds every (frames, CeNBs, channels,
+        carriers) window sum in mW and ``verdicts`` every (frames, CeNBs,
+        channels) occupied flag, decided in mW (``channel_verdicts``).
+        At each later offset, a downlink subframe: ``on_air`` flags,
+        shape (frames, subframes, channels), the channels with an active
+        transmitter.
         """
         t_ms = (np.arange(first, first + count) * FRAME_MS)[:, None] + self.offsets_ms
         active = self.schedules.active(t_ms.ravel()).reshape(count, self.offsets_ms.size, -1)
@@ -568,7 +585,8 @@ class _BlockRadio:
                                                              *self.windows.shape)
         window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
                                     size=window_mw.shape)
-        stats, verdicts = sensing_mod.detect_channels(self.op_det, window_mw)
+        sums = window_mw.sum(axis=-1)
+        verdicts = sensing_mod.channel_verdicts(self.op_det, sums)
         occupied = [[[] for _ in range(self.n_points)] for _ in range(count)]
         frames, points, channels = np.nonzero(verdicts)
         for f, point, ch in zip(frames.tolist(), points.tolist(), channels.tolist()):
@@ -576,7 +594,7 @@ class _BlockRadio:
         on_air = np.zeros((count, self.offsets_ms.size - 1, self.n_channels), dtype=bool)
         frame, subframe, tx = np.nonzero(active[:, 1:])
         on_air[frame, subframe, self.tx_channel[tx]] = True
-        return occupied, stats, verdicts, on_air
+        return occupied, sums, verdicts, on_air
 
 
 def run_simulation(cfg):
@@ -633,11 +651,14 @@ def run_simulation(cfg):
     t_sense = None
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
                 if cfg.random_loss_floor > 0 else None)
+    dl_slots = len(dl_subframes) * len(states)     # (DL subframe, CeNB) pairs per frame
 
     for first in range(0, n_frames, radio.frames_per_block):
         count = min(radio.frames_per_block, n_frames - first)
-        block_occupied, block_stats, block_verdicts, block_on_air = radio.sense(first, count)
-        tv_on_held = {}     # active block -> (frames, subframes) flags of a TV on it
+        block_occupied, block_sums, block_verdicts, block_on_air = radio.sense(first, count)
+        # The X2 reports' statistics in dBm, formed once per block.
+        block_stats = mw_to_dbm(block_sums) if fuse else None
+        tv_on_held = {}     # active block -> its (frames, subframes) TV flags and counts
         for i, frame in enumerate(range(first, first + count)):
             t0 = float(frame * FRAME_MS)
 
@@ -647,9 +668,11 @@ def run_simulation(cfg):
                     for s in states)
                 events.append((t0, "asm", "ASM_EPOCH", detail))
 
+            handed_over = []    # ids of the CeNBs that execute a handover at this boundary
             for state in states:
                 msg = state.pending_handover
                 if msg is not None and msg.activation_frame == frame:
+                    handed_over.append(state.id)
                     state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
                     metrics.handover_records.append(ev)
                     if ev.aborted:
@@ -660,8 +683,15 @@ def run_simulation(cfg):
                         events.append((ev.t_restored_ms, state.id, "RETUNE_END",
                                        f"bw={state.bandwidth_mhz}"))
 
-            # The decision at this boundary acts on the verdicts sensed last frame.
+            # The decision at this boundary acts on the verdicts sensed last
+            # frame.  A CeNB whose held block the round leaves clear would
+            # decide nothing, so it skips the view write too: its next round
+            # covers the same channels and overwrites the view before the
+            # next spectrum_decision or execute_handover reads it.
             for state, monitored, hits in sensed:
+                if (state.pending_handover is None and state.id not in handed_over
+                        and block_clear(state, hits)):
+                    continue
                 state.record_view(monitored, hits, t_sense)
                 msg = spectrum_decision(state, cfg.grid, frame_no=frame)
                 if msg is not None:
@@ -701,30 +731,36 @@ def run_simulation(cfg):
                 sensed = [(state, monitored, [ch for ch in monitored if ch in fused])
                           for state, monitored, _ in sensed]
 
-            tv_on_block = []
-            for s in states:
-                if s.active_block is not None and s.active_block not in tv_on_held:
-                    tv_on_held[s.active_block] = (
-                        block_on_air[:, :, list(s.active_block)].any(axis=2).tolist())
-                tv_on_block.append(None if s.active_block is None
-                                   else tv_on_held[s.active_block][i])
-            offered = 0
-            lost = 0
-            for k, sf_idx in enumerate(dl_subframes):
-                t = t0 + sf_idx
-                for state, tv_on in zip(states, tv_on_block):
-                    offered += cfg.packets_per_dl_subframe
-                    blocked = (tv_on is None or state.retuning_at(t) or tv_on[k])
-                    if blocked:
-                        lost += cfg.packets_per_dl_subframe
-                    elif loss_rng is not None:
-                        lost += int(loss_rng.binomial(cfg.packets_per_dl_subframe,
-                                                      cfg.random_loss_floor))
+            # Downlink: a CeNB-frame loses the subframes a TV on its block
+            # blocks (one count per frame and block), all of them without a
+            # block, and while retuning, subframe by subframe.  The random
+            # losses of the unblocked subframes are one binomial call, whose
+            # values are those of one scalar call per subframe.
+            blocked = 0
+            for state in states:
+                block = state.active_block
+                if block is None:
+                    blocked += len(dl_subframes)
+                    continue
+                if block not in tv_on_held:
+                    tv_on = block_on_air[:, :, list(block)].any(axis=2)
+                    tv_on_held[block] = (tv_on, tv_on.sum(axis=1).tolist())
+                tv_on, tv_counts = tv_on_held[block]
+                if state.retuning_at(t0):
+                    blocked += sum(state.retuning_at(t0 + sf) or on
+                                   for sf, on in zip(dl_subframes, tv_on[i].tolist()))
+                else:
+                    blocked += tv_counts[i]
+            offered = cfg.packets_per_dl_subframe * dl_slots
+            lost = cfg.packets_per_dl_subframe * blocked
+            if loss_rng is not None:
+                lost += int(loss_rng.binomial(cfg.packets_per_dl_subframe, cfg.random_loss_floor,
+                                              size=dl_slots - blocked).sum())
             metrics.plr[frame] = lost / offered if offered else 0.0
             metrics.packets_offered += offered
             metrics.packets_lost += lost
         # Release this block's arrays before the next block's are formed.
-        del block_occupied, block_stats, block_verdicts, block_on_air, tv_on_held
+        del block_occupied, block_sums, block_stats, block_verdicts, block_on_air, tv_on_held
 
     events.sort(key=lambda row: row[0])
     return metrics, events

@@ -487,6 +487,18 @@ class row_errors:
             raise ParseError(str(exc), line=self.lineno, path=self.path) from exc
 
 
+def _next_row(reader, path, lineno):
+    """The reader's next row, or None at the end of the file.
+
+    A ``csv.Error`` (a cell longer than the module's field size limit,
+    say) is a ParseError at ``lineno`` of ``path``, the row's first line.
+    """
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=lineno, path=path) from exc
+
+
 def csv_rows(path, header, metadata=None):
     """Stream the data rows of a UTF-8 CSV file as (line number, cells).
 
@@ -494,7 +506,8 @@ def csv_rows(path, header, metadata=None):
     ValueError on header cells it rejects.  Every data row must be as
     wide as the header; blank rows are skipped.  Leading lines that
     start with ``#`` go to ``metadata(line number, text)`` when it is
-    given; otherwise the first line is the header.
+    given; otherwise the first line is the header.  A row the csv module
+    cannot read is a ParseError at its line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first, header_line = fh.readline(), 1
@@ -502,7 +515,7 @@ def csv_rows(path, header, metadata=None):
             metadata(header_line, first)
             first, header_line = fh.readline(), header_line + 1
         reader = csv.reader(itertools.chain([first], fh))
-        cells = next(reader, [])
+        cells = _next_row(reader, path, header_line) or []
         if callable(header):
             with row_errors(path, header_line):
                 header(cells)
@@ -510,7 +523,7 @@ def csv_rows(path, header, metadata=None):
             raise ParseError(f"expected header {','.join(header)}", line=header_line,
                              path=path)
         end = reader.line_num
-        for row in reader:
+        while (row := _next_row(reader, path, header_line + end)) is not None:
             lineno, end = header_line + end, reader.line_num
             if not row:
                 continue

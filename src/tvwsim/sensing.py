@@ -25,8 +25,10 @@ the same trials, bit for bit, as comparing the products with tau.
 """
 
 import csv
+import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -225,6 +227,16 @@ def _k_of_n(stats, threshold, k):
     return count >= k
 
 
+def channel_verdicts(cfg, sums_mw):
+    """Occupied flags (...) of carrier-window sums ``sums_mw`` (..., carriers) in mW.
+
+    A carrier fires when its sum reaches ``threshold_mw(cfg.threshold_dbm)``,
+    which selects the same carriers as comparing ``mw_to_dbm`` of the sums
+    with ``cfg.threshold_dbm``, so no logarithm is taken for a verdict.
+    """
+    return _k_of_n(sums_mw, threshold_mw(cfg.threshold_dbm), cfg.k_required)
+
+
 def detect_channels(cfg, mw, windows=None):
     """Carrier statistics (dBm) and verdicts for every channel of ``windows``.
 
@@ -235,11 +247,11 @@ def detect_channels(cfg, mw, windows=None):
     independent sensing rounds.  The per-carrier statistic is the linear
     power summed over its window (the last axis); returns the
     (..., channels, carriers) statistics and the (..., channels)
-    occupied flags.
+    occupied flags of ``channel_verdicts``.
     """
     window_mw = mw if windows is None else mw[windows]
-    stats = mw_to_dbm(window_mw.sum(axis=-1))
-    return stats, _k_of_n(stats, cfg.threshold_dbm, cfg.k_required)
+    sums = window_mw.sum(axis=-1)
+    return mw_to_dbm(sums), channel_verdicts(cfg, sums)
 
 
 def carrier_signal_mw(cfg, total_power_dbm):
@@ -271,38 +283,71 @@ def _bits_double(bits):
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
+def _least_double(fires, guess):
+    """Smallest double x in [0, inf] with ``fires(x)``; NaN if there is none.
+
+    ``fires`` must be false below its answer and true from it on.  The
+    search runs over the bit patterns of [0, inf], which order like the
+    doubles: from the pattern of ``guess`` it steps away in doubling
+    steps until it has passed the answer, then bisects, so an answer k
+    patterns from the guess costs about 2 log2(k) calls.  A guess outside
+    [0, inf] (NaN) bisects the whole range.
+    """
+    lo, hi = -1, _INF_BITS + 1  # patterns outside [0, inf] that never / always fire
+    start, step = _double_bits(guess), 1
+    if 0 <= start <= _INF_BITS:
+        if fires(_bits_double(start)):
+            hi = start
+            while hi - step >= 0 and fires(_bits_double(hi - step)):
+                hi, step = hi - step, 2 * step
+            lo = max(hi - step, -1)
+        else:
+            lo = start
+            while lo + step <= _INF_BITS and not fires(_bits_double(lo + step)):
+                lo, step = lo + step, 2 * step
+            hi = min(lo + step, _INF_BITS + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fires(_bits_double(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _bits_double(hi) if hi <= _INF_BITS else math.nan
+
+
 def _draw_threshold(scale, tau):
     """Smallest draw g >= 0 with ``fl(scale * g) >= tau``; NaN if there is none.
 
     Rounding to nearest is monotone, so a finite draw g >= 0 has
     ``scale * g >= tau`` exactly when ``g >= _draw_threshold(scale, tau)``,
-    for every scale >= 0 and every tau.  The search is a bisection over
-    the bit patterns of [0, inf], started at the patterns next to
-    ``tau / scale``: in the normal range the answer lies between them,
-    so it costs three products.  The edges need no branch of their own: tau = 0 gives 0
+    for every scale >= 0 and every tau.  ``_least_double`` starts at
+    ``tau / scale``: in the normal range the answer lies within a pattern
+    of it, so it costs two to four products.  The edges need no branch of
+    their own: tau = 0 gives 0
     (every draw fires), a product that underflows into subnormals or
     overflows to inf only lengthens the bisection, and a scale of 0 gives
     NaN when tau > 0 (no draw fires).
     """
+    # A zero scale starts at the largest finite draw: 0 * inf is NaN, which never fires.
+    return _least_double(lambda g: scale * g >= tau,
+                         tau / scale if scale > 0 else sys.float_info.max)
 
-    def fires(bits):
-        return scale * _bits_double(bits) >= tau
 
-    lo, hi = -1, _INF_BITS + 1  # patterns outside [0, inf] that never / always fire
-    guess = _double_bits(tau / scale) if scale > 0 else _INF_BITS
-    for bits in (guess - 1, guess + 1):
-        if 0 <= bits <= _INF_BITS:
-            if fires(bits):
-                hi = min(hi, bits)
-            else:
-                lo = max(lo, bits)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fires(mid):
-            hi = mid
-        else:
-            lo = mid
-    return _bits_double(hi) if hi <= _INF_BITS else math.nan
+@functools.lru_cache(maxsize=64)
+def threshold_mw(threshold_dbm):
+    """Smallest power x in mW with ``mw_to_dbm(x) >= threshold_dbm``.
+
+    Far from x, ``mw_to_dbm`` lies further from the threshold than its
+    rounding error, and near x it does not decrease (pinned by
+    ``tests/test_sensing_properties.py`` on every double within 2**16
+    ulps of x, and at 0, a subnormal and inf, for the operating
+    thresholds), so a power x' >= 0 reaches the threshold in dBm exactly
+    when ``x' >= threshold_mw(threshold_dbm)``.  The always-fire
+    threshold -inf gives 0.  One ``_least_double`` search, started at
+    ``dbm_to_mw(threshold_dbm)``, per threshold value.
+    """
+    return _least_double(lambda x: mw_to_dbm(x) >= threshold_dbm,
+                         float(dbm_to_mw(threshold_dbm)))
 
 
 _DRAW_CHUNK = 1 << 15  # trials per Gamma call of the Monte Carlo draws

@@ -12,6 +12,7 @@ from tvwsim.cenb import (
     Subframe,
     asm_allocate,
     best_vacant_run,
+    block_clear,
     build_frame_schedule,
     execute_handover,
     fuse_cooperative,
@@ -445,3 +446,19 @@ class TestSensingView:
         result = outcome(by_verdict)
         assert result == outcome(by_round)
         assert (result == "stale") == stale
+
+
+def test_block_clear_is_the_test_spectrum_decision_returns_on(grid):
+    state = make_state(block=(5, 6, 7))
+    state.region_cache = {6: Region.GREY, 9: Region.BLACK}
+    assert block_clear(state, [])
+    assert block_clear(state, [4, 8, 9])        # occupied outside the block
+    assert not block_clear(state, [7])
+    state.region_cache[5] = Region.BLACK
+    assert not block_clear(state, [])
+    assert not block_clear(make_state(block=None), [])
+    # spectrum_decision returns None on a clear block, and decides otherwise.
+    for occupied, decides in (((), False), ((6,), True)):
+        state = make_state(block=(5, 6, 7))
+        state.record_view(range(grid.n_channels), occupied, 1003.0)
+        assert (spectrum_decision(state, grid, frame_no=101) is not None) == decides

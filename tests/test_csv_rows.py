@@ -98,3 +98,46 @@ def test_row_errors_passes_other_errors():
     with pytest.raises(ZeroDivisionError):
         with row_errors("f.csv", 7):
             1 / 0
+
+
+# One cell past the csv module's field size limit (131 072 characters).
+HUGE_CELL = "1" * 140_000
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"a,b\n1,2\n\n{HUGE_CELL},3\n", 4),
+    (f"a,{HUGE_CELL}\n1,2\n", 1),
+    (f'# note\na,b\n1,"two\nlines"\n{HUGE_CELL},3\n', 5),
+], ids=["data row", "header", "after a two-line row"])
+def test_a_cell_over_the_field_limit_is_a_parse_error_at_its_line(tmp_path, text, line):
+    path = write(tmp_path, text)
+    with pytest.raises(ParseError, match=rf"input\.csv:{line}: field larger than field limit"):
+        list(csv_rows(path, ["a", "b"], metadata=lambda lineno, text: None))
+
+
+def _cli_error(capsys, argv):
+    from tvwsim import cli
+
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    return rc, captured.err
+
+
+def test_geodb_contour_on_a_cell_over_the_field_limit_exits_2(tmp_path, capsys):
+    path = write(tmp_path, GEODB_HEADER + f"db,AnalogPalD,3,{HUGE_CELL},0,60,30,-84,\n")
+    rc, err = _cli_error(capsys, ["geodb", "contour", str(path)])
+    assert rc == 2
+    assert err == f"error: {path}:2: field larger than field limit (131072)\n"
+
+
+def test_simulate_on_a_transmitters_cell_over_the_field_limit_exits_2(tmp_path, capsys):
+    tx = write(tmp_path, "id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                         "tv,AnalogPalD,3,100,0,40,30,\n"
+                         f"tv2,AnalogPalD,4,100,0,40,30,0:{HUGE_CELL}\n")
+    scenario = tmp_path / "s.ini"
+    scenario.write_text("sim.seed = 1\nsim.duration_ms = 100\nfiles.transmitters = input.csv\n",
+                        encoding="utf-8")
+    rc, err = _cli_error(capsys, ["simulate", str(scenario), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err == f"error: {tx}:3: field larger than field limit (131072)\n"

@@ -472,3 +472,32 @@ def test_the_run_uses_the_windows_found_at_load(tmp_path):
     n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))
     centers = cfg.grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz
     np.testing.assert_array_equal(windows, carrier_windows(centers, cfg.grid.low_edges_mhz, det))
+
+
+# The frame loop's random downlink losses are one binomial call per frame
+# over its unblocked subframes; the loss digests hold only because of this.
+@pytest.mark.parametrize("n, p", [(10, 0.05), (10, 0.5), (7, 0.9)])
+@pytest.mark.parametrize("size", [0, 1, 37])
+def test_one_binomial_call_equals_sequential_calls(n, p, size):
+    sequential = np.random.default_rng([13, 0x10F])
+    one_call = np.random.default_rng([13, 0x10F])
+    expected = [sequential.binomial(n, p) for _ in range(size)]
+    assert one_call.binomial(n, p, size=size).tolist() == expected
+    assert sequential.random() == one_call.random()     # both streams end in one place
+
+
+def test_a_clear_block_costs_no_decision(monkeypatch):
+    """fig17 decides once in 200 frames: spectrum_decision runs at that
+    decision's frame and at the frame after its handover, and no other."""
+    frames = []
+    decide = harness.spectrum_decision
+
+    def counted(state, grid, frame_no):
+        frames.append(frame_no)
+        return decide(state, grid, frame_no)
+
+    monkeypatch.setattr(harness, "spectrum_decision", counted)
+    metrics, events = harness.run_simulation(
+        harness.load_scenario(SCENARIOS / "handover_fig17.ini"))
+    assert [row[0] for row in events if row[2] == "DECIDE"] == [1010.0]
+    assert frames == [101, 102]

@@ -3,15 +3,27 @@
 ``sensing._draw_threshold(a, tau)`` is the smallest double g >= 0 with
 ``fl(a * g) >= tau``; the ROC counts draws against it in place of
 forming the products, which is exact only if it is the boundary to the
-last bit.
+last bit.  ``sensing.threshold_mw(thr)``, found by the same search, is
+the smallest power whose ``mw_to_dbm`` reaches a threshold in dBm; the
+frame loop's verdicts compare window sums with it in place of taking
+their logarithm.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvwsim.sensing import _draw_threshold
+from tvwsim.radio_env import mw_to_dbm
+from tvwsim.sensing import (
+    _draw_threshold,
+    analytic_threshold_dbm,
+    default_calibration,
+    threshold_mw,
+)
 
 
 def binades(lo=-1074, hi=1023):
@@ -48,3 +60,25 @@ def test_edges_without_a_finite_boundary():
     assert math.isnan(_draw_threshold(0.0, 1e-13))  # a zero window never fires
     assert _draw_threshold(1e-13, math.inf) == math.inf  # no finite product reaches inf
     assert _draw_threshold(math.inf, 1e-13) == 5e-324  # any positive draw fires
+
+
+def _operating_threshold_dbm(target_pfa):
+    """The frame loop's threshold: the default calibration at an operational
+    pfa, over the 1.7 ms sensing time of the default frame."""
+    det = replace(default_calibration(), target_pfa=target_pfa, sense_duration_ms=1.7,
+                  threshold_dbm=None)
+    return analytic_threshold_dbm(det)
+
+
+@pytest.mark.parametrize("target_pfa", [1e-8, 1e-3, 0.01, 1.0])
+def test_mw_threshold_selects_the_powers_that_reach_the_dbm_threshold(target_pfa):
+    thr = _operating_threshold_dbm(target_pfa)
+    x_star = threshold_mw(thr)
+    if target_pfa >= 1.0:
+        assert thr == -math.inf and x_star == 0.0
+    # Every double within 2**16 ulps of x*, as an array like the frame loop's.
+    bits = np.array([x_star]).view(np.int64) + np.arange(-(1 << 16), (1 << 16) + 1)
+    x = bits[bits >= 0].view(np.float64)
+    assert np.array_equal(mw_to_dbm(x) >= thr, x >= x_star)
+    for edge in (0.0, 5e-324, 1e-310, math.inf):
+        assert bool(mw_to_dbm(edge) >= thr) == (edge >= x_star)
