@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .radio_env import (  # noqa: F401
     ChannelGrid,
     FrequencyBand,
-    PowerSpectrum,
     PropagationConfig,
     TvStandard,
     TvTransmitter,

@@ -302,10 +302,12 @@ class SeparationTable:
     separation_m: tuple  # row-major, len(powers) x len(heights)
 
     def __post_init__(self):
-        if list(self.powers_dbm) != sorted(set(self.powers_dbm)):
-            raise ValueError("power axis must be strictly increasing")
-        if list(self.heights_m) != sorted(set(self.heights_m)):
-            raise ValueError("height axis must be strictly increasing")
+        for name, axis in (("power", self.powers_dbm), ("height", self.heights_m)):
+            if list(axis) != sorted(set(axis)):
+                raise ValueError(f"{name} axis must be strictly increasing")
+            # A lookup interpolates between two values with finite weights.
+            if len(axis) < 2 or not math.isfinite(axis[-1] - axis[0]):
+                raise ValueError("each axis needs at least two values and a finite span")
         if len(self.separation_m) != len(self.powers_dbm) * len(self.heights_m):
             raise ValueError("table shape mismatch")
 

@@ -30,10 +30,10 @@ stream, one k-of-n pass over the window sums in mW against the
 threshold's mW boundary (``sensing.threshold_mw``), and the block's
 table of channels on air at each downlink subframe.  numpy fills a draw
 for many frames in the order of one draw per frame, so no output depends
-on the block length.  When several CeNBs sense, the statistics in dBm of
-the X2 reports are formed once per block; each CeNB-frame's reports are
-built in one pass over its rows of them and collected per channel, and
-each channel's reports then go through one ``fuse_cooperative`` call,
+on the block length.  When several CeNBs sense, each CeNB-frame's X2
+reports, verdicts without statistics, are built in one pass over its
+row of the block's verdicts and collected per channel, and each
+channel's reports then go through one ``fuse_cooperative`` call,
 the one implementation of the OR and MAJORITY rules.  At the next frame
 boundary each CeNB's verdicts go into its sensing view in one
 ``CenbState.record_view`` call, and ``spectrum_decision`` reads that
@@ -98,7 +98,6 @@ from .radio_env import (
     ScheduleTable,
     build_channel_grid,
     finite_float,
-    mw_to_dbm,
     received_spectrum,  # noqa: F401  (the benchmark tracer patches harness.received_spectrum)
     transmitters_from_csv,
 )
@@ -404,15 +403,13 @@ def load_scenario(path):
                     _input_file(path, "files.calibration", calib, base_dir)))
     # The calibration file sets no part of the carrier layout, so these
     # windows are those of the run's operating detector too.
-    rbw_mhz = rbw_khz / 1000.0
-    n_bins = round(min(grid.band.width_mhz / rbw_mhz, MAX_GRID_BINS + 1))
-    if n_bins > MAX_GRID_BINS:
+    # Checked before ``grid.n_bins``, whose count a subnormal RBW overflows.
+    if rbw_khz / 1000.0 * (MAX_GRID_BINS + 0.5) < grid.band.width_mhz:
         raise ConfigError(f"{path}: radio.rbw_khz = {rbw_khz:g} splits the grid band into "
                           f"more than {MAX_GRID_BINS} bins")
     try:
-        windows = sensing_mod.carrier_windows(
-            grid.band.low_mhz + (np.arange(n_bins) + 0.5) * rbw_mhz, grid.low_edges_mhz,
-            detector)
+        windows = sensing_mod.carrier_windows(grid.bin_centers_mhz(rbw_khz),
+                                              grid.low_edges_mhz, detector)
     except CoverageError as exc:
         raise ConfigError(f"{path}: carrier windows not representable on this grid: "
                           f"{exc}") from exc
@@ -655,9 +652,7 @@ def run_simulation(cfg):
 
     for first in range(0, n_frames, radio.frames_per_block):
         count = min(radio.frames_per_block, n_frames - first)
-        block_occupied, block_sums, block_verdicts, block_on_air = radio.sense(first, count)
-        # The X2 reports' statistics in dBm, formed once per block.
-        block_stats = mw_to_dbm(block_sums) if fuse else None
+        block_occupied, _, block_verdicts, block_on_air = radio.sense(first, count)
         tv_on_held = {}     # active block -> its (frames, subframes) TV flags and counts
         for i, frame in enumerate(range(first, first + count)):
             t0 = float(frame * FRAME_MS)
@@ -711,12 +706,12 @@ def run_simulation(cfg):
                 events.append((t_sense, state.id, "SENSE",
                                f"channels={len(monitored)} occupied={len(hits)}"))
                 if fuse:
-                    # The CeNB's reports in one pass over its rows of the block.
-                    stat_rows = block_stats[i, idx].tolist()
+                    # The CeNB's verdicts in one pass over its row of the block;
+                    # an X2 message carries no statistics.
                     verdict_row = block_verdicts[i, idx].tolist()
                     for ch in monitored:
                         x2[ch].append(SensingReport(state.id, ch, _DECISION[verdict_row[ch]],
-                                                    tuple(stat_rows[ch]), t_sense))
+                                                    (), t_sense))
 
             if fuse:
                 # X2 exchange is all-to-all, so every CeNB that sensed a channel
@@ -760,7 +755,7 @@ def run_simulation(cfg):
             metrics.packets_offered += offered
             metrics.packets_lost += lost
         # Release this block's arrays before the next block's are formed.
-        del block_occupied, block_sums, block_stats, block_verdicts, block_on_air, tv_on_held
+        del block_occupied, block_verdicts, block_on_air, tv_on_held
 
     events.sort(key=lambda row: row[0])
     return metrics, events

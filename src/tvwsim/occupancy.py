@@ -239,12 +239,14 @@ class SubbandRow:
 
 
 def load_subband_table(path):
-    """Sub-band definition CSV: ``low_mhz,high_mhz,label``."""
+    """Sub-band definition CSV: ``low_mhz,high_mhz,label``, at least one row."""
     rows = []
     for lineno, (low, high, label) in csv_rows(path, ["low_mhz", "high_mhz", "label"]):
         with row_errors(path, lineno):
             band = FrequencyBand(finite_float(low), finite_float(high))
         rows.append((band.low_mhz, band.high_mhz, label))
+    if not rows:
+        raise ParseError("no sub-bands", path=path)
     return rows
 
 

@@ -6,6 +6,9 @@ carrier structure of analog TV signals, log-distance propagation with
 optional log-normal shadowing, and thermal noise, producing received
 power spectra at arbitrary planar points.
 
+A spectrum is a plain (bins,) array of mW per resolution bin, on the
+grid's one bin layout (``ChannelGrid.n_bins`` and ``bin_centers_mhz``).
+
 ``ScheduleTable`` and ``LinkArrays`` hold a transmitter list as arrays:
 the schedules as a table of activity segments, and per (receiver
 point, transmitter) link a distance and per transmitter a unit-power
@@ -93,6 +96,15 @@ class ChannelGrid:
 
     def center_mhz(self, index):
         return self.low_edges_mhz[index] + 0.5 * self.channel_width_mhz
+
+    def n_bins(self, rbw_khz):
+        """Number of ``rbw_khz`` resolution bins across the band."""
+        return int(round(self.band.width_mhz / (rbw_khz / 1000.0)))
+
+    def bin_centers_mhz(self, rbw_khz):
+        """Centre of each ``rbw_khz`` bin; bin i covers [low + i*rbw, low + (i+1)*rbw)."""
+        rbw_mhz = rbw_khz / 1000.0
+        return self.band.low_mhz + (np.arange(self.n_bins(rbw_khz)) + 0.5) * rbw_mhz
 
     def valid_index(self, index):
         return 0 <= index < self.n_channels
@@ -210,45 +222,6 @@ class ScheduleTable:
         return self.segments[np.searchsorted(self.edges_ms, t, side="right")]
 
 
-@dataclass
-class PowerSpectrum:
-    """Binned power-vs-frequency snapshot, linear mW per RBW bin.
-
-    Bin i covers [start + i*rbw, start + (i+1)*rbw).  ``bins_dbm`` is
-    derived from ``mw``, with -inf for a bin of zero power.
-    """
-
-    start_mhz: float
-    rbw_khz: float
-    mw: np.ndarray
-
-    def __post_init__(self):
-        self.mw = np.asarray(self.mw, dtype=float)
-        if self.mw.size < 1:
-            raise ValueError("spectrum needs at least one bin")
-        if self.rbw_khz <= 0:
-            raise ValueError("rbw must be positive")
-        if not (np.isfinite(self.total_power_mw()) and np.all(self.mw >= 0)):
-            raise ValueError("bin powers must be non-negative with a finite total")
-
-    @property
-    def rbw_mhz(self):
-        return self.rbw_khz / 1000.0
-
-    @property
-    def bins_dbm(self):
-        return mw_to_dbm(self.mw)
-
-    def bin_centers_mhz(self):
-        return self.start_mhz + (np.arange(self.mw.size) + 0.5) * self.rbw_mhz
-
-    def bins_mw(self):
-        return self.mw
-
-    def total_power_mw(self):
-        return float(np.sum(self.mw))
-
-
 def mw_to_dbm(mw):
     """Power in dBm; -inf for a zero, negative or NaN power.
 
@@ -338,7 +311,7 @@ def path_loss(cfg, distance_m, freq_mhz):
 
 
 def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.0):
-    """Noise-free transmit spectrum of one TV service over the grid band.
+    """Noise-free transmit spectrum of one TV service over the grid band, in mW per bin.
 
     PAL-D places narrowband carriers at the configured offsets from the
     channel low edge, split as ``DEFAULT_CARRIER_SPLIT``; the residual
@@ -353,8 +326,7 @@ def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.
     if tx.standard is TvStandard.ANALOG_PAL_D and rbw_mhz > min_spacing:
         raise ResolutionError(
             f"rbw {rbw_khz} kHz exceeds minimum carrier spacing {min_spacing*1e3:.0f} kHz")
-    n_bins = int(round(grid.band.width_mhz / rbw_mhz))
-    power_mw = np.zeros(n_bins)
+    power_mw = np.zeros(grid.n_bins(rbw_khz))
     if total_power_dbm != OFF_POWER_DBM:
         total_mw = 10.0 ** (total_power_dbm / 10.0)
         ch_lo = grid.low_edge_mhz(tx.channel_index)
@@ -370,7 +342,7 @@ def synthesize_tv_spectrum(tx, grid, rbw_khz=DEFAULT_RBW_KHZ, total_power_dbm=0.
                 power_mw[plain] = residual * total_mw / len(plain)
             for b, frac in zip(carrier_bins, DEFAULT_CARRIER_SPLIT):
                 power_mw[b] += frac * total_mw
-    return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=power_mw)
+    return power_mw
 
 
 class LinkArrays:
@@ -401,7 +373,7 @@ class LinkArrays:
             np.hypot(points[:, None, 0] - sites[None, :, 0],
                      points[:, None, 1] - sites[None, :, 1]),
             cfg.ref_distance_m)
-        self.templates = np.array([synthesize_tv_spectrum(tx, grid, rbw_khz).mw[bins]
+        self.templates = np.array([synthesize_tv_spectrum(tx, grid, rbw_khz)[bins]
                                    for tx in txs]).reshape(len(txs), bins.size)
         self.noise_mw = (0.0 if noise_figure_db is None
                          else dbm_to_mw(thermal_noise_dbm(rbw_khz, noise_figure_db)))
@@ -441,7 +413,7 @@ class LinkArrays:
 
 def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,
                       noise_figure_db=DEFAULT_NOISE_FIGURE_DB, snapshots=1, rng=None):
-    """Received spectrum at a point: attenuated transmitters plus noise.
+    """Received spectrum at a point, in mW per bin: attenuated transmitters plus noise.
 
     The single-point API over ``ScheduleTable`` and ``LinkArrays``: the
     signal part is the linear sum of each schedule-active transmitter's
@@ -452,15 +424,12 @@ def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,
     independent exponential-power snapshots (a Gamma(snapshots) variate
     around the bin mean).
     """
-    n_bins = int(round(grid.band.width_mhz / (rbw_khz / 1000.0)))
-    on = ScheduleTable(txs).active(t_ms)[0]
-    active = [tx for tx, is_on in zip(txs, on) if is_on]
-    links = LinkArrays([point], active, cfg, grid, np.arange(n_bins), rbw_khz,
+    links = LinkArrays([point], txs, cfg, grid, np.arange(grid.n_bins(rbw_khz)), rbw_khz,
                        noise_figure_db)
-    mean_mw = links.mean_mw(np.ones(len(active), dtype=bool))[0]
+    mean_mw = links.mean_mw(ScheduleTable(txs).active(t_ms)[0])[0]
     if rng is not None and snapshots >= 1:
-        mean_mw = rng.gamma(snapshots, 1.0 / snapshots, size=n_bins) * mean_mw
-    return PowerSpectrum(start_mhz=grid.band.low_mhz, rbw_khz=rbw_khz, mw=mean_mw)
+        mean_mw = rng.gamma(snapshots, 1.0 / snapshots, size=mean_mw.size) * mean_mw
+    return mean_mw
 
 
 def finite_float(text):

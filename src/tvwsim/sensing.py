@@ -60,7 +60,10 @@ class Decision(Enum):
 
 
 class SensingReport(NamedTuple):
-    """One detector verdict for one channel at one instant, as an immutable value."""
+    """One detector verdict for one channel at one instant, as an immutable value.
+
+    The X2 messages inside a run carry no statistics: ``carrier_stats_dbm=()``.
+    """
 
     cenb_id: str
     channel_index: int
@@ -266,9 +269,9 @@ def carrier_signal_mw(cfg, total_power_dbm):
     grid = build_channel_grid(FrequencyBand(470.0, 478.0), 8.0)
     tx = TvTransmitter(id="ref", standard=TvStandard.ANALOG_PAL_D, channel_index=0,
                        location=(0.0, 0.0), eirp_dbm=total_power_dbm)
-    spec = synthesize_tv_spectrum(tx, grid, cfg.det_bw_khz, total_power_dbm)
-    windows = carrier_windows(spec.bin_centers_mhz(), grid.low_edges_mhz[:1], cfg)
-    return spec.bins_mw()[windows[0]].sum(axis=1)
+    spectrum_mw = synthesize_tv_spectrum(tx, grid, cfg.det_bw_khz, total_power_dbm)
+    windows = carrier_windows(grid.bin_centers_mhz(cfg.det_bw_khz), grid.low_edges_mhz[:1], cfg)
+    return spectrum_mw[windows[0]].sum(axis=1)
 
 
 # Non-negative doubles order like their bit patterns read as integers.

@@ -1,11 +1,13 @@
-"""Property tests of ``tvwsim roc`` and ``tvwsim occupancy`` over generated inputs.
+"""Property tests of the analytics subcommands over generated inputs.
 
 For any calibration file and any ``--powers``, ``--trials`` and
-``--seed`` of ``roc``, and any ``--band-low``, ``--band-high``,
+``--seed`` of ``roc``; any ``--band-low``, ``--band-high``,
 ``--channel-mhz``, ``--exclude``, ``--threshold-dbm`` and ``--subbands``
-table of ``occupancy``, the command exits with 0, 2 or 3 and raises nothing (a
-traceback), a configuration error names the input file or the flag at
-fault, and two runs on the same inputs write the same bytes.
+table of ``occupancy``, the table's cells included; and any separation
+table, ``--power`` and ``--height`` of ``geodb separation``, the command
+exits with 0, 2 or 3 and raises nothing (a traceback), a configuration
+error names the input file or the flag at fault, and two runs on the
+same inputs write the same bytes.
 """
 
 import pytest
@@ -172,6 +174,107 @@ def test_occupancy_exit_code_contract_and_determinism(tmp_path_factory, capsys, 
         argv += ["--subbands", str(table), "--out", str(out)]
         names.append(str(table))
     _check_contract(argv, names, out, capsys)
+
+
+# Sub-band cells: edges over and beside the trace's 470-502 MHz, and labels
+# that the csv module must quote.
+SUBBAND_EDGES = st.one_of(st.sampled_from(["470", "478", "486", "494", "502", "471.5"]),
+                          _numbers(460.0, 510.0))
+SUBBAND_LABELS = st.sampled_from(["a", "", "b c", '"x,y"', '"q""uote"', "üé"])
+BAD_SUBBAND_TEXT = st.one_of(BAD_TEXT, st.sampled_from(
+    ["1e308", "-1e308", "5e-324", '"unclosed', "470,478"]))
+
+
+@st.composite
+def subband_tables(draw):
+    """Sub-band table text: zero to three adjacent sub-bands between generated
+    edges; in half the examples one cell is malformed or out of range, or
+    the header or a row's width is wrong."""
+    edges = sorted(draw(st.lists(SUBBAND_EDGES, min_size=1, max_size=4, unique_by=float)),
+                   key=float)
+    rows = [[lo, hi, draw(SUBBAND_LABELS)] for lo, hi in zip(edges, edges[1:])]
+    header = ["low_mhz", "high_mhz", "label"]
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from(["cell", "width", "header"]))
+        if fault == "header":
+            header = draw(st.sampled_from([["low_mhz", "high_mhz"], ["high_mhz", "low_mhz",
+                                                                     "label"], []]))
+        elif rows and fault == "cell":
+            rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = \
+                draw(BAD_SUBBAND_TEXT)
+        elif rows:
+            del rows[draw(st.integers(0, len(rows) - 1))][-1]
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=subband_tables(), threshold=st.one_of(st.none(), _numbers(-120.0, -20.0)))
+def test_occupancy_sub_band_table_exit_code_contract_and_determinism(
+        tmp_path_factory, capsys, text, threshold):
+    work = tmp_path_factory.mktemp("subbands")
+    trace = work / "trace.csv"
+    trace.write_text(TRACE, encoding="utf-8")
+    table = work / "subbands.csv"
+    table.write_text(text, encoding="utf-8")
+    out = work / "out"
+    argv = ["occupancy", str(trace), "--band-low=470", "--band-high=502", "--exclude=",
+            "--subbands", str(table), "--out", str(out)]
+    if threshold is not None:
+        argv.append(f"--threshold-dbm={threshold}")
+    _check_contract(argv, [str(table)], out, capsys)
+
+
+# In range: heights in m, powers in dBm, separations in m.
+SEPARATION_OPTIONS = {"--power": _numbers(-100.0, 100.0), "--height": _numbers(-10.0, 500.0)}
+BAD_SEPARATION_TEXT = st.one_of(BAD_TEXT, st.sampled_from(
+    ["1e308", "-1e308", "1.7e308", "5e-324", "10 20", "1,2"]))
+
+
+@st.composite
+def separation_inputs(draw):
+    """Separation-table rows (None for the default table) and options; in
+    half the examples one axis value, cell or option is malformed or out
+    of range, a row is short, or an axis keeps a single value."""
+    options = draw(st.fixed_dictionaries(SEPARATION_OPTIONS))
+    rows = None
+    if draw(st.integers(0, 4)):
+        axis = st.lists(_numbers(-10.0, 300.0), min_size=2, max_size=4, unique_by=float)
+        heights, powers = (sorted(draw(axis), key=float) for _ in range(2))
+        rows = [["power_dbm", *heights]]
+        rows += [[p, *(draw(_numbers(0.0, 1e5)) for _ in heights)] for p in powers]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([*SEPARATION_OPTIONS,
+                                    *(("cell", "short", "single") if rows else ())]))
+        if key in options:
+            options[key] = draw(BAD_SEPARATION_TEXT)
+        elif key == "cell":
+            row = draw(st.integers(0, len(rows) - 1))
+            col = draw(st.integers(1 if row == 0 else 0, len(rows[row]) - 1))
+            rows[row][col] = draw(BAD_SEPARATION_TEXT)
+        elif key == "short":
+            del rows[draw(st.integers(0, len(rows) - 1))][-1]
+        elif draw(st.booleans()):
+            rows = [row[:2] for row in rows]
+        else:
+            rows = rows[:draw(st.integers(1, 2))]
+    return rows, options
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=separation_inputs())
+def test_geodb_separation_exit_code_contract_and_determinism(tmp_path_factory, capsys,
+                                                             inputs):
+    rows, options = inputs
+    table = "default"
+    if rows is not None:
+        path = tmp_path_factory.mktemp("separation") / "sep.csv"
+        path.write_text("".join(",".join(cells) + "\n" for cells in rows), encoding="utf-8")
+        table = str(path)
+    argv = ["geodb", "separation", "--table", table,
+            *(f"{flag}={value}" for flag, value in options.items())]
+    _check_contract(argv, [table, *SEPARATION_OPTIONS], None, capsys)
 
 
 # Band options that form no channel grid, and the flag each error names.

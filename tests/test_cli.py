@@ -464,9 +464,38 @@ def test_a_sub_band_outside_the_trace_names_the_sub_band_table(tmp_path, capsys)
     assert captured.err.startswith(f"error: {table}: sub-band 486.0-494.0 MHz")
 
 
+def test_a_sub_band_table_without_rows_is_a_config_error(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(OCCUPANCY_TRACE, encoding="utf-8")
+    table = tmp_path / "subbands.csv"
+    table.write_text("low_mhz,high_mhz,label\n", encoding="utf-8")
+    assert cli.main(["occupancy", str(trace), "--band-low=470", "--band-high=486",
+                     "--exclude=", "--subbands", str(table)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table}: no sub-bands\n"
+
+
+# One power row, one height column, or no power rows: nothing to interpolate
+# between.  An axis from -1e308 to 1e308: its span overflows a double.
+@pytest.mark.parametrize("text", ["power_dbm,10,30\n0,100,200\n",
+                                  "power_dbm,10\n0,100\n10,300\n", "power_dbm,10,30\n",
+                                  "power_dbm,10,30\n-1e308,100,200\n1e308,300,400\n",
+                                  "power_dbm,-1e308,1e308\n0,100,200\n10,300,400\n"])
+def test_a_separation_table_that_cannot_interpolate_is_a_config_error(tmp_path, capsys, text):
+    table = tmp_path / "sep.csv"
+    table.write_text(text, encoding="utf-8")
+    argv = ["geodb", "separation", "--table", str(table), "--power=5", "--height=20"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {table}: each axis needs at least two values "
+                            "and a finite span\n")
+
+
 # 0.3 kHz splits the default 336 MHz band into 1.12 M bins; 1e-310 kHz
-# into more bins than a double can count.
-@pytest.mark.parametrize("rbw", ["0.3", "1e-310"])
+# into more bins than a double can count; 5e-324 kHz is 0 MHz as a double.
+@pytest.mark.parametrize("rbw", ["0.3", "1e-310", "5e-324"])
 def test_an_rbw_over_the_bin_cap_fails_before_its_bins_exist(tmp_path, capsys, rbw):
     argv = _argv(tmp_path, "simulate", f"radio.rbw_khz = {rbw}")
     tracemalloc.start()

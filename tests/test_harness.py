@@ -48,8 +48,8 @@ def test_frame_loop_detector_finds_the_tvs_of_a_received_spectrum():
     spectrum = received_spectrum((0.0, 0.0), txs, 0.0, PropagationConfig(), grid,
                                  noise_figure_db=cfg.noise_figure_db,
                                  snapshots=cfg.n_snapshots(), rng=np.random.default_rng(3))
-    windows = carrier_windows(spectrum.bin_centers_mhz(), grid.low_edges_mhz, cfg)
-    stats, occupied = detect_channels(cfg, spectrum.bins_mw(), windows)
+    windows = carrier_windows(grid.bin_centers_mhz(200.0), grid.low_edges_mhz, cfg)
+    stats, occupied = detect_channels(cfg, spectrum, windows)
 
     assert stats.shape == (grid.n_channels, cfg.n_carriers)
     assert occupied[5] and occupied[25] and occupied.sum() < grid.n_channels
@@ -90,12 +90,12 @@ def test_frame_loop_window_means_equal_the_single_point_api(tmp_path):
         for point, mean in zip(points, means):
             single = received_spectrum(point, cfg.transmitters, t, cfg.prop, cfg.grid,
                                        rbw_khz=cfg.rbw_khz, noise_figure_db=det.noise_figure_db)
-            np.testing.assert_allclose(mean, single.bins_mw()[windows], rtol=1e-12)
+            np.testing.assert_allclose(mean, single[windows], rtol=1e-12)
             # The same sum, one synthesized spectrum per active transmitter.
             total = noise_mw + sum(
                 synthesize_tv_spectrum(tx, cfg.grid, cfg.rbw_khz, tx.eirp_dbm - path_loss(
                     cfg.prop, _link_distance(cfg, point, tx),
-                    cfg.grid.center_mhz(tx.channel_index))).bins_mw()
+                    cfg.grid.center_mhz(tx.channel_index)))
                 for tx, is_on in zip(cfg.transmitters, on) if is_on)
             np.testing.assert_allclose(mean, total[windows], rtol=1e-12)
 

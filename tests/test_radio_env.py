@@ -5,10 +5,10 @@ import pytest
 
 from tvwsim.errors import AlignmentError, ParseError, ResolutionError
 from tvwsim.radio_env import (
+    DEFAULT_RBW_KHZ,
     OFF_POWER_DBM,
     FrequencyBand,
     LinkArrays,
-    PowerSpectrum,
     PropagationConfig,
     ScheduleTable,
     TvStandard,
@@ -24,6 +24,9 @@ from tvwsim.radio_env import (
     transmitters_from_csv,
     transmitters_to_csv,
 )
+
+
+RBW_MHZ = DEFAULT_RBW_KHZ / 1000.0
 
 
 def pal_tx(channel=0, x=0.0, y=0.0, eirp=0.0, schedule=()):
@@ -74,59 +77,56 @@ class TestChannelGrid:
         runs = grid.contiguous_runs(range(37))
         assert [len(r) for r in runs] == [12, 25]
 
+    def test_bin_layout_covers_the_band(self, grid):
+        # 336 MHz / 200 kHz bins, centred half a bin above each bin's low edge
+        assert grid.n_bins(200.0) == 1680
+        centers = grid.bin_centers_mhz(200.0)
+        assert centers.shape == (1680,)
+        np.testing.assert_allclose(centers[[0, 1, -1]], [470.1, 470.3, 805.9], rtol=1e-15)
+        assert build_channel_grid(FrequencyBand(698.0, 706.0), 8.0).n_bins(150.0) == 53
+
 
 class TestSynthesizeSpectrum:
     def test_carrier_bins_are_local_maxima(self):
         # channel edge 698 MHz: carriers at 699.25 / 703.68 / 705.75
         g = build_channel_grid(FrequencyBand(698.0, 706.0), 8.0)
-        spec = synthesize_tv_spectrum(pal_tx(), g, total_power_dbm=0.0)
+        dbm = mw_to_dbm(synthesize_tv_spectrum(pal_tx(), g, total_power_dbm=0.0))
         for f in (699.25, 703.68, 705.75):
-            b = int((f - 698.0) / spec.rbw_mhz)
-            assert spec.bins_dbm[b] > spec.bins_dbm[b - 1]
-            assert spec.bins_dbm[b] > spec.bins_dbm[b + 1]
+            b = int((f - 698.0) / RBW_MHZ)
+            assert dbm[b] > dbm[b - 1]
+            assert dbm[b] > dbm[b + 1]
 
     def test_off_transmitter_gives_floor_sentinel(self, grid):
         spec = synthesize_tv_spectrum(pal_tx(), grid, total_power_dbm=OFF_POWER_DBM)
-        assert np.all(np.isneginf(spec.bins_dbm))
+        assert spec.shape == (grid.n_bins(DEFAULT_RBW_KHZ),)
+        assert np.all(np.isneginf(mw_to_dbm(spec)))
 
     def test_vision_carrier_bin_power(self, grid):
         # 10*log10(0.8) for the 0.80 vision fraction, checked against the
         # synthesized bin and the full in-channel sum
-        spec = synthesize_tv_spectrum(pal_tx(channel=5), grid, total_power_dbm=0.0)
-        b = int((grid.low_edge_mhz(5) + 1.25 - 470.0) / spec.rbw_mhz)
-        assert spec.bins_dbm[b] == pytest.approx(10 * np.log10(0.8), abs=1e-9)
-        assert spec.bins_dbm[b] == pytest.approx(-0.97, abs=0.01)
+        dbm = mw_to_dbm(synthesize_tv_spectrum(pal_tx(channel=5), grid, total_power_dbm=0.0))
+        b = int((grid.low_edge_mhz(5) + 1.25 - 470.0) / RBW_MHZ)
+        assert dbm[b] == pytest.approx(10 * np.log10(0.8), abs=1e-9)
+        assert dbm[b] == pytest.approx(-0.97, abs=0.01)
 
     def test_channel_sum_equals_total_power(self, grid):
         for total in (-30.0, 0.0, 13.5):
             spec = synthesize_tv_spectrum(pal_tx(channel=20), grid,
                                           total_power_dbm=total)
-            assert 10 * np.log10(spec.total_power_mw()) == pytest.approx(total, abs=0.1)
+            assert 10 * np.log10(spec.sum()) == pytest.approx(total, abs=0.1)
 
     def test_dtmb_renders_flat(self, grid):
         tx = TvTransmitter(id="d", standard=TvStandard.DIGITAL_DTMB, channel_index=3,
                            location=(0, 0), eirp_dbm=0.0)
         spec = synthesize_tv_spectrum(tx, grid, total_power_dbm=0.0)
-        lo = int((grid.low_edge_mhz(3) - 470.0) / spec.rbw_mhz)
-        in_channel = spec.bins_dbm[lo:lo + 40]
+        lo = int((grid.low_edge_mhz(3) - 470.0) / RBW_MHZ)
+        in_channel = mw_to_dbm(spec[lo:lo + 40])
         assert np.ptp(in_channel) == pytest.approx(0.0, abs=1e-9)
-        assert 10 * np.log10(spec.total_power_mw()) == pytest.approx(0.0, abs=1e-9)
+        assert 10 * np.log10(spec.sum()) == pytest.approx(0.0, abs=1e-9)
 
     def test_rbw_coarser_than_carrier_spacing_rejected(self, grid):
         with pytest.raises(ResolutionError):
             synthesize_tv_spectrum(pal_tx(), grid, rbw_khz=3000.0, total_power_dbm=0.0)
-
-
-class TestPowerSpectrum:
-    def test_stores_mw_and_derives_dbm(self):
-        spec = PowerSpectrum(start_mhz=470.0, rbw_khz=200.0, mw=[0.0, 1.0, 100.0])
-        assert spec.bins_mw() is spec.mw
-        np.testing.assert_array_equal(spec.bins_dbm, [-np.inf, 0.0, 20.0])
-
-    @pytest.mark.parametrize("mw", [[-1.0, 2.0], [np.inf], [np.nan], []])
-    def test_rejects_negative_infinite_or_missing_power(self, mw):
-        with pytest.raises(ValueError):
-            PowerSpectrum(start_mhz=470.0, rbw_khz=200.0, mw=mw)
 
 
 class TestPathLoss:
@@ -162,7 +162,8 @@ class TestReceivedSpectrum:
     def test_pure_noise_floor_mean(self, grid, prop, rng):
         # -174 + 10*log10(200e3) + 6 = -115.0 dBm per bin
         spec = received_spectrum((0, 0), [], 0.0, prop, grid, rng=rng, snapshots=4)
-        mean_dbm = 10 * np.log10(np.mean(spec.bins_mw()))
+        assert spec.shape == (grid.n_bins(DEFAULT_RBW_KHZ),)
+        mean_dbm = 10 * np.log10(np.mean(spec))
         assert mean_dbm == pytest.approx(-115.0, abs=0.1)
         assert thermal_noise_dbm(200.0, 6.0) == pytest.approx(-114.99, abs=0.01)
 
@@ -173,16 +174,16 @@ class TestReceivedSpectrum:
                                  noise_figure_db=6.0)
         synth = synthesize_tv_spectrum(tx, grid, total_power_dbm=-40.0)
         noise_mw = 10 ** (thermal_noise_dbm(200.0, 6.0) / 10)
-        expected = synth.bins_mw() + noise_mw
-        np.testing.assert_allclose(spec.bins_mw(), expected, rtol=1e-12)
+        expected = synth + noise_mw
+        np.testing.assert_allclose(spec, expected, rtol=1e-12)
 
     def test_schedule_gating(self, grid, prop):
         tx = pal_tx(channel=2, x=100.0, eirp=30.0, schedule=((1000.0, 2000.0),))
         off = received_spectrum((0, 0), [tx], 500.0, prop, grid)
         noise_only = received_spectrum((0, 0), [], 500.0, prop, grid)
-        np.testing.assert_array_equal(off.bins_dbm, noise_only.bins_dbm)
+        np.testing.assert_array_equal(mw_to_dbm(off), mw_to_dbm(noise_only))
         on = received_spectrum((0, 0), [tx], 1500.0, prop, grid)
-        assert on.total_power_mw() > noise_only.total_power_mw()
+        assert on.sum() > noise_only.sum()
 
     def test_linear_superposition_noise_excluded(self, grid, prop):
         tx1 = pal_tx(channel=2, x=200.0, eirp=30.0)
@@ -191,13 +192,12 @@ class TestReceivedSpectrum:
         both = received_spectrum((0, 0), [tx1, tx2], 0, prop, grid, noise_figure_db=None)
         solo1 = received_spectrum((0, 0), [tx1], 0, prop, grid, noise_figure_db=None)
         solo2 = received_spectrum((0, 0), [tx2], 0, prop, grid, noise_figure_db=None)
-        np.testing.assert_allclose(both.bins_mw(), solo1.bins_mw() + solo2.bins_mw(),
-                                   rtol=1e-9)
+        np.testing.assert_allclose(both, solo1 + solo2, rtol=1e-9)
 
     def test_monotone_attenuation(self, grid, prop):
         tx = pal_tx(channel=10, x=0.0, eirp=40.0)
         powers = [received_spectrum((d, 0), [tx], 0, prop, grid,
-                                    noise_figure_db=None).total_power_mw()
+                                    noise_figure_db=None).sum()
                   for d in (10, 30, 100, 300, 1000, 3000)]
         assert all(a >= b for a, b in zip(powers, powers[1:]))
 
@@ -207,7 +207,7 @@ class TestReceivedSpectrum:
                               rng=np.random.default_rng(3), snapshots=8)
         b = received_spectrum((0, 0), [tx], 0, prop, grid,
                               rng=np.random.default_rng(3), snapshots=8)
-        np.testing.assert_array_equal(a.bins_dbm, b.bins_dbm)
+        np.testing.assert_array_equal(mw_to_dbm(a), mw_to_dbm(b))
 
 
 class TestTransmitterCsv:
@@ -279,6 +279,9 @@ class TestMwToDbm:
         with np.errstate(all="raise"):
             dbm = mw_to_dbm([0.0, -0.0, -1.0, -np.inf, np.nan, np.inf, 1.0, 100.0])
         np.testing.assert_array_equal(dbm, [-np.inf] * 5 + [np.inf, 0.0, 20.0])
+
+    def test_zero_one_and_hundred_mw(self):
+        np.testing.assert_array_equal(mw_to_dbm([0.0, 1.0, 100.0]), [-np.inf, 0.0, 20.0])
 
     def test_shape_follows_the_input(self):
         assert mw_to_dbm(10.0).shape == ()

@@ -135,9 +135,9 @@ class TestDetect:
     def detect(self, spectrum):
         """Channel 1's carrier statistics and verdict: ``detect_channels``
         over the channel's ``carrier_windows`` of the spectrum."""
-        windows = carrier_windows(spectrum.bin_centers_mhz(), [self.grid.low_edge_mhz(1)],
-                                  self.cfg)
-        stats, occupied = detect_channels(self.cfg, spectrum.bins_mw(), windows)
+        windows = carrier_windows(self.grid.bin_centers_mhz(200.0),
+                                  [self.grid.low_edge_mhz(1)], self.cfg)
+        stats, occupied = detect_channels(self.cfg, spectrum, windows)
         return stats[0], bool(occupied[0])
 
     def test_strong_signal_occupied_on_all_carriers(self):
@@ -152,9 +152,9 @@ class TestDetect:
 
     def test_uncovered_channel_rejected(self):
         small = build_channel_grid(FrequencyBand(470.0, 478.0), 8.0)
-        spec = received_spectrum((0, 0), [], 0.0, self.prop, small)
         with pytest.raises(CoverageError):
-            carrier_windows(spec.bin_centers_mhz(), [self.grid.low_edge_mhz(2)], self.cfg)
+            carrier_windows(small.bin_centers_mhz(200.0), [self.grid.low_edge_mhz(2)],
+                            self.cfg)
 
     def test_uncalibrated_config_rejected(self):
         cfg = DetectorConfig()
@@ -174,10 +174,10 @@ class TestDetect:
         # synthesis equal noise + carrier fractions of the total power
         sig = carrier_signal_mw(self.cfg, -80.0)
         spec = received_spectrum((0, 0), [self.tx(-80.0)], 0.0, self.prop, self.grid)
-        windows = carrier_windows(spec.bin_centers_mhz(), [self.grid.low_edge_mhz(1)],
-                                  self.cfg)
+        windows = carrier_windows(self.grid.bin_centers_mhz(200.0),
+                                  [self.grid.low_edge_mhz(1)], self.cfg)
         for idx, expected in zip(windows[0], sig):
-            window = float(spec.bins_mw()[idx].sum()) - self.cfg.window_noise_mw()
+            window = float(spec[idx].sum()) - self.cfg.window_noise_mw()
             assert window == pytest.approx(expected, rel=1e-9)
 
 
@@ -194,13 +194,13 @@ class TestOperatingPoint:
         lo, hi = grid.low_edge_mhz(5), grid.high_edge_mhz(5)
         energies = []
         windows = []
+        centers = grid.bin_centers_mhz(200.0)
+        idx = carrier_windows(centers, [lo], cfg)[0, 0]
         for seed in range(300):
             spec = received_spectrum((0, 0), [], 0.0, prop, grid,
                                      rng=np.random.default_rng(seed), snapshots=1)
-            centers = spec.bin_centers_mhz()
-            energies.append(float(spec.bins_mw()[(centers > lo) & (centers < hi)].sum()))
-            idx = carrier_windows(centers, [lo], cfg)[0, 0]
-            windows.append(float(spec.bins_mw()[idx].sum()))
+            energies.append(float(spec[(centers > lo) & (centers < hi)].sum()))
+            windows.append(float(spec[idx].sum()))
         ratio_db = 10 * np.log10(np.mean(energies) / np.mean(windows))
         assert ratio_db == pytest.approx(16.02, abs=0.5)
 
