@@ -27,9 +27,7 @@ from .radio_env import (  # noqa: F401
     synthesize_tv_spectrum,
 )
 from .sensing import (  # noqa: F401
-    Decision,
     DetectorConfig,
-    SensingReport,
     calibrate_threshold,
     default_calibration,
     estimate_roc,

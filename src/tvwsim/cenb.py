@@ -5,8 +5,10 @@ special subframe #1 hosts in-band sensing, the adjacent uplink subframe
 #2 is borrowed for wide scans, decisions ride the downlink pilot slot
 as broadcast messages, and the dedicated band keeps control alive while
 the data block retunes.  Inter-CeNB coordination is message passing
-only: cooperative report fusion over X2, and one start-up channel
-allocation by the global spectrum manager.
+only: the CeNBs' sensing verdicts, exchanged all-to-all over X2 and
+fused by one OR or MAJORITY reduction over their (CeNBs, channels)
+array, and one start-up channel allocation by the global spectrum
+manager.
 """
 
 from dataclasses import dataclass, field
@@ -14,10 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AggregationError, ConfigError, StaleSensingError
+from .errors import ConfigError, StaleSensingError
 from .geodb import Region
 from .radio_env import FrequencyBand
-from .sensing import Decision, SensingReport
 
 FRAME_MS = 10.0
 SUBFRAME_MS = 1.0
@@ -318,29 +319,21 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
         to_block=() if aborted else msg.target_block, aborted=aborted)
 
 
-def fuse_cooperative(own, neighbors, rule="OR"):
-    """Combine same-channel reports exchanged over X2 into one verdict.
+def fuse_cooperative(occupied, reporting, rule="OR"):
+    """Fuse the verdicts that the CeNBs exchange over X2 into one flag per channel.
 
-    OR (default): occupied if any report says occupied.  MAJORITY:
-    occupied on a strict majority.  Reports must cover one channel
-    within one frame period.
+    ``occupied`` and ``reporting`` are (CeNBs, channels) bool arrays: each
+    CeNB's verdicts, and the channels it reported.  A channel is occupied
+    under OR (default) when any of its reports says so, and under
+    MAJORITY on a strict majority of its reports; a channel that no CeNB
+    reported is vacant under both.  Returns the (channels,) fused flags.
     """
-    reports = (own, *neighbors)
-    # One transposing pass gives every field as a tuple.
-    _, channels, decisions, _, times = zip(*reports)
-    if channels.count(own.channel_index) != len(reports):
-        raise AggregationError(f"cannot fuse mixed channels {sorted(set(channels))}")
-    if max(times) - min(times) > FRAME_MS + 1e-9:
-        raise AggregationError("reports span more than one frame period")
-    n_occ = decisions.count(Decision.OCCUPIED)
+    hits = np.logical_and(occupied, reporting)
     if rule == "OR":
-        fused = Decision.OCCUPIED if n_occ > 0 else Decision.VACANT
-    elif rule == "MAJORITY":
-        fused = Decision.OCCUPIED if 2 * n_occ > len(reports) else Decision.VACANT
-    else:
-        raise ValueError(f"unknown fusion rule {rule!r}")
-    return SensingReport(own.cenb_id, own.channel_index, fused, own.carrier_stats_dbm,
-                         own.t_ms)
+        return hits.any(axis=0)
+    if rule == "MAJORITY":
+        return 2 * np.count_nonzero(hits, axis=0) > np.count_nonzero(reporting, axis=0)
+    raise ValueError(f"unknown fusion rule {rule!r}")
 
 
 @dataclass(frozen=True)

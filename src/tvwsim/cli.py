@@ -111,7 +111,11 @@ def _cmd_geodb(args):
         flag = " (clamped to table hull)" if clamped else ""
         print(f"required_separation_m: {sep:.10g}{flag}")
         return EXIT_OK
-    prop = PropagationConfig(exponent=args.exponent, ref_loss_db=args.ref_loss_db)
+    _option("--freq", harness.radio_freq_mhz, args.freq)
+    try:
+        prop = PropagationConfig(exponent=args.exponent, ref_loss_db=args.ref_loss_db)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for --exponent: {exc}") from exc
     db = geodb_mod.load(args.db, prop, args.freq)
     if args.geodb_cmd == "query":
         grid = _grid_from_args(args)

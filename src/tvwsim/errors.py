@@ -43,10 +43,6 @@ class StaleSensingError(TvwsimError):
     """A spectrum decision was requested without fresh reports for a grey channel."""
 
 
-class AggregationError(TvwsimError):
-    """Cooperative sensing reports cannot be fused (mixed channels or stale)."""
-
-
 class DegenerateContourError(TvwsimError):
     """Protected contour collapses below the propagation reference distance."""
 

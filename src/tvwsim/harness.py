@@ -30,20 +30,21 @@ stream, one k-of-n pass over the window sums in mW against the
 threshold's mW boundary (``sensing.threshold_mw``), and the block's
 table of channels on air at each downlink subframe.  numpy fills a draw
 for many frames in the order of one draw per frame, so no output depends
-on the block length.  When several CeNBs sense, each CeNB-frame's X2
-reports, verdicts without statistics, are built in one pass over its
-row of the block's verdicts and collected per channel, and each
-channel's reports then go through one ``fuse_cooperative`` call,
-the one implementation of the OR and MAJORITY rules.  At the next frame
-boundary each CeNB's verdicts go into its sensing view in one
-``CenbState.record_view`` call, and ``spectrum_decision`` reads that
-view and the start-up database view.  A CeNB that holds a block, has no
-pending decision and executed no handover at that boundary skips both
-when the round leaves its block clear (``cenb.block_clear``, the test
-``spectrum_decision`` returns on): the decision would be None, and its
-next round covers the same channels, so it overwrites the view before
-the next decision or handover reads it.  Decisions and view writes thus
-cost per event, not per CeNB-frame.
+on the block length.  When several CeNBs sense, the X2 exchange is
+all-to-all, so every CeNB that sensed a channel fuses the same verdicts:
+each frame's (CeNBs, channels) row of the block's verdicts, with a mask
+of the channels each CeNB monitored, goes through one
+``fuse_cooperative`` call, the one implementation of the OR and MAJORITY
+rules, and each CeNB takes the fused flags of its monitored channels.
+At the next frame boundary each CeNB's verdicts go into its sensing view
+in one ``CenbState.record_view`` call, and ``spectrum_decision`` reads
+that view and the start-up database view.  A CeNB that holds a block,
+has no pending decision and executed no handover at that boundary skips
+both when the round leaves its block clear (``cenb.block_clear``, the
+test ``spectrum_decision`` returns on): the decision would be None, and
+its next round covers the same channels, so it overwrites the view
+before the next decision or handover reads it.  Decisions and view
+writes thus cost per event, not per CeNB-frame.
 
 Downlink subframes deliver a fixed packet budget unless the block is
 co-channel with an active TV transmitter, the radio is retuning, or no
@@ -92,16 +93,18 @@ from .errors import (
 from .geodb import GeoDb, Region, contour_radius_m, query_vacant_channels
 from .radio_env import (
     DEFAULT_RBW_KHZ,
+    RADIO_BAND_MHZ,
     FrequencyBand,
     LinkArrays,
     PropagationConfig,
     ScheduleTable,
     build_channel_grid,
     finite_float,
+    level_db,
     received_spectrum,  # noqa: F401  (the benchmark tracer patches harness.received_spectrum)
     transmitters_from_csv,
 )
-from .sensing import Decision, SensingReport, analytic_threshold_dbm
+from .sensing import analytic_threshold_dbm
 
 
 def parse_ini(path):
@@ -226,6 +229,11 @@ _non_negative = _checked_float(lambda v: v >= 0.0, "a non-negative number")
 _fraction = _checked_float(lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _probability = _checked_float(lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
 _open_fraction = _checked_float(lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+radio_freq_mhz = _checked_float(lambda v: RADIO_BAND_MHZ[0] <= v <= RADIO_BAND_MHZ[1],
+                                "a frequency from {:g} to {:g} MHz".format(*RADIO_BAND_MHZ))
+# Path-loss exponents run from about 2 to 6; 10 bounds them with room and
+# keeps the loss 10 * exponent * log10(d / d0) of any distance finite.
+_exponent = _checked_float(lambda v: 0.0 < v <= 10.0, "a path-loss exponent in (0, 10]")
 
 
 def _band(path, what, low_mhz, high_mhz):
@@ -322,18 +330,18 @@ def _load_interference(reader):
     off_y = reader.take("interference.offset_y_m", finite_float, 0.0)
     topo = interf_mod.build_topology(isd, radius, (off_x, off_y))
     coex = interf_mod.CoexistenceConfig(
-        cenb_power_dbm=reader.take("interference.cenb_power_dbm", finite_float, 20.0),
-        ue_power_dbm=reader.take("interference.ue_power_dbm", finite_float, 0.0),
-        tv_eirp_dbm=reader.take("interference.tv_eirp_dbm", finite_float, 59.0),
-        tv_protection_snr_db=reader.take("interference.tv_protection_snr_db", finite_float, 23.0),
-        tv_noise_figure_db=reader.take("interference.tv_noise_figure_db", finite_float, 7.0),
-        ue_noise_figure_db=reader.take("interference.ue_noise_figure_db", finite_float, 9.0),
-        cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", finite_float, 3.0),
+        cenb_power_dbm=reader.take("interference.cenb_power_dbm", level_db, 20.0),
+        ue_power_dbm=reader.take("interference.ue_power_dbm", level_db, 0.0),
+        tv_eirp_dbm=reader.take("interference.tv_eirp_dbm", level_db, 59.0),
+        tv_protection_snr_db=reader.take("interference.tv_protection_snr_db", level_db, 23.0),
+        tv_noise_figure_db=reader.take("interference.tv_noise_figure_db", level_db, 7.0),
+        ue_noise_figure_db=reader.take("interference.ue_noise_figure_db", level_db, 9.0),
+        cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", level_db, 3.0),
         n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
         ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
         min_coupling_m=reader.take("interference.min_coupling_m", _positive, 10.0),
-        exponent=reader.take("interference.exponent", _positive, 3.5),
-        freq_mhz=reader.take("interference.freq_mhz", _positive, 700.0),
+        exponent=reader.take("interference.exponent", _exponent, 3.5),
+        freq_mhz=reader.take("interference.freq_mhz", radio_freq_mhz, 700.0),
     )
     return InterferenceStudy(
         topology=topo, coex=coex,
@@ -369,8 +377,9 @@ def load_scenario(path):
     excluded = reader.take("grid.exclusions", parse_exclusions, parse_exclusions("566-606"))
     try:
         grid = build_channel_grid(_band(path, "grid band", low, high), width, excluded)
-    except AlignmentError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (AlignmentError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad grid.low_mhz, grid.high_mhz, grid.channel_mhz or "
+                          f"grid.exclusions: {exc}") from exc
 
     frame_keys = dict(
         config_id=reader.take("frame.pattern", str, "tdd-2"),
@@ -384,7 +393,7 @@ def load_scenario(path):
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    ref_loss = reader.take("prop.ref_loss_db", finite_float, None)
+    ref_loss = reader.take("prop.ref_loss_db", level_db, None)
     try:
         prop = PropagationConfig(
             exponent=reader.take("prop.exponent", finite_float, 3.5),
@@ -534,9 +543,6 @@ def sensing_links(cfg, det, points):
 # frame per block.
 _BLOCK_BINS = 1024
 
-# A report's decision, indexed by its occupied flag.
-_DECISION = (Decision.VACANT, Decision.OCCUPIED)
-
 
 class _BlockRadio:
     """The frame loop's radio work for a block of consecutive frames.
@@ -565,13 +571,13 @@ class _BlockRadio:
         self.frames_per_block = max(1, _BLOCK_BINS // (self.n_points * self.windows.size))
 
     def sense(self, first, count):
-        """Frames ``first`` to ``first + count - 1``: (occupied, sums, verdicts, on_air).
+        """Frames ``first`` to ``first + count - 1``: (occupied, verdicts, on_air).
 
         At the first offset, the sensing instant: ``occupied[frame][cenb]``
         lists, in ascending order, the channels that CeNB's own verdict
-        found occupied, ``sums`` holds every (frames, CeNBs, channels,
-        carriers) window sum in mW and ``verdicts`` every (frames, CeNBs,
-        channels) occupied flag, decided in mW (``channel_verdicts``).
+        found occupied, and ``verdicts`` holds every (frames, CeNBs,
+        channels) occupied flag, decided on the window sums in mW
+        (``channel_verdicts``).
         At each later offset, a downlink subframe: ``on_air`` flags,
         shape (frames, subframes, channels), the channels with an active
         transmitter.
@@ -582,8 +588,7 @@ class _BlockRadio:
                                                              *self.windows.shape)
         window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
                                     size=window_mw.shape)
-        sums = window_mw.sum(axis=-1)
-        verdicts = sensing_mod.channel_verdicts(self.op_det, sums)
+        verdicts = sensing_mod.channel_verdicts(self.op_det, window_mw.sum(axis=-1))
         occupied = [[[] for _ in range(self.n_points)] for _ in range(count)]
         frames, points, channels = np.nonzero(verdicts)
         for f, point, ch in zip(frames.tolist(), points.tolist(), channels.tolist()):
@@ -591,7 +596,7 @@ class _BlockRadio:
         on_air = np.zeros((count, self.offsets_ms.size - 1, self.n_channels), dtype=bool)
         frame, subframe, tx = np.nonzero(active[:, 1:])
         on_air[frame, subframe, self.tx_channel[tx]] = True
-        return occupied, sums, verdicts, on_air
+        return occupied, verdicts, on_air
 
 
 def run_simulation(cfg):
@@ -652,7 +657,7 @@ def run_simulation(cfg):
 
     for first in range(0, n_frames, radio.frames_per_block):
         count = min(radio.frames_per_block, n_frames - first)
-        block_occupied, _, block_verdicts, block_on_air = radio.sense(first, count)
+        block_occupied, block_verdicts, block_on_air = radio.sense(first, count)
         tv_on_held = {}     # active block -> its (frames, subframes) TV flags and counts
         for i, frame in enumerate(range(first, first + count)):
             t0 = float(frame * FRAME_MS)
@@ -698,32 +703,23 @@ def run_simulation(cfg):
 
             t_sense = t0 + sense_offset
             sensed = []
-            x2 = [[] for _ in all_channels] if fuse else None   # per channel, its X2 reports
             for idx, state in enumerate(states):
                 monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
                 hits = [ch for ch in block_occupied[i][idx] if ch in monitored]
                 sensed.append((state, monitored, hits))
                 events.append((t_sense, state.id, "SENSE",
                                f"channels={len(monitored)} occupied={len(hits)}"))
-                if fuse:
-                    # The CeNB's verdicts in one pass over its row of the block;
-                    # an X2 message carries no statistics.
-                    verdict_row = block_verdicts[i, idx].tolist()
-                    for ch in monitored:
-                        x2[ch].append(SensingReport(state.id, ch, _DECISION[verdict_row[ch]],
-                                                    (), t_sense))
 
             if fuse:
                 # X2 exchange is all-to-all, so every CeNB that sensed a channel
-                # fuses the same reports: fuse each channel once and give its
-                # verdict to each of them.  The call stays per channel because
-                # fuse_cooperative is the one implementation of the OR and
-                # MAJORITY rules.
-                fused = {ch for ch, reports in enumerate(x2) if reports
-                         and cenb_mod.fuse_cooperative(reports[0], reports[1:],
-                                                       cfg.fusion_rule).decision
-                         is Decision.OCCUPIED}
-                sensed = [(state, monitored, [ch for ch in monitored if ch in fused])
+                # fuses the same verdicts: fuse the frame's row once and give
+                # each CeNB the fused flags of the channels it monitored.
+                reporting = np.zeros(block_verdicts.shape[1:], dtype=bool)
+                for idx, (_, monitored, _) in enumerate(sensed):
+                    reporting[idx, list(monitored)] = True
+                fused = cenb_mod.fuse_cooperative(block_verdicts[i], reporting,
+                                                  cfg.fusion_rule).tolist()
+                sensed = [(state, monitored, [ch for ch in monitored if fused[ch]])
                           for state, monitored, _ in sensed]
 
             # Downlink: a CeNB-frame loses the subframes a TV on its block

@@ -331,6 +331,9 @@ def acir_sweep(topo, acir_list, snapshots, seed, cfg=CoexistenceConfig()):
     out_dl, out_ul = sums.outage
     cap_dl, cap_ul = sums.capacity
     cap_dl_base, cap_ul_base = sums.capacity_baseline
+    if not (cap_dl_base > 0 and cap_ul_base > 0):
+        raise ValueError("the LTE links carry no capacity even at infinite ACIR, so no "
+                         "capacity loss is defined: every UE's SNR underflows")
     n_rx = snapshots * cfg.n_tv_receivers
     points = tuple(
         AcirPoint(acir_db=float(a),

@@ -43,6 +43,16 @@ DEFAULT_RBW_KHZ = 200.0
 DEFAULT_NOISE_FIGURE_DB = 6.0
 OFF_POWER_DBM = float("-inf")
 MIN_REF_DISTANCE_M = 1e-3
+# Largest magnitude of a configured level or loss in dB (dBm, dB): two of
+# them, 10 ** 60 in linear terms, multiply far inside a double.
+MAX_LEVEL_DB = 300.0
+# The radio spectrum, 3 Hz to 3 THz, in MHz: the free-space loss is finite
+# over it.
+RADIO_BAND_MHZ = (3e-6, 3e6)
+# Most channels in a grid: the grid lists every channel edge, so a band
+# of 1e308 MHz would otherwise fill memory.  1 MHz channels over 30 MHz
+# to 3 GHz are some 3000.
+MAX_GRID_CHANNELS = 1 << 16
 
 
 class TvStandard(Enum):
@@ -131,8 +141,13 @@ def build_channel_grid(band, width_mhz=8.0, excluded=()):
 
     Exclusion boundaries must coincide with channel edges, and the band
     must divide into whole channels outside the exclusions; anything
-    else raises AlignmentError.
+    else raises AlignmentError.  A band of more than ``MAX_GRID_CHANNELS``
+    channels raises ValueError.
     """
+    n_steps = (band.high_mhz - band.low_mhz) / width_mhz
+    if not n_steps <= MAX_GRID_CHANNELS:      # an infinite count included
+        raise ValueError(f"band {band.low_mhz:g}-{band.high_mhz:g} MHz holds more than "
+                         f"{MAX_GRID_CHANNELS} channels of {width_mhz:g} MHz")
     excluded = tuple(excluded)
     for excl in excluded:
         for edge in (excl.low_mhz, excl.high_mhz):
@@ -140,7 +155,6 @@ def build_channel_grid(band, width_mhz=8.0, excluded=()):
             if band.low_mhz < edge < band.high_mhz and abs(offset - round(offset)) > 1e-9:
                 raise AlignmentError(
                     f"exclusion edge {edge} MHz not aligned to {width_mhz} MHz grid")
-    n_steps = (band.high_mhz - band.low_mhz) / width_mhz
     if abs(n_steps - round(n_steps)) > 1e-9:
         raise AlignmentError(
             f"band width {band.width_mhz} MHz is not a whole number of "
@@ -440,6 +454,15 @@ def finite_float(text):
     return value
 
 
+def level_db(text):
+    """``finite_float(text)`` of a level or loss in dB or dBm, within ``MAX_LEVEL_DB``."""
+    value = finite_float(text)
+    if abs(value) > MAX_LEVEL_DB:
+        raise ValueError(f"expected a level from -{MAX_LEVEL_DB:g} to {MAX_LEVEL_DB:g} dB, "
+                         f"got {value:g}")
+    return value
+
+
 class row_errors:
     """Context that reports a cell's ValueError, KeyError or TypeError as a
     ParseError at ``lineno`` of ``path``."""
@@ -560,7 +583,7 @@ def transmitters_from_csv(path):
         with row_errors(path, lineno):
             txs.append(TvTransmitter(
                 id=tx_id, standard=TvStandard(standard), channel_index=int(channel),
-                location=(finite_float(x), finite_float(y)), eirp_dbm=finite_float(eirp),
+                location=(finite_float(x), finite_float(y)), eirp_dbm=level_db(eirp),
                 antenna_height_m=finite_float(height),
                 schedule=_parse_schedule(schedule.strip())))
     return txs

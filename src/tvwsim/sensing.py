@@ -30,8 +30,6 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,24 +50,6 @@ from .radio_env import (
 )
 
 THRESHOLD_ALWAYS_FIRE_DBM = float("-inf")
-
-
-class Decision(Enum):
-    OCCUPIED = "Occupied"
-    VACANT = "Vacant"
-
-
-class SensingReport(NamedTuple):
-    """One detector verdict for one channel at one instant, as an immutable value.
-
-    The X2 messages inside a run carry no statistics: ``carrier_stats_dbm=()``.
-    """
-
-    cenb_id: str
-    channel_index: int
-    decision: Decision
-    carrier_stats_dbm: tuple
-    t_ms: float
 
 
 @dataclass

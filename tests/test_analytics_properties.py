@@ -3,8 +3,9 @@
 For any calibration file and any ``--powers``, ``--trials`` and
 ``--seed`` of ``roc``; any ``--band-low``, ``--band-high``,
 ``--channel-mhz``, ``--exclude``, ``--threshold-dbm`` and ``--subbands``
-table of ``occupancy``, the table's cells included; and any separation
-table, ``--power`` and ``--height`` of ``geodb separation``, the command
+table of ``occupancy``, the table's cells included; any separation
+table, ``--power`` and ``--height`` of ``geodb separation``; and any
+float option of ``geodb query`` and ``geodb contour``, the command
 exits with 0, 2 or 3 and raises nothing (a traceback), a configuration
 error names the input file or the flag at fault, and two runs on the
 same inputs write the same bytes.
@@ -39,7 +40,8 @@ def _check_contract(argv, names, out, capsys):
     """Run ``argv`` twice: exit code, error line, named culprit and equal bytes.
 
     ``names`` are the input files and flags a configuration error may name;
-    ``out`` is the file or directory the command writes, or None.
+    ``out`` is the file or directory the command writes, or None.  Returns
+    the exit code.
     """
     def run():
         rc, stdout, err = _run(argv, capsys)
@@ -59,6 +61,7 @@ def _check_contract(argv, names, out, capsys):
         assert any(name in err for name in names), err
     second = run()
     assert second == (rc, stdout, err, written)
+    return rc
 
 
 CALIBRATION = {
@@ -275,6 +278,57 @@ def test_geodb_separation_exit_code_contract_and_determinism(tmp_path_factory, c
     argv = ["geodb", "separation", "--table", table,
             *(f"{flag}={value}" for flag, value in options.items())]
     _check_contract(argv, [table, *SEPARATION_OPTIONS], None, capsys)
+
+
+# Channel 0's service is inside its contour, channel 1's in the grey ring and
+# channel 2's far away, with its radius drawn from the propagation flags.
+GEODB = ("id,standard,channel,x_m,y_m,eirp_dbm,height_m,required_rx_dbm,protected_radius_m\n"
+         "near,AnalogPalD,0,1000,0,60,100,-80,2000\n"
+         "edge,DigitalDtmb,1,5000,0,60,100,-80,4000\n"
+         "far,AnalogPalD,2,90000,0,60,100,-80,\n")
+# In range: the float options of both subcommands, then those of query only.
+PROPAGATION_OPTIONS = {
+    "--freq": _numbers(50.0, 3000.0),
+    "--exponent": _numbers(2.0, 6.0),
+    "--ref-loss-db": st.one_of(st.none(), _numbers(-20.0, 80.0)),
+}
+QUERY_OPTIONS = {
+    "--x": _numbers(-1e5, 1e5),
+    "--y": _numbers(-1e5, 1e5),
+    "--eirp": _numbers(-10.0, 60.0),
+    "--band-low": st.sampled_from(["470", "462", "478"]),
+    "--band-high": st.sampled_from(["494", "806", "502"]),
+    "--channel-mhz": st.sampled_from(["8", "4", "16"]),
+}
+BAD_GEODB_TEXT = st.one_of(st.sampled_from(
+    ["0", "-5", "1.5", "1e308", "-1e308", "5e-324", "3e6", "3e-6", "1e-300"]),
+    BAD_TEXT, _numbers(-1e308, 1e308))
+
+
+@st.composite
+def geodb_inputs(draw):
+    """The subcommand and its options (None for an option left out); in most
+    examples one float option is malformed, out of range or extreme."""
+    sub = draw(st.sampled_from(["query", "contour"]))
+    spec = {**PROPAGATION_OPTIONS, **(QUERY_OPTIONS if sub == "query" else {})}
+    options = draw(st.fixed_dictionaries(spec))
+    if draw(st.integers(0, 3)):
+        options[draw(st.sampled_from(sorted(spec)))] = draw(BAD_GEODB_TEXT)
+    return sub, options
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=geodb_inputs())
+def test_geodb_query_and_contour_exit_code_contract_and_determinism(tmp_path_factory, capsys,
+                                                                     inputs):
+    sub, options = inputs
+    path = tmp_path_factory.mktemp("geodb") / "db.csv"
+    path.write_text(GEODB, encoding="utf-8")
+    argv = ["geodb", sub, str(path),
+            *(f"{flag}={value}" for flag, value in options.items() if value is not None)]
+    # Every failure of these two is a fault of the database or of a flag.
+    assert _check_contract(argv, [str(path), *options], None, capsys) != cli.EXIT_RUNTIME
 
 
 # Band options that form no channel grid, and the flag each error names.

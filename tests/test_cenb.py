@@ -1,11 +1,9 @@
-import re
-
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tvwsim.cenb import (
-    FRAME_MS,
     CenbState,
     CogMessage,
     MsgKind,
@@ -20,21 +18,22 @@ from tvwsim.cenb import (
     spectrum_decision,
     vacant_runs,
 )
-from tvwsim.errors import AggregationError, ConfigError, StaleSensingError
+from tvwsim.errors import ConfigError, StaleSensingError
 from tvwsim.geodb import Region
 from tvwsim.radio_env import FrequencyBand
-from tvwsim.sensing import Decision, SensingReport
+
+OCCUPIED, VACANT = True, False
 
 
-def report(channel, decision, t_ms=3.0, cenb="c1"):
-    return SensingReport(cenb_id=cenb, channel_index=channel, decision=decision,
-                         carrier_stats_dbm=(-110.0, -110.0, -110.0), t_ms=t_ms)
+def report(channel, occupied, t_ms=3.0):
+    """One verdict: (channel, occupied flag, sensing time in ms)."""
+    return channel, occupied, t_ms
 
 
 def record(state, rep):
-    """Write one report's verdict into the sensing view."""
-    occupied = (rep.channel_index,) if rep.decision is Decision.OCCUPIED else ()
-    state.record_view((rep.channel_index,), occupied, rep.t_ms)
+    """Write one verdict into the sensing view."""
+    channel, occupied, t_ms = rep
+    state.record_view((channel,), (channel,) if occupied else (), t_ms)
 
 
 def decide(state, reports, regions, grid, frame_no):
@@ -111,8 +110,7 @@ class TestSpectrumDecision:
         state = make_state()
         overrides = {ch: Region.BLACK for ch in range(grid.n_channels)
                      if ch not in (5, 6, 7, 12, 13, 14, 20)}
-        reports = [report(5, Decision.VACANT), report(6, Decision.OCCUPIED),
-                   report(7, Decision.VACANT)]
+        reports = [report(5, VACANT), report(6, OCCUPIED), report(7, VACANT)]
         msg = decide(state, reports, self.regions(grid, overrides),
                      grid, frame_no=1)
         assert msg is not None
@@ -123,7 +121,7 @@ class TestSpectrumDecision:
 
     def test_all_clear_steady_state(self, grid):
         state = make_state()
-        reports = [report(ch, Decision.VACANT) for ch in (5, 6, 7)]
+        reports = [report(ch, VACANT) for ch in (5, 6, 7)]
         assert decide(state, reports, self.regions(grid), grid, 1) is None
 
     def test_tie_breaks_to_lowest_index(self, grid):
@@ -131,15 +129,14 @@ class TestSpectrumDecision:
         keep = {5, 6, 7, 8, 9, 10, 30, 31, 32}
         overrides = {ch: Region.BLACK for ch in range(grid.n_channels)
                      if ch not in keep}
-        reports = [report(5, Decision.OCCUPIED), report(6, Decision.VACANT),
-                   report(7, Decision.VACANT)]
+        reports = [report(5, OCCUPIED), report(6, VACANT), report(7, VACANT)]
         msg = decide(state, reports, self.regions(grid, overrides),
                      grid, frame_no=4)
         assert msg.target_block == (8, 9, 10)
 
     def test_black_region_triggers_even_without_detection(self, grid):
         state = make_state()
-        reports = [report(ch, Decision.VACANT) for ch in (5, 6, 7)]
+        reports = [report(ch, VACANT) for ch in (5, 6, 7)]
         msg = decide(state, reports, self.regions(grid, {6: Region.BLACK}),
                      grid, 1)
         assert msg is not None
@@ -154,15 +151,14 @@ class TestSpectrumDecision:
     def test_exhausted_band_falls_back_to_dedicated(self, grid):
         state = make_state(block=(5,))
         overrides = {ch: Region.BLACK for ch in range(grid.n_channels) if ch != 5}
-        msg = decide(state, [report(5, Decision.OCCUPIED)],
+        msg = decide(state, [report(5, OCCUPIED)],
                      self.regions(grid, overrides), grid, 1)
         assert msg.target_block == ()
         assert msg.bandwidth_mhz is None
 
     def test_no_new_decision_while_one_pending(self, grid):
         state = make_state()
-        reports = [report(5, Decision.OCCUPIED), report(6, Decision.VACANT),
-                   report(7, Decision.VACANT)]
+        reports = [report(5, OCCUPIED), report(6, VACANT), report(7, VACANT)]
         first = decide(state, list(reports), self.regions(grid), grid, 1)
         assert first is not None
         again = decide(state, list(reports), self.regions(grid), grid, 1)
@@ -173,7 +169,7 @@ class TestSpectrumDecision:
         overrides = {ch: Region.BLACK for ch in range(grid.n_channels)
                      if ch not in (5, 20, 21)}
         overrides.update({20: Region.GREY, 21: Region.GREY})
-        reports = [report(5, Decision.OCCUPIED), report(20, Decision.VACANT)]
+        reports = [report(5, OCCUPIED), report(20, VACANT)]
         msg = decide(state, reports, self.regions(grid, overrides),
                      grid, 1)
         assert msg.target_block == (20,)  # 21 was never sensed
@@ -181,9 +177,9 @@ class TestSpectrumDecision:
 
 class TestExecuteHandover:
     def pend(self, state, grid, frame_no=101):
-        reports = [report(24, Decision.VACANT, t_ms=1003.0),
-                   report(25, Decision.OCCUPIED, t_ms=1003.0),
-                   report(26, Decision.VACANT, t_ms=1003.0)]
+        reports = [report(24, VACANT, t_ms=1003.0),
+                   report(25, OCCUPIED, t_ms=1003.0),
+                   report(26, VACANT, t_ms=1003.0)]
         regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
         return decide(state, reports, regions, grid, frame_no=frame_no)
 
@@ -218,7 +214,7 @@ class TestExecuteHandover:
         state = make_state(block=(24, 25, 26))
         msg = self.pend(state, grid)
         target = msg.target_block[0]
-        record(state, report(target, Decision.OCCUPIED, t_ms=1013.0))
+        record(state, report(target, OCCUPIED, t_ms=1013.0))
         before_block = state.active_block
         state, event = execute_handover(state, msg, now_ms=1020.0)
         assert event.aborted
@@ -240,8 +236,8 @@ class TestDetectionTime:
     def test_latency_runs_from_the_detecting_report(self, grid):
         state = make_state(block=(24, 25, 26))
         regions = {ch: Region.WHITE for ch in range(grid.n_channels)}
-        reports = [report(24, Decision.VACANT, t_ms=1003.0),
-                   report(25, Decision.OCCUPIED, t_ms=1003.0)]
+        reports = [report(24, VACANT, t_ms=1003.0),
+                   report(25, OCCUPIED, t_ms=1003.0)]
         msg = decide(state, reports, regions, grid, frame_no=101)
         assert msg.t_detect_ms == 1003.0
         _, event = execute_handover(state, msg, now_ms=1020.0, retune_ms=10.0)
@@ -264,92 +260,67 @@ class TestDetectionTime:
 
 
 class TestFusion:
+    # Three CeNBs' verdicts and reporting masks over eight channels.  By
+    # channel: none reported; one vacant report; one occupied; a 1-1 tie;
+    # 2 of 3 occupied; 1 of 3 occupied; occupied only where not reported;
+    # all occupied.
+    VERDICTS = np.array([[1, 0, 1, 1, 1, 1, 1, 1],
+                         [0, 0, 0, 0, 1, 0, 0, 1],
+                         [0, 0, 0, 0, 0, 0, 0, 1]], dtype=bool)
+    REPORTING = np.array([[0, 1, 1, 1, 1, 1, 0, 1],
+                          [0, 0, 0, 1, 1, 1, 1, 1],
+                          [0, 0, 0, 0, 1, 1, 1, 1]], dtype=bool)
+
+    def fused(self, *rule):
+        flags = fuse_cooperative(self.VERDICTS, self.REPORTING, *rule)
+        assert flags.dtype == bool
+        return [int(v) for v in flags]
+
     def test_or_rule_truth_table(self):
-        own = report(4, Decision.VACANT)
-        fused = fuse_cooperative(own, [report(4, Decision.OCCUPIED, cenb="c2")])
-        assert fused.decision is Decision.OCCUPIED
+        assert self.fused("OR") == self.fused() == [0, 0, 1, 1, 1, 1, 0, 1]
+
+    def test_majority_rule_truth_table(self):
+        assert self.fused("MAJORITY") == [0, 0, 1, 0, 1, 0, 0, 1]
 
     def test_identity_without_neighbors(self):
-        own = report(4, Decision.VACANT)
-        assert fuse_cooperative(own, []).decision is Decision.VACANT
+        verdicts = np.array([[True, False, True, False]])
+        reporting = np.array([[True, True, False, False]])
+        for rule in ("OR", "MAJORITY"):
+            assert fuse_cooperative(verdicts, reporting, rule).tolist() == [True] + [False] * 3
 
     def test_majority_two_of_five_stays_vacant(self):
-        own = report(4, Decision.OCCUPIED)
-        neighbors = [report(4, Decision.OCCUPIED, cenb="c2")] + \
-            [report(4, Decision.VACANT, cenb=f"c{i}") for i in (3, 4, 5)]
-        fused = fuse_cooperative(own, neighbors, rule="MAJORITY")
-        assert fused.decision is Decision.VACANT
+        verdicts = np.array([[True], [True], [False], [False], [False]])
+        reporting = np.ones_like(verdicts)
+        assert fuse_cooperative(verdicts, reporting, "MAJORITY").tolist() == [False]
+        assert fuse_cooperative(verdicts, reporting, "OR").tolist() == [True]
 
-    def test_mixed_channels_rejected(self):
-        with pytest.raises(AggregationError):
-            fuse_cooperative(report(4, Decision.VACANT),
-                             [report(5, Decision.VACANT, cenb="c2")])
-
-    def test_stale_reports_rejected(self):
-        with pytest.raises(AggregationError):
-            fuse_cooperative(report(4, Decision.VACANT, t_ms=0.0),
-                             [report(4, Decision.VACANT, t_ms=25.0, cenb="c2")])
+    @pytest.mark.parametrize("rule", ["OFF", "or", "AND"])
+    def test_an_unknown_rule_is_rejected(self, rule):
+        with pytest.raises(ValueError, match=rule):
+            fuse_cooperative(self.VERDICTS, self.REPORTING, rule)
 
 
-# 1-20 reports on one channel within one frame: (channel, [(decision, t_ms)], stats).
-same_frame_reports = st.tuples(
-    st.integers(0, 40),
-    st.floats(0.0, 1e5),
-    st.lists(st.tuples(st.sampled_from(Decision), st.floats(0.0, FRAME_MS)),
-             min_size=1, max_size=20),
-    st.tuples(*[st.floats(-150.0, 0.0)] * 3),
-)
-
-
-def _reports(drawn):
-    channel, t0, verdicts, stats = drawn
-    return [SensingReport(cenb_id=f"c{i}", channel_index=channel, decision=decision,
-                          carrier_stats_dbm=stats if i == 0 else (-110.0,) * 3,
-                          t_ms=t0 + dt)
-            for i, (decision, dt) in enumerate(verdicts)]
+# A round of X2 exchange: the (CeNBs, channels) verdicts of 1-20 CeNBs over
+# 1-40 channels, and the channels each of them reported.
+rounds = st.tuples(st.integers(1, 20), st.integers(1, 40)).flatmap(
+    lambda shape: st.tuples(*[st.lists(st.lists(st.booleans(), min_size=shape[1],
+                                                max_size=shape[1]),
+                                       min_size=shape[0], max_size=shape[0])] * 2))
 
 
 class TestFusionProperties:
-    @given(drawn=same_frame_reports)
+    @given(drawn=rounds)
+    # A MAJORITY tie on channel 0, and channel 1 reported by no CeNB.
+    @example(drawn=([[True, True], [False, False]], [[True, False], [True, False]]))
     def test_rules_count_the_occupied_reports(self, drawn):
-        own, *neighbors = reports = _reports(drawn)
-        n_occ = sum(r.decision is Decision.OCCUPIED for r in reports)
-        for rule, occupied in (("OR", n_occ > 0), ("MAJORITY", 2 * n_occ > len(reports))):
-            fused = fuse_cooperative(own, neighbors, rule)
-            assert fused.decision is (Decision.OCCUPIED if occupied else Decision.VACANT)
-            assert (fused.cenb_id, fused.channel_index, fused.carrier_stats_dbm,
-                    fused.t_ms) == (own.cenb_id, own.channel_index,
-                                    own.carrier_stats_dbm, own.t_ms)
-
-    @given(drawn=same_frame_reports, other=st.integers(0, 40), where=st.integers(0, 19))
-    def test_a_neighbor_on_another_channel_is_rejected(self, drawn, other, where):
-        own, *neighbors = _reports(drawn)
-        if other == own.channel_index:
-            other += 41
-        neighbors.insert(where % (len(neighbors) + 1),
-                         report(other, Decision.VACANT, t_ms=own.t_ms, cenb="cx"))
-        channels = sorted({own.channel_index, other})
+        occupied, reporting = drawn
         for rule in ("OR", "MAJORITY"):
-            with pytest.raises(AggregationError, match=re.escape(str(channels))):
-                fuse_cooperative(own, neighbors, rule)
-
-    @given(drawn=same_frame_reports, late=st.floats(1e-6, 100.0), where=st.integers(0, 19))
-    def test_a_span_over_one_frame_is_rejected(self, drawn, late, where):
-        own, *neighbors = reports = _reports(drawn)
-        t_late = min(r.t_ms for r in reports) + FRAME_MS + late
-        neighbors.insert(where % (len(neighbors) + 1),
-                         report(own.channel_index, Decision.VACANT, t_ms=t_late, cenb="cx"))
-        for rule in ("OR", "MAJORITY"):
-            with pytest.raises(AggregationError):
-                fuse_cooperative(own, neighbors, rule)
-
-    @pytest.mark.parametrize("name", ["cenb_id", "channel_index", "decision",
-                                      "carrier_stats_dbm", "t_ms"])
-    def test_a_report_is_immutable(self, name):
-        rep = report(4, Decision.VACANT)
-        with pytest.raises(AttributeError):
-            setattr(rep, name, None)
-        assert rep == report(4, Decision.VACANT)
+            fused = fuse_cooperative(np.array(occupied), np.array(reporting), rule)
+            assert fused.shape == (len(occupied[0]),)
+            for ch, flag in enumerate(fused.tolist()):
+                reports = [row[ch] for row, mask in zip(occupied, reporting) if mask[ch]]
+                n_occ = sum(reports)
+                assert flag == (n_occ > 0 if rule == "OR" else 2 * n_occ > len(reports))
 
 
 class TestAsmAllocate:
@@ -420,16 +391,15 @@ class TestSensingView:
     # Decision at frame 101 (1010 ms): a verdict sensed before 1000 ms is stale.
     @pytest.mark.parametrize("t_ms, stale", [(1003.0, False), (993.0, True)])
     def test_per_verdict_and_per_round_writes_agree(self, grid, t_ms, stale):
-        verdicts = [(24, Decision.OCCUPIED), (25, Decision.VACANT),
-                    (24, Decision.VACANT), (26, Decision.OCCUPIED)]
+        verdicts = [(24, OCCUPIED), (25, VACANT), (24, VACANT), (26, OCCUPIED)]
         by_verdict = make_state(block=(24, 25, 26))
         by_round = make_state(block=(24, 25, 26))
-        for ch, decision in verdicts:
-            record(by_verdict, report(ch, decision, t_ms=t_ms))
+        for ch, occupied in verdicts:
+            record(by_verdict, report(ch, occupied, t_ms=t_ms))
         # One round: each channel's last verdict wins.
         last = dict(verdicts)
-        by_round.record_view(sorted(last), [ch for ch, d in last.items()
-                                            if d is Decision.OCCUPIED], t_ms)
+        by_round.record_view(sorted(last), [ch for ch, occupied in last.items() if occupied],
+                             t_ms)
         for ch in range(grid.n_channels):
             assert by_verdict.unavailable(ch) == by_round.unavailable(ch)
         assert by_verdict.sensed_ms == by_round.sensed_ms

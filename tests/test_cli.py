@@ -323,6 +323,7 @@ BAD_CSV = [
     ("subbands", "subbands.csv", "low_mhz,high_mhz,label\n470,inf,open\n", 2),
     ("subbands", "subbands.csv", "low_mhz,high_mhz,label\n470,478,a\n478,470,b\n", 3),
     ("subbands", "subbands.csv", "low_mhz,high_mhz\n470,478\n", 1),
+    ("transmitters", "input.csv", TX_HEADER + "tv,AnalogPalD,3,100,0,4000,30,\n", 2),
 ]
 
 
@@ -528,3 +529,64 @@ def test_an_unreachable_protection_floor_is_a_config_error(tmp_path, capsys, com
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert str(db) in captured.err and "protection_floor_dbm" in captured.err
     assert power in captured.err
+
+
+# A level whose linear value overflows a double, or a value outside its
+# model's range, is a configuration error that names its key or flag.
+OUT_OF_RANGE = [
+    ("acir", "interference.tv_eirp_dbm = 1e308", "'interference.tv_eirp_dbm'"),
+    ("acir", "interference.exponent = 1e308", "'interference.exponent'"),
+    ("acir", "interference.tv_noise_figure_db = 4000", "'interference.tv_noise_figure_db'"),
+    ("acir", "interference.tv_protection_snr_db = 4000",
+     "'interference.tv_protection_snr_db'"),
+    ("acir", "interference.freq_mhz = 1e308", "'interference.freq_mhz'"),
+    ("simulate", "grid.high_mhz = 1e308", "grid.high_mhz"),
+    ("simulate", "grid.channel_mhz = 5e-324", "grid.channel_mhz"),
+    ("geodb", "--band-high=1e308", "--band-high"),
+    ("geodb", "--channel-mhz=5e-324", "--channel-mhz"),
+    ("occupancy", "--band-high=1e308", "--band-high"),
+]
+
+
+@pytest.mark.parametrize("command, arg, name", OUT_OF_RANGE,
+                         ids=[f"{c} {a}" for c, a, _ in OUT_OF_RANGE])
+def test_an_out_of_range_value_names_its_key(tmp_path, capsys, command, arg, name):
+    assert cli.main(_argv(tmp_path, command, arg)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and name in captured.err
+
+
+def test_a_reference_gain_that_overflows_names_its_key(tmp_path, capsys):
+    # -4000 dB of reference loss puts one transmitter 4000 dB above its EIRP.
+    (tmp_path / "tx.csv").write_text(TX_HEADER + "tv,AnalogPalD,3,100,0,40,30,\n",
+                                     encoding="utf-8")
+    argv = _argv(tmp_path, "simulate", "files.transmitters = tx.csv\nprop.ref_loss_db = -4000")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {argv[1]}: bad value for 'prop.ref_loss_db': expected a "
+                            "level from -300 to 300 dB, got -4000\n")
+
+
+@pytest.mark.parametrize("sub", ["query", "contour"])
+@pytest.mark.parametrize("flag", ["--exponent=1.5", "--freq=0", "--freq=-5", "--freq=1e308",
+                                  "--freq=5e-324"])
+def test_a_bad_propagation_flag_names_itself(tmp_path, capsys, sub, flag):
+    path = tmp_path / "db.csv"
+    path.write_text(GEODB, encoding="utf-8")
+    argv = ["geodb", sub, str(path), *(["--x=0", "--y=0"] if sub == "query" else []), flag]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: bad value for {flag.split('=')[0]}: ")
+
+
+def test_a_study_whose_links_carry_nothing_is_a_runtime_error(tmp_path, capsys):
+    # Cells of 1e30 m: every UE's SNR underflows to 0, so the capacity loss
+    # has no baseline to be measured against.
+    argv = _argv(tmp_path, "acir", "interference.isd_m = 1e30\ninterference.snapshots = 2")
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the LTE links carry no capacity even at infinite ACIR")

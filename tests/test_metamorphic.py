@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from tvwsim import cli, harness
 from tvwsim.cenb import fuse_cooperative
 from tvwsim.errors import SweepRangeError
-from tvwsim.sensing import Decision, SensingReport, analytic_threshold_dbm
+from tvwsim.sensing import analytic_threshold_dbm
 
 FRAMES = 40
 
@@ -47,7 +47,7 @@ def _sense_all(cfg, transmitters):
     op_det.threshold_dbm = analytic_threshold_dbm(op_det)
     radio = harness._BlockRadio(cfg, op_det, [c.location for c in cfg.cenbs],
                                 [3.0, *cfg.schedule.downlink_subframes()])
-    return np.concatenate([radio.sense(first, min(radio.frames_per_block, FRAMES - first))[2]
+    return np.concatenate([radio.sense(first, min(radio.frames_per_block, FRAMES - first))[1]
                            for first in range(0, FRAMES, radio.frames_per_block)])
 
 
@@ -89,24 +89,19 @@ def test_a_power_rise_turns_some_vacant_verdicts_occupied(tmp_path):
     assert 0 < before[:, 0, 20].sum() < after[:, 0, 20].sum()
 
 
-# Per channel, the verdicts of one to six CeNBs; the reports of one round.
-ROUNDS = st.lists(st.lists(st.booleans(), min_size=1, max_size=6), min_size=1, max_size=37)
+# One round: the (CeNBs, channels) verdicts of one to six CeNBs and the
+# channels each of them reported.
+ROUNDS = st.integers(1, 6).flatmap(lambda n: st.integers(1, 37).flatmap(
+    lambda m: st.tuples(*[st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                   min_size=n, max_size=n)] * 2)))
 
 
 @settings(max_examples=200, derandomize=True)
 @given(rounds=ROUNDS)
 def test_or_fuses_to_occupied_every_channel_majority_does(rounds):
-    def fused(rule):
-        occupied = set()
-        for ch, verdicts in enumerate(rounds):
-            reports = [SensingReport(f"c{n}", ch,
-                                     Decision.OCCUPIED if hit else Decision.VACANT,
-                                     (), 1003.0) for n, hit in enumerate(verdicts)]
-            if fuse_cooperative(reports[0], reports[1:], rule).decision is Decision.OCCUPIED:
-                occupied.add(ch)
-        return occupied
-
-    assert fused("MAJORITY") <= fused("OR")
+    occupied, reporting = (np.array(a, dtype=bool) for a in rounds)
+    majority = fuse_cooperative(occupied, reporting, "MAJORITY")
+    assert not np.any(majority & ~fuse_cooperative(occupied, reporting, "OR"))
 
 
 # Sweeps of eight bins, two per 8 MHz channel from 470 MHz, in dBm.
