@@ -16,11 +16,11 @@ closed-form inversion of the log-distance model at median propagation.
 channel, so that a classification reads one channel's contiguous
 slices.  ``load`` parses and checks the file a chunk of rows at a time
 as arrays, and computes each chunk's blank radii in one vectorised
-``contour_radius_m`` call; only a file that fails a check is read again
-row by row, to name its first bad line.  ``GeoDb.records`` is a lazy
-view of ``GeoRecord`` objects, built for ``add``, ``remove``, ``save``
-and the contour listing; ``add`` and ``remove`` drop the columns, which
-are rebuilt from the records on the next classification.
+``contour_radius_m`` call; the first bad line, if any, is named from the
+same arrays.  ``GeoDb.records`` is a lazy view of ``GeoRecord``
+objects, built for ``add``, ``remove``, ``save`` and the contour
+listing; ``add`` and ``remove`` drop the columns, which are rebuilt
+from the records on the next classification.
 """
 
 import csv
@@ -50,6 +50,7 @@ DEFAULT_PROTECTION_FLOOR_DBM = -114.0
 DEFAULT_TV_FREQ_MHZ = 700.0
 
 _STANDARDS = tuple(TvStandard)
+_STANDARD_CODES = {standard.value: code for code, standard in enumerate(_STANDARDS)}
 # Channels are stored as int64.
 _MAX_CHANNEL = 2**63 - 1
 
@@ -397,11 +398,10 @@ def save(db, path):
 def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     """Load a database into columns; blank radii are computed from the propagation model.
 
-    Each chunk of rows is parsed and checked as arrays, and every blank
-    radius of the chunk comes from one ``contour_radius_m`` call.  Only
-    when a check fails is the file read again through ``_record`` row by
-    row, which raises the error of the first bad line.  ``prop`` is only
-    consulted for records whose radius field is blank.
+    Each chunk of rows is parsed and checked as arrays (``_chunk_columns``),
+    and its blank radii come from one ``contour_radius_m`` call.  The first
+    bad line, a repeated id included, is a ParseError naming it, its field
+    and cell.  ``prop`` is only consulted for records whose radius is blank.
     """
     prop = prop if prop is not None else PropagationConfig()
     params = {}
@@ -421,90 +421,87 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
                 raise ValueError(f"unknown metadata key {key!r}")
 
     parts = [[] for _ in _Columns._fields]
+    lines, error = [], None
     try:
-        for chunk, values in float_chunks(csv_rows(path, GEODB_FIELDS, metadata),
-                                          slice(3, 8)):
-            columns = _chunk_columns(chunk, values, prop, freq_mhz)
-            if columns is None:
-                break
-            for chunks, col in zip(parts, columns):
+        for chunk_lines, chunk, values in float_chunks(
+                csv_rows(path, GEODB_FIELDS, metadata), slice(3, 8)):
+            lines.append(chunk_lines)
+            parts[0].append(np.array([cells[0] for cells in chunk], dtype=object))
+            for chunks, col in zip(parts[1:], _chunk_columns(path, chunk_lines, chunk, values,
+                                                             prop, freq_mhz)):
                 chunks.append(col)
-        else:
-            if _distinct(parts[0]):
-                return GeoDb._from_columns(*_sorted_by_channel(parts), **params)
-    except ParseError:      # a ragged row; an earlier one may hold a bad cell
-        pass
-    # A check failed: read again row by row, so that the first bad line
-    # raises its error.
-    seen = set()
-    records = [_record(path, lineno, cells, prop, freq_mhz, seen)
-               for lineno, cells in csv_rows(path, GEODB_FIELDS, metadata)]
-    return GeoDb({rec.service.id: rec for rec in records}, **params)
+    except ParseError as exc:       # the first bad line, duplicate ids aside
+        error = exc
+    dup = _first_duplicate(parts[0])
+    if dup is not None and (error is None or np.concatenate(lines)[dup] < error.line):
+        error = ParseError(f"id {np.concatenate(parts[0])[dup]!r} is a duplicate record id",
+                           line=int(np.concatenate(lines)[dup]), path=path)
+    if error is not None:
+        raise error
+    del lines
+    return GeoDb._from_columns(*_sorted_by_channel(parts), **params)
 
 
-def _chunk_columns(chunk, values, prop, freq_mhz):
-    """A chunk of rows as columns when every row passes ``_record``'s
-    checks, except that of duplicate ids across chunks; otherwise None."""
-    if values is None:
-        return None
+def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):
+    """The columns of a chunk of rows, ids aside (the caller compares them
+    across chunks).  Each check is one mask over the rows: a malformed or
+    out-of-range cell, or a record ``GeoRecord`` would reject.  The first
+    bad row is a ParseError at its line that names the field and cell."""
+    _, standards, channels, *_, radii = zip(*chunk)
+    standard = np.array([_STANDARD_CODES.get(name, -1) for name in standards], dtype=np.int8)
     try:
-        channel = np.fromiter(map(int, [cells[2] for cells in chunk]), dtype=np.int64,
-                              count=len(chunk))
-    except (ValueError, OverflowError):
-        return None
-    standards = np.array([cells[1] for cells in chunk], dtype=object)
-    standard = np.full(len(chunk), -1, dtype=np.int8)
-    for code, name in enumerate(_STANDARDS):
-        standard[standards == name.value] = code
-    radii = [cells[8] for cells in chunk]
+        channel = np.fromiter(map(int, channels), dtype=np.int64, count=len(chunk))
+    except (ValueError, OverflowError):     # a bad cell: parse each for the mask
+        channel = np.fromiter(map(_channel_index, channels), dtype=np.int64, count=len(chunk))
     blank = np.array([not cell.strip() for cell in radii])
     radius = float_array([cell if cell.strip() else "nan" for cell in radii])
-    if radius is None:
-        return None
     x, y, eirp, height, required = values.T
-    if not (np.isfinite(values).all() and np.isfinite(radius[~blank]).all()
-            and (standard >= 0).all() and (channel >= 0).all() and (required < eirp).all()):
-        return None
-    if blank.any():
-        try:
-            radius[blank] = contour_radius_m(eirp[blank], required[blank], prop, freq_mhz)
-        except DegenerateContourError:
-            return None
-    if not ((radius > 0).all() and np.isfinite(radius).all()):
-        return None
-    return _Columns(np.array([cells[0] for cells in chunk], dtype=object), standard, channel,
-                    x, y, eirp, height, required, radius)
+    # The blank radii that have a contour (the margin of contour_radius_m);
+    # a margin past a double's range has none.
+    with np.errstate(over="ignore"):
+        margin = eirp - required - prop.ref_loss(freq_mhz)
+    fits = blank & (margin >= 0) & (margin < math.inf)
+    if fits.any():
+        radius[fits] = contour_radius_m(eirp[fits], required[fits], prop, freq_mhz)
+    finite = np.isfinite(values)
+    checks = (      # (the rows that pass, the field, why a row fails)
+        (standard >= 0, 1, "is not a TV standard"),
+        (channel >= 0, 2, "is not a channel index (0 to 2**63 - 1)"),
+        *((finite[:, k], 3 + k, "is not a finite number") for k in range(5)),
+        (required < eirp, 7, "is not below the record's EIRP"),
+        ((radius > 0) & (radius < math.inf), 8,
+         "is neither a positive finite radius nor blank with a finite contour"),
+    )
+    good = np.logical_and.reduce([mask for mask, _, _ in checks])
+    if not good.all():
+        row = int(np.argmin(good))
+        field, reason = next((field, reason) for mask, field, reason in checks if not mask[row])
+        raise ParseError(f"{GEODB_FIELDS[field]} {chunk[row][field]!r} {reason}",
+                         line=int(lines[row]), path=path)
+    return standard, channel, x, y, eirp, height, required, radius
 
 
-def _distinct(id_chunks):
-    """True when no two ids are equal; False may also mean two equal hashes."""
-    hashes = np.fromiter(map(hash, itertools.chain.from_iterable(id_chunks)),
-                         dtype=np.int64, count=sum(map(len, id_chunks)))
+def _channel_index(cell):
+    """``int(cell)``, or -1 if that is not a channel index (0 to 2**63 - 1)."""
+    try:
+        channel = int(cell)
+    except ValueError:
+        return -1
+    return channel if 0 <= channel <= _MAX_CHANNEL else -1
+
+
+def _first_duplicate(id_chunks):
+    """The position of the first id equal to an earlier one, or None.  Ids
+    are compared only when two of their int64 hashes are equal, so that the
+    answer does not depend on Python's string hashing."""
+    hashes = np.fromiter(map(hash, itertools.chain.from_iterable(id_chunks)), dtype=np.int64,
+                         count=sum(map(len, id_chunks)))
     hashes.sort()
-    return bool((hashes[1:] != hashes[:-1]).all())
-
-
-def _record(path, lineno, cells, prop, freq_mhz, seen):
-    """One row as a GeoRecord, checked; a bad cell raises a ParseError at
-    ``lineno``.  The record's id joins ``seen``."""
-    rec_id, standard, channel, x, y, eirp, height, required, radius = cells
-    with row_errors(path, lineno):
-        svc = TvTransmitter(id=rec_id, standard=TvStandard(standard),
-                            channel_index=int(channel),
-                            location=(finite_float(x), finite_float(y)),
-                            eirp_dbm=finite_float(eirp),
-                            antenna_height_m=finite_float(height))
-        required = finite_float(required)
-        try:
-            radius = (finite_float(radius) if radius.strip()
-                      else contour_radius_m(svc.eirp_dbm, required, prop, freq_mhz))
-        except DegenerateContourError as exc:
-            raise ValueError(f"record {rec_id!r}: {exc}") from exc
+    if (hashes[1:] != hashes[:-1]).all():
+        return None
+    seen = set()
+    for i, rec_id in enumerate(itertools.chain.from_iterable(id_chunks)):
         if rec_id in seen:
-            raise ValueError(f"duplicate record id {rec_id!r}")
-        rec = GeoRecord(service=svc, required_rx_dbm=required, protected_radius_m=radius)
-        if not 0 <= svc.channel_index <= _MAX_CHANNEL:
-            raise ValueError(f"channel {svc.channel_index} is not a channel index "
-                             "(0 to 2**63 - 1)")
-    seen.add(rec_id)
-    return rec
+            return i
+        seen.add(rec_id)
+    return None

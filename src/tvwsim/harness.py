@@ -93,6 +93,8 @@ from .errors import (
 from .geodb import GeoDb, Region, contour_radius_m, query_vacant_channels
 from .radio_env import (
     DEFAULT_RBW_KHZ,
+    MAX_LEVEL_DB,
+    MIN_REF_DISTANCE_M,
     RADIO_BAND_MHZ,
     FrequencyBand,
     LinkArrays,
@@ -234,6 +236,27 @@ radio_freq_mhz = _checked_float(lambda v: RADIO_BAND_MHZ[0] <= v <= RADIO_BAND_M
 # Path-loss exponents run from about 2 to 6; 10 bounds them with room and
 # keeps the loss 10 * exponent * log10(d / d0) of any distance finite.
 _exponent = _checked_float(lambda v: 0.0 < v <= 10.0, "a path-loss exponent in (0, 10]")
+# Close-in reference distances run from 1 m to 1 km; at 100 km the
+# free-space loss is still finite over the whole radio spectrum.
+_ref_distance = _checked_float(lambda v: 0.0 < v <= 1e5, "a reference distance in (0, 1e5] m")
+# A shadowing draw 10 deviations out, far past any run's draws, stays
+# within MAX_LEVEL_DB.
+_shadowing_sigma = _checked_float(lambda v: 0.0 <= v <= MAX_LEVEL_DB / 10,
+                                  f"a deviation from 0 to {MAX_LEVEL_DB / 10:g} dB")
+# Largest length of the coexistence study.  Real layouts span kilometres;
+# this bound only keeps the squares of the layout's distances, a few
+# times the largest length, inside a double (1.8e308).
+MAX_STUDY_LENGTH_M = 1e150
+_study_length = _checked_float(lambda v: 0.0 < v <= MAX_STUDY_LENGTH_M,
+                               f"a length in (0, {MAX_STUDY_LENGTH_M:g}] m")
+_study_offset = _checked_float(lambda v: abs(v) <= MAX_STUDY_LENGTH_M,
+                               f"an offset from -{MAX_STUDY_LENGTH_M:g} to "
+                               f"{MAX_STUDY_LENGTH_M:g} m")
+# Links are clamped to the coupling distance; a shorter one than the
+# shortest reference distance could give a gain past a double's range.
+_coupling_length = _checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= MAX_STUDY_LENGTH_M,
+                                  f"a length from {MIN_REF_DISTANCE_M:g} to "
+                                  f"{MAX_STUDY_LENGTH_M:g} m")
 
 
 def _band(path, what, low_mhz, high_mhz):
@@ -324,10 +347,10 @@ def _input_file(path, key, name, base_dir):
 
 
 def _load_interference(reader):
-    isd = reader.take("interference.isd_m", _positive, 150.0)
-    radius = reader.take("interference.tv_radius_m", _positive, 350.0)
-    off_x = reader.take("interference.offset_x_m", finite_float, 10.0)
-    off_y = reader.take("interference.offset_y_m", finite_float, 0.0)
+    isd = reader.take("interference.isd_m", _study_length, 150.0)
+    radius = reader.take("interference.tv_radius_m", _study_length, 350.0)
+    off_x = reader.take("interference.offset_x_m", _study_offset, 10.0)
+    off_y = reader.take("interference.offset_y_m", _study_offset, 0.0)
     topo = interf_mod.build_topology(isd, radius, (off_x, off_y))
     coex = interf_mod.CoexistenceConfig(
         cenb_power_dbm=reader.take("interference.cenb_power_dbm", level_db, 20.0),
@@ -339,7 +362,7 @@ def _load_interference(reader):
         cenb_noise_figure_db=reader.take("interference.cenb_noise_figure_db", level_db, 3.0),
         n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
         ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
-        min_coupling_m=reader.take("interference.min_coupling_m", _positive, 10.0),
+        min_coupling_m=reader.take("interference.min_coupling_m", _coupling_length, 10.0),
         exponent=reader.take("interference.exponent", _exponent, 3.5),
         freq_mhz=reader.take("interference.freq_mhz", radio_freq_mhz, 700.0),
     )
@@ -396,10 +419,10 @@ def load_scenario(path):
     ref_loss = reader.take("prop.ref_loss_db", level_db, None)
     try:
         prop = PropagationConfig(
-            exponent=reader.take("prop.exponent", finite_float, 3.5),
-            ref_distance_m=reader.take("prop.ref_distance_m", _positive, 1.0),
+            exponent=reader.take("prop.exponent", _exponent, 3.5),
+            ref_distance_m=reader.take("prop.ref_distance_m", _ref_distance, 1.0),
             ref_loss_db=ref_loss,
-            shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", finite_float, 0.0),
+            shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", _shadowing_sigma, 0.0),
             seed=seed,
         )
     except ValueError as exc:

@@ -87,14 +87,15 @@ def ingest_trace(path, site="", rbw_khz=200.0):
     frequencies in MHz.  Ragged rows, non-finite cells and non-increasing
     timestamps are rejected with the offending line number, and a trace
     without data rows is rejected.  Sweeps are parsed and checked a chunk
-    at a time as float arrays; only when a check fails is the file read
-    again row by row, which names the first bad line.
+    at a time as float arrays, and the first bad line is named from them,
+    with its column and cell.
     """
     header = {}
 
     def check_header(cells):
         if cells[:1] != ["t_ms"]:
             raise ValueError("first column must be t_ms")
+        header["names"] = cells
         header["first"] = 3 if cells[1:3] == ["lat", "lon"] else 1
         header["freqs"] = freqs = []
         for name in cells[header["first"]:]:
@@ -105,9 +106,20 @@ def ingest_trace(path, site="", rbw_khz=200.0):
         if not freqs:
             raise ValueError("no frequency columns")
 
-    blocks = _trace_blocks(path, check_header)
-    if blocks is None:
-        blocks = _trace_rows(path, check_header)
+    blocks, last_t = [], -np.inf
+    for lines, chunk, values in float_chunks(csv_rows(path, check_header)):
+        finite = np.isfinite(values)
+        t = values[:, 0]
+        bad = ~finite.all(axis=1) | (t <= np.concatenate(([last_t], t[:-1])))
+        if bad.any():
+            row = int(np.argmax(bad))
+            col = int(np.argmin(finite[row]))       # its first non-finite cell, else t_ms
+            reason = ("is not after the row before it" if finite[row, col]
+                      else "is not a finite number")
+            raise ParseError(f"{header['names'][col]} {chunk[row][col]!r} {reason}",
+                             line=int(lines[row]), path=path)
+        last_t = t[-1]
+        blocks.append(values)
     if not blocks:
         raise ParseError("no data rows", path=path)
     first = header["first"]
@@ -119,37 +131,6 @@ def ingest_trace(path, site="", rbw_khz=200.0):
             power_dbm=np.concatenate([b[:, first:] for b in blocks]),
             site=site, rbw_khz=rbw_khz,
             latlon=np.concatenate([b[:, 1:3] for b in blocks]) if first == 3 else None)
-
-
-def _trace_blocks(path, check_header):
-    """The trace's rows as float arrays, a chunk each; None when a row
-    fails a check."""
-    blocks, last_t = [], -np.inf
-    try:
-        for _, values in float_chunks(csv_rows(path, check_header)):
-            if values is None or not np.isfinite(values).all():
-                return None
-            t = values[:, 0]
-            if t[0] <= last_t or (t[1:] <= t[:-1]).any():
-                return None
-            last_t = t[-1]
-            blocks.append(values)
-    except ParseError:
-        return None
-    return blocks
-
-
-def _trace_rows(path, check_header):
-    """The trace's rows checked one at a time: the first bad one raises a
-    ParseError at its line.  Returns them as a list of one float array."""
-    rows = []
-    for lineno, cells in csv_rows(path, check_header):
-        with row_errors(path, lineno):
-            t = finite_float(cells[0])
-            if rows and t <= rows[-1][0]:
-                raise ValueError("timestamps not strictly increasing")
-            rows.append([t, *map(finite_float, cells[1:])])
-    return [np.array(rows, dtype=float)] if rows else []
 
 
 @dataclass(frozen=True)

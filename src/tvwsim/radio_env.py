@@ -17,10 +17,10 @@ all-bins case; the frame loop builds them once per run for every CeNB
 at once.
 """
 
+import array
 import csv
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -533,28 +533,49 @@ CHUNK_CELLS = 2048
 def float_chunks(rows, columns=slice(None)):
     """Group ``csv_rows``' rows into chunks of about ``CHUNK_CELLS`` cells.
 
-    Yields (chunk, values) per chunk: the cell lists of the chunk's
-    rows, and the (rows, k) float array of their ``columns`` (a slice),
-    parsed as ``float`` parses them, or None when one of those cells is
-    not a number.  The cells are held a chunk at a time, never the whole
-    file's.
+    Yields (lines, chunk, values) per chunk: the rows' line numbers (an
+    int array) and cell lists, and the (rows, k) ``float_array`` of their
+    ``columns`` (a slice).  A chunk's list is emptied when the next is
+    read, so that one chunk's cells are held at a time.  A row that
+    ``rows`` rejects (a ragged one) ends the stream: its ParseError is
+    raised after the rows before it, so that an earlier bad cell wins.
     """
-    cells = map(operator.itemgetter(1), rows)
+    lines, error = array.array("q"), []
+
+    def cells_until_error():
+        try:
+            for line, cells in rows:
+                lines.append(line)
+                yield cells
+        except ParseError as exc:
+            error.append(exc)
+
+    cells = cells_until_error()
     chunk = list(itertools.islice(cells, 1))
     size = max(1, CHUNK_CELLS // len(chunk[0])) if chunk else 1
     chunk += itertools.islice(cells, size - 1)
     while chunk:
-        yield chunk, float_array([row[columns] for row in chunk])
+        yield np.array(lines), chunk, float_array([row[columns] for row in chunk])
+        del lines[:], chunk[:]
         chunk = list(itertools.islice(cells, size))
+    if error:
+        raise error[0]
 
 
 def float_array(cells):
-    """``cells`` as a float array, parsed as ``float`` parses each cell;
-    None when a cell is not a number."""
+    """``cells`` (str, or equal-length lists of str) as a float array: each
+    cell parsed as ``float`` parses it, NaN where ``float`` rejects it."""
     try:
         return np.array(cells, dtype=float)
     except ValueError:
-        return None
+        return np.vectorize(_float_or_nan, otypes=[float])(np.array(cells, dtype=object))
+
+
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _parse_schedule(text):

@@ -590,3 +590,54 @@ def test_a_study_whose_links_carry_nothing_is_a_runtime_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the LTE links carry no capacity even at infinite ACIR")
+
+
+# A study length, a shadowing deviation, a reference distance or a
+# path-loss exponent past its bound.  Each overflowed a double in the run,
+# with numpy warnings, where a configuration error naming the key is due.
+PAST_THE_BOUND = [
+    ("acir", "interference.isd_m = 1e308"),
+    ("acir", "interference.tv_radius_m = 1e308"),
+    ("acir", "interference.offset_x_m = 1e308"),
+    ("acir", "interference.offset_y_m = -1e308"),
+    ("acir", "interference.min_coupling_m = 1e308"),
+    ("acir", "interference.min_coupling_m = 5e-324"),
+    ("simulate", "prop.shadowing_sigma_db = 1e5"),
+    ("simulate", "prop.ref_distance_m = 1e300"),
+    # 0 dB per decade times an infinite 10 * exponent, at the clamped distance.
+    ("simulate", "prop.exponent = 1e308\nprop.ref_distance_m = 500"),
+]
+# One always-on PAL-D TV 300 m from the CeNB.
+ALWAYS_ON_TV = TX_HEADER + "tv,AnalogPalD,1,300,0,43,30,\n"
+
+
+@pytest.mark.parametrize("command, arg", PAST_THE_BOUND,
+                         ids=[a.split("\n")[0] for _, a in PAST_THE_BOUND])
+def test_a_value_past_its_bound_names_its_key(tmp_path, capsys, command, arg):
+    (tmp_path / "tx.csv").write_text(ALWAYS_ON_TV, encoding="utf-8")
+    extra = "\nfiles.transmitters = tx.csv" if command == "simulate" else ""
+    assert cli.main(_argv(tmp_path, command, arg + extra)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert f"bad value for '{arg.split(' = ')[0]}'" in captured.err
+
+
+# Every bound at once runs without a numpy warning, which the test
+# configuration turns into an error.
+AT_THE_BOUND = [
+    ("acir", "interference.isd_m = 1e150\ninterference.tv_radius_m = 1e150\n"
+             "interference.offset_x_m = -1e150\ninterference.offset_y_m = 1e150\n"
+             "interference.min_coupling_m = 1e-3\ninterference.snapshots = 2"),
+    ("acir", "interference.isd_m = 1e150\ninterference.min_coupling_m = 1e150\n"
+             "interference.snapshots = 2"),
+    ("simulate", "prop.shadowing_sigma_db = 30\nprop.ref_distance_m = 1e5\n"
+                 "prop.exponent = 10\nfiles.transmitters = tx.csv"),
+]
+
+
+@pytest.mark.parametrize("command, arg", AT_THE_BOUND)
+def test_values_at_their_bounds_run_without_a_warning(tmp_path, capsys, command, arg):
+    (tmp_path / "tx.csv").write_text(ALWAYS_ON_TV, encoding="utf-8")
+    assert cli.main(_argv(tmp_path, command, arg)) in (cli.EXIT_OK, cli.EXIT_RUNTIME)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err

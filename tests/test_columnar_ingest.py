@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tvwsim import cli, geodb, occupancy
-from tvwsim.errors import ParseError
+from tvwsim.errors import DegenerateContourError, ParseError
 from tvwsim.radio_env import (
+    CHUNK_CELLS,
     PropagationConfig,
     TvStandard,
     TvTransmitter,
@@ -304,4 +305,206 @@ def test_the_first_bad_line_of_a_trace_is_named(tmp_path, bad_rows, line):
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=rf"trace\.csv:{line}: "):
+        occupancy.ingest_trace(path)
+
+
+# The first-bad-line property: files of several chunks with 0-3 faults
+# at drawn rows, against a plain per-row oracle.
+DB_BAD_CELLS = {1: ["PAL", ""], 2: ["-1", "3.0", "x", "99999999999999999999999"],
+                3: ["x", "nan", "inf", ""], 4: ["-inf", "1e999", "1__0"],
+                5: ["x", "nan", "1e999"], 6: ["inf", ""], 7: ["x", "100", "nan"],
+                8: ["x", "nan", "inf", "0", "-5"]}
+TRACE_BAD_CELLS = ["x", "nan", "inf", "-inf", "1e999", ""]
+
+
+def _record_is_bad(cells, seen, prop):
+    """Whether one geo-database row is rejected, checked on its own."""
+    if len(cells) != 9:
+        return True
+    rec_id, standard, channel, *numbers, radius = cells
+    try:
+        channel = int(channel)
+        x, y, eirp, height, required = map(float, numbers)
+        radius = float(radius) if radius.strip() else None
+    except ValueError:
+        return True
+    if (standard not in ("AnalogPalD", "DigitalDtmb") or not 0 <= channel < 2**63
+            or not all(map(math.isfinite, (x, y, eirp, height, required)))
+            or not required < eirp or rec_id in seen):
+        return True
+    if radius is None:
+        try:
+            radius = geodb.contour_radius_m(eirp, required, prop)
+        except DegenerateContourError:
+            return True
+    seen.add(rec_id)
+    return not 0 < radius < math.inf
+
+
+def _first_bad_record_line(rows, prop):
+    seen = set()
+    return next((n for n, cells in enumerate(rows, start=2)
+                 if _record_is_bad(cells, seen, prop)), None)
+
+
+def _trace_row_is_bad(cells, width, last_t):
+    if len(cells) != width:
+        return True
+    try:
+        values = [float(cell) for cell in cells]
+    except ValueError:
+        return True
+    return not all(map(math.isfinite, values)) or values[0] <= last_t
+
+
+def _first_bad_trace_line(rows, width):
+    last_t = -math.inf
+    for n, cells in enumerate(rows, start=2):
+        if _trace_row_is_bad(cells, width, last_t):
+            return n
+        last_t = float(cells[0])
+    return None
+
+
+@st.composite
+def faults(draw, kinds, n, chunk):
+    """0-3 (kind, row, pick) faults a few rows apart, about a chunk's edge
+    or anywhere; ``pick`` chooses among a kind's variants."""
+    base = draw(st.one_of(st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk]),
+                          st.integers(0, n - 1)))
+    return [(kind, min(n - 1, base + offset), pick)
+            for kind, offset, pick in draw(st.lists(st.tuples(
+                st.sampled_from(kinds), st.integers(0, 4), st.integers(0, 10**6)), max_size=3))]
+
+
+@st.composite
+def database_rows(draw):
+    """More rows than one chunk holds, with 0-3 faults."""
+    chunk = CHUNK_CELLS // 9
+    n = draw(st.integers(chunk + 1, 3 * chunk))
+    rows = [[f"r{i}", ("AnalogPalD", "DigitalDtmb")[i % 2], str(i % 37), f"{i}.5", "0", "60",
+             "30", "-84", "" if i % 3 else "1500.0"] for i in range(n)]
+    for kind, at, pick in draw(faults(["cell", "duplicate", "ragged", "contour"], n, chunk)):
+        row = rows[at]
+        if kind == "cell":
+            field = 1 + pick % 8
+            row[field] = DB_BAD_CELLS[field][pick // 8 % len(DB_BAD_CELLS[field])]
+        elif kind == "duplicate":               # the id of an earlier row, or of row 0
+            row[0] = rows[pick % max(at, 1)][0]
+        elif kind == "ragged":
+            row[:] = row[:-1] if pick % 2 else row + ["x"]
+        elif kind == "contour" and len(row) == 9:   # 0 dBm cannot reach -20 dBm at 1 m
+            row[5:9] = ["0", "30", "-20", ""]
+    return rows
+
+
+@st.composite
+def trace_rows(draw):
+    """A header and rows of 2 to 16 chunks, with 0-3 faults."""
+    bins, latlon = draw(st.integers(50, 700)), draw(st.booleans())
+    width = bins + (3 if latlon else 1)
+    chunk = CHUNK_CELLS // width
+    n = draw(st.integers(chunk + 1, 16 * chunk))
+    header = ["t_ms", *(["lat", "lon"] if latlon else []),
+              *(f"p_{470.1 + 0.2 * k:.1f}" for k in range(bins))]
+    rows = [[str(10 * i), *([f"{39.9 + 1e-4 * i!r}", "116.3"] if latlon else []),
+             *(f"{-100 + (7 * i + k) % 50}.5" for k in range(bins))] for i in range(n)]
+    for kind, at, pick in draw(faults(["cell", "ragged", "back"], n, chunk)):
+        row = rows[at]
+        if kind == "cell":
+            row[pick % len(row)] = TRACE_BAD_CELLS[pick // len(row) % len(TRACE_BAD_CELLS)]
+        elif kind == "ragged":
+            row[:] = row[:-1] if pick % 2 else row + ["1"]
+        elif kind == "back" and at:             # at or before the row before it
+            row[0] = str(10 * (at - 1) - pick % 3)
+    return header, rows
+
+
+def _write_rows(path, header, rows):
+    path.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n",
+                    encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=database_rows())
+def test_a_database_names_its_first_bad_line_or_loads_its_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("geodb") / "db.csv"
+    _write_rows(path, GEODB_HEADER.split(","), rows)
+    prop = PropagationConfig()
+    line = _first_bad_record_line(rows, prop)
+    if line is not None:
+        with pytest.raises(ParseError) as caught:
+            geodb.load(path, prop)
+        assert caught.value.line == line and str(caught.value).startswith(f"{path}:{line}: ")
+        return
+    records = geodb.load(path, prop).records
+    assert list(records) == [cells[0] for cells in rows]
+    for rec_id, standard, channel, x, y, eirp, height, required, radius in rows:
+        rec = records[rec_id]
+        assert (rec.service.standard.value, rec.service.channel_index, rec.service.location,
+                rec.service.eirp_dbm, rec.service.antenna_height_m, rec.required_rx_dbm) == (
+            standard, int(channel), (float(x), float(y)), float(eirp), float(height),
+            float(required))
+        assert rec.protected_radius_m == (
+            float(radius) if radius else
+            geodb.contour_radius_m(float(eirp), float(required), prop))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace=trace_rows())
+def test_a_trace_names_its_first_bad_line_or_loads_its_rows(tmp_path_factory, trace):
+    header, rows = trace
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    _write_rows(path, header, rows)
+    line = _first_bad_trace_line(rows, len(header))
+    if line is not None:
+        with pytest.raises(ParseError) as caught:
+            occupancy.ingest_trace(path)
+        assert caught.value.line == line and str(caught.value).startswith(f"{path}:{line}: ")
+        return
+    m = occupancy.ingest_trace(path)
+    values = np.array([[float(cell) for cell in cells] for cells in rows])
+    first = len(header) - m.freqs_mhz.size
+    np.testing.assert_array_equal(m.timestamps_ms, values[:, 0])
+    np.testing.assert_array_equal(m.power_dbm, values[:, first:])
+    if first == 3:
+        np.testing.assert_array_equal(m.latlon, values[:, 1:3])
+    else:
+        assert m.latlon is None
+
+
+def test_a_contour_margin_past_a_double_names_its_line(tmp_path):
+    # EIRP minus required level overflows: no finite contour, and no numpy
+    # warning on the way (the test configuration makes one an error).
+    path = tmp_path / "db.csv"
+    path.write_text(f"{GEODB_HEADER}\ndb,AnalogPalD,3,0,0,1e308,30,-1e308,\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"db\.csv:2: protected_radius_m '' "):
+        geodb.load(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("db,PAL,3,0,0,60,30,-84,", "standard 'PAL' "),
+    ("db,AnalogPalD,-1,0,0,60,30,-84,", "channel '-1' "),
+    ("db,AnalogPalD,3,0,x,60,30,-84,", "y_m 'x' "),
+    ("db,AnalogPalD,3,0,0,60,30,-84,inf", "protected_radius_m 'inf' "),
+    ("db,AnalogPalD,3,0,0,60,30,70,", "required_rx_dbm '70' "),
+])
+def test_a_bad_record_names_its_field_and_cell(tmp_path, row, message):
+    path = tmp_path / "db.csv"
+    path.write_text(f"{GEODB_HEADER}\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"db\.csv:2: {message}"):
+        geodb.load(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("10,-100,inf", "p_470.3 'inf' "),
+    ("10,x,-100", "p_470.1 'x' "),
+    ("0,-100,-100", "t_ms '0' "),
+])
+def test_a_bad_sweep_names_its_column_and_cell(tmp_path, row, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t_ms,p_470.1,p_470.3\n0,-100,-100\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"trace\.csv:3: {message}"):
         occupancy.ingest_trace(path)

@@ -33,8 +33,16 @@ def _ints(lo, hi):
     return st.integers(lo, hi).map(str)
 
 
+# Finite values far past any key's range, or at a double's edges.  A run
+# on one keeps the contract without a numpy warning: the test
+# configuration turns a RuntimeWarning (an overflow) into an error.
+EXTREME_TEXT = st.one_of(st.sampled_from(["1e308", "-1e308", "1e300", "-1e300", "1e150", "1e5",
+                                          "5e-324", "1e-300"]),
+                         _numbers(-1e308, 1e308))
+
+
 # Values in range, edges included; ``scenario_keys`` puts a bad value in
-# one key of half the examples.
+# one key of a quarter of the examples, and an extreme one in half.
 KEYS = {
     "sim.seed": st.one_of(_ints(0, 50), _ints(0, 2**64 + 3)),
     "sim.duration_ms": st.integers(1, 25).map(lambda n: str(10 * n)),  # at most 25 frames
@@ -63,8 +71,11 @@ def scenario_keys(draw):
     keys = draw(st.fixed_dictionaries({}, optional=KEYS))
     if draw(st.booleans()):
         keys.update(zip(SPLIT_KEYS, (repr(v) for v in draw(split))))
-    if draw(st.booleans()):     # one key out of range or malformed
+    branch = draw(st.integers(0, 3))
+    if branch == 1:             # one key out of range or malformed
         keys[draw(st.sampled_from([*KEYS, *SPLIT_KEYS]))] = draw(BAD_TEXT)
+    elif branch >= 2:           # one key extreme
+        keys[draw(st.sampled_from([*KEYS, *SPLIT_KEYS]))] = draw(EXTREME_TEXT)
     return keys
 
 
@@ -210,12 +221,15 @@ def interference_keys(draw):
     keys = draw(st.fixed_dictionaries({}, optional=INTERFERENCE_KEYS))
     # At most 5 snapshots, so that no example runs the default 1000.
     keys["interference.snapshots"] = draw(_ints(1, 5))
-    if draw(st.integers(0, 3)) == 0:       # one key out of range or malformed
+    branch = draw(st.integers(0, 3))
+    if branch == 0:             # one key out of range or malformed
         keys[draw(st.sampled_from(sorted(keys)))] = draw(BAD_TEXT)
+    elif branch >= 2:           # one key extreme (the snapshots stay few)
+        keys[draw(st.sampled_from(sorted(INTERFERENCE_KEYS)))] = draw(EXTREME_TEXT)
     return keys
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
+@settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(keys=interference_keys())
 def test_acir_over_interference_keys(tmp_path_factory, capsys, keys):
