@@ -85,17 +85,21 @@ def contour_radius_m(eirp_dbm, floor_dbm, prop, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     d = d0 * 10^((eirp - floor - ref_loss) / (10 n)).
     EIRP and floor broadcast: arrays give one radius per element, equal
     bit for bit to the scalar call on that element.  An overflowing
-    power is an infinite radius.
+    power is an infinite radius.  A level unattainable at the reference
+    distance has no contour: the scalar call raises DegenerateContourError,
+    and an array holds NaN there, as it does where the margin is not a
+    number.
     """
-    margin = eirp_dbm - floor_dbm - prop.ref_loss(freq_mhz)
-    is_array = isinstance(margin, np.ndarray)
-    if (margin < 0).any() if is_array else margin < 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = eirp_dbm - floor_dbm - prop.ref_loss(freq_mhz)
+        exponent = margin / (10.0 * prop.exponent)
+        if isinstance(margin, np.ndarray):
+            power = np.array([_pow10(e) for e in exponent.tolist()], dtype=float)
+            return np.where(margin >= 0, prop.ref_distance_m * power, math.nan)
+    if margin < 0:
         raise DegenerateContourError(
             f"level {floor_dbm} dBm unattainable at reference distance")
-    exponent = margin / (10.0 * prop.exponent)
-    power = (np.array([_pow10(e) for e in exponent.tolist()], dtype=float) if is_array
-             else _pow10(float(exponent)))
-    return prop.ref_distance_m * power
+    return prop.ref_distance_m * _pow10(float(exponent))
 
 
 def _pow10(x):
@@ -449,20 +453,12 @@ def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):
     bad row is a ParseError at its line that names the field and cell."""
     _, standards, channels, *_, radii = zip(*chunk)
     standard = np.array([_STANDARD_CODES.get(name, -1) for name in standards], dtype=np.int8)
-    try:
-        channel = np.fromiter(map(int, channels), dtype=np.int64, count=len(chunk))
-    except (ValueError, OverflowError):     # a bad cell: parse each for the mask
-        channel = np.fromiter(map(_channel_index, channels), dtype=np.int64, count=len(chunk))
+    channel = np.fromiter(map(_channel_index, channels), dtype=np.int64, count=len(chunk))
     blank = np.array([not cell.strip() for cell in radii])
     radius = float_array([cell if cell.strip() else "nan" for cell in radii])
     x, y, eirp, height, required = values.T
-    # The blank radii that have a contour (the margin of contour_radius_m);
-    # a margin past a double's range has none.
-    with np.errstate(over="ignore"):
-        margin = eirp - required - prop.ref_loss(freq_mhz)
-    fits = blank & (margin >= 0) & (margin < math.inf)
-    if fits.any():
-        radius[fits] = contour_radius_m(eirp[fits], required[fits], prop, freq_mhz)
+    if blank.any():             # NaN where a blank radius has no contour
+        radius[blank] = contour_radius_m(eirp[blank], required[blank], prop, freq_mhz)
     finite = np.isfinite(values)
     checks = (      # (the rows that pass, the field, why a row fails)
         (standard >= 0, 1, "is not a TV standard"),

@@ -312,7 +312,7 @@ def test_the_first_bad_line_of_a_trace_is_named(tmp_path, bad_rows, line):
 # at drawn rows, against a plain per-row oracle.
 DB_BAD_CELLS = {1: ["PAL", ""], 2: ["-1", "3.0", "x", "99999999999999999999999"],
                 3: ["x", "nan", "inf", ""], 4: ["-inf", "1e999", "1__0"],
-                5: ["x", "nan", "1e999"], 6: ["inf", ""], 7: ["x", "100", "nan"],
+                5: ["x", "nan", "1e999"], 6: ["inf", ""], 7: ["x", "100", "nan", "inf", "-inf"],
                 8: ["x", "nan", "inf", "0", "-5"]}
 TRACE_BAD_CELLS = ["x", "nan", "inf", "-inf", "1e999", ""]
 
@@ -484,8 +484,22 @@ def test_a_contour_margin_past_a_double_names_its_line(tmp_path):
         geodb.load(path)
 
 
+def test_an_array_contour_is_nan_where_the_scalar_one_raises():
+    prop = PropagationConfig()
+    eirp, required = np.array([60.0, 0.0, np.inf, 1e308]), np.array([-84.0, -20.0, np.inf, -1e308])
+    radius = geodb.contour_radius_m(eirp, required, prop)
+    assert radius[0] == geodb.contour_radius_m(60.0, -84.0, prop)
+    assert np.isnan(radius[1]) and np.isnan(radius[2]) and radius[3] == np.inf
+    with pytest.raises(DegenerateContourError):
+        geodb.contour_radius_m(0.0, -20.0, prop)
+
+
 @pytest.mark.parametrize("row, message", [
     ("db,PAL,3,0,0,60,30,-84,", "standard 'PAL' "),
+    # inf - inf in the blank radius's margin: the EIRP is named, and no
+    # numpy warning escapes on the way.
+    ("db,AnalogPalD,3,0,0,inf,30,inf,", "eirp_dbm 'inf' "),
+    ("db,AnalogPalD,3,0,0,-inf,30,-inf,", "eirp_dbm '-inf' "),
     ("db,AnalogPalD,-1,0,0,60,30,-84,", "channel '-1' "),
     ("db,AnalogPalD,3,0,x,60,30,-84,", "y_m 'x' "),
     ("db,AnalogPalD,3,0,0,60,30,-84,inf", "protected_radius_m 'inf' "),

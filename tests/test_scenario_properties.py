@@ -92,7 +92,7 @@ def _simulate(scenario, out, capsys):
 
 
 # Derandomized, so that every run of the suite checks the same examples.
-@settings(max_examples=50, deadline=None, derandomize=True,
+@settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(keys=scenario_keys())
 def test_simulate_exit_code_contract_and_determinism(tmp_path_factory, capsys, keys):
