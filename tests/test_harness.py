@@ -501,3 +501,153 @@ def test_a_clear_block_costs_no_decision(monkeypatch):
         harness.load_scenario(SCENARIOS / "handover_fig17.ini"))
     assert [row[0] for row in events if row[2] == "DECIDE"] == [1010.0]
     assert frames == [101, 102]
+
+
+# Edge scenarios of the frame loop's handling of rounds, retunes and blocks.
+def _fig17_retune(retune_ms):
+    """fig17 with a longer retune: at 13 ms a RETUNE_END ties the next
+    frame's sensing instant, at 25 ms the retune spans a whole frame."""
+    def make(tmp_path):
+        return replace(harness.load_scenario(SCENARIOS / "handover_fig17.ini"),
+                       retune_ms=float(retune_ms))
+    return make
+
+
+def _narrow_majority_with_blocked_frames(tmp_path):
+    """Two CeNBs 600 m apart under MAJORITY, narrow scan, random loss.  tv-a
+    on their block is seen by both; tv-b, on the block they move to, is
+    seen by neither, so every downlink subframe of its frames is blocked."""
+    (tmp_path / "tx.csv").write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                                     "tv-a,AnalogPalD,25,300,0,43,30,1013:1600\n"
+                                     "tv-b,AnalogPalD,1,20500,0,43,30,1800:2300\n",
+                                     encoding="utf-8")
+    scenario = tmp_path / "b.ini"
+    scenario.write_text("sim.seed = 5\nsim.duration_ms = 2500\nsim.fusion_rule = MAJORITY\n"
+                        "sim.random_loss_floor = 0.05\nframe.wide_scan = false\n"
+                        "prop.shadowing_sigma_db = 4\nfiles.transmitters = tx.csv\n"
+                        "cenb1.block = 24,25,26\ncenb2.x_m = 600\ncenb2.block = 24,25,26\n",
+                        encoding="utf-8")
+    return harness.load_scenario(scenario)
+
+
+def _blockless(wide_scan):
+    """Two CeNBs 100 m apart on a three-channel grid with TVs on all three
+    channels: the allocator leaves cenb2 without a block, and cenb1 hands
+    over to none.  Under the wide scan both take the block again while
+    the TVs are off; under the narrow scan they sense nothing once blockless."""
+    def make(tmp_path):
+        (tmp_path / "tx.csv").write_text(
+            "id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+            + "".join(f"tv{ch},AnalogPalD,{ch},2000,0,43,30,0:300;700:820\n" for ch in range(3)),
+            encoding="utf-8")
+        scenario = tmp_path / "c.ini"
+        scenario.write_text("sim.seed = 9\nsim.duration_ms = 1200\nsim.random_loss_floor = 0.05\n"
+                            f"sim.asm_epoch_frames = 5\nframe.wide_scan = {wide_scan}\n"
+                            "grid.low_mhz = 470\ngrid.high_mhz = 494\ngrid.exclusions =\n"
+                            "files.transmitters = tx.csv\ncenb1.x_m = 0\ncenb2.x_m = 100\n",
+                            encoding="utf-8")
+        return harness.load_scenario(scenario)
+    return make
+
+
+def _epoch_every_frame(tmp_path):
+    """Three CeNBs under OR with 6 dB shadowing and an ASM epoch every frame.
+    The TVs sit 15 km out, at the detection edge, so the fused verdicts on
+    the held block turn occupied some frames after the TV switches on."""
+    (tmp_path / "tx.csv").write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                                     "tv-a,AnalogPalD,25,15000,0,43,30,200:9000\n"
+                                     "tv-b,AnalogPalD,1,0,15000,43,30,600:9000\n"
+                                     "tv-c,AnalogPalD,13,-15000,0,43,30,1000:9000\n",
+                                     encoding="utf-8")
+    cenbs = "".join(f"cenb{i}.x_m = {x}\ncenb{i}.y_m = {y}\ncenb{i}.block = {block}\n"
+                    for i, (x, y, block) in enumerate(
+                        [(0, 0, "24,25,26"), (800, 0, "24,25,26"), (0, 800, "30,31,32")],
+                        start=1))
+    scenario = tmp_path / "d.ini"
+    scenario.write_text("sim.seed = 21\nsim.duration_ms = 1500\nsim.fusion_rule = OR\n"
+                        "sim.asm_epoch_frames = 1\nprop.shadowing_sigma_db = 6\n"
+                        f"files.transmitters = tx.csv\n{cenbs}", encoding="utf-8")
+    return harness.load_scenario(scenario)
+
+
+def _rows(events, kind):
+    return [row for row in events if row[2] == kind]
+
+
+def _retune_end_ties_a_sense(cfg, metrics, events):
+    ends = {t for t, _, _, _ in _rows(events, "RETUNE_END")}
+    ties = [i for i, row in enumerate(events) if row[2] == "SENSE" and row[0] in ends]
+    assert ties and all(events[i - 1][2] == "RETUNE_END" for i in ties)
+
+
+def _retune_spans_a_frame(cfg, metrics, events):
+    starts = [t for t, _, _, _ in _rows(events, "RETUNE_START")]
+    ends = [t for t, _, _, _ in _rows(events, "RETUNE_END")]
+    assert starts and all(end - start > 2 * harness.FRAME_MS for start, end in zip(starts, ends))
+
+
+def _a_frame_is_wholly_blocked(cfg, metrics, events):
+    assert np.any(metrics.plr == 1.0)
+    assert np.any((metrics.plr > 0) & (metrics.plr < 1))    # random loss was drawn
+
+
+def _a_cenb_holds_no_block(cfg, metrics, events):
+    assert any(re.search(r":(;|$)", detail) for _, _, _, detail in _rows(events, "ASM_EPOCH"))
+
+
+def _a_round_turns_occupied_inside_a_block(cfg, metrics, events):
+    per_block = max(1, harness._BLOCK_BINS // (len(cfg.cenbs) * cfg.windows.size))
+    rounds = [round(t / harness.FRAME_MS) - 1 for t, _, _, _ in _rows(events, "DECIDE")]
+    assert per_block > 1 and any(r % per_block for r in rounds)
+    assert len(_rows(events, "ASM_EPOCH")) == metrics.plr.size - 1
+
+
+EDGE_SCENARIOS = {
+    "retune_13": (_fig17_retune(13), _retune_end_ties_a_sense),
+    "retune_25": (_fig17_retune(25), _retune_spans_a_frame),
+    "narrow_majority_blocked": (_narrow_majority_with_blocked_frames,
+                                _a_frame_is_wholly_blocked),
+    "blockless_wide": (_blockless("true"), _a_cenb_holds_no_block),
+    "blockless_narrow": (_blockless("false"), _a_cenb_holds_no_block),
+    "epoch_every_frame": (_epoch_every_frame, _a_round_turns_occupied_inside_a_block),
+}
+# (events.csv, plr.csv) digests.
+EDGE_DIGESTS = {
+    "blockless_narrow": ("c3ca6c2380327a37fb6a0a4f7a90e868827b5d625fd30741e67bc51ccbc77b26",
+                         "77d148d65df66152ad9411117f3a7d90c1125ee83c3b53135a2d974a8c53b7aa"),
+    "blockless_wide": ("ccfe15e724e3e92ef2a0085a0b2646c826fe8452fb30b195c254d677cd78bc40",
+                       "0c89dd16ec35309469a6479804a9423b075985afcc61f402dada8f89c5343499"),
+    "epoch_every_frame": ("43963ea49556f5caf5f59918d77b29aeb7512efe0d9fa3e887a8a30fb4be0867",
+                          "6457c09b6ac8bd98fe179d412944cd00ec318d5b44506c7909c11f73d8db9658"),
+    "narrow_majority_blocked": (
+        "552de6cfffddc37a0a40a1a3042616378015d969940f706ba6b03b1d845d91a4",
+        "cb4182b95caaaf6571a73f6a088040b9f5ccfd308dc39f474a45f97256259ac2"),
+    "retune_13": ("c76c7fabf930ac0c044fb7de7edfc8abc1ea94a6a7d7e665a5789ef655c3f08d",
+                  "cf2bca62a0b3fa5e70861c466ca35f6e4c5049531a1ff9e3690b6fdab8d91bd8"),
+    "retune_25": ("5ca0317f37e52e4d3ff0d52fed8754c57e3860b744cc7c45f942a4a49e858d0f",
+                  "f610a8d460f490193b640c21f0e7192aad1655a72ba3e783febe2e22d108c05a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SCENARIOS))
+def test_frame_loop_edge_outputs_are_pinned(tmp_path, name):
+    make, check = EDGE_SCENARIOS[name]
+    cfg = make(tmp_path)
+    metrics, events = harness.run_simulation(cfg)
+    check(cfg, metrics, events)
+    harness.emit_report(metrics, tmp_path / "out", events)
+    for file, digest in zip(("events.csv", "plr.csv"), EDGE_DIGESTS[name]):
+        assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SCENARIOS))
+def test_edge_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch, name):
+    cfg = EDGE_SCENARIOS[name][0](tmp_path)
+    runs = []
+    for block_bins in (1, harness._BLOCK_BINS, 10**6):
+        monkeypatch.setattr(harness, "_BLOCK_BINS", block_bins)
+        runs.append(harness.run_simulation(cfg))
+    (metrics, events), *others = runs
+    for other_metrics, other_events in others:
+        assert other_events == events
+        assert np.array_equal(other_metrics.plr, metrics.plr)
