@@ -150,13 +150,14 @@ class CenbState:
     verdict in ``sensed_ms`` and, in ``occupied``, the channels whose
     last verdict was occupied; ``record_view`` is its one writer, and
     writes the verdicts of one sensing round at once.  ``region_cache``
-    is the CeNB's database view.  The frame loop writes a round only
-    when it may decide on it: a round that leaves the held block clear
-    (``block_clear``) is skipped, and the next round written, which
-    covers the same channels, overwrites the view before
+    is the CeNB's database view.  The frame loop writes a round only at
+    an event boundary, when it may decide on it: a round that leaves the
+    held block clear (``block_clear``) is skipped, and the next round
+    written, which covers the same channels, overwrites the view before
     ``spectrum_decision`` or ``execute_handover`` reads it, so between
-    decisions the view may lag the last round sensed.  ``retuning_at``
-    gives the data path's retune window to the downlink accounting.
+    decisions the view may lag the last round sensed.  The data path is
+    down while ``retuning_at``, before ``retune_until_ms``; the frame
+    loop compares its downlink instants with that time as arrays.
     """
 
     id: str
@@ -198,8 +199,9 @@ def block_clear(state, occupied):
     or Black in its database view.
 
     ``spectrum_decision`` returns None on a clear block, with ``occupied``
-    the sensing view's occupied channels; the frame loop asks it of a
-    sensing round's occupied channels before writing them into the view.
+    the sensing view's occupied channels.  The frame loop evaluates the
+    same test as arrays over many sensing rounds, on each round's
+    occupied channels before writing them into the view.
     """
     if state.active_block is None:
         return False
@@ -322,17 +324,20 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
 def fuse_cooperative(occupied, reporting, rule="OR"):
     """Fuse the verdicts that the CeNBs exchange over X2 into one flag per channel.
 
-    ``occupied`` and ``reporting`` are (CeNBs, channels) bool arrays: each
-    CeNB's verdicts, and the channels it reported.  A channel is occupied
-    under OR (default) when any of its reports says so, and under
-    MAJORITY on a strict majority of its reports; a channel that no CeNB
-    reported is vacant under both.  Returns the (channels,) fused flags.
+    ``occupied`` and ``reporting`` are (..., CeNBs, channels) bool arrays:
+    each CeNB's verdicts, and the channels it reported; they broadcast
+    against each other, so one call fuses many rounds, such as a
+    (frames, CeNBs, channels) ``occupied`` with one (CeNBs, channels)
+    ``reporting``.  A channel is occupied under OR (default) when any of
+    its reports says so, and under MAJORITY on a strict majority of its
+    reports; a channel that no CeNB reported is vacant under both.
+    Returns the (..., channels) fused flags.
     """
     hits = np.logical_and(occupied, reporting)
     if rule == "OR":
-        return hits.any(axis=0)
+        return hits.any(axis=-2)
     if rule == "MAJORITY":
-        return 2 * np.count_nonzero(hits, axis=0) > np.count_nonzero(reporting, axis=0)
+        return 2 * np.count_nonzero(hits, axis=-2) > np.count_nonzero(reporting, axis=-2)
     raise ValueError(f"unknown fusion rule {rule!r}")
 
 

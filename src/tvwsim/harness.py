@@ -21,49 +21,59 @@ every (CeNB, transmitter) distance and every transmitter's unit-power
 template at the window bins, and a ``ScheduleTable`` holds the schedules
 as activity segments.  The radio work does not depend on any CeNB's
 decisions, so the loop does it for a block of consecutive frames at once
-(several frames when there are few CeNBs, one when there are many): one
+(tens of frames when there are few CeNBs, a few when there are many): one
 activity query for every sensing instant and downlink subframe of the
-block, the mean window powers of every frame and CeNB (shadowing drawn
-one frame at a time, in frame order), one unit-mean Gamma draw of the
-detector noise at all their window bins from the run's one sensing
-stream, one k-of-n pass over the window sums in mW against the
-threshold's mW boundary (``sensing.threshold_mw``), and the block's
-table of channels on air at each downlink subframe.  numpy fills a draw
-for many frames in the order of one draw per frame, so no output depends
-on the block length.  When several CeNBs sense, the X2 exchange is
-all-to-all, so every CeNB that sensed a channel fuses the same verdicts:
-each frame's (CeNBs, channels) row of the block's verdicts, with a mask
-of the channels each CeNB monitored, goes through one
-``fuse_cooperative`` call, the one implementation of the OR and MAJORITY
-rules, and each CeNB takes the fused flags of its monitored channels.
-At the next frame boundary each CeNB's verdicts go into its sensing view
-in one ``CenbState.record_view`` call, and ``spectrum_decision`` reads
-that view and the start-up database view.  A CeNB that holds a block,
-has no pending decision and executed no handover at that boundary skips
-both when the round leaves its block clear (``cenb.block_clear``, the
-test ``spectrum_decision`` returns on): the decision would be None, and
-its next round covers the same channels, so it overwrites the view
-before the next decision or handover reads it.  Decisions and view
-writes thus cost per event, not per CeNB-frame.
+block, then, in passes of a few frames, the mean window powers of every
+frame and CeNB (shadowing drawn one frame at a time, in frame order),
+one unit-mean Gamma draw of the detector noise at all their window bins
+from the run's one sensing stream, and one k-of-n pass over the window
+sums in mW against the threshold's mW boundary
+(``sensing.threshold_mw``).  numpy fills a draw for many frames in the
+order of one draw per frame, so no output depends on the block length.
 
-Downlink subframes deliver a fixed packet budget unless the block is
-co-channel with an active TV transmitter, the radio is retuning, or no
-block is held; the packet-loss ratio is sampled once per frame.  For
-each block of frames and each block of channels held, one ``any``/``sum``
-over the on-air table gives the downlink subframes a TV blocks in each
-frame, so a CeNB-frame adds one count; only a CeNB-frame that is
-retuning goes subframe by subframe.  A frame's random losses are one
-binomial call over its unblocked subframes, which draws the values of
-one scalar call per subframe and leaves the stream in the same state.
+The loop then advances from event to event (next-event time advance).
+A CeNB's state changes only at a frame boundary where a handover it
+decided activates, or where its last round leaves its held block
+unclear (``cenb.block_clear``: a channel of the block sensed occupied or
+Black, or no block held).  Between two handovers no CeNB changes its
+block, the channels it monitors or its retune window, so ``_Rounds``
+decides every round from there to the end of the block as arrays: each
+CeNB's own count of occupied monitored channels (its ``SENSE`` row),
+the verdicts it decides on, with one ``fuse_cooperative`` call over the
+(frames, CeNBs, channels) verdicts when several CeNBs sense (the X2
+exchange is all-to-all, so every CeNB that sensed a channel fuses the
+same verdicts), whether they leave its block clear, and each frame's
+downlink slots blocked by a TV on the block, the retune window or
+holding no block.  The frames up to the next boundary that may change a
+state form a quiet stretch: their boundaries only log their epochs.
+Only at an event boundary does Python run per CeNB: ``execute_handover``
+for the handovers that activate there, then ``CenbState.record_view``
+and ``spectrum_decision`` for each CeNB that handed over or whose last
+round was not clear.  A CeNB whose round left its block clear skips both:
+the decision would be None, and its next round covers the same channels,
+so it overwrites the view before the next decision or handover reads it.
+A handover ends the rounds, and the next ones start at its frame.
+
+When a run of rounds ends, its ``SENSE`` rows join the event list in one
+extend, and its downlink is counted as arrays: each unblocked (subframe,
+CeNB) slot delivers a fixed packet budget, and the packet-loss ratio is
+sampled once per frame.  The random losses of all the run's unblocked
+slots are one binomial call, split per frame by cumulative sums; it
+draws the values of one scalar call per slot and leaves the stream in
+the same state.  The event list is sorted by time once, stably, at the
+end: a ``SENSE`` row ties only a ``RETUNE_END`` logged before it, so the
+order is that of a loop that logs every frame in turn.
 
 Everything is a pure function of (config bytes, seed): random streams
 derive from the scenario seed and fixed integer tags (shadowing from a
 fresh stream per run), so equal inputs give byte-identical outputs.
 """
 
+import bisect
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -76,7 +86,6 @@ from .cenb import (
     CenbState,
     FrameSchedule,
     asm_allocate,
-    block_clear,
     build_frame_schedule,
     execute_handover,
     select_bandwidth,
@@ -477,7 +486,7 @@ def load_scenario(path):
             id=cenb_id,
             location=(reader.take(f"{prefix}.x_m", finite_float, 0.0),
                       reader.take(f"{prefix}.y_m", finite_float, 0.0)),
-            tx_power_dbm=reader.take(f"{prefix}.power_dbm", finite_float, 20.0),
+            tx_power_dbm=reader.take(f"{prefix}.power_dbm", level_db, 20.0),
             dedicated_band=_band(path, f"{prefix} dedicated band", ded_lo, ded_hi),
             initial_block=reader.take(f"{prefix}.block", _block_parser(grid), None),
         ))
@@ -559,12 +568,14 @@ def sensing_links(cfg, det, points):
     return cfg.windows, links
 
 
-# Window bins (frames x CeNBs x bins per CeNB) that one pass of the frame
-# loop's radio work covers.  A scenario with few CeNBs then senses
-# several frames per numpy call (9 for one CeNB on the default grid),
-# and the block's arrays stay a few kB; one with many CeNBs gets one
-# frame per block.
-_BLOCK_BINS = 1024
+# Elements of one frame-loop array.  A radio pass forms the window powers
+# of at most this many window bins (frames x CeNBs x bins per CeNB), 16 kB
+# of doubles, and a block of the frame loop is the most whole passes whose
+# verdicts fill at most this many channels (frames x CeNBs x channels).
+# One CeNB on the default grid senses 18 frames per pass and 54 per block,
+# so its quiet stretches run long; sixteen sense one frame per pass and
+# three per block.
+_BLOCK_BINS = 2048
 
 
 class _BlockRadio:
@@ -573,11 +584,12 @@ class _BlockRadio:
     Transmitter activity, mean window powers, detector noise and each
     CeNB's own verdicts depend only on the scenario, the seed and the
     frame number, never on a CeNB's decisions, so ``sense`` forms them
-    for every frame of a block in one pass.  The noise is one Gamma
-    call per block from the run's one sensing stream; numpy fills it in
-    the order of one call per frame, so the values do not depend on the
-    block length.  With shadowing, the mean powers take their
-    ``path_loss`` draws one frame at a time, in frame order.
+    for every frame of a block at once, its window powers in passes of
+    ``frames_per_pass`` frames.  The noise is one Gamma call per pass from
+    the run's one sensing stream; numpy fills it in the order of one call
+    per frame, so the values depend on neither the pass nor the block
+    length.  With shadowing, the mean powers take their ``path_loss``
+    draws one frame at a time, in frame order.
     """
 
     def __init__(self, cfg, op_det, points, offsets_ms):
@@ -591,35 +603,104 @@ class _BlockRadio:
         self.rng = np.random.default_rng([cfg.seed, 0x5E45E])
         self.n_points = len(points)
         self.n_channels = cfg.grid.n_channels
-        self.frames_per_block = max(1, _BLOCK_BINS // (self.n_points * self.windows.size))
+        self.frames_per_pass = max(1, _BLOCK_BINS // (self.n_points * self.windows.size))
+        # Whole passes, so that no pass is cut short inside a block.
+        passes = max(1, _BLOCK_BINS // (self.n_points * self.n_channels * self.frames_per_pass))
+        self.frames_per_block = passes * self.frames_per_pass
 
     def sense(self, first, count):
-        """Frames ``first`` to ``first + count - 1``: (occupied, verdicts, on_air).
+        """Frames ``first`` to ``first + count - 1``: (t_ms, verdicts, on_air).
 
-        At the first offset, the sensing instant: ``occupied[frame][cenb]``
-        lists, in ascending order, the channels that CeNB's own verdict
-        found occupied, and ``verdicts`` holds every (frames, CeNBs,
-        channels) occupied flag, decided on the window sums in mW
-        (``channel_verdicts``).
+        ``t_ms`` holds each frame's instants, shape (frames, offsets): the
+        frame start plus each offset, in the frame loop's own arithmetic.
+        At the first offset, the sensing instant, ``verdicts`` holds every
+        (frames, CeNBs, channels) occupied flag of the CeNBs' own
+        detectors, decided on the window sums in mW (``channel_verdicts``).
         At each later offset, a downlink subframe: ``on_air`` flags,
-        shape (frames, subframes, channels), the channels with an active
-        transmitter.
+        shape (frames, subframes, transmitters), the active transmitters.
         """
         t_ms = (np.arange(first, first + count) * FRAME_MS)[:, None] + self.offsets_ms
         active = self.schedules.active(t_ms.ravel()).reshape(count, self.offsets_ms.size, -1)
-        window_mw = self.links.mean_mw(active[:, 0]).reshape(count, self.n_points,
-                                                             *self.windows.shape)
-        window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
-                                    size=window_mw.shape)
-        verdicts = sensing_mod.channel_verdicts(self.op_det, window_mw.sum(axis=-1))
-        occupied = [[[] for _ in range(self.n_points)] for _ in range(count)]
-        frames, points, channels = np.nonzero(verdicts)
-        for f, point, ch in zip(frames.tolist(), points.tolist(), channels.tolist()):
-            occupied[f][point].append(ch)
-        on_air = np.zeros((count, self.offsets_ms.size - 1, self.n_channels), dtype=bool)
-        frame, subframe, tx = np.nonzero(active[:, 1:])
-        on_air[frame, subframe, self.tx_channel[tx]] = True
-        return occupied, verdicts, on_air
+        verdicts = np.empty((count, self.n_points, self.n_channels), dtype=bool)
+        for lo in range(0, count, self.frames_per_pass):
+            hi = min(lo + self.frames_per_pass, count)
+            window_mw = self.links.mean_mw(active[lo:hi, 0]).reshape(hi - lo, self.n_points,
+                                                                     *self.windows.shape)
+            window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
+                                        size=window_mw.shape)
+            verdicts[lo:hi] = sensing_mod.channel_verdicts(self.op_det, window_mw.sum(axis=-1))
+        return t_ms, verdicts, active[:, 1:]
+
+
+class _HeldBlocks:
+    """The CeNBs' held blocks as arrays, fixed from one handover to the next.
+
+    Until a handover executes, no CeNB changes its block, the channels it
+    monitors or its retune window.  ``monitored`` lists each CeNB's
+    monitored channels (all of them under the wide scan, else its block),
+    ``reporting`` masks them and ``held`` masks the blocks;
+    ``tx_on_held`` flags each (transmitter, CeNB) pair whose transmitter
+    is on a channel of that CeNB's block.
+    """
+
+    def __init__(self, states, cfg, tx_channel):
+        blocks = [state.active_block or () for state in states]
+        self.held = np.zeros((len(states), cfg.grid.n_channels), dtype=bool)
+        for idx, block in enumerate(blocks):
+            self.held[idx, list(block)] = True
+        wide = cfg.schedule.wide_scan
+        self.monitored = [range(cfg.grid.n_channels) if wide else block for block in blocks]
+        self.n_monitored = [len(channels) for channels in self.monitored]
+        self.reporting = np.ones_like(self.held) if wide else self.held
+        # Only a held block none of whose channels is Black can be clear.
+        self.may_clear = np.array([bool(block) and not any(
+            state.region_cache.get(ch) is Region.BLACK for ch in block)
+            for state, block in zip(states, blocks)], dtype=bool)
+        self.blockless = np.array([not block for block in blocks])
+        self.tx_on_held = self.held[:, tx_channel].T
+        self.retune_until_ms = np.array([state.retune_until_ms for state in states])
+        self.asm_detail = ";".join(f"{state.id}:{','.join(str(c) for c in block)}"
+                                   for state, block in zip(states, blocks))
+
+
+class _Rounds:
+    """A block's sensing rounds and downlink frames from frame ``start`` on,
+    with the blocks of ``held`` held.
+
+    ``t_ms``, ``verdicts`` and ``on_air`` are ``_BlockRadio.sense``'s from
+    ``start`` on.  Per (frame, CeNB): ``counts`` of the monitored channels
+    the CeNB's own verdicts find occupied (its SENSE row), ``hits``, the
+    monitored channels it decides on as occupied (fused over X2 under
+    ``fusion_rule``, if one is given), and ``clear``, whether they leave
+    its held block clear (``cenb.block_clear``).  Per frame: ``blocked``,
+    the downlink (subframe, CeNB) slots that a TV on the held block, the
+    retune window or holding no block blocks, and ``busy``, the frames
+    whose round leaves some CeNB's block unclear.
+    """
+
+    def __init__(self, held, start, t_ms, verdicts, on_air, fusion_rule):
+        self.held = held
+        self.start = start
+        self.t_sense = t_ms[:, 0]
+        own = verdicts & held.reporting
+        self.counts = own.sum(axis=2)
+        self.hits = own
+        if fusion_rule is not None:
+            # The X2 exchange is all-to-all, so every CeNB that sensed a
+            # channel fuses the same verdicts.
+            fused = cenb_mod.fuse_cooperative(verdicts, held.reporting, fusion_rule)
+            self.hits = fused[:, None, :] & held.reporting
+        self.clear = held.may_clear & ~(self.hits & held.held).any(axis=2)
+        self.blocked = (np.matmul(on_air, held.tx_on_held)
+                        | (t_ms[:, 1:, None] < held.retune_until_ms)
+                        | held.blockless).sum(axis=(1, 2))
+        self.quiet = self.clear.all(axis=1).tolist()
+        self.busy = [start + i for i, quiet in enumerate(self.quiet) if not quiet]
+
+    def next_boundary(self, frame):
+        """The first boundary after ``frame`` that follows a busy round, else the block's end."""
+        k = bisect.bisect_left(self.busy, frame)
+        return self.busy[k] + 1 if k < len(self.busy) else self.start + self.t_sense.size
 
 
 def run_simulation(cfg):
@@ -670,111 +751,110 @@ def run_simulation(cfg):
     events = []
     metrics = MetricsSeries(plr=np.zeros(n_frames),
                             sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
-    all_channels = range(cfg.grid.n_channels)
-    fuse = cfg.fusion_rule != "OFF" and len(states) > 1
-    sensed = []         # (state, monitored channels, occupied ones) from the last frame
-    t_sense = None
+    fusion_rule = cfg.fusion_rule if cfg.fusion_rule != "OFF" and len(states) > 1 else None
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
                 if cfg.random_loss_floor > 0 else None)
+    packets = cfg.packets_per_dl_subframe
     dl_slots = len(dl_subframes) * len(states)     # (DL subframe, CeNB) pairs per frame
+    offered = packets * dl_slots
+    epoch = cfg.asm_epoch_frames
+    ids = [state.id for state in states]
+    details = {}        # SENSE details by (monitored, occupied) count, shared by the rows
 
+    def settle(rounds, stop):
+        """Log the SENSE rows and count the downlink of ``rounds``' frames before ``stop``.
+
+        The random losses of their unblocked slots are one binomial call,
+        whose values are those of one scalar call per slot, split per
+        frame by cumulative sums.
+        """
+        n = stop - rounds.start
+        keys = list(zip(cycle(rounds.held.n_monitored), rounds.counts[:n].ravel().tolist()))
+        for key in set(keys) - details.keys():
+            details[key] = f"channels={key[0]} occupied={key[1]}"
+        events.extend(zip(np.repeat(rounds.t_sense[:n], len(states)).tolist(), ids * n,
+                          repeat("SENSE"), map(details.__getitem__, keys)))
+        blocked = rounds.blocked[:n]
+        lost = packets * blocked
+        if loss_rng is not None:
+            free = dl_slots - blocked
+            drawn = np.zeros(int(free.sum()) + 1, dtype=np.int64)
+            np.cumsum(loss_rng.binomial(packets, cfg.random_loss_floor, size=drawn.size - 1),
+                      out=drawn[1:])
+            ends = np.cumsum(free)
+            lost += drawn[ends] - drawn[ends - free]
+        metrics.plr[rounds.start:stop] = lost / offered if offered else 0.0
+        metrics.packets_offered += offered * n
+        metrics.packets_lost += int(lost.sum())
+
+    held = _HeldBlocks(states, cfg, radio.tx_channel)
+    rounds = None       # the rounds that hold the round before the next boundary
+    decided = False     # a decision at the last boundary activates at this one
     for first in range(0, n_frames, radio.frames_per_block):
-        count = min(radio.frames_per_block, n_frames - first)
-        block_occupied, block_verdicts, block_on_air = radio.sense(first, count)
-        tv_on_held = {}     # active block -> its (frames, subframes) TV flags and counts
-        for i, frame in enumerate(range(first, first + count)):
+        end = first + min(radio.frames_per_block, n_frames - first)
+        t_ms, verdicts, on_air = radio.sense(first, end - first)
+        frame = first
+        while frame < end:
+            # The boundary of ``frame``, in Python: the epoch log, the
+            # handovers that activate here, then the decisions on the last
+            # round.  A CeNB whose held block that round left clear would
+            # decide nothing, so it skips the view write too: its next
+            # round covers the same channels and overwrites the view before
+            # the next spectrum_decision or execute_handover reads it.
             t0 = float(frame * FRAME_MS)
+            if frame > 0 and frame % epoch == 0:
+                events.append((t0, "asm", "ASM_EPOCH", held.asm_detail))
+            handed_over = []    # ids of the CeNBs that execute a handover here
+            if decided:
+                for state in states:
+                    msg = state.pending_handover
+                    if msg is not None and msg.activation_frame == frame:
+                        handed_over.append(state.id)
+                        state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
+                        metrics.handover_records.append(ev)
+                        if ev.aborted:
+                            events.append((t0, state.id, "RETUNE_ABORT", "target occupied"))
+                        else:
+                            events.append((t0, state.id, "RETUNE_START",
+                                           f"to={','.join(str(c) for c in ev.to_block)}"))
+                            events.append((ev.t_restored_ms, state.id, "RETUNE_END",
+                                           f"bw={state.bandwidth_mhz}"))
+            decided = False
+            last = None if rounds is None else frame - 1 - rounds.start    # its row there
+            if last is not None and (handed_over or not rounds.quiet[last]):
+                clear = rounds.clear[last].tolist()
+                for idx, state in enumerate(states):
+                    if (state.pending_handover is None and state.id not in handed_over
+                            and clear[idx]):
+                        continue
+                    state.record_view(rounds.held.monitored[idx],
+                                      np.flatnonzero(rounds.hits[last, idx]).tolist(),
+                                      float(rounds.t_sense[last]))
+                    msg = spectrum_decision(state, cfg.grid, frame_no=frame)
+                    if msg is not None:
+                        decided = True
+                        events.append((t0, state.id, "DECIDE",
+                                       f"target={','.join(str(c) for c in msg.target_block)}"
+                                       f" bw={msg.bandwidth_mhz}"))
+                        events.append((t0 + 1.0, state.id, "BROADCAST",
+                                       f"pcogch activation_frame={msg.activation_frame}"))
 
-            if frame > 0 and frame % cfg.asm_epoch_frames == 0:
-                detail = ";".join(
-                    f"{s.id}:{','.join(str(c) for c in (s.active_block or ()))}"
-                    for s in states)
-                events.append((t0, "asm", "ASM_EPOCH", detail))
-
-            handed_over = []    # ids of the CeNBs that execute a handover at this boundary
-            for state in states:
-                msg = state.pending_handover
-                if msg is not None and msg.activation_frame == frame:
-                    handed_over.append(state.id)
-                    state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
-                    metrics.handover_records.append(ev)
-                    if ev.aborted:
-                        events.append((t0, state.id, "RETUNE_ABORT", "target occupied"))
-                    else:
-                        events.append((t0, state.id, "RETUNE_START",
-                                       f"to={','.join(str(c) for c in ev.to_block)}"))
-                        events.append((ev.t_restored_ms, state.id, "RETUNE_END",
-                                       f"bw={state.bandwidth_mhz}"))
-
-            # The decision at this boundary acts on the verdicts sensed last
-            # frame.  A CeNB whose held block the round leaves clear would
-            # decide nothing, so it skips the view write too: its next round
-            # covers the same channels and overwrites the view before the
-            # next spectrum_decision or execute_handover reads it.
-            for state, monitored, hits in sensed:
-                if (state.pending_handover is None and state.id not in handed_over
-                        and block_clear(state, hits)):
-                    continue
-                state.record_view(monitored, hits, t_sense)
-                msg = spectrum_decision(state, cfg.grid, frame_no=frame)
-                if msg is not None:
-                    events.append((t0, state.id, "DECIDE",
-                                   f"target={','.join(str(c) for c in msg.target_block)}"
-                                   f" bw={msg.bandwidth_mhz}"))
-                    events.append((t0 + 1.0, state.id, "BROADCAST",
-                                   f"pcogch activation_frame={msg.activation_frame}"))
-
-            t_sense = t0 + sense_offset
-            sensed = []
-            for idx, state in enumerate(states):
-                monitored = all_channels if cfg.schedule.wide_scan else state.active_block or ()
-                hits = [ch for ch in block_occupied[i][idx] if ch in monitored]
-                sensed.append((state, monitored, hits))
-                events.append((t_sense, state.id, "SENSE",
-                               f"channels={len(monitored)} occupied={len(hits)}"))
-
-            if fuse:
-                # X2 exchange is all-to-all, so every CeNB that sensed a channel
-                # fuses the same verdicts: fuse the frame's row once and give
-                # each CeNB the fused flags of the channels it monitored.
-                reporting = np.zeros(block_verdicts.shape[1:], dtype=bool)
-                for idx, (_, monitored, _) in enumerate(sensed):
-                    reporting[idx, list(monitored)] = True
-                fused = cenb_mod.fuse_cooperative(block_verdicts[i], reporting,
-                                                  cfg.fusion_rule).tolist()
-                sensed = [(state, monitored, [ch for ch in monitored if fused[ch]])
-                          for state, monitored, _ in sensed]
-
-            # Downlink: a CeNB-frame loses the subframes a TV on its block
-            # blocks (one count per frame and block), all of them without a
-            # block, and while retuning, subframe by subframe.  The random
-            # losses of the unblocked subframes are one binomial call, whose
-            # values are those of one scalar call per subframe.
-            blocked = 0
-            for state in states:
-                block = state.active_block
-                if block is None:
-                    blocked += len(dl_subframes)
-                    continue
-                if block not in tv_on_held:
-                    tv_on = block_on_air[:, :, list(block)].any(axis=2)
-                    tv_on_held[block] = (tv_on, tv_on.sum(axis=1).tolist())
-                tv_on, tv_counts = tv_on_held[block]
-                if state.retuning_at(t0):
-                    blocked += sum(state.retuning_at(t0 + sf) or on
-                                   for sf, on in zip(dl_subframes, tv_on[i].tolist()))
-                else:
-                    blocked += tv_counts[i]
-            offered = cfg.packets_per_dl_subframe * dl_slots
-            lost = cfg.packets_per_dl_subframe * blocked
-            if loss_rng is not None:
-                lost += int(loss_rng.binomial(cfg.packets_per_dl_subframe, cfg.random_loss_floor,
-                                              size=dl_slots - blocked).sum())
-            metrics.plr[frame] = lost / offered if offered else 0.0
-            metrics.packets_offered += offered
-            metrics.packets_lost += lost
-        # Release this block's arrays before the next block's are formed.
-        del block_occupied, block_verdicts, block_on_air, tv_on_held
+            # The rounds from here to the block's end, under the blocks now
+            # held: a handover ends them.
+            if frame == first or handed_over:
+                if frame > first:
+                    settle(rounds, frame)
+                if handed_over:
+                    held = _HeldBlocks(states, cfg, radio.tx_channel)
+                i = frame - first
+                rounds = _Rounds(held, frame, t_ms[i:], verdicts[i:], on_air[i:], fusion_rule)
+            # Up to the next boundary that may change a state, the frames
+            # are a quiet stretch, whose boundaries only log their epochs.
+            stop = frame + 1 if decided else rounds.next_boundary(frame)
+            events.extend((float(f * FRAME_MS), "asm", "ASM_EPOCH", held.asm_detail)
+                          for f in range((frame // epoch + 1) * epoch, stop, epoch))
+            frame = stop
+        settle(rounds, end)
 
     events.sort(key=lambda row: row[0])
     return metrics, events

@@ -406,22 +406,34 @@ class LinkArrays:
         """(points, bins) mean power; ``active`` masks the transmitters that are on.
 
         A (rows, transmitters) ``active``, one mask per time, gives
-        (rows, points, bins), formed row after row: with shadowing each
-        row takes its own ``path_loss`` draws, in row order; without, a
-        row equal to the one before it repeats that row's powers.
+        (rows, points, bins).  With shadowing each row takes its own
+        ``path_loss`` draws, in row order.  Without, each distinct mask is
+        formed once and its rows repeat its powers.  Either way a mask's
+        powers are one ``gains_mw(on) @ templates[on]``: the active
+        transmitters are sliced out, not multiplied by a 0/1 mask, so the
+        sum runs over the same terms in the same order.
         """
         if active.ndim == 1:
             return self.mean_mw(active[None])[0]
         out = np.empty((len(active), len(self.distance_m), self.templates.shape[1]))
-        repeats = np.zeros(len(active), dtype=bool)
-        if self._fixed_gains is not None:
-            repeats[1:] = (active[1:] == active[:-1]).all(axis=1)
-        for row, (on, repeat) in enumerate(zip(active, repeats.tolist())):
-            if repeat:
-                out[row] = out[row - 1]
-            else:
+        if self._fixed_gains is None:
+            for row, on in enumerate(active):
                 np.matmul(self.gains_mw(on), self.templates[on], out=out[row])
-                out[row] += self.noise_mw
+        else:
+            # Each run of equal rows copies the powers of its mask's first
+            # row.  np.unique(axis=0) would cost more than the products it
+            # saves on a block's few rows.
+            changed = np.ones(len(active), dtype=bool)
+            changed[1:] = (active[1:] != active[:-1]).any(axis=1)
+            heads = np.flatnonzero(changed).tolist()
+            formed = {}
+            for head, end in zip(heads, heads[1:] + [len(active)]):
+                on = active[head]
+                first = formed.setdefault(on.tobytes(), head)
+                if first == head:
+                    np.matmul(self.gains_mw(on), self.templates[on], out=out[head])
+                out[head:end] = out[first]
+        out += self.noise_mw
         return out
 
 

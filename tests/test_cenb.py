@@ -294,6 +294,20 @@ class TestFusion:
         assert fuse_cooperative(verdicts, reporting, "MAJORITY").tolist() == [False]
         assert fuse_cooperative(verdicts, reporting, "OR").tolist() == [True]
 
+    @pytest.mark.parametrize("rule", ["OR", "MAJORITY"])
+    def test_one_call_over_frames_equals_one_call_per_frame(self, rule):
+        # Six frames of four CeNBs over 37 channels, with ties and
+        # unreported channels, fused once with one reporting mask per CeNB
+        # as the frame loop does, and with one mask per frame.
+        rng = np.random.default_rng(23)
+        occupied = rng.random((6, 4, 37)) < 0.4
+        reporting = rng.random((4, 37)) < 0.7
+        per_frame = [fuse_cooperative(frame, reporting, rule) for frame in occupied]
+        assert np.array_equal(fuse_cooperative(occupied, reporting, rule), per_frame)
+        masks = np.broadcast_to(reporting, occupied.shape)
+        assert np.array_equal(fuse_cooperative(occupied, masks, rule), per_frame)
+        assert 0 < np.count_nonzero(per_frame) < np.size(per_frame)
+
     @pytest.mark.parametrize("rule", ["OFF", "or", "AND"])
     def test_an_unknown_rule_is_rejected(self, rule):
         with pytest.raises(ValueError, match=rule):

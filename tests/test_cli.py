@@ -622,6 +622,29 @@ def test_a_value_past_its_bound_names_its_key(tmp_path, capsys, command, arg):
     assert f"bad value for '{arg.split(' = ')[0]}'" in captured.err
 
 
+# A CeNB power past the bound of every other level in dB, with a
+# one-record geo-database.  1e308 and 400 dBm ran to exit 0; -400 and
+# -1e308 dBm failed on the unreachable protection floor, without naming
+# the bad value as such.
+@pytest.mark.parametrize("power", ["1e308", "400", "-400", "-1e308"])
+def test_a_cenb_power_past_its_bound_names_its_key(tmp_path, capsys, power):
+    (tmp_path / "db.csv").write_text(GEODB_HEADER + "far,AnalogPalD,2,90000,0,60,100,-80,\n",
+                                     encoding="utf-8")
+    argv = _argv(tmp_path, "simulate", f"cenb1.power_dbm = {power}\nfiles.geodb = db.csv")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "bad value for 'cenb1.power_dbm'" in captured.err
+
+
+def test_a_cenb_power_at_its_bound_runs(tmp_path, capsys):
+    (tmp_path / "db.csv").write_text(GEODB_HEADER + "far,AnalogPalD,2,90000,0,60,100,-80,\n",
+                                     encoding="utf-8")
+    argv = _argv(tmp_path, "simulate", "cenb1.power_dbm = 300\nfiles.geodb = db.csv")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 # Every bound at once runs without a numpy warning, which the test
 # configuration turns into an error.
 AT_THE_BOUND = [

@@ -596,7 +596,8 @@ def _a_cenb_holds_no_block(cfg, metrics, events):
 
 
 def _a_round_turns_occupied_inside_a_block(cfg, metrics, events):
-    per_block = max(1, harness._BLOCK_BINS // (len(cfg.cenbs) * cfg.windows.size))
+    per_block = harness._BlockRadio(cfg, cfg.detector, [c.location for c in cfg.cenbs],
+                                    [3.0]).frames_per_block
     rounds = [round(t / harness.FRAME_MS) - 1 for t, _, _, _ in _rows(events, "DECIDE")]
     assert per_block > 1 and any(r % per_block for r in rounds)
     assert len(_rows(events, "ASM_EPOCH")) == metrics.plr.size - 1

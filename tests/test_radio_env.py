@@ -318,3 +318,18 @@ class TestLinkArraysRows:
         one_at_a_time = links()
         expected = [one_at_a_time.mean_mw(row) for row in rows]
         assert np.array_equal(links().mean_mw(rows), expected)
+
+    def test_each_distinct_mask_is_formed_once(self, grid, monkeypatch):
+        txs = [pal_tx(channel=ch, x=d, eirp=43.0) for ch, d in ((3, 900.0), (9, 4000.0),
+                                                                (20, 2500.0))]
+        links = LinkArrays([(0.0, 0.0), (700.0, -300.0)], txs, PropagationConfig(), grid,
+                           np.arange(0, 1680, 7))
+        # Masks that come back after others, and runs of one mask.
+        rows = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 0, 0],
+                         [1, 0, 1]], dtype=bool)
+        expected = [links.mean_mw(row) for row in rows]
+        formed = []
+        gains_mw = links.gains_mw
+        monkeypatch.setattr(links, "gains_mw", lambda on: formed.append(on) or gains_mw(on))
+        assert np.array_equal(links.mean_mw(rows), expected)
+        assert [on.tolist() for on in formed] == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]

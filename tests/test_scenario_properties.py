@@ -160,7 +160,8 @@ def cenb_grid_keys(draw):
     if draw(st.booleans()):
         keys["grid.exclusions"] = draw(EXCLUSIONS)
     # Every CeNB has an x_m key, so that each of them exists.
-    for n in range(1, draw(st.integers(1, 3)) + 1):
+    n_cenbs = draw(st.integers(1, 3))
+    for n in range(1, n_cenbs + 1):
         keys[f"cenb{n}.x_m"] = draw(_numbers(-3000.0, 3000.0))
         for key, value in draw(st.fixed_dictionaries({}, optional=CENB_KEYS)).items():
             keys[f"cenb{n}.{key}"] = value
@@ -168,12 +169,19 @@ def cenb_grid_keys(draw):
             ded_lo, ded_width = draw(st.floats(690.0, 720.0)), draw(st.floats(0.5, 20.0))
             keys[f"cenb{n}.dedicated_low_mhz"] = f"{ded_lo:g}"
             keys[f"cenb{n}.dedicated_high_mhz"] = f"{ded_lo + ded_width:g}"
-    if draw(st.integers(0, 3)) == 0:       # one key out of range or malformed
+    branch = draw(st.integers(0, 7))
+    if branch == 0:             # one key out of range or malformed
         keys[draw(st.sampled_from(sorted(keys)))] = draw(BAD_TEXT)
+    elif branch >= 4:           # one key extreme, a CeNB's power or place among them
+        numeric = {f"cenb{n}.{key}" for n in range(1, n_cenbs + 1) for key in ("y_m", "power_dbm")}
+        keys[draw(st.sampled_from(sorted(keys.keys() | numeric)))] = draw(EXTREME_TEXT)
     return keys
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
+# Twice the examples of a strategy without the extreme branch: about 10
+# take a malformed key and 30 only in-range keys, as before, and 40 an
+# extreme one.
+@settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(keys=cenb_grid_keys())
 def test_simulate_over_cenb_and_grid_keys(tmp_path_factory, capsys, keys):
