@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvwsim import harness
+from tvwsim.cenb import HandoverEvent
 from tvwsim.errors import ConfigError, CoverageError
 from tvwsim.radio_env import (
     FrequencyBand,
@@ -652,3 +653,30 @@ def test_edge_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch, n
     for other_metrics, other_events in others:
         assert other_events == events
         assert np.array_equal(other_metrics.plr, metrics.plr)
+
+
+# plr.csv, events.csv and handover_summary.txt of the run below.
+REPORT_DIGESTS = {
+    "plr.csv": "ad9da1cba45d5c56358b28de7562caa7cf70b4d317a6adeacec5a1007bd73dbd",
+    "events.csv": "d82b21190d19a81df69e8ff796a65d3c29dc4e86dc53c5c2af66233e8b7466bc",
+    "handover_summary.txt": "3df6b59bbece627efd6b5aa9e660eab7edad850e2cb1dfc71da937cbe004c72e",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    """The report of fig17 with random loss and an ASM epoch every 40
+    frames, with one aborted retune added to the run's rows: the frame
+    loop writes a CeNB's view only after its boundary's handovers, so no
+    simulated run aborts one."""
+    cfg = replace(harness.load_scenario(SCENARIOS / "handover_fig17.ini"),
+                  asm_epoch_frames=40, random_loss_floor=0.03)
+    metrics, events = harness.run_simulation(cfg)
+    metrics.handover_records.append(
+        HandoverEvent("cenb1", t_detect_ms=1503.0, t_restored_ms=1510.0, to_block=(),
+                      aborted=True))
+    events = sorted([*events, (1510.0, "cenb1", "RETUNE_ABORT", "target occupied")],
+                    key=lambda row: row[0])
+    assert {"ASM_EPOCH", "RETUNE_ABORT", "RETUNE_END"} <= {row[2] for row in events}
+    written = harness.emit_report(metrics, tmp_path / "out", events)
+    assert {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in written} == REPORT_DIGESTS

@@ -11,6 +11,7 @@ from tvwsim.errors import CalibrationError, CoverageError, ParseError
 from tvwsim.radio_env import (
     PropagationConfig,
     build_channel_grid,
+    china_tv_grid,
     FrequencyBand,
     dbm_to_mw,
     received_spectrum,
@@ -371,3 +372,67 @@ def test_roc_memory_is_one_chunks_working_set():
 
     peak_bytes(_DRAW_CHUNK)     # one-time allocations outside the sweep
     assert peak_bytes(20 * _DRAW_CHUNK) <= 1.1 * peak_bytes(2 * _DRAW_CHUNK)
+
+
+# The operating detector (fig17's 1.7 ms of sensing at Pfa 1e-8), then
+# (target_pfa, k, carrier offsets, sense duration) points off it: per-carrier
+# rate and threshold, as repr, from the 200-step bisection.
+THRESHOLD_PINS = [
+    (dict(target_pfa=1e-8, sense_duration_ms=1.7, snapshots_per_ms=12500.0),
+     "5.773613808353533e-05", "-114.8754052042493"),
+    (dict(target_pfa=0.01, k_required=2, sense_duration_ms=2.0),
+     "0.058903135778195254", "-114.75350968307318"),
+    (dict(target_pfa=0.1, k_required=1, sense_duration_ms=0.5),
+     "0.03451061539437024", "-114.44989624603318"),
+    (dict(target_pfa=1e-4, k_required=3, sense_duration_ms=1.0),
+     "0.046415888336127795", "-114.63329122076418"),
+    (dict(target_pfa=0.05, k_required=1, carrier_offsets_mhz=(1.25,), sense_duration_ms=2.0),
+     "0.05", "-114.74133088735654"),
+    (dict(target_pfa=1e-6, k_required=3, carrier_offsets_mhz=(0.5, 1.25, 5.68, 7.75),
+          sense_duration_ms=0.25),
+     "0.006309573670144919", "-113.96247802186011"),
+]
+
+
+@pytest.mark.parametrize("fields, p1, threshold", THRESHOLD_PINS)
+def test_threshold_bisection_is_pinned(fields, p1, threshold):
+    cfg = DetectorConfig(**fields)
+    assert repr(per_carrier_pfa(cfg.target_pfa, cfg.k_required, cfg.n_carriers)) == p1
+    assert repr(analytic_threshold_dbm(cfg)) == threshold
+
+
+def _windows_by_bin(centers, low_edges, cfg):
+    """Every window's bins, found by testing each bin in turn."""
+    reach = cfg.det_bw_khz / 1000.0 / 2 + 1e-9
+    return [[i for i, center in enumerate(centers.tolist()) if abs(center - (lo + off)) <= reach]
+            for lo in low_edges for off in cfg.carrier_offsets_mhz]
+
+
+_WINDOW_GRIDS = {
+    "china": (china_tv_grid(), DetectorConfig()),
+    "vhf_6mhz": (build_channel_grid(FrequencyBand(174.0, 216.0), 6.0),
+                 DetectorConfig(carrier_offsets_mhz=(1.25, 4.83, 5.75))),
+    "offset_7mhz": (build_channel_grid(FrequencyBand(300.05, 391.05), 7.0,
+                                       [FrequencyBand(321.05, 328.05)]),
+                    DetectorConfig(carrier_offsets_mhz=(0.75, 5.25), k_required=1)),
+}
+
+
+@pytest.mark.parametrize("rbw_khz", [200.0, 50.0, 12.5])
+@pytest.mark.parametrize("name", sorted(_WINDOW_GRIDS))
+def test_carrier_windows_equal_a_bin_by_bin_search(name, rbw_khz):
+    grid, cfg = _WINDOW_GRIDS[name]
+    centers = grid.bin_centers_mhz(rbw_khz)
+    rows = _windows_by_bin(centers, grid.low_edges_mhz, cfg)
+    windows = carrier_windows(centers, grid.low_edges_mhz, cfg)
+    assert windows.shape == (grid.n_channels, cfg.n_carriers, len(rows[0]))
+    assert windows.dtype == np.intp
+    assert windows.reshape(len(rows), -1).tolist() == rows
+
+
+def test_carrier_windows_wider_than_their_bins_are_a_coverage_error():
+    grid, cfg = _WINDOW_GRIDS["china"]
+    centers = grid.bin_centers_mhz(300.0)
+    assert {len(row) for row in _windows_by_bin(centers, grid.low_edges_mhz, cfg)} == {0, 1}
+    with pytest.raises(CoverageError, match=r"hold \[0, 1\] bins"):
+        carrier_windows(centers, grid.low_edges_mhz, cfg)
