@@ -21,6 +21,11 @@ same arrays.  ``GeoDb.records`` is a lazy view of ``GeoRecord``
 objects, built for ``add``, ``remove``, ``save`` and the contour
 listing; ``add`` and ``remove`` drop the columns, which are rebuilt
 from the records on the next classification.
+
+``query_vacant_channels``, the start-up query of every CeNB, takes the
+distances to all records in one pass and classifies each grid channel
+with ``classify_region`` on a view of the records within reach of the
+point; the rest lie past their grey boundary and change no region.
 """
 
 import csv
@@ -94,7 +99,12 @@ def contour_radius_m(eirp_dbm, floor_dbm, prop, freq_mhz=DEFAULT_TV_FREQ_MHZ):
         margin = eirp_dbm - floor_dbm - prop.ref_loss(freq_mhz)
         exponent = margin / (10.0 * prop.exponent)
         if isinstance(margin, np.ndarray):
-            power = np.array([_pow10(e) for e in exponent.tolist()], dtype=float)
+            exps = exponent.tolist()
+            try:    # math.pow is _pow10's C pow, but raises past the largest double
+                power = np.fromiter(map(math.pow, itertools.repeat(10.0), exps),
+                                    dtype=float, count=len(exps))
+            except OverflowError:
+                power = np.array([_pow10(e) for e in exps], dtype=float)
             return np.where(margin >= 0, prop.ref_distance_m * power, math.nan)
     if margin < 0:
         raise DegenerateContourError(
@@ -174,7 +184,7 @@ class GeoDb:
     fills only the columns, and the dict is built from them on first
     use, which only ``add``, ``remove``, ``save`` and the contour
     listing make.  ``add`` and ``remove`` change the dict and drop the
-    columns; ``co_channel_arrays`` rebuilds them from the records.
+    columns; ``columns`` rebuilds them from the records.
     Change the records only through ``add`` and ``remove``.
 
     ``version`` increments on every mutation, letting coordinators
@@ -233,6 +243,13 @@ class GeoDb:
         self.version += 1
         self._columns = self._order = self._channels = None
 
+    def columns(self):
+        """The channel-sorted column store (rebuilt from the records if dropped)."""
+        if self._columns is None:
+            self._columns, self._order = _sorted_by_channel(
+                [[col] for col in _columns_of(list(self._records.values()))])
+        return self._columns
+
     def co_channel_arrays(self, channel_index):
         """The records on a channel as slices of the channel-sorted columns.
 
@@ -243,10 +260,7 @@ class GeoDb:
         channel has no record.
         """
         if self._channels is None:
-            if self._columns is None:
-                self._columns, self._order = _sorted_by_channel(
-                    [[col] for col in _columns_of(list(self._records.values()))])
-            cols = self._columns
+            cols = self.columns()
             channels, starts = np.unique(cols.channel, return_index=True)
             stops = [*starts[1:].tolist(), len(cols.channel)]
             blank = np.isnan(cols.radius)
@@ -292,10 +306,54 @@ def classify_region(db, point, channel_index, cenb_max_eirp_dbm, prop, grid,
 def query_vacant_channels(db, point, cenb_max_eirp_dbm, prop, grid,
                           freq_mhz=DEFAULT_TV_FREQ_MHZ):
     """Region of every grid channel at a point (White = usable without
-    sensing, Grey = usable with sensing)."""
-    return [(idx, classify_region(db, point, idx, cenb_max_eirp_dbm, prop, grid,
+    sensing, Grey = usable with sensing).
+
+    Each channel is decided by one ``classify_region`` call, as on the
+    whole database, but on a view of the records that can reach the
+    point (``_near``): the others lie beyond their grey boundary, so they
+    change no region, and a channel left without records is White.
+    """
+    near = _near(db, point, cenb_max_eirp_dbm, prop, freq_mhz)
+    return [(idx, classify_region(near, point, idx, cenb_max_eirp_dbm, prop, grid,
                                   freq_mhz))
             for idx in range(grid.n_channels)]
+
+
+# Relative slack of the cull's reach.  The exact test is classify_region's;
+# the slack keeps a record whose distance or boundary rounds differently
+# there, and costs nothing else.
+_NEAR_SLACK = 1.0 + 1e-9
+
+
+def _near(db, point, cenb_max_eirp_dbm, prop, freq_mhz):
+    """A view of ``db`` without the records whose distance from ``point``
+    is finite and past max(radius, radius + interference radius + grey
+    margin), with a slack.
+
+    A record whose distance or boundary overflows is kept, so that
+    ``classify_region`` meets it and warns as on the whole database; the
+    cull itself raises no numpy warning.  So is a record with a blank
+    radius (one added by ``add``), whose boundary is NaN: it is still
+    classified in record order, after the same Black records.  ``db``
+    itself is returned where the interference radius has no contour or
+    warns (a frequency of 0 MHz), so that the first ``classify_region``
+    call to compute it raises that error, or that warning, as before.
+    """
+    try:
+        with np.errstate(divide="raise"):
+            r_interf = contour_radius_m(cenb_max_eirp_dbm, db.protection_floor_dbm, prop,
+                                        freq_mhz)
+    except (DegenerateContourError, FloatingPointError):
+        return db
+    cols = db.columns()
+    with np.errstate(all="ignore"):
+        d = np.hypot(point[0] - cols.x, point[1] - cols.y)
+        reach = np.maximum(cols.radius, cols.radius + r_interf + db.grey_margin_m)
+        kept = np.flatnonzero(~((d > reach * _NEAR_SLACK) & np.isfinite(d)))
+    return GeoDb._from_columns(_Columns(*(col[kept] for col in cols)), db._order[kept],
+                               grey_margin_m=db.grey_margin_m,
+                               protection_floor_dbm=db.protection_floor_dbm,
+                               version=db.version)
 
 
 @dataclass(frozen=True)
@@ -452,10 +510,16 @@ def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):
     out-of-range cell, or a record ``GeoRecord`` would reject.  The first
     bad row is a ParseError at its line that names the field and cell."""
     _, standards, channels, *_, radii = zip(*chunk)
-    standard = np.array([_STANDARD_CODES.get(name, -1) for name in standards], dtype=np.int8)
-    channel = np.fromiter(map(_channel_index, channels), dtype=np.int64, count=len(chunk))
-    blank = np.array([not cell.strip() for cell in radii])
-    radius = float_array([cell if cell.strip() else "nan" for cell in radii])
+    standard = np.fromiter(map(_STANDARD_CODES.get, standards, itertools.repeat(-1)),
+                           dtype=np.int8, count=len(chunk))
+    try:
+        channel = np.fromiter(map(int, channels), dtype=np.int64, count=len(chunk))
+    except (ValueError, OverflowError):     # a bad cell: -1 names it below
+        channel = np.fromiter(map(_channel_index, channels), dtype=np.int64, count=len(chunk))
+    given = np.fromiter(map(bool, map(str.strip, radii)), dtype=bool, count=len(chunk))
+    blank = ~given
+    radius = np.full(len(chunk), math.nan)
+    radius[given] = float_array(list(itertools.compress(radii, given.tolist())))
     x, y, eirp, height, required = values.T
     if blank.any():             # NaN where a blank radius has no contour
         radius[blank] = contour_radius_m(eirp[blank], required[blank], prop, freq_mhz)

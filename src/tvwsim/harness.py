@@ -73,7 +73,7 @@ import bisect
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import cycle, repeat
+from itertools import count, cycle, repeat
 
 import numpy as np
 
@@ -258,9 +258,12 @@ _shadowing_sigma = _checked_float(lambda v: 0.0 <= v <= MAX_LEVEL_DB / 10,
 MAX_STUDY_LENGTH_M = 1e150
 _study_length = _checked_float(lambda v: 0.0 < v <= MAX_STUDY_LENGTH_M,
                                f"a length in (0, {MAX_STUDY_LENGTH_M:g}] m")
-_study_offset = _checked_float(lambda v: abs(v) <= MAX_STUDY_LENGTH_M,
-                               f"an offset from -{MAX_STUDY_LENGTH_M:g} to "
-                               f"{MAX_STUDY_LENGTH_M:g} m")
+# The study's TV offset and a scenario's CeNB coordinates: the same bound
+# keeps the distances between CeNBs, and from a CeNB to a transmitter or a
+# geo-database record, inside a double.
+_coordinate = _checked_float(lambda v: abs(v) <= MAX_STUDY_LENGTH_M,
+                             f"a coordinate from -{MAX_STUDY_LENGTH_M:g} to "
+                             f"{MAX_STUDY_LENGTH_M:g} m")
 # Links are clamped to the coupling distance; a shorter one than the
 # shortest reference distance could give a gain past a double's range.
 _coupling_length = _checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= MAX_STUDY_LENGTH_M,
@@ -358,8 +361,8 @@ def _input_file(path, key, name, base_dir):
 def _load_interference(reader):
     isd = reader.take("interference.isd_m", _study_length, 150.0)
     radius = reader.take("interference.tv_radius_m", _study_length, 350.0)
-    off_x = reader.take("interference.offset_x_m", _study_offset, 10.0)
-    off_y = reader.take("interference.offset_y_m", _study_offset, 0.0)
+    off_x = reader.take("interference.offset_x_m", _coordinate, 10.0)
+    off_y = reader.take("interference.offset_y_m", _coordinate, 0.0)
     topo = interf_mod.build_topology(isd, radius, (off_x, off_y))
     coex = interf_mod.CoexistenceConfig(
         cenb_power_dbm=reader.take("interference.cenb_power_dbm", level_db, 20.0),
@@ -484,8 +487,8 @@ def load_scenario(path):
         ded_hi = reader.take(f"{prefix}.dedicated_high_mhz", finite_float, 706.0)
         cenbs.append(CenbSetup(
             id=cenb_id,
-            location=(reader.take(f"{prefix}.x_m", finite_float, 0.0),
-                      reader.take(f"{prefix}.y_m", finite_float, 0.0)),
+            location=(reader.take(f"{prefix}.x_m", _coordinate, 0.0),
+                      reader.take(f"{prefix}.y_m", _coordinate, 0.0)),
             tx_power_dbm=reader.take(f"{prefix}.power_dbm", level_db, 20.0),
             dedicated_band=_band(path, f"{prefix} dedicated band", ded_lo, ded_hi),
             initial_block=reader.take(f"{prefix}.block", _block_parser(grid), None),
@@ -497,8 +500,7 @@ def load_scenario(path):
                            initial_block=None)]
     # A CeNB's interference contour must exist wherever a record
     # constrains a grid channel.
-    if db is not None and any(db.co_channel_arrays(ch) is not None
-                              for ch in range(grid.n_channels)):
+    if db is not None and (db.columns().channel < grid.n_channels).any():
         for n, setup in enumerate(cenbs, start=1):
             try:
                 contour_radius_m(setup.tx_power_dbm, db.protection_floor_dbm, prop)
@@ -870,23 +872,35 @@ def handover_summary(metrics):
             f"max_latency_ms: {np.max(lats):.10g}")
 
 
+# Lines per write of a report CSV: one join's speed, without the whole
+# file's lines held at once.
+_REPORT_LINES = 256
+
+
 def emit_report(metrics, out_dir, events=()):
-    """Write plr.csv, events.csv and handover_summary.txt."""
+    """Write plr.csv, events.csv and handover_summary.txt.
+
+    Each CSV is written ``_REPORT_LINES`` lines at a time, joined from
+    Python values (``tolist``), not one numpy scalar and one write per line.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     plr_path = os.path.join(out_dir, "plr.csv")
     with open(plr_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("sample_index,t_ms,plr\n")
-        for i, (t, v) in enumerate(zip(metrics.sample_t_ms, metrics.plr)):
-            fh.write(f"{i},{t:.10g},{v:.10g}\n")
+        for a in range(0, metrics.plr.size, _REPORT_LINES):
+            b = a + _REPORT_LINES
+            fh.write("".join([f"{i},{t:.10g},{v:.10g}\n" for i, t, v in zip(
+                count(a), metrics.sample_t_ms[a:b].tolist(), metrics.plr[a:b].tolist())]))
     written.append(plr_path)
 
     ev_path = os.path.join(out_dir, "events.csv")
     with open(ev_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t_ms,cenb_id,event,detail\n")
-        for t, who, kind, detail in events:
-            fh.write(f"{t:.10g},{who},{kind},{detail}\n")
+        for a in range(0, len(events), _REPORT_LINES):
+            fh.write("".join([f"{t:.10g},{who},{kind},{detail}\n"
+                              for t, who, kind, detail in events[a:a + _REPORT_LINES]]))
     written.append(ev_path)
 
     summary_path = os.path.join(out_dir, "handover_summary.txt")

@@ -17,12 +17,12 @@ all-bins case; the frame loop builds them once per run for every CeNB
 at once.
 """
 
-import array
 import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -491,18 +491,6 @@ class row_errors:
             raise ParseError(str(exc), line=self.lineno, path=self.path) from exc
 
 
-def _next_row(reader, path, lineno):
-    """The reader's next row, or None at the end of the file.
-
-    A ``csv.Error`` (a cell longer than the module's field size limit,
-    say) is a ParseError at ``lineno`` of ``path``, the row's first line.
-    """
-    try:
-        return next(reader, None)
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=lineno, path=path) from exc
-
-
 def csv_rows(path, header, metadata=None):
     """Stream the data rows of a UTF-8 CSV file as (line number, cells).
 
@@ -511,7 +499,9 @@ def csv_rows(path, header, metadata=None):
     wide as the header; blank rows are skipped.  Leading lines that
     start with ``#`` go to ``metadata(line number, text)`` when it is
     given; otherwise the first line is the header.  A row the csv module
-    cannot read is a ParseError at its line.
+    cannot read (a cell longer than its field size limit, say) is a
+    ParseError at the row's first line.  One generator step per row: the
+    csv reader is iterated directly.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first, header_line = fh.readline(), 1
@@ -519,22 +509,26 @@ def csv_rows(path, header, metadata=None):
             metadata(header_line, first)
             first, header_line = fh.readline(), header_line + 1
         reader = csv.reader(itertools.chain([first], fh))
-        cells = _next_row(reader, path, header_line) or []
-        if callable(header):
-            with row_errors(path, header_line):
-                header(cells)
-        elif cells != header:
-            raise ParseError(f"expected header {','.join(header)}", line=header_line,
-                             path=path)
-        end = reader.line_num
-        while (row := _next_row(reader, path, header_line + end)) is not None:
-            lineno, end = header_line + end, reader.line_num
-            if not row:
-                continue
-            if len(row) != len(cells):
-                raise ParseError(f"expected {len(cells)} columns, got {len(row)}",
-                                 line=lineno, path=path)
-            yield lineno, row
+        end = 0     # the reader's line count after the last row read
+        try:
+            cells = next(reader, [])
+            if callable(header):
+                with row_errors(path, header_line):
+                    header(cells)
+            elif cells != header:
+                raise ParseError(f"expected header {','.join(header)}", line=header_line,
+                                 path=path)
+            width, end = len(cells), reader.line_num
+            for row in reader:
+                lineno, end = header_line + end, reader.line_num
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(f"expected {width} columns, got {len(row)}",
+                                     line=lineno, path=path)
+                yield lineno, row
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=header_line + end, path=path) from exc
 
 
 # Cells per chunk of ``float_chunks``: a few hundred geo-database rows,
@@ -547,31 +541,37 @@ def float_chunks(rows, columns=slice(None)):
 
     Yields (lines, chunk, values) per chunk: the rows' line numbers (an
     int array) and cell lists, and the (rows, k) ``float_array`` of their
-    ``columns`` (a slice).  A chunk's list is emptied when the next is
-    read, so that one chunk's cells are held at a time.  A row that
-    ``rows`` rejects (a ragged one) ends the stream: its ParseError is
-    raised after the rows before it, so that an earlier bad cell wins.
+    ``columns`` (a slice), parsed from one flat list of cells.  A chunk's
+    list is emptied when the next is read, so that one chunk's cells are
+    held at a time.  A row that ``rows`` rejects (a ragged one) ends the
+    stream: its ParseError is raised after the rows before it, so that an
+    earlier bad cell wins.
     """
-    lines, error = array.array("q"), []
+    rows, lines, chunk, error = iter(rows), [], [], None
+    take = itemgetter(columns)
 
-    def cells_until_error():
-        try:
-            for line, cells in rows:
-                lines.append(line)
-                yield cells
-        except ParseError as exc:
-            error.append(exc)
+    def parsed():
+        values = float_array(list(itertools.chain.from_iterable(map(take, chunk))))
+        return np.array(lines), chunk, values.reshape(len(chunk), -1)
 
-    cells = cells_until_error()
-    chunk = list(itertools.islice(cells, 1))
-    size = max(1, CHUNK_CELLS // len(chunk[0])) if chunk else 1
-    chunk += itertools.islice(cells, size - 1)
-    while chunk:
-        yield np.array(lines), chunk, float_array([row[columns] for row in chunk])
-        del lines[:], chunk[:]
-        chunk = list(itertools.islice(cells, size))
-    if error:
-        raise error[0]
+    try:
+        for line, cells in rows:        # the first row sets the chunk size
+            lines.append(line)
+            chunk.append(cells)
+            size = max(1, CHUNK_CELLS // len(cells))
+            break
+        for line, cells in rows:
+            if len(chunk) == size:
+                yield parsed()
+                del lines[:], chunk[:]
+            lines.append(line)
+            chunk.append(cells)
+    except ParseError as exc:
+        error = exc
+    if chunk:
+        yield parsed()
+    if error is not None:
+        raise error
 
 
 def float_array(cells):

@@ -95,16 +95,21 @@ class DetectorConfig:
 
 def _combined_pfa(p1, k, n):
     """False-alarm rate of the k-of-n rule given per-carrier rate p1."""
-    from math import comb
-
-    return sum(comb(n, i) * p1**i * (1 - p1) ** (n - i) for i in range(k, n + 1))
+    return sum(math.comb(n, i) * p1**i * (1 - p1) ** (n - i) for i in range(k, n + 1))
 
 
 def per_carrier_pfa(target_pfa, k, n):
-    """Invert the k-of-n combination by bisection."""
+    """Invert the k-of-n combination by bisection.
+
+    The bisection stops once the midpoint equals an end of the bracket:
+    no later step could move the bracket's midpoint, so that midpoint is
+    the result 200 steps would give.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         if _combined_pfa(mid, k, n) < target_pfa:
             lo = mid
         else:
@@ -177,23 +182,27 @@ def carrier_windows(bin_centers_mhz, channel_low_edges_mhz, cfg):
 
     Window (c, j) holds the bins whose centers (ascending) lie within
     half the detection bandwidth of ``channel_low_edges_mhz[c]`` plus
-    carrier offset j, tested only on the slice a binary search finds,
-    widened by a bin on each side, so the cost does not grow with
-    windows x bins.  Raises CoverageError when a window has no bins or
-    the windows differ in width.
+    carrier offset j.  Only the candidates a binary search finds are
+    tested, widened by a bin on each side, in one (windows, candidates)
+    pass, so the cost does not grow with windows x bins.  Raises
+    CoverageError when a window has no bins or the windows differ in
+    width.
     """
     centers = np.asarray(bin_centers_mhz, dtype=float)
     reach = cfg.det_bw_khz / 1000.0 / 2 + 1e-9
-    mids = [lo + off for lo in channel_low_edges_mhz for off in cfg.carrier_offsets_mhz]
-    starts = np.maximum(np.searchsorted(centers, np.subtract(mids, reach)) - 1, 0).tolist()
-    stops = (np.searchsorted(centers, np.add(mids, reach), side="right") + 1).tolist()
-    rows = [a + np.nonzero(np.abs(centers[a:b] - mid) <= reach)[0]
-            for mid, a, b in zip(mids, starts, stops)]
-    widths = {row.size for row in rows}
-    if 0 in widths or len(widths) != 1:
+    mids = np.add.outer(np.asarray(channel_low_edges_mhz, dtype=float),
+                        np.asarray(cfg.carrier_offsets_mhz, dtype=float)).ravel()
+    starts = np.maximum(np.searchsorted(centers, mids - reach) - 1, 0)
+    stops = np.minimum(np.searchsorted(centers, mids + reach, side="right") + 1, centers.size)
+    span = int((stops - starts).max(initial=0))
+    candidates = starts[:, None] + np.arange(span)
+    inside = (candidates < stops[:, None]) & (
+        np.abs(centers[np.minimum(candidates, centers.size - 1)] - mids[:, None]) <= reach)
+    widths = inside.sum(axis=1)
+    if not widths.size or widths.min() == 0 or widths.min() != widths.max():
         raise CoverageError(f"carrier windows of {cfg.det_bw_khz:g} kHz hold "
-                            f"{sorted(widths)} bins; need one non-zero width")
-    return np.stack(rows).reshape(len(channel_low_edges_mhz), cfg.n_carriers, -1)
+                            f"{sorted(set(widths.tolist()))} bins; need one non-zero width")
+    return candidates[inside].reshape(len(channel_low_edges_mhz), cfg.n_carriers, -1)
 
 
 def _k_of_n(stats, threshold, k):

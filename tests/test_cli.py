@@ -664,3 +664,26 @@ def test_values_at_their_bounds_run_without_a_warning(tmp_path, capsys, command,
     assert cli.main(_argv(tmp_path, command, arg)) in (cli.EXIT_OK, cli.EXIT_RUNTIME)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+
+
+# Two CeNBs at opposite ends of the doubles: the allocator's distance
+# between them overflowed, with a numpy warning, and the run exited 0.
+@pytest.mark.parametrize("key", ["x_m", "y_m"])
+@pytest.mark.parametrize("far", ["1e308", "-1e308", "1.000001e150"])
+def test_a_cenb_coordinate_past_its_bound_names_its_key(tmp_path, capsys, key, far):
+    (tmp_path / "tx.csv").write_text(ALWAYS_ON_TV, encoding="utf-8")
+    arg = f"files.transmitters = tx.csv\ncenb1.{key} = {far}\ncenb2.{key} = -1e308"
+    assert cli.main(_argv(tmp_path, "simulate", arg)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert f"bad value for 'cenb1.{key}'" in captured.err
+
+
+def test_cenbs_at_the_coordinate_bound_run_without_a_warning(tmp_path, capsys):
+    (tmp_path / "tx.csv").write_text(ALWAYS_ON_TV, encoding="utf-8")
+    (tmp_path / "db.csv").write_text(GEODB_HEADER + "far,AnalogPalD,2,90000,0,60,100,-80,\n",
+                                     encoding="utf-8")
+    arg = ("files.transmitters = tx.csv\nfiles.geodb = db.csv\n"
+           "cenb1.x_m = 1e150\ncenb1.y_m = -1e150\ncenb2.x_m = -1e150\ncenb2.y_m = 1e150")
+    assert cli.main(_argv(tmp_path, "simulate", arg)) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""

@@ -319,7 +319,8 @@ class TestChannelArrays:
 
 # Coordinates near the query points, far from them, and at the ends of the
 # doubles, where a distance or a grey boundary overflows.
-COORDS = st.one_of(st.floats(-3e3, 3e3), st.floats(-2e5, 2e5),
+NEAR = st.floats(-3e3, 3e3)
+COORDS = st.one_of(NEAR, NEAR, st.floats(-2e5, 2e5),
                    st.sampled_from([1e308, -1e308, 1.7e308, 1e154, -1e154, 5e-324]))
 # On the 37-channel grid, and off it.
 CHANNELS = st.one_of(st.integers(0, 36), st.sampled_from([37, 40, 2**62]))
@@ -328,10 +329,11 @@ RADII = st.one_of(st.floats(1.0, 5e3), st.sampled_from([1e-300, 1e150, 1e308]))
 
 @st.composite
 def mixed_database(draw):
-    """The text of a database file (metadata and 0-12 records, each with a
-    given radius or a blank one with a finite contour), and 0-3 records to
-    add after loading, with blank radii that may have no contour."""
-    margin = draw(st.sampled_from([0.0, 1000.0, 5e4, 1e308]))
+    """The text of a database file (0-12 records, each with a given radius
+    or a blank one with a finite contour), 0-3 records to add after
+    loading, with blank radii that may have no contour, and a grey margin;
+    a negative one, which only the constructor and the attribute take,
+    ends the grey region inside the protected radius."""
     rows = [f"r{i},AnalogPalD,{draw(CHANNELS)},{draw(COORDS)!r},{draw(COORDS)!r},"
             f"{draw(st.floats(40.0, 90.0))!r},30,-84,"
             f"{draw(st.one_of(st.just(''), RADII.map(repr)))}"
@@ -340,8 +342,8 @@ def mixed_database(draw):
                                        eirp=eirp, sid=f"a{i}"),
                        required_rx_dbm=draw(st.sampled_from([-84.0, eirp - 20.0])))
              for i, eirp in enumerate(draw(st.lists(st.floats(0.0, 70.0), max_size=3)))]
-    text = "\n".join([f"# grey_margin_m={margin!r}", ",".join(geodb.GEODB_FIELDS), *rows])
-    return text + "\n", added
+    text = "\n".join([",".join(geodb.GEODB_FIELDS), *rows])
+    return text + "\n", added, draw(st.sampled_from([0.0, -5e4, 1000.0, 5e4, 1e308]))
 
 
 def _outcome(query):
@@ -356,18 +358,21 @@ def _outcome(query):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(database=mixed_database(),
        point=st.tuples(COORDS, COORDS),
-       cenb_eirp=st.sampled_from([20.0, 36.0, 3000.0, 2e4, -100.0]))
+       cenb_eirp=st.sampled_from([20.0, 36.0, 3000.0, 2e4, -100.0]),
+       freq=st.sampled_from([700.0, 700.0, 700.0, 0.0]))
 def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, grid, database,
-                                                            point, cenb_eirp):
+                                                            point, cenb_eirp, freq):
     """The start-up query reads only the records near the point, yet returns
     what ``classify_region`` on the whole database gives channel by channel,
     or raises what it raises first, after the same number of its calls, one
-    per grid channel up to there.  A CeNB EIRP of -100 dBm has no contour."""
-    text, added = database
+    per grid channel up to there.  A CeNB EIRP of -100 dBm has no contour;
+    at 0 MHz the interference radius warns, where a record is on the grid."""
+    text, added, margin = database
     path = tmp_path_factory.mktemp("geodb") / "db.csv"
     path.write_text(text, encoding="utf-8")
     prop = PropagationConfig()
     db = load(path, prop)
+    db.grey_margin_m = margin
     for rec in added:
         db.add(rec)
 
@@ -377,7 +382,7 @@ def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, gr
         rows = []
         for ch in range(grid.n_channels):
             oracle_calls.append(ch)
-            rows.append((ch, classify_region(db, point, ch, cenb_eirp, prop, grid)))
+            rows.append((ch, classify_region(db, point, ch, cenb_eirp, prop, grid, freq)))
         return rows
 
     calls = []
@@ -389,6 +394,6 @@ def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, gr
     expected = _outcome(oracle)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geodb, "classify_region", counted)
-        assert _outcome(lambda: query_vacant_channels(db, point, cenb_eirp, prop, grid)) \
-            == expected
+        query = _outcome(lambda: query_vacant_channels(db, point, cenb_eirp, prop, grid, freq))
+    assert query == expected
     assert calls == oracle_calls
