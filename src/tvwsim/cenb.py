@@ -156,8 +156,8 @@ class CenbState:
     written, which covers the same channels, overwrites the view before
     ``spectrum_decision`` or ``execute_handover`` reads it, so between
     decisions the view may lag the last round sensed.  The data path is
-    down while ``retuning_at``, before ``retune_until_ms``; the frame
-    loop compares its downlink instants with that time as arrays.
+    down before ``retune_until_ms``; the frame loop compares its downlink
+    instants with that time as arrays.
     """
 
     id: str
@@ -189,9 +189,6 @@ class CenbState:
         """Black in the database view, or last sensed occupied."""
         return (self.region(channel_index) is Region.BLACK
                 or channel_index in self.occupied)
-
-    def retuning_at(self, t_ms):
-        return t_ms < self.retune_until_ms
 
 
 def block_clear(state, occupied):

@@ -135,8 +135,7 @@ def _cmd_geodb(args):
         print("id,channel,protected_radius_m")
         for key in sorted(db.records):
             rec = db.records[key]
-            radius = geodb_mod.protected_radius(rec, prop, args.freq)
-            print(f"{key},{rec.service.channel_index},{radius:.10g}")
+            print(f"{key},{rec.service.channel_index},{rec.protected_radius_m:.10g}")
     return EXIT_OK
 
 

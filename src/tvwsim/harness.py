@@ -46,12 +46,14 @@ same verdicts), whether they leave its block clear, and each frame's
 downlink slots blocked by a TV on the block, the retune window or
 holding no block.  The frames up to the next boundary that may change a
 state form a quiet stretch: their boundaries only log their epochs.
-Only at an event boundary does Python run per CeNB: ``execute_handover``
-for the handovers that activate there, then ``CenbState.record_view``
-and ``spectrum_decision`` for each CeNB that handed over or whose last
-round was not clear.  A CeNB whose round left its block clear skips both:
-the decision would be None, and its next round covers the same channels,
-so it overwrites the view before the next decision or handover reads it.
+Only at an event boundary does Python run per CeNB: ``record_view`` of
+the last round, then ``execute_handover``, for the handovers that
+activate there, then ``record_view`` and ``spectrum_decision`` for each
+other CeNB whose last round was not clear, and ``spectrum_decision`` for
+the ones that handed over.  A CeNB whose round left its block clear
+skips both: the decision would be None, and its next round covers the
+same channels, so it overwrites the view before the next decision or
+handover reads it.
 A handover ends the rounds, and the next ones start at its frame.
 
 When a run of rounds ends, its ``SENSE`` rows join the event list in one
@@ -500,7 +502,7 @@ def load_scenario(path):
                            initial_block=None)]
     # A CeNB's interference contour must exist wherever a record
     # constrains a grid channel.
-    if db is not None and (db.columns().channel < grid.n_channels).any():
+    if db is not None and (db.columns.channel < grid.n_channels).any():
         for n, setup in enumerate(cenbs, start=1):
             try:
                 contour_radius_m(setup.tx_power_dbm, db.protection_floor_dbm, prop)
@@ -763,6 +765,12 @@ def run_simulation(cfg):
     ids = [state.id for state in states]
     details = {}        # SENSE details by (monitored, occupied) count, shared by the rows
 
+    def write_view(rounds, last, idx, state):
+        """Write CeNB ``idx``'s round at row ``last`` of ``rounds`` into its sensing view."""
+        state.record_view(rounds.held.monitored[idx],
+                          np.flatnonzero(rounds.hits[last, idx]).tolist(),
+                          float(rounds.t_sense[last]))
+
     def settle(rounds, stop):
         """Log the SENSE rows and count the downlink of ``rounds``' frames before ``stop``.
 
@@ -807,11 +815,14 @@ def run_simulation(cfg):
             if frame > 0 and frame % epoch == 0:
                 events.append((t0, "asm", "ASM_EPOCH", held.asm_detail))
             handed_over = []    # ids of the CeNBs that execute a handover here
+            last = None if rounds is None else frame - 1 - rounds.start    # its row there
             if decided:
-                for state in states:
+                for idx, state in enumerate(states):
                     msg = state.pending_handover
                     if msg is not None and msg.activation_frame == frame:
                         handed_over.append(state.id)
+                        # The abort test reads the round sensed since the decision.
+                        write_view(rounds, last, idx, state)
                         state, ev = execute_handover(state, msg, t0, cfg.retune_ms)
                         metrics.handover_records.append(ev)
                         if ev.aborted:
@@ -822,16 +833,13 @@ def run_simulation(cfg):
                             events.append((ev.t_restored_ms, state.id, "RETUNE_END",
                                            f"bw={state.bandwidth_mhz}"))
             decided = False
-            last = None if rounds is None else frame - 1 - rounds.start    # its row there
             if last is not None and (handed_over or not rounds.quiet[last]):
                 clear = rounds.clear[last].tolist()
                 for idx, state in enumerate(states):
-                    if (state.pending_handover is None and state.id not in handed_over
-                            and clear[idx]):
-                        continue
-                    state.record_view(rounds.held.monitored[idx],
-                                      np.flatnonzero(rounds.hits[last, idx]).tolist(),
-                                      float(rounds.t_sense[last]))
+                    if state.id not in handed_over:
+                        if state.pending_handover is None and clear[idx]:
+                            continue
+                        write_view(rounds, last, idx, state)
                     msg = spectrum_decision(state, cfg.grid, frame_no=frame)
                     if msg is not None:
                         decided = True

@@ -600,10 +600,6 @@ def _parse_schedule(text):
     return tuple(out)
 
 
-def format_schedule(schedule):
-    return ";".join(f"{on:g}:{off:g}" for on, off in schedule)
-
-
 TRANSMITTER_FIELDS = ["id", "standard", "channel", "x_m", "y_m", "eirp_dbm",
                       "height_m", "schedule"]
 
@@ -620,14 +616,3 @@ def transmitters_from_csv(path):
                 antenna_height_m=finite_float(height),
                 schedule=_parse_schedule(schedule.strip())))
     return txs
-
-
-def transmitters_to_csv(txs, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRANSMITTER_FIELDS)
-        for tx in txs:
-            writer.writerow([tx.id, tx.standard.value, tx.channel_index,
-                             f"{tx.location[0]:g}", f"{tx.location[1]:g}",
-                             f"{tx.eirp_dbm:g}", f"{tx.antenna_height_m:g}",
-                             format_schedule(tx.schedule)])

@@ -232,6 +232,8 @@ def channel_verdicts(cfg, sums_mw):
 def detect_channels(cfg, mw, windows=None):
     """Carrier statistics (dBm) and verdicts for every channel of ``windows``.
 
+    The one-spectrum reference API that the frame-loop tests compare against.
+
     ``mw`` holds bin powers and ``windows`` the bin indices of
     ``carrier_windows``; with ``windows=None``, ``mw`` holds the powers
     already taken at those bins, shape (..., channels, carriers, width),

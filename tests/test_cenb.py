@@ -194,7 +194,7 @@ class TestExecuteHandover:
         assert event.t_restored_ms == 1030.0
         assert event.t_restored_ms - 1003.0 <= 30.0
         assert state.active_block == msg.target_block
-        assert state.retuning_at(1025.0) and not state.retuning_at(1030.0)
+        assert state.retune_until_ms == 1030.0
 
     def test_message_for_another_cenb_rejected(self, grid):
         state = make_state(block=(24, 25, 26))

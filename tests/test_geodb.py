@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -86,10 +88,8 @@ class TestProtectedRadius:
 
 class TestRegions:
     def make_db(self, prop):
-        db = GeoDb()
-        db.add(GeoRecord(service=service(channel=10, eirp=60.0),
-                         required_rx_dbm=-84.0))
-        return db
+        return GeoDb([GeoRecord(service=service(channel=10, eirp=60.0), required_rx_dbm=-84.0)],
+                     prop)
 
     def test_point_at_transmitter_is_black(self, prop, grid):
         db = self.make_db(prop)
@@ -180,32 +180,35 @@ class TestSeparationTable:
         assert separation_table_from_csv(path) == self.table()
 
 
+def saved_state(db):
+    """What ``save`` writes of a database: its records and its metadata."""
+    return db.records, (db.grey_margin_m, db.protection_floor_dbm, db.version)
+
+
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         db = GeoDb()
         path = tmp_path / "db.csv"
         save(db, path)
-        assert load(path) == db
+        assert saved_state(load(path)) == saved_state(db)
 
     def test_three_record_round_trip(self, tmp_path, prop):
-        db = GeoDb(grey_margin_m=500.0, protection_floor_dbm=-110.0)
-        for i, ch in enumerate((3, 10, 20)):
-            db.add(GeoRecord(service=service(channel=ch, x=100.0 * i, sid=f"s{i}"),
-                             required_rx_dbm=-84.0,
-                             protected_radius_m=1000.0 + i))
+        db = GeoDb([GeoRecord(service=service(channel=ch, x=100.0 * i, sid=f"s{i}"),
+                              required_rx_dbm=-84.0, protected_radius_m=1000.0 + i)
+                    for i, ch in enumerate((3, 10, 20))],
+                   grey_margin_m=500.0, protection_floor_dbm=-110.0, version=3)
         path = tmp_path / "db.csv"
         save(db, path)
         loaded = load(path, prop)
-        assert loaded == db
-        assert loaded.version == db.version
+        assert saved_state(loaded) == saved_state(db)
+        assert loaded.version == 3
         assert list(loaded.records) == sorted(db.records)
 
     def test_blank_radius_computed_on_load(self, tmp_path, prop):
-        db = GeoDb()
-        db.add(GeoRecord(service=service(eirp=60.0), required_rx_dbm=-84.0,
-                         protected_radius_m=None))
         path = tmp_path / "db.csv"
-        save(db, path)
+        path.write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,"
+                        "required_rx_dbm,protected_radius_m\n"
+                        "svc,AnalogPalD,10,0.0,0.0,60.0,10.0,-84.0,\n")
         loaded = load(path, prop)
         rec = loaded.records["svc"]
         assert rec.protected_radius_m == pytest.approx(1886.0, abs=10.0)
@@ -226,19 +229,12 @@ class TestPersistence:
         with pytest.raises(ParseError, match=":2"):
             load(path)
 
-    def test_version_counts_mutations(self):
-        db = GeoDb()
-        db.add(GeoRecord(service=service(sid="a"), required_rx_dbm=-84.0,
-                         protected_radius_m=1.0))
-        db.add(GeoRecord(service=service(sid="b"), required_rx_dbm=-84.0,
-                         protected_radius_m=1.0))
-        db.remove("a")
-        assert db.version == 3
 
-
-def loop_classify(db, point, channel, cenb_eirp, prop, freq=700.0):
-    """Reference: the per-record scan, in record order."""
-    records = [r for r in db.records.values() if r.service.channel_index == channel]
+def loop_classify(db, records, point, channel, cenb_eirp, prop, freq=700.0):
+    """Reference: the per-record scan of ``records``, in record order, with
+    the grey-boundary parameters of ``db``; a blank radius is resolved
+    where the scan meets it."""
+    records = [r for r in records if r.service.channel_index == channel]
     if not records:
         return Region.WHITE
     r_interf = contour_radius_m(cenb_eirp, db.protection_floor_dbm, prop, freq)
@@ -255,66 +251,72 @@ def loop_classify(db, point, channel, cenb_eirp, prop, freq=700.0):
 
 
 class TestChannelArrays:
-    def random_db(self, seed, n_records=300):
+    def random_records(self, seed, n_records=300):
+        """Records with random sites, EIRPs and channels; every fifth radius blank."""
         rng = np.random.default_rng(seed)
-        db = GeoDb()
+        records = []
         for i in range(n_records):
             radius = None if i % 5 == 0 else float(rng.uniform(500.0, 3000.0))
-            db.add(GeoRecord(service=service(channel=int(rng.integers(0, 37)),
-                                             x=float(rng.uniform(-20e3, 20e3)),
-                                             y=float(rng.uniform(-20e3, 20e3)),
-                                             eirp=float(rng.uniform(50.0, 70.0)),
-                                             sid=f"r{i}"),
-                             required_rx_dbm=-84.0, protected_radius_m=radius))
-        return db
+            records.append(GeoRecord(service=service(channel=int(rng.integers(0, 37)),
+                                                     x=float(rng.uniform(-20e3, 20e3)),
+                                                     y=float(rng.uniform(-20e3, 20e3)),
+                                                     eirp=float(rng.uniform(50.0, 70.0)),
+                                                     sid=f"r{i}"),
+                                     required_rx_dbm=-84.0, protected_radius_m=radius))
+        return records
 
-    def assert_matches_the_scan(self, db, prop, grid, points):
+    def assert_matches_the_scan(self, records, prop, grid, points):
+        db = GeoDb(records, prop)
         seen = set()
         for point in points:
             for ch in range(grid.n_channels):
                 region = classify_region(db, point, ch, 20.0, prop, grid)
-                assert region is loop_classify(db, point, ch, 20.0, prop), (point, ch)
+                assert region is loop_classify(db, records, point, ch, 20.0, prop), (point, ch)
                 seen.add(region)
         return seen
 
     def test_matches_the_per_record_scan(self, prop, grid):
-        db = self.random_db(11)
+        records = self.random_records(11)
         points = np.random.default_rng(12).uniform(-20e3, 20e3, size=(40, 2))
-        seen = self.assert_matches_the_scan(db, prop, grid, points)
+        seen = self.assert_matches_the_scan(records, prop, grid, points)
         assert seen == {Region.BLACK, Region.GREY, Region.WHITE}
 
-    def test_stays_right_after_add_and_remove(self, prop, grid):
-        db = self.random_db(21, n_records=60)
+    def test_matches_the_scan_with_a_record_more_and_with_half_the_records(self, prop, grid):
+        records = self.random_records(21, n_records=60)
         points = np.random.default_rng(22).uniform(-20e3, 20e3, size=(15, 2))
-        self.assert_matches_the_scan(db, prop, grid, points)
-        db.add(GeoRecord(service=service(channel=4, x=float(points[0, 0]),
-                                         y=float(points[0, 1]), sid="new"),
-                         required_rx_dbm=-84.0))
-        assert classify_region(db, points[0], 4, 20.0, prop, grid) is Region.BLACK
-        self.assert_matches_the_scan(db, prop, grid, points)
-        for key in list(db.records)[::2]:
-            db.remove(key)
-        self.assert_matches_the_scan(db, prop, grid, points)
+        self.assert_matches_the_scan(records, prop, grid, points)
+        records.append(GeoRecord(service=service(channel=4, x=float(points[0, 0]),
+                                                 y=float(points[0, 1]), sid="new"),
+                                 required_rx_dbm=-84.0))
+        assert classify_region(GeoDb(records, prop), points[0], 4, 20.0, prop,
+                               grid) is Region.BLACK
+        self.assert_matches_the_scan(records, prop, grid, points)
+        self.assert_matches_the_scan(records[1::2], prop, grid, points)
 
     def test_degenerate_contour_only_with_a_co_channel_record(self, prop, grid):
-        db = GeoDb()
-        db.add(GeoRecord(service=service(channel=10, x=50e3), required_rx_dbm=-84.0))
+        db = GeoDb([GeoRecord(service=service(channel=10, x=50e3), required_rx_dbm=-84.0)], prop)
         # A CeNB EIRP below the protection floor plus the reference loss
         # has no interference contour: that matters only where a record is.
         assert classify_region(db, (0.0, 0.0), 11, -100.0, prop, grid) is Region.WHITE
         with pytest.raises(DegenerateContourError):
             classify_region(db, (0.0, 0.0), 10, -100.0, prop, grid)
 
-    def test_degenerate_record_after_a_black_one_is_not_reached(self, prop, grid):
-        db = GeoDb()
-        db.add(GeoRecord(service=service(channel=10, sid="near"), required_rx_dbm=-84.0,
-                         protected_radius_m=1000.0))
+    def test_a_blank_record_without_a_contour_fails_the_build(self, prop):
+        near = GeoRecord(service=service(channel=10, sid="near"), required_rx_dbm=-84.0,
+                         protected_radius_m=1000.0)
         # Its contour needs -20 dBm at 1 m from a 0 dBm service: degenerate.
-        db.add(GeoRecord(service=service(channel=10, x=9e3, eirp=0.0, sid="weak"),
-                         required_rx_dbm=-20.0))
-        assert classify_region(db, (0.0, 0.0), 10, 20.0, prop, grid) is Region.BLACK
+        weak = GeoRecord(service=service(channel=10, x=9e3, eirp=0.0, sid="weak"),
+                         required_rx_dbm=-20.0)
         with pytest.raises(DegenerateContourError):
-            classify_region(db, (5e3, 0.0), 10, 20.0, prop, grid)
+            GeoDb([near, weak], prop)
+        # With a given radius it has no contour to compute.
+        db = GeoDb([near, replace(weak, protected_radius_m=500.0)], prop)
+        assert db.records["weak"].protected_radius_m == 500.0
+
+    def test_a_repeated_id_fails_the_build(self, prop):
+        rec = GeoRecord(service=service(sid="twice"), required_rx_dbm=-84.0)
+        with pytest.raises(ValueError, match="'twice'"):
+            GeoDb([rec, rec], prop)
 
 
 # Coordinates near the query points, far from them, and at the ends of the
@@ -330,10 +332,10 @@ RADII = st.one_of(st.floats(1.0, 5e3), st.sampled_from([1e-300, 1e150, 1e308]))
 @st.composite
 def mixed_database(draw):
     """The text of a database file (0-12 records, each with a given radius
-    or a blank one with a finite contour), 0-3 records to add after
-    loading, with blank radii that may have no contour, and a grey margin;
-    a negative one, which only the constructor and the attribute take,
-    ends the grey region inside the protected radius."""
+    or a blank one with a finite contour), 0-3 more records to build the
+    database with, with blank radii that may have no contour, and a grey
+    margin; a negative one, which only the constructor takes, ends the
+    grey region inside the protected radius."""
     rows = [f"r{i},AnalogPalD,{draw(CHANNELS)},{draw(COORDS)!r},{draw(COORDS)!r},"
             f"{draw(st.floats(40.0, 90.0))!r},30,-84,"
             f"{draw(st.one_of(st.just(''), RADII.map(repr)))}"
@@ -366,15 +368,21 @@ def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, gr
     what ``classify_region`` on the whole database gives channel by channel,
     or raises what it raises first, after the same number of its calls, one
     per grid channel up to there.  A CeNB EIRP of -100 dBm has no contour;
-    at 0 MHz the interference radius warns, where a record is on the grid."""
+    at 0 MHz the interference radius warns, where a record is on the grid.
+    The database is the loaded records and the added ones, less those with
+    a blank radius and no contour, which fail the build."""
     text, added, margin = database
     path = tmp_path_factory.mktemp("geodb") / "db.csv"
     path.write_text(text, encoding="utf-8")
     prop = PropagationConfig()
-    db = load(path, prop)
-    db.grey_margin_m = margin
-    for rec in added:
-        db.add(rec)
+    loaded = load(path, prop)
+    degenerate = [rec for rec in added
+                  if rec.service.eirp_dbm - rec.required_rx_dbm < prop.ref_loss(700.0)]
+    if degenerate:
+        with pytest.raises(DegenerateContourError):
+            GeoDb([*loaded.records.values(), *added], prop)
+    db = GeoDb([*loaded.records.values(), *(rec for rec in added if rec not in degenerate)],
+               prop, grey_margin_m=margin, protection_floor_dbm=loaded.protection_floor_dbm)
 
     oracle_calls = []
 

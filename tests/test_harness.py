@@ -655,6 +655,34 @@ def test_edge_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch, n
         assert np.array_equal(other_metrics.plr, metrics.plr)
 
 
+def test_a_retune_aborts_on_a_target_the_last_round_found_occupied(tmp_path):
+    """fig17 with tv-b switching on at 1012 ms on channel 1, 300 m from
+    cenb1.  cenb1 decides at 1010 ms on the round of 1003 ms to move to
+    0,1,2; the round of 1013 ms finds tv-b there, so the handover that
+    activates at 1020 ms aborts, and cenb1 decides again on that round."""
+    (tmp_path / "tx.csv").write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                                     "tv-a,AnalogPalD,25,300,0,43,30,1000:2000\n"
+                                     "tv-b,AnalogPalD,1,300,0,43,30,1012:2000\n",
+                                     encoding="utf-8")
+    fig17 = (SCENARIOS / "handover_fig17.ini").read_text(encoding="utf-8")
+    scenario = tmp_path / "abort.ini"
+    scenario.write_text(fig17.replace("transmitters_fig17.csv", "tx.csv"), encoding="utf-8")
+    metrics, events = harness.run_simulation(harness.load_scenario(scenario))
+    assert [row for row in events if row[2] not in ("SENSE", "ASM_EPOCH")] == [
+        (1010.0, "cenb1", "DECIDE", "target=0,1,2 bw=20"),
+        (1011.0, "cenb1", "BROADCAST", "pcogch activation_frame=102"),
+        (1020.0, "cenb1", "RETUNE_ABORT", "target occupied"),
+        (1020.0, "cenb1", "DECIDE", "target=12,13,14 bw=20"),
+        (1021.0, "cenb1", "BROADCAST", "pcogch activation_frame=103"),
+        (1030.0, "cenb1", "RETUNE_START", "to=12,13,14"),
+        (1040.0, "cenb1", "RETUNE_END", "bw=20")]
+    assert [(ev.aborted, ev.to_block) for ev in metrics.handover_records] == [
+        (True, ()), (False, (12, 13, 14))]
+    harness.emit_report(metrics, tmp_path / "out", events)
+    assert (hashlib.sha256((tmp_path / "out" / "events.csv").read_bytes()).hexdigest()
+            == "f53f4919f8c193d1ad8e1cc35e2172a83d90934e8ffc9fa87f26e9d2ba78998a")
+
+
 # plr.csv, events.csv and handover_summary.txt of the run below.
 REPORT_DIGESTS = {
     "plr.csv": "ad9da1cba45d5c56358b28de7562caa7cf70b4d317a6adeacec5a1007bd73dbd",
@@ -665,9 +693,8 @@ REPORT_DIGESTS = {
 
 def test_report_bytes_are_pinned(tmp_path):
     """The report of fig17 with random loss and an ASM epoch every 40
-    frames, with one aborted retune added to the run's rows: the frame
-    loop writes a CeNB's view only after its boundary's handovers, so no
-    simulated run aborts one."""
+    frames, with one aborted retune added to the run's rows (fig17 itself
+    aborts none)."""
     cfg = replace(harness.load_scenario(SCENARIOS / "handover_fig17.ini"),
                   asm_epoch_frames=40, random_loss_floor=0.03)
     metrics, events = harness.run_simulation(cfg)

@@ -22,7 +22,6 @@ from tvwsim.radio_env import (
     synthesize_tv_spectrum,
     thermal_noise_dbm,
     transmitters_from_csv,
-    transmitters_to_csv,
 )
 
 
@@ -211,12 +210,14 @@ class TestReceivedSpectrum:
 
 
 class TestTransmitterCsv:
-    def test_round_trip(self, tmp_path):
+    def test_rows_load_as_transmitters(self, tmp_path):
         txs = [pal_tx(channel=25, x=300.0, eirp=43.0, schedule=((1000.0, 2000.0),)),
                TvTransmitter(id="d", standard=TvStandard.DIGITAL_DTMB,
                              channel_index=3, location=(-50.0, 80.0), eirp_dbm=37.0)]
         path = tmp_path / "txs.csv"
-        transmitters_to_csv(txs, path)
+        path.write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,schedule\n"
+                        "t,AnalogPalD,25,300,0,43,10,1000:2000\n"
+                        "d,DigitalDtmb,3,-50,80,37,10,\n", encoding="utf-8")
         assert transmitters_from_csv(path) == txs
 
     def test_bad_header_rejected(self, tmp_path):
