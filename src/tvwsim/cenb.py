@@ -252,13 +252,16 @@ def spectrum_decision(state, grid, frame_no):
     if block_clear(state, state.occupied):
         return None
 
-    def usable(ch):
-        # Grey channels count as vacant only once sensing has cleared them.
-        if ch in active or state.unavailable(ch):
-            return False
-        return state.region(ch) is not Region.GREY or ch in state.sensed_ms
-
-    run = best_vacant_run(grid, [ch for ch in range(grid.n_channels) if usable(ch)])
+    # Usable: outside the active block, not last sensed occupied, not
+    # Black, and not Grey unless sensing has cleared it.  (The members are
+    # read once: an Enum attribute lookup costs as much as the test.)
+    regions, occupied, sensed_ms = state.region_cache, state.occupied, state.sensed_ms
+    black, grey = Region.BLACK, Region.GREY
+    usable = [ch for ch in range(grid.n_channels)
+              if ch not in active and ch not in occupied
+              and (region := regions.get(ch)) is not black
+              and (region is not grey or ch in sensed_ms)]
+    run = best_vacant_run(grid, usable)
     block = tuple(run[:MAX_BLOCK_CHANNELS])
     if state.active_block is None and not block:
         return None

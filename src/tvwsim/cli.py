@@ -8,6 +8,11 @@ input file: the scenario and study INI files, and the six CSV formats
 sweep trace and sub-band table).  A bad value in any of them is exit 2
 with one ``error:`` line that names the file (and, in a CSV file, the
 line), printed before anything goes to stdout.
+
+A command builds the argument parser of the subcommand it runs, not
+those of all five: ``main`` registers only the subcommand named first,
+and every one only where it has to list them (``-h``, no arguments, an
+unknown name).  Help, usage and error text are the same either way.
 """
 
 import argparse
@@ -176,17 +181,14 @@ def _cmd_occupancy(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tvwsim",
-        description="Cognitive TD-LTE in the TV band: simulator and analytics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_simulate(sub):
     p = sub.add_parser("simulate", help="run a scenario and emit metrics")
     p.add_argument("scenario", help="scenario INI file")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
+
+def _add_roc(sub):
     p = sub.add_parser("roc", help="detector ROC over received power levels")
     p.add_argument("calibration", help="calibration CSV, or 'default'")
     p.add_argument("--powers", default="-130:-110:1", help="lo:hi:step dBm sweep")
@@ -195,11 +197,15 @@ def build_parser():
     p.add_argument("--out", default=None, help="write roc CSV here")
     p.set_defaults(func=_cmd_roc)
 
+
+def _add_acir(sub):
     p = sub.add_parser("acir", help="coexistence sweep and guard-band pick")
     p.add_argument("study", help="study INI file")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=_cmd_acir)
 
+
+def _add_geodb(sub):
     p = sub.add_parser("geodb", help="geo-location database queries")
     gsub = p.add_subparsers(dest="geodb_cmd", required=True)
     for name in ("query", "contour"):
@@ -222,6 +228,8 @@ def build_parser():
     g.add_argument("--height", type=finite_float, required=True)
     p.set_defaults(func=_cmd_geodb)
 
+
+def _add_occupancy(sub):
     p = sub.add_parser("occupancy", help="duty-cycle analytics over a trace")
     p.add_argument("trace", help="sweep trace CSV")
     p.add_argument("--band-low", type=finite_float, default=470.0)
@@ -235,12 +243,52 @@ def build_parser():
     p.add_argument("--subbands", default=None, help="sub-band table CSV")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_occupancy)
+
+
+# Each subcommand's parser builder, in the order of the help's choice list.
+_SUBCOMMANDS = {
+    "simulate": _add_simulate,
+    "roc": _add_roc,
+    "acir": _add_acir,
+    "geodb": _add_geodb,
+    "occupancy": _add_occupancy,
+}
+
+
+def build_parser(command=None):
+    """The ``tvwsim`` parser with every subcommand, or with ``command``'s alone.
+
+    A one-subcommand parser parses that subcommand's arguments as the
+    full one does.  Its choice list is named in full as the subparsers'
+    metavar, so that an argument no parser knows is reported under the
+    full top-level usage line.  (On the full parser that metavar would
+    also rename the command in the no-command and invalid-choice errors,
+    which a one-subcommand parser never reports.)
+    """
+    parser = argparse.ArgumentParser(
+        prog="tvwsim",
+        description="Cognitive TD-LTE in the TV band: simulator and analytics")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        builders = _SUBCOMMANDS.values()
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        builders = [_SUBCOMMANDS[command]]
+    for add in builders:
+        add(sub)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Only the parser of the subcommand named first is built.  Without a
+    known name first (``-h``, no arguments, an unknown name) every
+    subcommand's is, for the help and the errors that list them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, FileNotFoundError) as exc:

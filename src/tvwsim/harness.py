@@ -23,13 +23,16 @@ as activity segments.  The radio work does not depend on any CeNB's
 decisions, so the loop does it for a block of consecutive frames at once
 (tens of frames when there are few CeNBs, a few when there are many): one
 activity query for every sensing instant and downlink subframe of the
-block, then, in passes of a few frames, the mean window powers of every
-frame and CeNB (shadowing drawn one frame at a time, in frame order),
-one unit-mean Gamma draw of the detector noise at all their window bins
-from the run's one sensing stream, and one k-of-n pass over the window
-sums in mW against the threshold's mW boundary
-(``sensing.threshold_mw``).  numpy fills a draw for many frames in the
-order of one draw per frame, so no output depends on the block length.
+block; on fixed link gains, the mean window powers of each distinct
+schedule segment among the block's sensing instants, formed once; then,
+in passes of a few frames, every frame and CeNB's mean window powers
+(gathered from those rows, or with shadowing formed one frame at a
+time, in frame order), one unit-mean Gamma draw of the detector noise
+at all their window bins from the run's one sensing stream, and one
+k-of-n pass over the window sums in mW against the threshold's mW
+boundary (``sensing.threshold_mw``).  numpy fills a draw for many
+frames in the order of one draw per frame, so no output depends on the
+block length.
 
 The loop then advances from event to event (next-event time advance).
 A CeNB's state changes only at a frame boundary where a handover it
@@ -592,7 +595,11 @@ class _BlockRadio:
     ``frames_per_pass`` frames.  The noise is one Gamma call per pass from
     the run's one sensing stream; numpy fills it in the order of one call
     per frame, so the values depend on neither the pass nor the block
-    length.  With shadowing, the mean powers take their ``path_loss``
+    length.  On fixed link gains a block's mean powers depend only on the
+    schedule segment of each sensing instant, so ``sense`` forms the rows
+    of the block's distinct segments in one ``mean_mw`` call and each pass
+    gathers its frames' rows from them: a block holds a few rows, not one
+    per frame.  With shadowing, the mean powers take their ``path_loss``
     draws one frame at a time, in frame order.
     """
 
@@ -624,16 +631,25 @@ class _BlockRadio:
         shape (frames, subframes, transmitters), the active transmitters.
         """
         t_ms = (np.arange(first, first + count) * FRAME_MS)[:, None] + self.offsets_ms
-        active = self.schedules.active(t_ms.ravel()).reshape(count, self.offsets_ms.size, -1)
+        on_air = self.schedules.active(t_ms[:, 1:]).reshape(count, self.offsets_ms.size - 1,
+                                                             self.tx_channel.size)
+        segment = self.schedules.segment(t_ms[:, 0])
+        fixed = self.links.fixed_gains is not None
+        if fixed:
+            # The block's distinct schedule segments, formed once; each
+            # pass gathers its frames' rows.
+            distinct, row = np.unique(segment, return_inverse=True)
+            table = self.links.mean_mw(self.schedules.segments[distinct])
         verdicts = np.empty((count, self.n_points, self.n_channels), dtype=bool)
         for lo in range(0, count, self.frames_per_pass):
             hi = min(lo + self.frames_per_pass, count)
-            window_mw = self.links.mean_mw(active[lo:hi, 0]).reshape(hi - lo, self.n_points,
-                                                                     *self.windows.shape)
+            window_mw = (table[row[lo:hi]] if fixed
+                         else self.links.mean_mw(self.schedules.segments[segment[lo:hi]]))
+            window_mw = window_mw.reshape(hi - lo, self.n_points, *self.windows.shape)
             window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
                                         size=window_mw.shape)
             verdicts[lo:hi] = sensing_mod.channel_verdicts(self.op_det, window_mw.sum(axis=-1))
-        return t_ms, verdicts, active[:, 1:]
+        return t_ms, verdicts, on_air
 
 
 class _HeldBlocks:
@@ -817,9 +833,10 @@ def run_simulation(cfg):
             handed_over = []    # ids of the CeNBs that execute a handover here
             last = None if rounds is None else frame - 1 - rounds.start    # its row there
             if decided:
+                # Every decision activates at the next boundary, this one.
                 for idx, state in enumerate(states):
                     msg = state.pending_handover
-                    if msg is not None and msg.activation_frame == frame:
+                    if msg is not None:
                         handed_over.append(state.id)
                         # The abort test reads the round sensed since the decision.
                         write_view(rounds, last, idx, state)
@@ -837,7 +854,7 @@ def run_simulation(cfg):
                 clear = rounds.clear[last].tolist()
                 for idx, state in enumerate(states):
                     if state.id not in handed_over:
-                        if state.pending_handover is None and clear[idx]:
+                        if clear[idx]:
                             continue
                         write_view(rounds, last, idx, state)
                     msg = spectrum_decision(state, cfg.grid, frame_no=frame)

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -125,11 +126,21 @@ class ChannelGrid:
             i, j = j, i
         return j == i + 1 and self.high_edge_mhz(i) == self.low_edges_mhz[j]
 
+    @cached_property
+    def _joined(self):
+        """Per channel i but the last: True when channels i and i + 1 share an edge."""
+        return [self.adjacent(i, i + 1) for i in range(self.n_channels - 1)]
+
     def contiguous_runs(self, indices):
-        """Group sorted channel indices into frequency-contiguous runs."""
+        """Group sorted channel indices into frequency-contiguous runs.
+
+        Reads which neighbours share an edge from ``_joined``, worked out
+        once per grid with ``adjacent``.
+        """
+        joined = self._joined
         runs = []
         for idx in sorted(set(indices)):
-            if runs and runs[-1][-1] == idx - 1 and self.adjacent(idx - 1, idx):
+            if runs and runs[-1][-1] == idx - 1 and joined[idx - 1]:
                 runs[-1].append(idx)
             else:
                 runs.append([idx])
@@ -214,7 +225,9 @@ class ScheduleTable:
     switches, so ``segments`` holds one (transmitters,) row of flags per
     stretch: row 0 before the first edge, row j from edge j - 1 up to
     edge j.  Intervals are [on_ms, off_ms); a transmitter with an empty
-    schedule is always on.
+    schedule is always on.  ``segment`` gives the row of each instant, so
+    a caller can form what depends only on the activity once per
+    distinct row; ``active`` gives the rows themselves.
     """
 
     def __init__(self, txs):
@@ -230,10 +243,14 @@ class ScheduleTable:
         self.segments = np.cumsum(change[:-1], axis=0, dtype=np.int8) > 0
         self.segments |= np.array([not tx.schedule for tx in txs], dtype=bool)
 
+    def segment(self, t_ms):
+        """(times,) index of the row of ``segments`` that holds each time."""
+        return np.searchsorted(self.edges_ms, np.asarray(t_ms, dtype=float).ravel(),
+                               side="right")
+
     def active(self, t_ms):
         """(times, transmitters) flags: True where a transmitter is on at a time."""
-        t = np.asarray(t_ms, dtype=float).ravel()
-        return self.segments[np.searchsorted(self.edges_ms, t, side="right")]
+        return self.segments[self.segment(t_ms)]
 
 
 def mw_to_dbm(mw):
@@ -368,7 +385,8 @@ class LinkArrays:
     ``bins`` (any integer index array into the grid-band spectrum,
     flattened).  ``mean_mw(active)`` is then the thermal floor plus the
     sum over the active transmitters of link gain x template.  Without
-    shadowing the link gains are fixed and computed here; with it, each
+    shadowing the link gains are fixed and computed here, as
+    ``fixed_gains`` (None with shadowing); with it, each
     activity mask makes one ``path_loss`` call over the active links,
     in (point, transmitter) row-major order.  ``noise_figure_db=None``
     omits the floor.
@@ -391,14 +409,14 @@ class LinkArrays:
                                    for tx in txs]).reshape(len(txs), bins.size)
         self.noise_mw = (0.0 if noise_figure_db is None
                          else dbm_to_mw(thermal_noise_dbm(rbw_khz, noise_figure_db)))
-        self._fixed_gains = None
+        self.fixed_gains = None
         if cfg.shadowing_sigma_db == 0:
-            self._fixed_gains = self.gains_mw(np.ones(len(txs), dtype=bool))
+            self.fixed_gains = self.gains_mw(np.ones(len(txs), dtype=bool))
 
     def gains_mw(self, active):
         """(points, active transmitters) link gains times EIRP, in mW."""
-        if self._fixed_gains is not None:
-            return self._fixed_gains[:, active]
+        if self.fixed_gains is not None:
+            return self.fixed_gains[:, active]
         loss = path_loss(self.cfg, self.distance_m[:, active], self.freq_mhz[active])
         return dbm_to_mw(self.eirp_dbm[active] - loss)
 
@@ -406,33 +424,20 @@ class LinkArrays:
         """(points, bins) mean power; ``active`` masks the transmitters that are on.
 
         A (rows, transmitters) ``active``, one mask per time, gives
-        (rows, points, bins).  With shadowing each row takes its own
-        ``path_loss`` draws, in row order.  Without, each distinct mask is
-        formed once and its rows repeat its powers.  Either way a mask's
-        powers are one ``gains_mw(on) @ templates[on]``: the active
-        transmitters are sliced out, not multiplied by a 0/1 mask, so the
-        sum runs over the same terms in the same order.
+        (rows, points, bins), each row formed on its own: with shadowing
+        each takes its own ``path_loss`` draws, in row order.  On fixed
+        gains equal masks give equal rows, so a caller that repeats a mask
+        passes it once and repeats its powers (the frame loop passes the
+        distinct schedule segments of a block).  A mask's powers are one
+        ``gains_mw(on) @ templates[on]``: the active transmitters are
+        sliced out, not multiplied by a 0/1 mask, so the sum runs over the
+        same terms in the same order.
         """
         if active.ndim == 1:
             return self.mean_mw(active[None])[0]
         out = np.empty((len(active), len(self.distance_m), self.templates.shape[1]))
-        if self._fixed_gains is None:
-            for row, on in enumerate(active):
-                np.matmul(self.gains_mw(on), self.templates[on], out=out[row])
-        else:
-            # Each run of equal rows copies the powers of its mask's first
-            # row.  np.unique(axis=0) would cost more than the products it
-            # saves on a block's few rows.
-            changed = np.ones(len(active), dtype=bool)
-            changed[1:] = (active[1:] != active[:-1]).any(axis=1)
-            heads = np.flatnonzero(changed).tolist()
-            formed = {}
-            for head, end in zip(heads, heads[1:] + [len(active)]):
-                on = active[head]
-                first = formed.setdefault(on.tobytes(), head)
-                if first == head:
-                    np.matmul(self.gains_mw(on), self.templates[on], out=out[head])
-                out[head:end] = out[first]
+        for row, on in enumerate(active):
+            np.matmul(self.gains_mw(on), self.templates[on], out=out[row])
         out += self.noise_mw
         return out
 

@@ -59,3 +59,39 @@ def test_an_extra_argument_is_reported_with_the_top_level_usage(monkeypatch, cap
     assert _run(["simulate", "a", "b"], capsys) == (
         2, "", "usage: tvwsim [-h] {simulate,roc,acir,geodb,occupancy} ...\n"
                "tvwsim: error: unrecognized arguments: b\n")
+
+
+# The pinned lines and lines that parse, each led by a subcommand's name.
+PARSED = [
+    "simulate s.ini --out o",
+    "roc default --powers=-120:-110:5 --trials 10 --seed 3 --out r.csv",
+    "acir study.ini",
+    "geodb query db.csv --x 0 --y=-5 --eirp 30 --exclude=",
+    "geodb contour db.csv --freq 600 --ref-loss-db 30",
+    "geodb separation --power 30 --height 30",
+    "occupancy t.csv --threshold-dbm -90 --subbands s.csv --out o",
+    "geodb separation --power 30 --height 30 --exponent=9",
+    "geodb query db.csv --x=nan --y=0",
+    "geodb nosuch",
+    "occupancy t.csv --threshold-dbm=-inf",
+    "roc",
+    "acir --out",
+]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace ``parser`` gives ``argv``, else its (exit code, stdout, stderr)."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line", [line for line in [*sorted(PINS), *PARSED]
+                                  if line.split()[:1] and line.split()[0] in cli._SUBCOMMANDS])
+def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    assert (_parse(cli.build_parser(argv[0]), argv, capsys)
+            == _parse(cli.build_parser(), argv, capsys))

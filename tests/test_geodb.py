@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvwsim import geodb
@@ -342,7 +342,7 @@ def mixed_database(draw):
             for i in range(draw(st.integers(0, 12)))]
     added = [GeoRecord(service=service(channel=draw(CHANNELS), x=draw(COORDS), y=draw(COORDS),
                                        eirp=eirp, sid=f"a{i}"),
-                       required_rx_dbm=draw(st.sampled_from([-84.0, eirp - 20.0])))
+                       required_rx_dbm=draw(st.sampled_from([-84.0, eirp - 30.0, eirp - 20.0])))
              for i, eirp in enumerate(draw(st.lists(st.floats(0.0, 70.0), max_size=3)))]
     text = "\n".join([",".join(geodb.GEODB_FIELDS), *rows])
     return text + "\n", added, draw(st.sampled_from([0.0, -5e4, 1000.0, 5e4, 1e308]))
@@ -356,52 +356,62 @@ def _outcome(query):
         return type(exc), str(exc)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(database=mixed_database(),
-       point=st.tuples(COORDS, COORDS),
-       cenb_eirp=st.sampled_from([20.0, 36.0, 3000.0, 2e4, -100.0]),
-       freq=st.sampled_from([700.0, 700.0, 700.0, 0.0]))
-def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, grid, database,
-                                                            point, cenb_eirp, freq):
+def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, grid):
     """The start-up query reads only the records near the point, yet returns
     what ``classify_region`` on the whole database gives channel by channel,
     or raises what it raises first, after the same number of its calls, one
     per grid channel up to there.  A CeNB EIRP of -100 dBm has no contour;
     at 0 MHz the interference radius warns, where a record is on the grid.
     The database is the loaded records and the added ones, less those with
-    a blank radius and no contour, which fail the build."""
-    text, added, margin = database
-    path = tmp_path_factory.mktemp("geodb") / "db.csv"
-    path.write_text(text, encoding="utf-8")
-    prop = PropagationConfig()
-    loaded = load(path, prop)
-    degenerate = [rec for rec in added
-                  if rec.service.eirp_dbm - rec.required_rx_dbm < prop.ref_loss(700.0)]
-    if degenerate:
-        with pytest.raises(DegenerateContourError):
-            GeoDb([*loaded.records.values(), *added], prop)
-    db = GeoDb([*loaded.records.values(), *(rec for rec in added if rec not in degenerate)],
-               prop, grey_margin_m=margin, protection_floor_dbm=loaded.protection_floor_dbm)
+    a blank radius and no contour, which fail the build.  Some added
+    records sit 30 dB above their level, just past the 29.3 dB reference
+    loss at 700 MHz, so near the contour edge: at least one of them must
+    be kept and reach the comparison."""
+    kept_near_edge = []
 
-    oracle_calls = []
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(database=mixed_database(),
+           point=st.tuples(COORDS, COORDS),
+           cenb_eirp=st.sampled_from([20.0, 36.0, 3000.0, 2e4, -100.0]),
+           freq=st.sampled_from([700.0, 700.0, 700.0, 0.0]))
+    def check(database, point, cenb_eirp, freq):
+        text, added, margin = database
+        path = tmp_path_factory.mktemp("geodb") / "db.csv"
+        path.write_text(text, encoding="utf-8")
+        prop = PropagationConfig()
+        loaded = load(path, prop)
+        degenerate = [rec for rec in added
+                      if rec.service.eirp_dbm - rec.required_rx_dbm < prop.ref_loss(700.0)]
+        if degenerate:
+            with pytest.raises(DegenerateContourError):
+                GeoDb([*loaded.records.values(), *added], prop)
+        kept = [rec for rec in added if rec not in degenerate]
+        kept_near_edge.extend(rec for rec in kept
+                              if rec.service.eirp_dbm - rec.required_rx_dbm < 31.0)
+        db = GeoDb([*loaded.records.values(), *kept], prop, grey_margin_m=margin,
+                   protection_floor_dbm=loaded.protection_floor_dbm)
 
-    def oracle():
-        rows = []
-        for ch in range(grid.n_channels):
-            oracle_calls.append(ch)
-            rows.append((ch, classify_region(db, point, ch, cenb_eirp, prop, grid, freq)))
-        return rows
+        oracle_calls = []
 
-    calls = []
+        def oracle():
+            rows = []
+            for ch in range(grid.n_channels):
+                oracle_calls.append(ch)
+                rows.append((ch, classify_region(db, point, ch, cenb_eirp, prop, grid, freq)))
+            return rows
 
-    def counted(db, point, channel_index, *args, **kwargs):
-        calls.append(channel_index)
-        return classify_region(db, point, channel_index, *args, **kwargs)
+        calls = []
 
-    expected = _outcome(oracle)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geodb, "classify_region", counted)
-        query = _outcome(lambda: query_vacant_channels(db, point, cenb_eirp, prop, grid, freq))
-    assert query == expected
-    assert calls == oracle_calls
+        def counted(db, point, channel_index, *args, **kwargs):
+            calls.append(channel_index)
+            return classify_region(db, point, channel_index, *args, **kwargs)
+
+        expected = _outcome(oracle)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geodb, "classify_region", counted)
+            query = _outcome(lambda: query_vacant_channels(db, point, cenb_eirp, prop, grid, freq))
+        assert query == expected
+        assert calls == oracle_calls
+
+    check()
+    assert kept_near_edge

@@ -5,6 +5,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,33 @@ def test_frame_loop_window_means_equal_the_single_point_api(tmp_path):
                     cfg.grid.center_mhz(tx.channel_index)))
                 for tx, is_on in zip(cfg.transmitters, on) if is_on)
             np.testing.assert_allclose(mean, total[windows], rtol=1e-12)
+
+
+def test_block_radio_forms_each_distinct_segment_once(tmp_path, monkeypatch):
+    """On fixed gains a block forms the window powers of each distinct
+    schedule segment among its sensing instants once, and each frame's
+    powers are its own mask's, bit for bit.  The array scenario's 40
+    sensing instants fall in 5 segments of 3 distinct masks."""
+    cfg, points, det = _array_scenario(tmp_path)
+    op_det = replace(det, target_pfa=0.05, threshold_dbm=None)
+    op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+    radio = harness._BlockRadio(cfg, op_det, points, [3.0, 5.0])
+    schedules = ScheduleTable(cfg.transmitters)
+    sensing = schedules.active(np.arange(40) * 10.0 + 3.0)
+    expected = [radio.links.mean_mw(on).reshape(len(points), *radio.windows.shape).sum(axis=-1)
+                for on in sensing]
+    formed, sums = [], []
+    gains_mw = radio.links.gains_mw
+    monkeypatch.setattr(radio.links, "gains_mw",
+                        lambda on: formed.append(on.tolist()) or gains_mw(on))
+    channel_verdicts = harness.sensing_mod.channel_verdicts
+    monkeypatch.setattr(harness.sensing_mod, "channel_verdicts",
+                        lambda det, mw: sums.extend(mw) or channel_verdicts(det, mw))
+    radio.rng = SimpleNamespace(gamma=lambda k, scale, size: np.ones(size))    # noise-free
+    radio.sense(0, 40)
+    assert formed == schedules.segments[1:6].tolist()
+    assert len({tuple(on) for on in formed}) == 3
+    assert np.array_equal(sums, expected)
 
 
 def test_frame_loop_shadowing_takes_the_sequential_path_loss_draws(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvwsim.errors import AlignmentError, ParseError, ResolutionError
 from tvwsim.radio_env import (
@@ -75,6 +77,25 @@ class TestChannelGrid:
     def test_contiguous_runs_respect_the_gap(self, grid):
         runs = grid.contiguous_runs(range(37))
         assert [len(r) for r in runs] == [12, 25]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n_steps=st.integers(1, 40), width=st.sampled_from([1.0, 6.0, 8.0]))
+    def test_contiguous_runs_equal_a_per_pair_adjacency_oracle(self, data, n_steps, width):
+        # Gaps of 1-3 channel steps anywhere in the band, overlapping or not.
+        gaps = data.draw(st.lists(st.tuples(st.integers(0, n_steps - 1), st.integers(1, 3)),
+                                  max_size=3))
+        grid = build_channel_grid(
+            FrequencyBand(470.0, 470.0 + n_steps * width), width,
+            [FrequencyBand(470.0 + k * width, 470.0 + (k + n) * width) for k, n in gaps])
+        indices = data.draw(st.lists(st.integers(0, grid.n_channels - 1))
+                            if grid.n_channels else st.just([]))
+        expected = []
+        for idx in sorted(set(indices)):
+            if expected and expected[-1][-1] == idx - 1 and grid.adjacent(idx - 1, idx):
+                expected[-1].append(idx)
+            else:
+                expected.append([idx])
+        assert grid.contiguous_runs(indices) == expected
 
     def test_bin_layout_covers_the_band(self, grid):
         # 336 MHz / 200 kHz bins, centred half a bin above each bin's low edge
@@ -319,18 +340,3 @@ class TestLinkArraysRows:
         one_at_a_time = links()
         expected = [one_at_a_time.mean_mw(row) for row in rows]
         assert np.array_equal(links().mean_mw(rows), expected)
-
-    def test_each_distinct_mask_is_formed_once(self, grid, monkeypatch):
-        txs = [pal_tx(channel=ch, x=d, eirp=43.0) for ch, d in ((3, 900.0), (9, 4000.0),
-                                                                (20, 2500.0))]
-        links = LinkArrays([(0.0, 0.0), (700.0, -300.0)], txs, PropagationConfig(), grid,
-                           np.arange(0, 1680, 7))
-        # Masks that come back after others, and runs of one mask.
-        rows = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 0, 0],
-                         [1, 0, 1]], dtype=bool)
-        expected = [links.mean_mw(row) for row in rows]
-        formed = []
-        gains_mw = links.gains_mw
-        monkeypatch.setattr(links, "gains_mw", lambda on: formed.append(on) or gains_mw(on))
-        assert np.array_equal(links.mean_mw(rows), expected)
-        assert [on.tolist() for on in formed] == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]

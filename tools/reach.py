@@ -16,8 +16,15 @@ tools/gen_data.py or nothing reaches.  A branch that no command takes
 inside a reached body is not listed.
 
 Run from the repository root:  python3 tools/reach.py
+
+With ``--expect tools/unreached.txt`` it also compares the names listed
+(``path qualified.name`` per line, without line numbers) with that file,
+prints the names added to and removed from it, and exits 1 if the two
+differ.  CI runs this form, so a change that leaves a body unreached, or
+reaches one, updates the committed list with it.
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -115,6 +122,10 @@ def function_bodies(path):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="LIST",
+                        help="the committed list of unreached bodies to compare with")
+    expect = parser.parse_args().expect
     tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
     cli = tracer.runfunc(importlib.import_module, "tvwsim.cli")
     with tempfile.TemporaryDirectory() as work:
@@ -126,7 +137,8 @@ def main():
     ran = {}
     for filename, line in tracer.results().counts:
         ran.setdefault(os.path.realpath(filename), set()).add(line)
-    total = unreached = 0
+    total = 0
+    unreached = []
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
@@ -135,9 +147,20 @@ def main():
         for first, last, qualname in function_bodies(path):
             total += 1
             if not any(first <= line <= last for line in lines):
-                unreached += 1
+                unreached.append(f"{os.path.relpath(path, ROOT)} {qualname}")
                 print(f"{os.path.relpath(path, ROOT)}:{first} {qualname}")
-    print(f"{unreached} of {total} function bodies reached by no command")
+    print(f"{len(unreached)} of {total} function bodies reached by no command")
+    if expect is not None:
+        with open(expect, encoding="utf-8") as fh:
+            listed = [line.strip() for line in fh if line.strip()]
+        added = [name for name in unreached if name not in listed]
+        removed = [name for name in listed if name not in unreached]
+        for name in added:
+            print(f"added: {name}")
+        for name in removed:
+            print(f"removed: {name}")
+        if added or removed:
+            sys.exit(1)
 
 
 if __name__ == "__main__":
