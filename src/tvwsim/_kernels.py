@@ -1,10 +1,9 @@
-"""Numpy kernels of the coexistence Monte Carlo: distances and path loss.
+"""Former kernels of the coexistence study, kept only for the benchmark.
 
-``path_loss_db_matrix`` is the one log-distance path-loss formula of the
-ACIR study; the study's per-sweep evaluator runs it once per drop, in
-place, over all of that drop's links.  No randomness lives in here:
-callers draw from numpy Generators and pass plain arrays.  ``BACKEND``
-names this implementation in run records.
+No module imports this one: the ACIR study's path loss is
+``radio_env.PropagationConfig.median_loss_db``.  ``benchmarks/tracing.py``
+wraps these three functions by name and ``benchmarks/run.py`` records
+``BACKEND``, so the file goes with the benchmark change that drops both.
 """
 
 import numpy as np
@@ -33,15 +32,9 @@ def path_loss_db_matrix(dist_m, ref_loss_db, exponent, ref_distance_m, min_dista
     return d
 
 
-# aggregate_rx_power_mw calls these bindings rather than the public names,
-# so a wrapper installed on a public name sees only calls from outside.
-_distances = pairwise_distances
-_loss_db = path_loss_db_matrix
-
-
 def aggregate_rx_power_mw(src_xy, src_p_dbm, rx_xy,
                           ref_loss_db, exponent, ref_distance_m, min_distance_m):
     """Total power (mW) at each receiver in ``rx_xy`` from all sources."""
-    loss = _loss_db(_distances(rx_xy, src_xy), ref_loss_db, exponent,
-                    ref_distance_m, min_distance_m)
+    loss = path_loss_db_matrix(pairwise_distances(rx_xy, src_xy), ref_loss_db, exponent,
+                               ref_distance_m, min_distance_m)
     return (10.0 ** ((src_p_dbm[None, :] - loss) / 10.0)).sum(axis=1)

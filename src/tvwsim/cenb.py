@@ -209,14 +209,9 @@ def block_clear(state, occupied):
     return True
 
 
-def vacant_runs(grid, vacant):
-    """Frequency-contiguous runs of the given vacant channel indices."""
-    return grid.contiguous_runs(vacant)
-
-
 def best_vacant_run(grid, vacant):
     """Longest vacant run; ties break to the lowest channel index."""
-    runs = vacant_runs(grid, vacant)
+    runs = grid.contiguous_runs(vacant)
     if not runs:
         return []
     return max(runs, key=lambda r: (len(r), -r[0]))
@@ -343,22 +338,21 @@ def fuse_cooperative(occupied, reporting, rule="OR"):
 
 @dataclass(frozen=True)
 class AsmAssignment:
-    """Global allocator output: per-CeNB channel blocks for one epoch."""
+    """Global allocator output: per-CeNB channel blocks."""
 
     blocks: dict
-    epoch: int
 
 
-def asm_allocate(cenbs, availability, reuse_distance_m, grid, epoch=0):
+def asm_allocate(cenbs, availability, reuse_distance_m, grid):
     """Greedy conflict-free channel allocation across CeNBs.
 
     CeNBs closer than ``reuse_distance_m`` share a conflict edge and
-    never share channels within an epoch.  Allocation proceeds in
-    descending demand (longest available run; ties by id) and gives
-    each CeNB its best remaining run, possibly empty.
+    never share channels.  Allocation proceeds in descending demand
+    (longest available run; ties by id) and gives each CeNB its best
+    remaining run, possibly empty.
     """
     def longest(cenb):
-        runs = vacant_runs(grid, availability.get(cenb.id, ()))
+        runs = grid.contiguous_runs(availability.get(cenb.id, ()))
         return max((len(r) for r in runs), default=0)
 
     order = sorted(cenbs, key=lambda c: (-longest(c), c.id))
@@ -373,4 +367,4 @@ def asm_allocate(cenbs, availability, reuse_distance_m, grid, epoch=0):
         usable = [ch for ch in availability.get(cenb.id, ()) if ch not in taken]
         run = best_vacant_run(grid, usable)
         blocks[cenb.id] = tuple(run[:MAX_BLOCK_CHANNELS])
-    return AsmAssignment(blocks=blocks, epoch=epoch)
+    return AsmAssignment(blocks=blocks)

@@ -247,9 +247,9 @@ _probability = _checked_float(lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
 _open_fraction = _checked_float(lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 radio_freq_mhz = _checked_float(lambda v: RADIO_BAND_MHZ[0] <= v <= RADIO_BAND_MHZ[1],
                                 "a frequency from {:g} to {:g} MHz".format(*RADIO_BAND_MHZ))
-# Path-loss exponents run from about 2 to 6; 10 bounds them with room and
-# keeps the loss 10 * exponent * log10(d / d0) of any distance finite.
-_exponent = _checked_float(lambda v: 0.0 < v <= 10.0, "a path-loss exponent in (0, 10]")
+# Path-loss exponents run from 2 (free space, the model's floor) to about 6;
+# 10 bounds them with room and keeps 10 * exponent * log10(d / d0) finite.
+_exponent = _checked_float(lambda v: 2.0 <= v <= 10.0, "a path-loss exponent in [2, 10]")
 # Close-in reference distances run from 1 m to 1 km; at 100 km the
 # free-space loss is still finite over the whole radio spectrum.
 _ref_distance = _checked_float(lambda v: 0.0 < v <= 1e5, "a reference distance in (0, 1e5] m")
@@ -761,8 +761,7 @@ def run_simulation(cfg):
     if auto:
         availability = {s.id: [ch for ch, r in s.region_cache.items()
                                if r is not Region.BLACK] for s in auto}
-        assignment = asm_allocate(auto, availability, cfg.asm_reuse_distance_m,
-                                  cfg.grid, epoch=0)
+        assignment = asm_allocate(auto, availability, cfg.asm_reuse_distance_m, cfg.grid)
         for state in auto:
             block = assignment.blocks.get(state.id, ())
             state.active_block = block or None

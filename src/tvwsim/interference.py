@@ -12,7 +12,9 @@ are exactly monotone per drop (paired seeds) and the infinite-ACIR
 baseline is the capacity reference by construction.  A sweep builds one
 evaluator (``_DropSums``) that holds what no drop changes and one
 (UE, ACIR) work buffer, and adds its drops one at a time: the working
-set is that of one drop, whatever the number of drops.
+set is that of one drop, whatever the number of drops.  Path loss is
+``radio_env.PropagationConfig``'s, with the free-space loss at 1 m, on
+links clamped to the minimum coupling distance.
 """
 
 import csv
@@ -20,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import SweepRangeError
-from .radio_env import thermal_noise_dbm
+from .radio_env import PropagationConfig, thermal_noise_dbm
 
 TV_CHANNEL_BANDWIDTH_MHZ = 8.0
 
@@ -74,7 +75,8 @@ def build_topology(isd_m, tv_radius_m, offset=(0.0, 0.0)):
 
 @dataclass(frozen=True)
 class CoexistenceConfig:
-    """Powers, noise figures, drop sizes, and protection threshold.
+    """Powers, noise figures, drop sizes, protection threshold, path-loss
+    exponent and carrier frequency.
 
     These are declared surrogate values calibrated so the default study
     produces all four budget crossings inside the swept ACIR range; the
@@ -92,16 +94,7 @@ class CoexistenceConfig:
     ues_per_sector: int = 10
     min_coupling_m: float = 10.0
     exponent: float = 3.5
-    ref_loss_db: float | None = None
-    ref_distance_m: float = 1.0
     freq_mhz: float = 700.0
-
-    def resolved_ref_loss_db(self):
-        if self.ref_loss_db is not None:
-            return self.ref_loss_db
-        from .radio_env import free_space_ref_loss_db
-
-        return float(free_space_ref_loss_db(self.freq_mhz, self.ref_distance_m))
 
 
 def _noise_mw(nf_db):
@@ -122,8 +115,8 @@ class _DropSums:
     """One sweep's evaluator: drops evaluated across a fixed ACIR array
     and summed in drop order.
 
-    Everything that no drop changes is computed once, here: the loss
-    constants, the serving site of each UE, the power of every link,
+    Everything that no drop changes is computed once, here: the
+    path-loss model, the serving site of each UE, the power of every link,
     the noise floors and protection threshold, and the uplink
     denominator ``n_bs + i_tv_site / acir`` of every (site, ACIR).  Each
     drop then makes one path-loss pass over all of its links and fills
@@ -133,9 +126,8 @@ class _DropSums:
     """
 
     def __init__(self, topo, cfg, acir_linear):
-        self._loss = dict(ref_loss_db=cfg.resolved_ref_loss_db(), exponent=cfg.exponent,
-                          ref_distance_m=cfg.ref_distance_m,
-                          min_distance_m=cfg.min_coupling_m)
+        self._prop = PropagationConfig(exponent=cfg.exponent)
+        self._freq_mhz, self._min_coupling_m = cfg.freq_mhz, cfg.min_coupling_m
         n_rx, n_sites, n_sec, k = (cfg.n_tv_receivers, topo.n_sites, topo.n_sectors,
                                    cfg.ues_per_sector)
         n_ue = n_sec * k
@@ -181,9 +173,9 @@ class _DropSums:
         self._th = 10.0 ** (cfg.tv_protection_snr_db / 10.0)
         self._noise_dl_ul = np.array([[_noise_mw(cfg.ue_noise_figure_db)],
                                       [_noise_mw(cfg.cenb_noise_figure_db)]])
-        d_tv_site = _kernels.pairwise_distances(topo.sites, topo.tv_center[None, :])[:, 0]
-        i_tv_site = 10.0 ** ((cfg.tv_eirp_dbm - _kernels.path_loss_db_matrix(
-            d_tv_site, **self._loss)) / 10.0)
+        d = topo.sites - topo.tv_center
+        loss_tv_site = self._loss_db(np.sqrt((d * d).sum(axis=1)))
+        i_tv_site = 10.0 ** ((cfg.tv_eirp_dbm - loss_tv_site) / 10.0)
         self._ul_denom = self._noise_dl_ul[1, 0] + i_tv_site[:, None] / acir_linear
 
         self._i_tv = np.empty((2, n_rx))
@@ -233,10 +225,15 @@ class _DropSums:
         dx, dy = ue_x - self._tv_x, ue_y - self._tv_y
         np.sqrt(dx * dx + dy * dy, out=d_ue[2])
 
-        mw = _kernels.path_loss_db_matrix(self._links, **self._loss, out=self._links)
+        mw = self._loss_db(self._links)
         np.subtract(self._p_dbm, mw, out=mw)
         mw /= 10.0
         np.power(10.0, mw, out=mw)
+
+    def _loss_db(self, dist_m):
+        """Path loss (dB) of links ``dist_m`` clamped to the coupling distance, in place."""
+        np.maximum(dist_m, self._min_coupling_m, out=dist_m)
+        return self._prop.median_loss_db(dist_m, self._freq_mhz, out=dist_m)
 
     def _add_tv_outage(self):
         """TV side: desired level and aggregate LTE interference per

@@ -284,6 +284,9 @@ def free_space_ref_loss_db(freq_mhz, distance_m=1.0):
 class PropagationConfig:
     """Log-distance path loss with optional seeded log-normal shadowing.
 
+    The package's one model: ``LinkArrays`` (through ``path_loss``) and the
+    ACIR study's ``_DropSums`` call ``median_loss_db``; ``geodb`` inverts it.
+
     ``ref_loss_db=None`` means free-space loss at the carrier frequency
     and reference distance is used.  ``rng()`` is the shadowing stream
     that ``path_loss`` draws from, made from ``seed`` on first use;
@@ -319,13 +322,17 @@ class PropagationConfig:
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
-    def median_loss_db(self, distance_m, freq_mhz):
-        """Deterministic (median) part of the path loss."""
+    def median_loss_db(self, distance_m, freq_mhz, out=None):
+        """Median path loss in dB, ``ref_loss + 10 n log10(d / d0)``, formed as
+        d / d0, log10, times 10 n, plus ref_loss.  Given ``out`` (which may be
+        ``distance_m``), it is written there in place, with the same bits."""
         distance_m = np.asarray(distance_m, dtype=float)
-        if np.any(distance_m <= 0):
+        if (distance_m <= 0).any():
             raise ValueError("distance must be positive")
-        return self.ref_loss(freq_mhz) + 10.0 * self.exponent * np.log10(
-            distance_m / self.ref_distance_m)
+        loss = np.divide(distance_m, self.ref_distance_m, out=out)
+        loss = np.log10(loss, out=out)
+        loss = np.multiply(loss, 10.0 * self.exponent, out=out)
+        return np.add(loss, self.ref_loss(freq_mhz), out=out)
 
 
 def path_loss(cfg, distance_m, freq_mhz):

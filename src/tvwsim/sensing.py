@@ -347,22 +347,25 @@ def threshold_mw(threshold_dbm):
 _DRAW_CHUNK = 1 << 15  # trials per Gamma call of the Monte Carlo draws
 
 
-def _unit_gamma_draws(cfg, trials, rng):
-    """Unit-mean Gamma window draws, shape (trials, carriers), carrier-major.
+def _unit_gamma_chunks(cfg, trials, rng):
+    """Unit-mean Gamma window draws, in chunks of ``_DRAW_CHUNK`` trials.
 
-    The values are those of ``rng.gamma(m, 1/m, size=(trials, carriers))``:
-    the stream is drawn in trial-major chunks and copied into a
-    Fortran-ordered array.  Each carrier's draws are then contiguous, so
-    comparing them with a per-carrier threshold runs at unit stride.
-    Only ``calibrate_threshold``, which needs an order statistic over
-    all the draws, holds them at once.
+    Stacked, the chunks are ``rng.gamma(m, 1/m, size=(trials, carriers))``:
+    the stream is drawn trial-major, one chunk per call, and each chunk
+    is copied carrier-major.  Each carrier's draws are then contiguous,
+    so comparing them with a per-carrier threshold runs at unit stride.
     """
     m = cfg.n_snapshots()
-    g = np.empty((trials, cfg.n_carriers), order="F")
     for start in range(0, trials, _DRAW_CHUNK):
-        stop = min(trials, start + _DRAW_CHUNK)
-        g[start:stop] = rng.gamma(m, 1.0 / m, size=(stop - start, cfg.n_carriers))
-    return g
+        size = (min(_DRAW_CHUNK, trials - start), cfg.n_carriers)
+        yield np.asfortranarray(rng.gamma(m, 1.0 / m, size=size))
+
+
+def _unit_gamma_draws(cfg, trials, rng):
+    """The chunks of ``_unit_gamma_chunks`` stacked, carrier-major.  Only
+    ``calibrate_threshold``, which needs an order statistic, holds them so."""
+    g = np.empty((trials, cfg.n_carriers), order="F")
+    return np.concatenate(list(_unit_gamma_chunks(cfg, trials, rng)), out=g)
 
 
 def _draw_thresholds(cfg, signal_mw, noise_mw):
@@ -374,17 +377,14 @@ def _draw_thresholds(cfg, signal_mw, noise_mw):
 
 
 def _detect_counts(cfg, g_stars, trials, rng):
-    """Occupied counts over the draws of ``_unit_gamma_draws(cfg, trials, rng)``,
+    """Occupied counts over the draws of ``_unit_gamma_chunks(cfg, trials, rng)``,
     one count per row of draw thresholds ``g_stars``.
 
-    Each ``_DRAW_CHUNK`` of draws is copied carrier-major, counted for
-    every row and dropped, so memory stays one chunk whatever ``trials``.
+    Each chunk of draws is counted for every row and dropped, so memory
+    stays one chunk whatever ``trials``.
     """
-    m = cfg.n_snapshots()
     counts = [0] * len(g_stars)
-    for start in range(0, trials, _DRAW_CHUNK):
-        size = (min(_DRAW_CHUNK, trials - start), cfg.n_carriers)
-        g = np.asfortranarray(rng.gamma(m, 1.0 / m, size=size))
+    for g in _unit_gamma_chunks(cfg, trials, rng):
         for i, g_star in enumerate(g_stars):
             counts[i] += int(np.count_nonzero(_k_of_n(g, g_star, cfg.k_required)))
     return counts

@@ -16,7 +16,6 @@ from tvwsim.cenb import (
     fuse_cooperative,
     select_bandwidth,
     spectrum_decision,
-    vacant_runs,
 )
 from tvwsim.errors import ConfigError, StaleSensingError
 from tvwsim.geodb import Region
@@ -391,7 +390,7 @@ class TestAsmAllocate:
 class TestBestVacantRun:
     def test_gap_in_grid_splits_runs(self, grid):
         # indices 10..13 span the excluded 566-606 band: 10,11 | 12,13
-        assert vacant_runs(grid, [10, 11, 12, 13]) == [[10, 11], [12, 13]]
+        assert grid.contiguous_runs([10, 11, 12, 13]) == [[10, 11], [12, 13]]
         # equal halves tie to the lowest index
         assert best_vacant_run(grid, [10, 11, 12, 13]) == [10, 11]
         # unsplit, 10..14 would be one run of five

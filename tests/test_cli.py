@@ -536,6 +536,7 @@ def test_an_unreachable_protection_floor_is_a_config_error(tmp_path, capsys, com
 OUT_OF_RANGE = [
     ("acir", "interference.tv_eirp_dbm = 1e308", "'interference.tv_eirp_dbm'"),
     ("acir", "interference.exponent = 1e308", "'interference.exponent'"),
+    ("acir", "interference.exponent = 1.5", "'interference.exponent'"),
     ("acir", "interference.tv_noise_figure_db = 4000", "'interference.tv_noise_figure_db'"),
     ("acir", "interference.tv_protection_snr_db = 4000",
      "'interference.tv_protection_snr_db'"),

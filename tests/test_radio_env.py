@@ -169,6 +169,20 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss(PropagationConfig(), 0.0, 700.0)
 
+    @pytest.mark.parametrize("ref_loss_db", [None, 31.5])
+    def test_in_place_loss_equals_the_loss_bit_for_bit(self, ref_loss_db):
+        # (CeNB, transmitter) distances, some inside the reference distance,
+        # against one carrier frequency per transmitter as LinkArrays passes
+        # them: the free-space reference loss broadcasts per column.
+        cfg = PropagationConfig(exponent=3.7, ref_distance_m=2.5, ref_loss_db=ref_loss_db)
+        d = 10.0 ** np.random.default_rng(3).uniform(-2.0, 6.0, size=(50, 4))
+        freq = np.array([474.0, 550.0, 698.0, 802.0])
+        expected = cfg.ref_loss(freq) + 10.0 * cfg.exponent * np.log10(d / cfg.ref_distance_m)
+        loss = cfg.median_loss_db(d, freq)
+        assert loss.tobytes() == expected.tobytes()
+        assert cfg.median_loss_db(d, freq, out=d) is d
+        assert d.tobytes() == loss.tobytes()
+
     def test_shadowing_deterministic_for_seed(self):
         a = PropagationConfig(shadowing_sigma_db=8.0, seed=7)
         b = PropagationConfig(shadowing_sigma_db=8.0, seed=7)
