@@ -37,7 +37,6 @@ from .geodb import (  # noqa: F401
     GeoRecord,
     Region,
     classify_region,
-    protected_radius,
     query_vacant_channels,
     required_separation,
 )

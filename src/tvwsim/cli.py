@@ -30,7 +30,13 @@ from .errors import (
     TvwsimError,
 )
 from .geodb import query_vacant_channels
-from .radio_env import FrequencyBand, PropagationConfig, build_channel_grid, finite_float
+from .radio_env import (
+    FrequencyBand,
+    PropagationConfig,
+    build_channel_grid,
+    finite_float,
+    level_db,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,10 +123,10 @@ def _cmd_geodb(args):
         print(f"required_separation_m: {sep:.10g}{flag}")
         return EXIT_OK
     _option("--freq", harness.radio_freq_mhz, args.freq)
-    try:
-        prop = PropagationConfig(exponent=args.exponent, ref_loss_db=args.ref_loss_db)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for --exponent: {exc}") from exc
+    prop = PropagationConfig(
+        exponent=_option("--exponent", harness._exponent, args.exponent),
+        ref_loss_db=(None if args.ref_loss_db is None
+                     else _option("--ref-loss-db", level_db, args.ref_loss_db)))
     db = geodb_mod.load(args.db, prop, args.freq)
     if args.geodb_cmd == "query":
         grid = _grid_from_args(args)

@@ -12,11 +12,11 @@ The grey/white boundary is contour radius + the secondary transmitter's
 own interference range + a configurable margin; contours come from the
 closed-form inversion of the log-distance model at median propagation.
 
-A ``GeoDb`` is built once, by ``load`` or by its constructor, and never
-changes: CeNBs read it at start-up, and the white-space rules re-check a
-database daily (FCC 47 CFR 15.711).  It stores the records as columns,
-one array per field, sorted by channel, with every radius resolved, so
-that a classification reads one channel's contiguous slices.  ``load``
+A ``GeoDb`` is built once, only by ``load``, and never changes: CeNBs
+read it at start-up, and the white-space rules re-check a database daily
+(FCC 47 CFR 15.711).  It stores the records as columns, one array per
+field, sorted by channel, with every radius resolved, so that a
+classification reads one channel's contiguous slices.  ``load``
 parses and checks the file a chunk of rows at a time as arrays, and
 computes each chunk's blank radii in one vectorised ``contour_radius_m``
 call; the first bad line, if any, is named from the same arrays.
@@ -30,7 +30,7 @@ point; the rest lie past their grey boundary and change no region.
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -121,13 +121,6 @@ def _pow10(x):
         return math.inf
 
 
-def protected_radius(rec, prop, freq_mhz=DEFAULT_TV_FREQ_MHZ):
-    """Protected contour radius of a record (given, or computed)."""
-    if rec.protected_radius_m is not None:
-        return rec.protected_radius_m
-    return contour_radius_m(rec.service.eirp_dbm, rec.required_rx_dbm, prop, freq_mhz)
-
-
 class _Columns(NamedTuple):
     """Records as columns: one array per field, one row per record."""
 
@@ -142,19 +135,6 @@ class _Columns(NamedTuple):
     radius: np.ndarray
 
 
-def _columns_of(records):
-    """The columns of GeoRecords whose radii are resolved, in their order."""
-    svcs = [rec.service for rec in records]
-    return _Columns(
-        np.array([svc.id for svc in svcs], dtype=object),
-        np.array([_STANDARDS.index(svc.standard) for svc in svcs], dtype=np.int8),
-        np.array([svc.channel_index for svc in svcs], dtype=np.int64),
-        *np.array([(*svc.location, svc.eirp_dbm, svc.antenna_height_m) for svc in svcs],
-                  dtype=float).reshape(-1, 4).T,
-        np.array([rec.required_rx_dbm for rec in records], dtype=float),
-        np.array([rec.protected_radius_m for rec in records], dtype=float))
-
-
 def _sorted_by_channel(parts):
     """One column store from per-field lists of column chunks, stably sorted
     by channel; also the chunks' row position of each sorted row.
@@ -162,8 +142,8 @@ def _sorted_by_channel(parts):
     Each field's chunks are joined and dropped in turn, so that no more
     than one field is held twice.
     """
-    if not parts[0]:
-        parts = [[col] for col in _columns_of([])]
+    if not parts[0]:        # no rows
+        parts = [[np.empty(0, dtype)] for dtype in (object, np.int8, np.int64, *(float,) * 6)]
     order = np.argsort(np.concatenate(parts[2]), kind="stable")
     columns = []
     for i, chunks in enumerate(parts):
@@ -175,47 +155,24 @@ def _sorted_by_channel(parts):
 class GeoDb:
     """The record set as a column store, plus the grey-boundary parameters.
 
-    Built once, by ``load`` or by this constructor, and never changed.
-    ``columns`` holds one array per record field, stably sorted by
-    channel, so that each channel's records are one contiguous slice in
-    insertion order (``co_channel_arrays``); every radius in it is
-    resolved.  ``records``, a dict of ``GeoRecord`` by id in insertion
-    order, is a lazy view of it for ``save`` and the contour listing.
-
-    The constructor gives a blank radius the contour of ``prop`` (by
-    default ``PropagationConfig()``) at ``freq_mhz``, as ``load`` does: a
-    blank record without one raises ``DegenerateContourError``, and a
-    repeated id ``ValueError``.  ``version`` is file metadata, which
-    ``load`` reads and ``save`` writes.
+    Built only by ``load``, or by ``_near`` as a view of a loaded one,
+    and never changed.  ``columns`` holds one array per record field,
+    stably sorted by channel, so that each channel's records are one
+    contiguous slice in insertion order (``co_channel_arrays``); every
+    radius in it is resolved.  ``order`` is each sorted row's position
+    in insertion order.  ``records``, a dict of ``GeoRecord`` by id in
+    insertion order, is a lazy view of the columns for ``save`` and the
+    contour listing.  ``version`` is file metadata, which ``load`` reads
+    and ``save`` writes.
     """
 
-    def __init__(self, records=(), prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ,
-                 grey_margin_m=DEFAULT_GREY_MARGIN_M,
+    def __init__(self, columns, order, grey_margin_m=DEFAULT_GREY_MARGIN_M,
                  protection_floor_dbm=DEFAULT_PROTECTION_FLOOR_DBM, version=0):
-        prop = prop if prop is not None else PropagationConfig()
-        resolved = {}
-        for rec in records:
-            if rec.service.id in resolved:
-                raise ValueError(f"duplicate record id {rec.service.id!r}")
-            resolved[rec.service.id] = replace(
-                rec, protected_radius_m=protected_radius(rec, prop, freq_mhz))
         self.grey_margin_m = grey_margin_m
         self.protection_floor_dbm = protection_floor_dbm
         self.version = version
-        self._records = resolved
-        self.columns, self._order = _sorted_by_channel(
-            [[col] for col in _columns_of(resolved.values())])
-        self._channels = None
-
-    @classmethod
-    def _from_columns(cls, columns, order, grey_margin_m=DEFAULT_GREY_MARGIN_M,
-                      protection_floor_dbm=DEFAULT_PROTECTION_FLOOR_DBM, version=0):
-        """A database on a channel-sorted store and its rows' insertion order."""
-        db = cls.__new__(cls)
-        db.grey_margin_m, db.protection_floor_dbm, db.version = (
-            grey_margin_m, protection_floor_dbm, version)
-        db._records, db.columns, db._order, db._channels = None, columns, order, None
-        return db
+        self.columns, self._order = columns, order
+        self._records, self._channels = None, None
 
     @property
     def records(self):
@@ -296,8 +253,8 @@ _NEAR_SLACK = 1.0 + 1e-9
 
 def _near(db, point, cenb_max_eirp_dbm, prop, freq_mhz):
     """A view of ``db`` without the records whose distance from ``point``
-    is finite and past max(radius, radius + interference radius + grey
-    margin), with a slack.
+    is finite and past radius + interference radius + grey margin (their
+    grey boundary), with a slack.
 
     A record whose distance or boundary overflows is kept, so that
     ``classify_region`` meets it and warns as on the whole database; the
@@ -315,12 +272,11 @@ def _near(db, point, cenb_max_eirp_dbm, prop, freq_mhz):
     cols = db.columns
     with np.errstate(all="ignore"):
         d = np.hypot(point[0] - cols.x, point[1] - cols.y)
-        reach = np.maximum(cols.radius, cols.radius + r_interf + db.grey_margin_m)
+        reach = cols.radius + r_interf + db.grey_margin_m
         kept = np.flatnonzero(~((d > reach * _NEAR_SLACK) & np.isfinite(d)))
-    return GeoDb._from_columns(_Columns(*(col[kept] for col in cols)), db._order[kept],
-                               grey_margin_m=db.grey_margin_m,
-                               protection_floor_dbm=db.protection_floor_dbm,
-                               version=db.version)
+    return GeoDb(_Columns(*(col[kept] for col in cols)), db._order[kept],
+                 grey_margin_m=db.grey_margin_m, protection_floor_dbm=db.protection_floor_dbm,
+                 version=db.version)
 
 
 @dataclass(frozen=True)
@@ -467,7 +423,7 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     if error is not None:
         raise error
     del lines
-    return GeoDb._from_columns(*_sorted_by_channel(parts), **params)
+    return GeoDb(*_sorted_by_channel(parts), **params)
 
 
 def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):

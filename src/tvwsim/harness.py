@@ -16,23 +16,22 @@ during the run (an ``ASM_EPOCH`` event only logs the blocks held).
 The carrier-window bins are found once, at load, so a grid that cannot
 hold the windows, or one of more than ``MAX_GRID_BINS`` RBW bins, is a
 load-time ``ConfigError`` too.  The frame loop's other radio inputs are
-arrays built once per run: ``sensing_links`` gives a ``LinkArrays`` of
-every (CeNB, transmitter) distance and every transmitter's unit-power
-template at the window bins, and a ``ScheduleTable`` holds the schedules
-as activity segments.  The radio work does not depend on any CeNB's
-decisions, so the loop does it for a block of consecutive frames at once
-(tens of frames when there are few CeNBs, a few when there are many): one
-activity query for every sensing instant and downlink subframe of the
-block; on fixed link gains, the mean window powers of each distinct
-schedule segment among the block's sensing instants, formed once; then,
-in passes of a few frames, every frame and CeNB's mean window powers
-(gathered from those rows, or with shadowing formed one frame at a
-time, in frame order), one unit-mean Gamma draw of the detector noise
-at all their window bins from the run's one sensing stream, and one
-k-of-n pass over the window sums in mW against the threshold's mW
-boundary (``sensing.threshold_mw``).  numpy fills a draw for many
-frames in the order of one draw per frame, so no output depends on the
-block length.
+arrays built once per run: a ``LinkArrays`` of every (CeNB, transmitter)
+distance and every transmitter's unit-power template at the window bins,
+and a ``ScheduleTable`` of the schedules as activity segments.  The radio
+work does not depend on any CeNB's decisions, so the loop does it for a
+block of consecutive frames at once (tens of frames when there are few
+CeNBs, a few when there are many): one activity query for every sensing
+instant and downlink subframe of the block; on fixed link gains, the
+mean window powers of each distinct schedule segment among the block's
+sensing instants, formed once; then, in passes of a few frames, every
+frame and CeNB's mean window powers (gathered from those rows, or with
+shadowing formed one frame at a time, in frame order), one unit-mean
+Gamma draw of the detector noise at all their window bins from the run's
+one sensing stream, and one k-of-n pass over the window sums in mW
+against the threshold's mW boundary (``sensing.threshold_mw``).  numpy
+fills a draw for many frames in the order of one draw per frame, so no
+output depends on the block length.
 
 The loop then advances from event to event (next-event time advance).
 A CeNB's state changes only at a frame boundary where a handover it
@@ -69,9 +68,9 @@ the same state.  The event list is sorted by time once, stably, at the
 end: a ``SENSE`` row ties only a ``RETUNE_END`` logged before it, so the
 order is that of a loop that logs every frame in turn.
 
-Everything is a pure function of (config bytes, seed): random streams
-derive from the scenario seed and fixed integer tags (shadowing from a
-fresh stream per run), so equal inputs give byte-identical outputs.
+Everything is a pure function of (config bytes, seed): every random
+stream is made in the run from the scenario seed, alone (shadowing) or
+with a fixed integer tag, so equal inputs give byte-identical outputs.
 """
 
 import bisect
@@ -251,8 +250,11 @@ radio_freq_mhz = _checked_float(lambda v: RADIO_BAND_MHZ[0] <= v <= RADIO_BAND_M
 # 10 bounds them with room and keeps 10 * exponent * log10(d / d0) finite.
 _exponent = _checked_float(lambda v: 2.0 <= v <= 10.0, "a path-loss exponent in [2, 10]")
 # Close-in reference distances run from 1 m to 1 km; at 100 km the
-# free-space loss is still finite over the whole radio spectrum.
-_ref_distance = _checked_float(lambda v: 0.0 < v <= 1e5, "a reference distance in (0, 1e5] m")
+# free-space loss is still finite over the whole radio spectrum.  The
+# floor is the model's.
+_ref_distance = _checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= 1e5,
+                               "a reference distance of at most 1e5 m (a reference distance "
+                               f"must be at least {MIN_REF_DISTANCE_M:g} m)")
 # A shadowing draw 10 deviations out, far past any run's draws, stays
 # within MAX_LEVEL_DB.
 _shadowing_sigma = _checked_float(lambda v: 0.0 <= v <= MAX_LEVEL_DB / 10,
@@ -434,16 +436,12 @@ def load_scenario(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
     ref_loss = reader.take("prop.ref_loss_db", level_db, None)
-    try:
-        prop = PropagationConfig(
-            exponent=reader.take("prop.exponent", _exponent, 3.5),
-            ref_distance_m=reader.take("prop.ref_distance_m", _ref_distance, 1.0),
-            ref_loss_db=ref_loss,
-            shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", _shadowing_sigma, 0.0),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad propagation model: {exc}") from exc
+    prop = PropagationConfig(
+        exponent=reader.take("prop.exponent", _exponent, 3.5),
+        ref_distance_m=reader.take("prop.ref_distance_m", _ref_distance, 1.0),
+        ref_loss_db=ref_loss,
+        shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", _shadowing_sigma, 0.0),
+    )
 
     rbw_khz = reader.take("radio.rbw_khz", _positive, DEFAULT_RBW_KHZ)
     calib = reader.take("files.calibration", str, "default")
@@ -559,22 +557,6 @@ def _initial_regions(setup, cfg):
                                       cfg.prop, cfg.grid))
 
 
-def sensing_links(cfg, det, points):
-    """The frame loop's carrier windows and its ``LinkArrays`` at those bins.
-
-    ``windows`` are ``cfg.windows``, the (channels, carriers, width) bin
-    indices of the detector's carrier windows on the scenario grid,
-    found once at load (``det`` shares the layout; it gives the noise
-    figure).  The links hold every transmitter's distance to each of
-    ``points`` and its unit-power template at the window bins, with
-    shadowing drawn from a fresh stream seeded like ``cfg.prop`` (so
-    ``cfg`` is not advanced).
-    """
-    links = LinkArrays(points, cfg.transmitters, replace(cfg.prop, _rng=None), cfg.grid,
-                       cfg.windows, cfg.rbw_khz, det.noise_figure_db)
-    return cfg.windows, links
-
-
 # Elements of one frame-loop array.  A radio pass forms the window powers
 # of at most this many window bins (frames x CeNBs x bins per CeNB), 16 kB
 # of doubles, and a block of the frame loop is the most whole passes whose
@@ -600,11 +582,15 @@ class _BlockRadio:
     of the block's distinct segments in one ``mean_mw`` call and each pass
     gathers its frames' rows from them: a block holds a few rows, not one
     per frame.  With shadowing, the mean powers take their ``path_loss``
-    draws one frame at a time, in frame order.
+    draws one frame at a time, in frame order, from the stream seeded
+    with the scenario seed alone.
     """
 
     def __init__(self, cfg, op_det, points, offsets_ms):
-        self.windows, self.links = sensing_links(cfg, op_det, points)
+        self.windows = cfg.windows
+        self.links = LinkArrays(points, cfg.transmitters, cfg.prop, cfg.grid, cfg.windows,
+                                cfg.rbw_khz, op_det.noise_figure_db,
+                                np.random.default_rng(cfg.seed))
         self.schedules = ScheduleTable(cfg.transmitters)
         self.tx_channel = np.array([tx.channel_index for tx in cfg.transmitters],
                                    dtype=np.intp)

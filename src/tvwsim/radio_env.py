@@ -4,7 +4,9 @@ Models the terrestrial TV channelization (8 MHz channels, 470-806 MHz
 with the 566-606 MHz carve-out in the default grid), the narrowband
 carrier structure of analog TV signals, log-distance propagation with
 optional log-normal shadowing, and thermal noise, producing received
-power spectra at arbitrary planar points.
+power spectra at arbitrary planar points.  No model holds a random
+stream: shadowing and snapshot noise draw from the Generator a caller
+passes.
 
 A spectrum is a plain (bins,) array of mW per resolution bin, on the
 grid's one bin layout (``ChannelGrid.n_bins`` and ``bin_centers_mhz``).
@@ -20,7 +22,7 @@ at once.
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
@@ -280,28 +282,22 @@ def free_space_ref_loss_db(freq_mhz, distance_m=1.0):
     return 20.0 * np.log10(4.0 * np.pi * distance_m * freq_mhz * 1e6 / SPEED_OF_LIGHT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagationConfig:
-    """Log-distance path loss with optional seeded log-normal shadowing.
+    """Log-distance path loss with optional log-normal shadowing.
 
     The package's one model: ``LinkArrays`` (through ``path_loss``) and the
     ACIR study's ``_DropSums`` call ``median_loss_db``; ``geodb`` inverts it.
 
     ``ref_loss_db=None`` means free-space loss at the carrier frequency
-    and reference distance is used.  ``rng()`` is the shadowing stream
-    that ``path_loss`` draws from, made from ``seed`` on first use;
-    identical seeds and call orders reproduce identical draws.
-    ``harness.run_simulation`` draws from a copy with a fresh stream
-    (``replace(prop, _rng=None)``), so a run starts from ``seed`` and
-    does not advance the loaded config's stream.
+    and reference distance is used.  The config holds no random stream:
+    ``path_loss`` draws the shadowing from the stream its caller passes.
     """
 
     exponent: float = 3.5
     ref_distance_m: float = 1.0
     ref_loss_db: float | None = None
     shadowing_sigma_db: float = 0.0
-    seed: int | None = None
-    _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent < 2.0:
@@ -317,11 +313,6 @@ class PropagationConfig:
             return self.ref_loss_db
         return free_space_ref_loss_db(freq_mhz, self.ref_distance_m)
 
-    def rng(self):
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
-
     def median_loss_db(self, distance_m, freq_mhz, out=None):
         """Median path loss in dB, ``ref_loss + 10 n log10(d / d0)``, formed as
         d / d0, log10, times 10 n, plus ref_loss.  Given ``out`` (which may be
@@ -335,16 +326,19 @@ class PropagationConfig:
         return np.add(loss, self.ref_loss(freq_mhz), out=out)
 
 
-def path_loss(cfg, distance_m, freq_mhz):
+def path_loss(cfg, distance_m, freq_mhz, rng=None):
     """Path loss in dB, with one shadowing draw per element if enabled.
 
     Arguments broadcast; a scalar gives a float.  The draws come from
-    ``cfg.rng()`` in C order, so one call on n links takes the same
-    values as n scalar calls in sequence.
+    ``rng``, the caller's Generator, in C order, so one call on n links
+    takes the same values as n scalar calls in sequence.  Shadowing
+    without a stream is a ValueError.
     """
     loss = cfg.median_loss_db(distance_m, freq_mhz)
     if cfg.shadowing_sigma_db > 0:
-        loss = loss + cfg.rng().normal(0.0, cfg.shadowing_sigma_db, size=np.shape(loss))
+        if rng is None:
+            raise ValueError("shadowing needs a random stream")
+        loss = loss + rng.normal(0.0, cfg.shadowing_sigma_db, size=np.shape(loss))
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
@@ -393,18 +387,18 @@ class LinkArrays:
     flattened).  ``mean_mw(active)`` is then the thermal floor plus the
     sum over the active transmitters of link gain x template.  Without
     shadowing the link gains are fixed and computed here, as
-    ``fixed_gains`` (None with shadowing); with it, each
-    activity mask makes one ``path_loss`` call over the active links,
-    in (point, transmitter) row-major order.  ``noise_figure_db=None``
-    omits the floor.
+    ``fixed_gains`` (None with shadowing); with it, each activity mask
+    makes one ``path_loss`` call over the active links, in (point,
+    transmitter) row-major order, drawing from ``rng``, the caller's
+    stream.  ``noise_figure_db=None`` omits the floor.
     """
 
     def __init__(self, points, txs, cfg, grid, bins, rbw_khz=DEFAULT_RBW_KHZ,
-                 noise_figure_db=DEFAULT_NOISE_FIGURE_DB):
+                 noise_figure_db=DEFAULT_NOISE_FIGURE_DB, rng=None):
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         sites = np.array([tx.location for tx in txs], dtype=float).reshape(-1, 2)
         bins = np.asarray(bins).ravel()
-        self.cfg = cfg
+        self.cfg, self.rng = cfg, rng
         self.eirp_dbm = np.array([tx.eirp_dbm for tx in txs], dtype=float)
         self.freq_mhz = np.array([grid.center_mhz(tx.channel_index) for tx in txs],
                                  dtype=float)
@@ -424,7 +418,7 @@ class LinkArrays:
         """(points, active transmitters) link gains times EIRP, in mW."""
         if self.fixed_gains is not None:
             return self.fixed_gains[:, active]
-        loss = path_loss(self.cfg, self.distance_m[:, active], self.freq_mhz[active])
+        loss = path_loss(self.cfg, self.distance_m[:, active], self.freq_mhz[active], self.rng)
         return dbm_to_mw(self.eirp_dbm[active] - loss)
 
     def mean_mw(self, active):
@@ -460,10 +454,11 @@ def received_spectrum(point, txs, t_ms, cfg, grid, rbw_khz=DEFAULT_RBW_KHZ,
     entirely.  With ``rng=None`` the mean spectrum is returned; with a
     Generator each bin is drawn as the average of ``snapshots``
     independent exponential-power snapshots (a Gamma(snapshots) variate
-    around the bin mean).
+    around the bin mean).  Shadowing is drawn from ``rng`` too, before
+    the snapshots, and needs one.
     """
     links = LinkArrays([point], txs, cfg, grid, np.arange(grid.n_bins(rbw_khz)), rbw_khz,
-                       noise_figure_db)
+                       noise_figure_db, rng)
     mean_mw = links.mean_mw(ScheduleTable(txs).active(t_ms)[0])[0]
     if rng is not None and snapshots >= 1:
         mean_mw = rng.gamma(snapshots, 1.0 / snapshots, size=mean_mw.size) * mean_mw

@@ -571,8 +571,8 @@ def test_a_reference_gain_that_overflows_names_its_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub", ["query", "contour"])
-@pytest.mark.parametrize("flag", ["--exponent=1.5", "--freq=0", "--freq=-5", "--freq=1e308",
-                                  "--freq=5e-324"])
+@pytest.mark.parametrize("flag", ["--exponent=1.5", "--exponent=1e308", "--ref-loss-db=1e308",
+                                  "--freq=0", "--freq=-5", "--freq=1e308", "--freq=5e-324"])
 def test_a_bad_propagation_flag_names_itself(tmp_path, capsys, sub, flag):
     path = tmp_path / "db.csv"
     path.write_text(GEODB, encoding="utf-8")
@@ -595,7 +595,9 @@ def test_a_study_whose_links_carry_nothing_is_a_runtime_error(tmp_path, capsys):
 
 # A study length, a shadowing deviation, a reference distance or a
 # path-loss exponent past its bound.  Each overflowed a double in the run,
-# with numpy warnings, where a configuration error naming the key is due.
+# with numpy warnings, or (a reference distance under the model's 1 mm)
+# failed in the model without naming the key, where a configuration error
+# naming the key is due.
 PAST_THE_BOUND = [
     ("acir", "interference.isd_m = 1e308"),
     ("acir", "interference.tv_radius_m = 1e308"),
@@ -605,6 +607,7 @@ PAST_THE_BOUND = [
     ("acir", "interference.min_coupling_m = 5e-324"),
     ("simulate", "prop.shadowing_sigma_db = 1e5"),
     ("simulate", "prop.ref_distance_m = 1e300"),
+    ("simulate", "prop.ref_distance_m = 1e-4"),
     # 0 dB per decade times an infinite 10 * exponent, at the clamped distance.
     ("simulate", "prop.exponent = 1e308\nprop.ref_distance_m = 500"),
 ]

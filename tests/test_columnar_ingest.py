@@ -23,8 +23,6 @@ from tvwsim.errors import DegenerateContourError, ParseError
 from tvwsim.radio_env import (
     CHUNK_CELLS,
     PropagationConfig,
-    TvStandard,
-    TvTransmitter,
     china_tv_grid,
     finite_float,
     float_array,
@@ -128,20 +126,23 @@ def test_a_saved_database_loads_back_equal(database, tmp_path):
     assert loaded.records == db.records and _metadata(loaded) == _metadata(db)
 
 
-def test_a_loaded_database_rebuilt_with_one_record_more(database):
+def test_a_loaded_database_rebuilt_with_one_record_more(database, tmp_path):
     db, prop, grid = geodb.load(database), PropagationConfig(), china_tv_grid()
-    params = dict(zip(("grey_margin_m", "protection_floor_dbm", "version"), _metadata(db)))
-    # The constructor builds the loaded store from the loaded records.
-    same = geodb.GeoDb(db.records.values(), prop, **params)
-    for built, loaded in zip(same.columns, db.columns):
-        np.testing.assert_array_equal(built, loaded)
     point = (1e7, 1e7)
     assert geodb.classify_region(db, point, 4, 20.0, prop, grid) is geodb.Region.WHITE
-    svc = TvTransmitter(id="new", standard=TvStandard.ANALOG_PAL_D, channel_index=4,
-                        location=point, eirp_dbm=60.0)
-    more = geodb.GeoDb([*db.records.values(), geodb.GeoRecord(service=svc)], prop, **params)
+    # The file with one more line: a blank-radius service on channel 4 at the point.
+    bigger = tmp_path / "more.csv"
+    bigger.write_text(database.read_text(encoding="utf-8")
+                      + f"new,AnalogPalD,4,{point[0]!r},{point[1]!r},60,10,-84,\n",
+                      encoding="utf-8")
+    more = geodb.load(bigger, prop)
     assert geodb.classify_region(more, point, 4, 20.0, prop, grid) is geodb.Region.BLACK
-    assert len(more.records) == 2001 and more.version == 7
+    assert len(more.records) == 2001 and _metadata(more) == _metadata(db)
+    assert list(more.records)[:-1] == list(db.records)
+    # The stable channel sort keeps every loaded row in its place among the others.
+    kept = more.columns.ids != "new"
+    for built, loaded in zip(more.columns, db.columns):
+        np.testing.assert_array_equal(built[kept], loaded)
     assert geodb.classify_region(db, point, 4, 20.0, prop, grid) is geodb.Region.WHITE
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,6 @@ from hypothesis import strategies as st
 from tvwsim import geodb
 from tvwsim.errors import DegenerateContourError, ParseError
 from tvwsim.geodb import (
-    GeoDb,
     GeoRecord,
     Region,
     SeparationTable,
@@ -16,7 +13,6 @@ from tvwsim.geodb import (
     contour_radius_m,
     default_separation_table,
     load,
-    protected_radius,
     query_vacant_channels,
     required_separation,
     save,
@@ -35,14 +31,44 @@ def service(channel=10, x=0.0, y=0.0, eirp=60.0, sid="svc"):
                          channel_index=channel, location=(x, y), eirp_dbm=eirp)
 
 
-def brute_force_radius(rec, prop, freq=700.0, hi=1e6):
+def record_row(rec):
+    """A database file's row of a record; a radius of None is a blank cell."""
+    svc = rec.service
+    radius = "" if rec.protected_radius_m is None else repr(rec.protected_radius_m)
+    return ",".join([svc.id, svc.standard.value, str(svc.channel_index),
+                     *map(repr, (*svc.location, svc.eirp_dbm, svc.antenna_height_m,
+                                 rec.required_rx_dbm)), radius])
+
+
+def db_text(records=(), rows=(), **metadata):
+    """The text of a database file: ``metadata`` lines, the header, the
+    ``rows`` as written, then one row per record."""
+    return "\n".join([*(f"# {key}={value!r}" for key, value in metadata.items()),
+                      ",".join(geodb.GEODB_FIELDS), *rows,
+                      *map(record_row, records)]) + "\n"
+
+
+def make_db(tmp_path, records=(), prop=None, **metadata):
+    """The database ``load`` reads from a file of ``records`` and ``metadata``."""
+    path = tmp_path / "made.csv"
+    path.write_text(db_text(records, **metadata), encoding="utf-8")
+    return load(path, prop)
+
+
+def contour_of(rec, prop, freq=700.0):
+    """The protected radius of a record: given, or its contour."""
+    if rec.protected_radius_m is not None:
+        return rec.protected_radius_m
+    return contour_radius_m(rec.service.eirp_dbm, rec.required_rx_dbm, prop, freq)
+
+
+def brute_force_radius(eirp, required, prop, freq=700.0, hi=1e6):
     """Independent oracle: bisect the received-power crossing."""
     lo = prop.ref_distance_m
-    eirp = rec.service.eirp_dbm
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rx = eirp - prop.median_loss_db(mid, freq)
-        if rx >= rec.required_rx_dbm:
+        if rx >= required:
             lo = mid
         else:
             hi = mid
@@ -52,56 +78,55 @@ def brute_force_radius(rec, prop, freq=700.0, hi=1e6):
 class TestProtectedRadius:
     def test_boundary_at_reference_distance(self):
         prop = PropagationConfig(ref_loss_db=29.3)
-        rec = GeoRecord(service=service(eirp=60.0), required_rx_dbm=60.0 - 29.3)
-        assert protected_radius(rec, prop) == pytest.approx(1.0, rel=1e-12)
+        assert contour_radius_m(60.0, 60.0 - 29.3, prop) == pytest.approx(1.0, rel=1e-12)
 
     def test_closed_form_matches_brute_force(self, prop):
-        rec = GeoRecord(service=service(eirp=60.0), required_rx_dbm=-84.0)
-        r = protected_radius(rec, prop)
-        assert r == pytest.approx(brute_force_radius(rec, prop), rel=1e-6)
+        r = contour_radius_m(60.0, -84.0, prop)
+        assert r == pytest.approx(brute_force_radius(60.0, -84.0, prop), rel=1e-6)
         # free-space-at-1m reference (~29.3 dB), n=3.5: about 1886 m
         assert r == pytest.approx(1886.0, abs=10.0)
 
     def test_margin_doubling_doubles_radius(self, prop):
         extra = 35.0 * np.log10(2.0)
-        r1 = protected_radius(GeoRecord(service=service(eirp=60.0),
-                                        required_rx_dbm=-84.0), prop)
-        r2 = protected_radius(GeoRecord(service=service(eirp=60.0 + extra),
-                                        required_rx_dbm=-84.0), prop)
+        r1 = contour_radius_m(60.0, -84.0, prop)
+        r2 = contour_radius_m(60.0 + extra, -84.0, prop)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9)
 
-    def test_given_radius_wins(self, prop):
-        rec = GeoRecord(service=service(), required_rx_dbm=-84.0,
-                        protected_radius_m=1234.0)
-        assert protected_radius(rec, prop) == 1234.0
+    def test_given_radius_wins(self, tmp_path, prop):
+        given = GeoRecord(service=service(sid="given"), required_rx_dbm=-84.0,
+                          protected_radius_m=1234.0)
+        blank = GeoRecord(service=service(sid="blank"), required_rx_dbm=-84.0)
+        db = make_db(tmp_path, [given, blank], prop)
+        assert db.records["given"].protected_radius_m == 1234.0
+        assert db.records["blank"].protected_radius_m == contour_radius_m(60.0, -84.0, prop)
 
     def test_unattainable_level_rejected(self, prop):
         with pytest.raises(DegenerateContourError):
             contour_radius_m(10.0, 20.0, prop)
 
     def test_contour_delivers_required_level(self, prop):
-        rec = GeoRecord(service=service(eirp=72.0), required_rx_dbm=-84.0)
-        r = protected_radius(rec, prop)
-        rx = rec.service.eirp_dbm - prop.median_loss_db(r, 700.0)
-        assert rx == pytest.approx(rec.required_rx_dbm, abs=0.01)
+        r = contour_radius_m(72.0, -84.0, prop)
+        rx = 72.0 - prop.median_loss_db(r, 700.0)
+        assert rx == pytest.approx(-84.0, abs=0.01)
 
 
 class TestRegions:
-    def make_db(self, prop):
-        return GeoDb([GeoRecord(service=service(channel=10, eirp=60.0), required_rx_dbm=-84.0)],
-                     prop)
+    def make_db(self, tmp_path, prop):
+        return make_db(tmp_path, [GeoRecord(service=service(channel=10, eirp=60.0),
+                                            required_rx_dbm=-84.0)], prop)
 
-    def test_point_at_transmitter_is_black(self, prop, grid):
-        db = self.make_db(prop)
+    def test_point_at_transmitter_is_black(self, tmp_path, prop, grid):
+        db = self.make_db(tmp_path, prop)
         assert classify_region(db, (0.0, 0.0), 10, 20.0, prop, grid) is Region.BLACK
 
-    def test_empty_database_is_white(self, prop, grid):
-        assert classify_region(GeoDb(), (0, 0), 10, 20.0, prop, grid) is Region.WHITE
+    def test_empty_database_is_white(self, tmp_path, prop, grid):
+        db = make_db(tmp_path)
+        assert classify_region(db, (0, 0), 10, 20.0, prop, grid) is Region.WHITE
 
-    def test_radial_sweep_matches_closed_form_crossovers(self, prop, grid):
-        db = self.make_db(prop)
-        rec = next(iter(db.records.values()))
-        r_protected = protected_radius(rec, prop)
+    def test_radial_sweep_matches_closed_form_crossovers(self, tmp_path, prop, grid):
+        db = self.make_db(tmp_path, prop)
+        r_protected = db.records["svc"].protected_radius_m
+        assert r_protected == contour_radius_m(60.0, -84.0, prop)
         r_interf = contour_radius_m(20.0, db.protection_floor_dbm, prop)
         white_edge = r_protected + r_interf + db.grey_margin_m
         distances = np.linspace(1.0, 2.0 * white_edge, 1000)
@@ -114,29 +139,29 @@ class TestRegions:
             assert int(region) >= last_rank  # permissiveness monotone
             last_rank = int(region)
 
-    def test_adjacent_channel_service_does_not_constrain(self, prop, grid):
-        db = self.make_db(prop)
+    def test_adjacent_channel_service_does_not_constrain(self, tmp_path, prop, grid):
+        db = self.make_db(tmp_path, prop)
         assert classify_region(db, (0.0, 0.0), 11, 20.0, prop, grid) is Region.WHITE
         assert classify_region(db, (0.0, 0.0), 9, 20.0, prop, grid) is Region.WHITE
 
-    def test_unknown_channel_rejected(self, prop, grid):
+    def test_unknown_channel_rejected(self, tmp_path, prop, grid):
         with pytest.raises(IndexError):
-            classify_region(GeoDb(), (0, 0), 37, 20.0, prop, grid)
+            classify_region(make_db(tmp_path), (0, 0), 37, 20.0, prop, grid)
 
-    def test_query_coherent_with_classify(self, prop, grid):
-        db = self.make_db(prop)
+    def test_query_coherent_with_classify(self, tmp_path, prop, grid):
+        db = self.make_db(tmp_path, prop)
         point = (1500.0, 0.0)
         rows = query_vacant_channels(db, point, 20.0, prop, grid)
         assert len(rows) == 37
         for ch, region in rows:
             assert region is classify_region(db, point, ch, 20.0, prop, grid)
 
-    def test_empty_db_query_all_white(self, prop, grid):
-        rows = query_vacant_channels(GeoDb(), (0, 0), 20.0, prop, grid)
+    def test_empty_db_query_all_white(self, tmp_path, prop, grid):
+        rows = query_vacant_channels(make_db(tmp_path), (0, 0), 20.0, prop, grid)
         assert all(r is Region.WHITE for _, r in rows)
 
-    def test_inside_contour_blacks_one_channel(self, prop, grid):
-        db = self.make_db(prop)
+    def test_inside_contour_blacks_one_channel(self, tmp_path, prop, grid):
+        db = self.make_db(tmp_path, prop)
         rows = dict(query_vacant_channels(db, (100.0, 0.0), 20.0, prop, grid))
         assert rows[10] is Region.BLACK
         assert all(r is Region.WHITE for ch, r in rows.items() if ch != 10)
@@ -187,16 +212,19 @@ def saved_state(db):
 
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
-        db = GeoDb()
+        db = make_db(tmp_path)
+        assert db.records == {} and len(db.columns.ids) == 0
         path = tmp_path / "db.csv"
         save(db, path)
         assert saved_state(load(path)) == saved_state(db)
 
     def test_three_record_round_trip(self, tmp_path, prop):
-        db = GeoDb([GeoRecord(service=service(channel=ch, x=100.0 * i, sid=f"s{i}"),
-                              required_rx_dbm=-84.0, protected_radius_m=1000.0 + i)
-                    for i, ch in enumerate((3, 10, 20))],
-                   grey_margin_m=500.0, protection_floor_dbm=-110.0, version=3)
+        records = [GeoRecord(service=service(channel=ch, x=100.0 * i, sid=f"s{i}"),
+                             required_rx_dbm=-84.0, protected_radius_m=1000.0 + i)
+                   for i, ch in reversed(list(enumerate((3, 10, 20))))]
+        db = make_db(tmp_path, records, version=3, grey_margin_m=500.0,
+                     protection_floor_dbm=-110.0)
+        assert db.records == {rec.service.id: rec for rec in records}
         path = tmp_path / "db.csv"
         save(db, path)
         loaded = load(path, prop)
@@ -242,7 +270,7 @@ def loop_classify(db, records, point, channel, cenb_eirp, prop, freq=700.0):
     for rec in records:
         d = float(np.hypot(point[0] - rec.service.location[0],
                            point[1] - rec.service.location[1]))
-        r_protected = protected_radius(rec, prop, freq)
+        r_protected = contour_of(rec, prop, freq)
         if d <= r_protected:
             return Region.BLACK
         if d <= r_protected + r_interf + db.grey_margin_m:
@@ -265,8 +293,8 @@ class TestChannelArrays:
                                      required_rx_dbm=-84.0, protected_radius_m=radius))
         return records
 
-    def assert_matches_the_scan(self, records, prop, grid, points):
-        db = GeoDb(records, prop)
+    def assert_matches_the_scan(self, tmp_path, records, prop, grid, points):
+        db = make_db(tmp_path, records, prop)
         seen = set()
         for point in points:
             for ch in range(grid.n_channels):
@@ -275,48 +303,51 @@ class TestChannelArrays:
                 seen.add(region)
         return seen
 
-    def test_matches_the_per_record_scan(self, prop, grid):
+    def test_matches_the_per_record_scan(self, tmp_path, prop, grid):
         records = self.random_records(11)
         points = np.random.default_rng(12).uniform(-20e3, 20e3, size=(40, 2))
-        seen = self.assert_matches_the_scan(records, prop, grid, points)
+        seen = self.assert_matches_the_scan(tmp_path, records, prop, grid, points)
         assert seen == {Region.BLACK, Region.GREY, Region.WHITE}
 
-    def test_matches_the_scan_with_a_record_more_and_with_half_the_records(self, prop, grid):
+    def test_matches_the_scan_with_a_record_more_and_with_half_the_records(self, tmp_path, prop,
+                                                                            grid):
         records = self.random_records(21, n_records=60)
         points = np.random.default_rng(22).uniform(-20e3, 20e3, size=(15, 2))
-        self.assert_matches_the_scan(records, prop, grid, points)
+        self.assert_matches_the_scan(tmp_path, records, prop, grid, points)
         records.append(GeoRecord(service=service(channel=4, x=float(points[0, 0]),
                                                  y=float(points[0, 1]), sid="new"),
                                  required_rx_dbm=-84.0))
-        assert classify_region(GeoDb(records, prop), points[0], 4, 20.0, prop,
+        assert classify_region(make_db(tmp_path, records, prop), points[0], 4, 20.0, prop,
                                grid) is Region.BLACK
-        self.assert_matches_the_scan(records, prop, grid, points)
-        self.assert_matches_the_scan(records[1::2], prop, grid, points)
+        self.assert_matches_the_scan(tmp_path, records, prop, grid, points)
+        self.assert_matches_the_scan(tmp_path, records[1::2], prop, grid, points)
 
-    def test_degenerate_contour_only_with_a_co_channel_record(self, prop, grid):
-        db = GeoDb([GeoRecord(service=service(channel=10, x=50e3), required_rx_dbm=-84.0)], prop)
+    def test_degenerate_contour_only_with_a_co_channel_record(self, tmp_path, prop, grid):
+        db = make_db(tmp_path, [GeoRecord(service=service(channel=10, x=50e3),
+                                          required_rx_dbm=-84.0)], prop)
         # A CeNB EIRP below the protection floor plus the reference loss
         # has no interference contour: that matters only where a record is.
         assert classify_region(db, (0.0, 0.0), 11, -100.0, prop, grid) is Region.WHITE
         with pytest.raises(DegenerateContourError):
             classify_region(db, (0.0, 0.0), 10, -100.0, prop, grid)
 
-    def test_a_blank_record_without_a_contour_fails_the_build(self, prop):
+    def test_a_blank_record_without_a_contour_fails_the_build(self, tmp_path, prop):
         near = GeoRecord(service=service(channel=10, sid="near"), required_rx_dbm=-84.0,
                          protected_radius_m=1000.0)
         # Its contour needs -20 dBm at 1 m from a 0 dBm service: degenerate.
         weak = GeoRecord(service=service(channel=10, x=9e3, eirp=0.0, sid="weak"),
                          required_rx_dbm=-20.0)
-        with pytest.raises(DegenerateContourError):
-            GeoDb([near, weak], prop)
+        with pytest.raises(ParseError, match=r"made\.csv:3: protected_radius_m '' is neither"):
+            make_db(tmp_path, [near, weak], prop)
         # With a given radius it has no contour to compute.
-        db = GeoDb([near, replace(weak, protected_radius_m=500.0)], prop)
+        weak = GeoRecord(weak.service, weak.required_rx_dbm, protected_radius_m=500.0)
+        db = make_db(tmp_path, [near, weak], prop)
         assert db.records["weak"].protected_radius_m == 500.0
 
-    def test_a_repeated_id_fails_the_build(self, prop):
+    def test_a_repeated_id_fails_the_build(self, tmp_path, prop):
         rec = GeoRecord(service=service(sid="twice"), required_rx_dbm=-84.0)
-        with pytest.raises(ValueError, match="'twice'"):
-            GeoDb([rec, rec], prop)
+        with pytest.raises(ParseError, match=r"made\.csv:3: id 'twice' is a duplicate"):
+            make_db(tmp_path, [rec, rec], prop)
 
 
 # Coordinates near the query points, far from them, and at the ends of the
@@ -331,11 +362,9 @@ RADII = st.one_of(st.floats(1.0, 5e3), st.sampled_from([1e-300, 1e150, 1e308]))
 
 @st.composite
 def mixed_database(draw):
-    """The text of a database file (0-12 records, each with a given radius
-    or a blank one with a finite contour), 0-3 more records to build the
-    database with, with blank radii that may have no contour, and a grey
-    margin; a negative one, which only the constructor takes, ends the
-    grey region inside the protected radius."""
+    """The rows of a database file (0-12 records, each with a given radius
+    or a blank one with a finite contour), 0-3 more records for the file,
+    with blank radii that may have no contour, and a grey margin."""
     rows = [f"r{i},AnalogPalD,{draw(CHANNELS)},{draw(COORDS)!r},{draw(COORDS)!r},"
             f"{draw(st.floats(40.0, 90.0))!r},30,-84,"
             f"{draw(st.one_of(st.just(''), RADII.map(repr)))}"
@@ -344,8 +373,7 @@ def mixed_database(draw):
                                        eirp=eirp, sid=f"a{i}"),
                        required_rx_dbm=draw(st.sampled_from([-84.0, eirp - 30.0, eirp - 20.0])))
              for i, eirp in enumerate(draw(st.lists(st.floats(0.0, 70.0), max_size=3)))]
-    text = "\n".join([",".join(geodb.GEODB_FIELDS), *rows])
-    return text + "\n", added, draw(st.sampled_from([0.0, -5e4, 1000.0, 5e4, 1e308]))
+    return rows, added, draw(st.sampled_from([0.0, 1000.0, 5e4, 1e308]))
 
 
 def _outcome(query):
@@ -362,8 +390,8 @@ def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, gr
     or raises what it raises first, after the same number of its calls, one
     per grid channel up to there.  A CeNB EIRP of -100 dBm has no contour;
     at 0 MHz the interference radius warns, where a record is on the grid.
-    The database is the loaded records and the added ones, less those with
-    a blank radius and no contour, which fail the build.  Some added
+    The database is the drawn rows and the added records, less those with
+    a blank radius and no contour, which fail the load.  Some added
     records sit 30 dB above their level, just past the 29.3 dB reference
     loss at 700 MHz, so near the contour edge: at least one of them must
     be kept and reach the comparison."""
@@ -375,21 +403,20 @@ def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, gr
            cenb_eirp=st.sampled_from([20.0, 36.0, 3000.0, 2e4, -100.0]),
            freq=st.sampled_from([700.0, 700.0, 700.0, 0.0]))
     def check(database, point, cenb_eirp, freq):
-        text, added, margin = database
+        rows, added, margin = database
         path = tmp_path_factory.mktemp("geodb") / "db.csv"
-        path.write_text(text, encoding="utf-8")
         prop = PropagationConfig()
-        loaded = load(path, prop)
         degenerate = [rec for rec in added
                       if rec.service.eirp_dbm - rec.required_rx_dbm < prop.ref_loss(700.0)]
         if degenerate:
-            with pytest.raises(DegenerateContourError):
-                GeoDb([*loaded.records.values(), *added], prop)
+            path.write_text(db_text(added, rows, grey_margin_m=margin), encoding="utf-8")
+            with pytest.raises(ParseError, match="protected_radius_m '' is neither"):
+                load(path, prop)
         kept = [rec for rec in added if rec not in degenerate]
         kept_near_edge.extend(rec for rec in kept
                               if rec.service.eirp_dbm - rec.required_rx_dbm < 31.0)
-        db = GeoDb([*loaded.records.values(), *kept], prop, grey_margin_m=margin,
-                   protection_floor_dbm=loaded.protection_floor_dbm)
+        path.write_text(db_text(kept, rows, grey_margin_m=margin), encoding="utf-8")
+        db = load(path, prop)
 
         oracle_calls = []
 

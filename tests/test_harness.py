@@ -81,9 +81,15 @@ def _link_distance(cfg, point, tx):
     return max(d, cfg.prop.ref_distance_m)
 
 
+def _frame_loop_radio(cfg, det, points):
+    """The frame loop's radio inputs for ``points``: sensing at 3 ms of each frame."""
+    return harness._BlockRadio(cfg, det, points, [3.0])
+
+
 def test_frame_loop_window_means_equal_the_single_point_api(tmp_path):
     cfg, points, det = _array_scenario(tmp_path)
-    windows, links = harness.sensing_links(cfg, det, points)
+    radio = _frame_loop_radio(cfg, det, points)
+    windows, links = radio.windows, radio.links
     schedules = ScheduleTable(cfg.transmitters)
     noise_mw = dbm_to_mw(thermal_noise_dbm(cfg.rbw_khz, det.noise_figure_db))
     for t in (0.0, 120.0, 200.0, 260.0, 350.0):
@@ -130,19 +136,22 @@ def test_block_radio_forms_each_distinct_segment_once(tmp_path, monkeypatch):
 
 
 def test_frame_loop_shadowing_takes_the_sequential_path_loss_draws(tmp_path):
+    """The frame loop draws shadowing from a stream seeded with the scenario
+    seed alone, one scalar ``path_loss`` draw per active link in (CeNB,
+    transmitter) order; a second radio of the same run starts it afresh."""
     cfg, points, det = _array_scenario(tmp_path, "prop.shadowing_sigma_db = 6\n")
-    _, links = harness.sensing_links(cfg, det, points)
-    sequential = replace(cfg.prop, _rng=None)
     schedules = ScheduleTable(cfg.transmitters)
-    for t in (200.0, 350.0):        # two frames: the stream runs on
-        on = schedules.active(t)[0]
-        expected = [[10.0 ** ((tx.eirp_dbm - path_loss(
-                        sequential, _link_distance(cfg, point, tx),
-                        cfg.grid.center_mhz(tx.channel_index))) / 10.0)
-                     for tx, is_on in zip(cfg.transmitters, on) if is_on]
-                    for point in points]
-        np.testing.assert_allclose(links.gains_mw(on), expected, rtol=1e-12)
-    assert cfg.prop._rng is None    # the loaded config's stream is not advanced
+    for _ in range(2):
+        links = _frame_loop_radio(cfg, det, points).links
+        sequential = np.random.default_rng(cfg.seed)
+        for t in (200.0, 350.0):        # two frames: the stream runs on
+            on = schedules.active(t)[0]
+            expected = [[10.0 ** ((tx.eirp_dbm - path_loss(
+                            cfg.prop, _link_distance(cfg, point, tx),
+                            cfg.grid.center_mhz(tx.channel_index), sequential)) / 10.0)
+                         for tx, is_on in zip(cfg.transmitters, on) if is_on]
+                        for point in points]
+            np.testing.assert_allclose(links.gains_mw(on), expected, rtol=1e-12)
 
 
 def test_fig17_handover_timeline():
@@ -495,7 +504,7 @@ def test_a_grid_the_carrier_windows_do_not_fit_fails_at_load(tmp_path, grid_keys
 
 def test_the_run_uses_the_windows_found_at_load(tmp_path):
     cfg, points, det = _array_scenario(tmp_path)
-    windows, _ = harness.sensing_links(cfg, det, points)
+    windows = _frame_loop_radio(cfg, det, points).windows
     assert windows is cfg.windows
     rbw_mhz = cfg.rbw_khz / 1000.0
     n_bins = int(round(cfg.grid.band.width_mhz / rbw_mhz))

@@ -184,12 +184,24 @@ class TestPathLoss:
         assert d.tobytes() == loss.tobytes()
 
     def test_shadowing_deterministic_for_seed(self):
-        a = PropagationConfig(shadowing_sigma_db=8.0, seed=7)
-        b = PropagationConfig(shadowing_sigma_db=8.0, seed=7)
-        seq_a = [path_loss(a, 100.0, 700.0) for _ in range(5)]
-        seq_b = [path_loss(b, 100.0, 700.0) for _ in range(5)]
+        cfg = PropagationConfig(shadowing_sigma_db=8.0)
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        seq_a = [path_loss(cfg, 100.0, 700.0, a) for _ in range(5)]
+        seq_b = [path_loss(cfg, 100.0, 700.0, b) for _ in range(5)]
         assert seq_a == seq_b
         assert len(set(seq_a)) > 1  # draws actually vary call to call
+
+    def test_shadowing_without_a_stream_is_an_error(self):
+        cfg = PropagationConfig(shadowing_sigma_db=6.0)
+        with pytest.raises(ValueError, match="random stream"):
+            path_loss(cfg, 100.0, 700.0)
+        with pytest.raises(ValueError, match="random stream"):
+            path_loss(cfg, np.array([100.0, 250.0]), 700.0)
+        # Without shadowing no stream is needed.
+        assert path_loss(PropagationConfig(), 100.0, 700.0) == pytest.approx(99.3, abs=0.05)
+        # The config is immutable: no stream can be attached to it.
+        with pytest.raises(AttributeError):
+            cfg.seed = 7
 
 
 class TestReceivedSpectrum:
@@ -275,11 +287,11 @@ class TestTransmitterCsv:
 
 class TestArrays:
     def test_vectorised_path_loss_takes_the_sequential_draws(self):
-        seq = PropagationConfig(shadowing_sigma_db=6.0, seed=4)
-        vec = PropagationConfig(shadowing_sigma_db=6.0, seed=4)
+        cfg = PropagationConfig(shadowing_sigma_db=6.0)
+        seq, vec = np.random.default_rng(4), np.random.default_rng(4)
         distances = np.array([[100.0, 250.0, 900.0], [40.0, 3000.0, 7.0]])
-        expected = [[path_loss(seq, d, 700.0) for d in row] for row in distances]
-        np.testing.assert_array_equal(path_loss(vec, distances, 700.0), expected)
+        expected = [[path_loss(cfg, d, 700.0, seq) for d in row] for row in distances]
+        np.testing.assert_array_equal(path_loss(cfg, distances, 700.0, vec), expected)
 
     def test_schedule_table_agrees_with_the_intervals(self):
         txs = [pal_tx(schedule=((0.0, 10.0), (20.0, 30.0))), pal_tx(),
@@ -348,8 +360,8 @@ class TestLinkArraysRows:
                         dtype=bool)
 
         def links():
-            prop = PropagationConfig(shadowing_sigma_db=sigma, seed=9)
-            return LinkArrays(points, txs, prop, grid, bins)
+            prop = PropagationConfig(shadowing_sigma_db=sigma)
+            return LinkArrays(points, txs, prop, grid, bins, rng=np.random.default_rng(9))
 
         one_at_a_time = links()
         expected = [one_at_a_time.mean_mw(row) for row in rows]
