@@ -34,7 +34,6 @@ from .sensing import (  # noqa: F401
 )
 from .geodb import (  # noqa: F401
     GeoDb,
-    GeoRecord,
     Region,
     classify_region,
     query_vacant_channels,

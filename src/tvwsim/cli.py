@@ -130,23 +130,24 @@ def _cmd_geodb(args):
     db = geodb_mod.load(args.db, prop, args.freq)
     if args.geodb_cmd == "query":
         grid = _grid_from_args(args)
+        eirp = _option("--eirp", level_db, args.eirp)
         try:
-            rows = query_vacant_channels(db, (args.x, args.y), args.eirp, prop, grid,
-                                         args.freq)
+            rows = query_vacant_channels(db, (args.x, args.y), eirp, prop, grid, args.freq)
         except DegenerateContourError as exc:
             raise ConfigError(f"{args.db}: protection_floor_dbm = "
                               f"{db.protection_floor_dbm:g} dBm is out of reach of "
-                              f"--eirp = {args.eirp:g} dBm ({exc})") from exc
+                              f"--eirp = {eirp:g} dBm ({exc})") from exc
         print("channel,low_mhz,region")
         for ch, region in rows:
             print(f"{ch},{grid.low_edge_mhz(ch):.10g},{region.name.title()}")
         usable = sum(1 for _, r in rows if r is not geodb_mod.Region.BLACK)
         print(f"# usable channels (white+grey): {usable}")
     else:  # contour
+        cols = db.columns
         print("id,channel,protected_radius_m")
-        for key in sorted(db.records):
-            rec = db.records[key]
-            print(f"{key},{rec.service.channel_index},{rec.protected_radius_m:.10g}")
+        for key, channel, radius in sorted(zip(cols.ids.tolist(), cols.channel.tolist(),
+                                               cols.radius.tolist())):
+            print(f"{key},{channel},{radius:.10g}")
     return EXIT_OK
 
 

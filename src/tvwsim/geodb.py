@@ -14,12 +14,14 @@ closed-form inversion of the log-distance model at median propagation.
 
 A ``GeoDb`` is built once, only by ``load``, and never changes: CeNBs
 read it at start-up, and the white-space rules re-check a database daily
-(FCC 47 CFR 15.711).  It stores the records as columns, one array per
-field, sorted by channel, with every radius resolved, so that a
+(FCC 47 CFR 15.711).  It is its columns: the id, channel, position and
+resolved protected radius of each record, sorted by channel, so that a
 classification reads one channel's contiguous slices.  ``load``
 parses and checks the file a chunk of rows at a time as arrays, and
 computes each chunk's blank radii in one vectorised ``contour_radius_m``
-call; the first bad line, if any, is named from the same arrays.
+call; the first bad line, if any, is named from the same arrays.  The
+standard, EIRP, height and required level of a record are checked and
+used for its radius there, and not kept.
 
 ``query_vacant_channels``, the start-up query of every CeNB, takes the
 distances to all records in one pass and classifies each grid channel
@@ -40,7 +42,6 @@ from .errors import DegenerateContourError, ParseError
 from .radio_env import (
     PropagationConfig,
     TvStandard,
-    TvTransmitter,
     csv_rows,
     finite_float,
     float_array,
@@ -48,13 +49,11 @@ from .radio_env import (
     row_errors,
 )
 
-DEFAULT_REQUIRED_RX_DBM = -84.0
 DEFAULT_GREY_MARGIN_M = 1000.0
 DEFAULT_PROTECTION_FLOOR_DBM = -114.0
 DEFAULT_TV_FREQ_MHZ = 700.0
 
-_STANDARDS = tuple(TvStandard)
-_STANDARD_CODES = {standard.value: code for code, standard in enumerate(_STANDARDS)}
+_STANDARD_NAMES = frozenset(standard.value for standard in TvStandard)
 # Channels are stored as int64.
 _MAX_CHANNEL = 2**63 - 1
 
@@ -65,21 +64,6 @@ class Region(IntEnum):
     BLACK = 0
     GREY = 1
     WHITE = 2
-
-
-@dataclass(frozen=True)
-class GeoRecord:
-    """One authorized service with its protection requirement."""
-
-    service: TvTransmitter
-    required_rx_dbm: float = DEFAULT_REQUIRED_RX_DBM
-    protected_radius_m: float | None = None
-
-    def __post_init__(self):
-        if not -math.inf < self.required_rx_dbm < self.service.eirp_dbm:
-            raise ValueError("required receive level must be finite and below the service EIRP")
-        if self.protected_radius_m is not None and not 0 < self.protected_radius_m < math.inf:
-            raise ValueError("protected radius must be positive and finite")
 
 
 def contour_radius_m(eirp_dbm, floor_dbm, prop, freq_mhz=DEFAULT_TV_FREQ_MHZ):
@@ -122,79 +106,57 @@ def _pow10(x):
 
 
 class _Columns(NamedTuple):
-    """Records as columns: one array per field, one row per record."""
+    """Records as columns, one row per record: the fields that a
+    classification or the contour listing reads."""
 
     ids: np.ndarray         # object: the record ids
-    standard: np.ndarray    # int8: index into _STANDARDS
     channel: np.ndarray     # int64
     x: np.ndarray
     y: np.ndarray
-    eirp: np.ndarray
-    height: np.ndarray
-    required: np.ndarray
-    radius: np.ndarray
+    radius: np.ndarray      # resolved protected radius
 
 
 def _sorted_by_channel(parts):
     """One column store from per-field lists of column chunks, stably sorted
-    by channel; also the chunks' row position of each sorted row.
+    by channel.
 
     Each field's chunks are joined and dropped in turn, so that no more
     than one field is held twice.
     """
     if not parts[0]:        # no rows
-        parts = [[np.empty(0, dtype)] for dtype in (object, np.int8, np.int64, *(float,) * 6)]
-    order = np.argsort(np.concatenate(parts[2]), kind="stable")
+        parts = [[np.empty(0, dtype)] for dtype in (object, np.int64, float, float, float)]
+    order = np.argsort(np.concatenate(parts[1]), kind="stable")
     columns = []
     for i, chunks in enumerate(parts):
         columns.append(np.concatenate(chunks)[order])
         parts[i] = None
-    return _Columns(*columns), order
+    return _Columns(*columns)
 
 
 class GeoDb:
     """The record set as a column store, plus the grey-boundary parameters.
 
     Built only by ``load``, or by ``_near`` as a view of a loaded one,
-    and never changed.  ``columns`` holds one array per record field,
-    stably sorted by channel, so that each channel's records are one
-    contiguous slice in insertion order (``co_channel_arrays``); every
-    radius in it is resolved.  ``order`` is each sorted row's position
-    in insertion order.  ``records``, a dict of ``GeoRecord`` by id in
-    insertion order, is a lazy view of the columns for ``save`` and the
-    contour listing.  ``version`` is file metadata, which ``load`` reads
-    and ``save`` writes.
+    and never changed.  ``columns`` (``_Columns``) holds the ids,
+    channels, positions and resolved radii, stably sorted by channel, so
+    that each channel's records are one contiguous slice in file order
+    (``co_channel_arrays``).  ``version`` is file metadata, which
+    ``load`` reads.
     """
 
-    def __init__(self, columns, order, grey_margin_m=DEFAULT_GREY_MARGIN_M,
+    def __init__(self, columns, grey_margin_m=DEFAULT_GREY_MARGIN_M,
                  protection_floor_dbm=DEFAULT_PROTECTION_FLOOR_DBM, version=0):
         self.grey_margin_m = grey_margin_m
         self.protection_floor_dbm = protection_floor_dbm
         self.version = version
-        self.columns, self._order = columns, order
-        self._records, self._channels = None, None
-
-    @property
-    def records(self):
-        """The records by id, in insertion order (built on first use)."""
-        if self._records is None:
-            # Back to insertion order, one Python row per record.
-            back = np.argsort(self._order)
-            rows = zip(*(col[back].tolist() for col in self.columns))
-            self._records = {
-                rec_id: GeoRecord(
-                    TvTransmitter(id=rec_id, standard=_STANDARDS[standard],
-                                  channel_index=channel, location=(x, y), eirp_dbm=eirp,
-                                  antenna_height_m=height),
-                    required_rx_dbm=required, protected_radius_m=radius)
-                for rec_id, standard, channel, x, y, eirp, height, required, radius in rows}
-        return self._records
+        self.columns = columns
+        self._channels = None
 
     def co_channel_arrays(self, channel_index):
         """The records on a channel as slices of the channel-sorted columns.
 
         Returns (x, y, radius): the services' coordinates and protected
-        radii, in insertion order.  None when the channel has no record.
+        radii, in file order.  None when the channel has no record.
         """
         if self._channels is None:
             cols = self.columns
@@ -274,9 +236,8 @@ def _near(db, point, cenb_max_eirp_dbm, prop, freq_mhz):
         d = np.hypot(point[0] - cols.x, point[1] - cols.y)
         reach = cols.radius + r_interf + db.grey_margin_m
         kept = np.flatnonzero(~((d > reach * _NEAR_SLACK) & np.isfinite(d)))
-    return GeoDb(_Columns(*(col[kept] for col in cols)), db._order[kept],
-                 grey_margin_m=db.grey_margin_m, protection_floor_dbm=db.protection_floor_dbm,
-                 version=db.version)
+    return GeoDb(_Columns(*(col[kept] for col in cols)), grey_margin_m=db.grey_margin_m,
+                 protection_floor_dbm=db.protection_floor_dbm, version=db.version)
 
 
 @dataclass(frozen=True)
@@ -361,24 +322,6 @@ GEODB_FIELDS = ["id", "standard", "channel", "x_m", "y_m", "eirp_dbm", "height_m
                 "required_rx_dbm", "protected_radius_m"]
 
 
-def save(db, path):
-    """Persist a database; records are written sorted by key."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# version={db.version}\n")
-        fh.write(f"# grey_margin_m={db.grey_margin_m!r}\n")
-        fh.write(f"# protection_floor_dbm={db.protection_floor_dbm!r}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GEODB_FIELDS)
-        for key in sorted(db.records):
-            rec = db.records[key]
-            svc = rec.service
-            writer.writerow([svc.id, svc.standard.value, svc.channel_index,
-                             repr(float(svc.location[0])), repr(float(svc.location[1])),
-                             repr(float(svc.eirp_dbm)), repr(float(svc.antenna_height_m)),
-                             repr(float(rec.required_rx_dbm)),
-                             repr(float(rec.protected_radius_m))])
-
-
 def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     """Load a database into columns; blank radii are computed from the propagation model.
 
@@ -386,6 +329,7 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     and its blank radii come from one ``contour_radius_m`` call.  The first
     bad line, a repeated id included, is a ParseError naming it, its field
     and cell.  ``prop`` is only consulted for records whose radius is blank.
+    Every field is checked; only those of ``_Columns`` are kept.
     """
     prop = prop if prop is not None else PropagationConfig()
     params = {}
@@ -423,17 +367,20 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
     if error is not None:
         raise error
     del lines
-    return GeoDb(*_sorted_by_channel(parts), **params)
+    return GeoDb(_sorted_by_channel(parts), **params)
 
 
 def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):
-    """The columns of a chunk of rows, ids aside (the caller compares them
-    across chunks).  Each check is one mask over the rows: a malformed or
-    out-of-range cell, or a record ``GeoRecord`` would reject.  The first
-    bad row is a ParseError at its line that names the field and cell."""
+    """The channel, x, y and radius columns of a chunk of rows (the caller
+    takes the ids and compares them across chunks).  Each check is one mask
+    over the rows: a malformed or out-of-range cell, a required level not
+    below the EIRP, or a radius neither positive and finite nor blank with
+    a finite contour.  The first bad row is a ParseError at its line that
+    names the field and cell.  The standard, EIRP, height and required
+    level are checked but not returned."""
     _, standards, channels, *_, radii = zip(*chunk)
-    standard = np.fromiter(map(_STANDARD_CODES.get, standards, itertools.repeat(-1)),
-                           dtype=np.int8, count=len(chunk))
+    standard = np.fromiter(map(_STANDARD_NAMES.__contains__, standards), dtype=bool,
+                           count=len(chunk))
     # _channel_index runs only on a chunk with a bad cell: per 2000 cells it
     # takes 0.80 ms and map(int) 0.37 ms (Python 3.11, 2-core x86 host), a
     # difference of about 4 % of loading 2000 records.
@@ -445,12 +392,12 @@ def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):
     blank = ~given
     radius = np.full(len(chunk), math.nan)
     radius[given] = float_array(list(itertools.compress(radii, given.tolist())))
-    x, y, eirp, height, required = values.T
+    x, y, eirp, _, required = values.T
     if blank.any():             # NaN where a blank radius has no contour
         radius[blank] = contour_radius_m(eirp[blank], required[blank], prop, freq_mhz)
     finite = np.isfinite(values)
     checks = (      # (the rows that pass, the field, why a row fails)
-        (standard >= 0, 1, "is not a TV standard"),
+        (standard, 1, "is not a TV standard"),
         (channel >= 0, 2, "is not a channel index (0 to 2**63 - 1)"),
         *((finite[:, k], 3 + k, "is not a finite number") for k in range(5)),
         (required < eirp, 7, "is not below the record's EIRP"),
@@ -463,7 +410,8 @@ def _chunk_columns(path, lines, chunk, values, prop, freq_mhz):
         field, reason = next((field, reason) for mask, field, reason in checks if not mask[row])
         raise ParseError(f"{GEODB_FIELDS[field]} {chunk[row][field]!r} {reason}",
                          line=int(lines[row]), path=path)
-    return standard, channel, x, y, eirp, height, required, radius
+    # Copies, so that the chunk's other number columns are freed with it.
+    return channel, x.copy(), y.copy(), radius
 
 
 def _channel_index(cell):

@@ -29,9 +29,9 @@ frame and CeNB's mean window powers (gathered from those rows, or with
 shadowing formed one frame at a time, in frame order), one unit-mean
 Gamma draw of the detector noise at all their window bins from the run's
 one sensing stream, and one k-of-n pass over the window sums in mW
-against the threshold's mW boundary (``sensing.threshold_mw``).  numpy
-fills a draw for many frames in the order of one draw per frame, so no
-output depends on the block length.
+against the threshold in mW (``DetectorConfig.threshold_mw``, which the
+ROC compares with too).  numpy fills a draw for many frames in the order
+of one draw per frame, so no output depends on the block length.
 
 The loop then advances from event to event (next-event time advance).
 A CeNB's state changes only at a frame boundary where a handover it

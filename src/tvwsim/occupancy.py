@@ -34,13 +34,12 @@ class ChannelClass(Enum):
 
 @dataclass(frozen=True)
 class OccupancyMatrix:
-    """Time x frequency power samples with their axes and site metadata."""
+    """Time x frequency power samples with their axes and, if the trace
+    has them, each sweep's position."""
 
     timestamps_ms: np.ndarray
     freqs_mhz: np.ndarray
     power_dbm: np.ndarray
-    site: str = ""
-    rbw_khz: float = 200.0
     latlon: np.ndarray | None = None
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ class OccupancyMatrix:
 _FREQ_COL = re.compile(r"^p_(\d+(?:\.\d+)?)$")
 
 
-def ingest_trace(path, site="", rbw_khz=200.0):
+def ingest_trace(path):
     """Parse a sweep-trace CSV into a validated matrix.
 
     Header is ``t_ms[,lat,lon],p_<f1>,p_<f2>,...`` with bin-center
@@ -129,7 +128,6 @@ def ingest_trace(path, site="", rbw_khz=200.0):
             timestamps_ms=np.concatenate([b[:, 0] for b in blocks]),
             freqs_mhz=np.asarray(header["freqs"]),
             power_dbm=np.concatenate([b[:, first:] for b in blocks]),
-            site=site, rbw_khz=rbw_khz,
             latlon=np.concatenate([b[:, 1:3] for b in blocks]) if first == 3 else None)
 
 

@@ -25,7 +25,6 @@ the same trials, bit for bit, as comparing the products with tau.
 """
 
 import csv
-import functools
 import math
 import struct
 import sys
@@ -91,6 +90,11 @@ class DetectorConfig:
 
     def window_noise_mw(self):
         return float(dbm_to_mw(thermal_noise_dbm(self.det_bw_khz, self.noise_figure_db)))
+
+    def threshold_mw(self):
+        """The threshold in mW: the frame loop's window sums and the Monte
+        Carlo's window statistics are compared with this one value."""
+        return float(dbm_to_mw(self.threshold_dbm))
 
 
 def _combined_pfa(p1, k, n):
@@ -222,11 +226,11 @@ def _k_of_n(stats, threshold, k):
 def channel_verdicts(cfg, sums_mw):
     """Occupied flags (...) of carrier-window sums ``sums_mw`` (..., carriers) in mW.
 
-    A carrier fires when its sum reaches ``threshold_mw(cfg.threshold_dbm)``,
-    which selects the same carriers as comparing ``mw_to_dbm`` of the sums
-    with ``cfg.threshold_dbm``, so no logarithm is taken for a verdict.
+    A carrier fires when its sum reaches ``cfg.threshold_mw()``, the value
+    the ROC's statistics are compared with too, so no logarithm is taken
+    for a verdict.
     """
-    return _k_of_n(sums_mw, threshold_mw(cfg.threshold_dbm), cfg.k_required)
+    return _k_of_n(sums_mw, cfg.threshold_mw(), cfg.k_required)
 
 
 def detect_channels(cfg, mw, windows=None):
@@ -241,7 +245,9 @@ def detect_channels(cfg, mw, windows=None):
     independent sensing rounds.  The per-carrier statistic is the linear
     power summed over its window (the last axis); returns the
     (..., channels, carriers) statistics and the (..., channels)
-    occupied flags of ``channel_verdicts``.
+    occupied flags of ``channel_verdicts``, which decides on the sums in
+    mW: a statistic within rounding of ``cfg.threshold_dbm`` may lie on
+    either side of it.
     """
     window_mw = mw if windows is None else mw[windows]
     sums = window_mw.sum(axis=-1)
@@ -327,23 +333,6 @@ def _draw_threshold(scale, tau):
                          tau / scale if scale > 0 else sys.float_info.max)
 
 
-@functools.lru_cache(maxsize=64)
-def threshold_mw(threshold_dbm):
-    """Smallest power x in mW with ``mw_to_dbm(x) >= threshold_dbm``.
-
-    Far from x, ``mw_to_dbm`` lies further from the threshold than its
-    rounding error, and near x it does not decrease (pinned by
-    ``tests/test_sensing_properties.py`` on every double within 2**16
-    ulps of x, and at 0, a subnormal and inf, for the operating
-    thresholds), so a power x' >= 0 reaches the threshold in dBm exactly
-    when ``x' >= threshold_mw(threshold_dbm)``.  The always-fire
-    threshold -inf gives 0.  One ``_least_double`` search, started at
-    ``dbm_to_mw(threshold_dbm)``, per threshold value.
-    """
-    return _least_double(lambda x: mw_to_dbm(x) >= threshold_dbm,
-                         float(dbm_to_mw(threshold_dbm)))
-
-
 _DRAW_CHUNK = 1 << 15  # trials per Gamma call of the Monte Carlo draws
 
 
@@ -372,7 +361,7 @@ def _draw_thresholds(cfg, signal_mw, noise_mw):
     """Per-carrier draws at which ``fl((noise_mw + signal_mw[c]) * g)`` reaches
     the threshold (``_draw_threshold``): comparing draws with them fires
     on the same trials as comparing the products."""
-    tau = float(dbm_to_mw(cfg.threshold_dbm))
+    tau = cfg.threshold_mw()
     return np.array([_draw_threshold(float(noise_mw + s), tau) for s in signal_mw])
 
 

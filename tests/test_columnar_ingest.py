@@ -4,8 +4,8 @@ For the geo-database: outputs pinned, cell syntax, exit codes, memory.
 
 Each digest is of one output on a generated 2000-record file with
 metadata lines, blank radii and given radii, taken with numpy 2.4.6.
-``save`` writes the computed radii back with every digit, so its digest
-also pins the bits of the contour radii.
+The columns digest writes every loaded float with ``repr``, so it also
+pins the bits of the contour radii.
 """
 
 import hashlib
@@ -71,8 +71,8 @@ GOLDEN = {
         "627faca980f4ce4e6e1d07f1a96b0d7b6f1a333da712b3e2421b7f06c96ce79b",
     "contour":
         "310c5ee538b51bf1ab11309a51594b48bad3966ae3596e111b61ea79dd1de6d1",
-    "save":
-        "e28929867bcf43e1fc5089ddeb368fbe926ff46329de13ada754811dfae228a9",
+    "columns":
+        "bba73c3bcc418113dfb1a0852dff36f315490ba143a1e51fc50340e0b0ba4a74",
     "cenb regions":
         "5e54c35a4425ddfcbf80c22e8e9c6be1ee40de3ca0244fb941b4e3202712bd29",
 }
@@ -101,9 +101,27 @@ def test_contour_digest(database, capsys):
     assert sha(_stdout(capsys, ["geodb", "contour", str(database)])) == GOLDEN["contour"]
 
 
-def test_save_digest(database, tmp_path):
-    geodb.save(geodb.load(database), tmp_path / "saved.csv")
-    assert sha((tmp_path / "saved.csv").read_text(encoding="utf-8")) == GOLDEN["save"]
+def columns_text(db):
+    """The metadata and the loaded columns, one line per record in id order,
+    every float written with ``repr``."""
+    cols = db.columns
+    lines = [f"# version={db.version}", f"# grey_margin_m={db.grey_margin_m!r}",
+             f"# protection_floor_dbm={db.protection_floor_dbm!r}"]
+    rows = sorted(zip(cols.ids.tolist(), cols.channel.tolist(), cols.x.tolist(),
+                      cols.y.tolist(), cols.radius.tolist()))
+    lines += [f"{rec_id},{ch},{x!r},{y!r},{radius!r}" for rec_id, ch, x, y, radius in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_loaded_columns_digest(database):
+    assert sha(columns_text(geodb.load(database))) == GOLDEN["columns"]
+
+
+def test_the_loaded_columns_are_those_a_query_or_the_contour_listing_reads(database):
+    cols = geodb.load(database).columns
+    assert cols._fields == ("ids", "channel", "x", "y", "radius")
+    assert [col.dtype for col in cols] == [object, np.int64, float, float, float]
+    assert all(col.flags.c_contiguous for col in cols)
 
 
 def test_cenb_region_maps_digest(database):
@@ -119,13 +137,6 @@ def _metadata(db):
     return db.grey_margin_m, db.protection_floor_dbm, db.version
 
 
-def test_a_saved_database_loads_back_equal(database, tmp_path):
-    db = geodb.load(database)
-    geodb.save(db, tmp_path / "saved.csv")
-    loaded = geodb.load(tmp_path / "saved.csv")
-    assert loaded.records == db.records and _metadata(loaded) == _metadata(db)
-
-
 def test_a_loaded_database_rebuilt_with_one_record_more(database, tmp_path):
     db, prop, grid = geodb.load(database), PropagationConfig(), china_tv_grid()
     point = (1e7, 1e7)
@@ -137,8 +148,7 @@ def test_a_loaded_database_rebuilt_with_one_record_more(database, tmp_path):
                       encoding="utf-8")
     more = geodb.load(bigger, prop)
     assert geodb.classify_region(more, point, 4, 20.0, prop, grid) is geodb.Region.BLACK
-    assert len(more.records) == 2001 and _metadata(more) == _metadata(db)
-    assert list(more.records)[:-1] == list(db.records)
+    assert len(more.columns.ids) == 2001 and _metadata(more) == _metadata(db)
     # The stable channel sort keeps every loaded row in its place among the others.
     kept = more.columns.ids != "new"
     for built, loaded in zip(more.columns, db.columns):
@@ -174,7 +184,7 @@ def test_the_column_parse_reads_a_number_cell_as_finite_float_does(tmp_path, cel
         with pytest.raises(ParseError, match=r"db\.csv:2: "):
             geodb.load(path)
     else:
-        assert geodb.load(path).records["db"].service.location[0] == expected
+        assert geodb.load(path).columns.x.tolist() == [expected]
 
 
 @pytest.mark.parametrize("cell", INT_CELLS)
@@ -186,7 +196,7 @@ def test_the_column_parse_reads_a_channel_cell_as_int_does(tmp_path, cell):
         with pytest.raises(ParseError, match=r"db\.csv:2: "):
             geodb.load(path)
     else:
-        assert geodb.load(path).records["db"].service.channel_index == expected
+        assert geodb.load(path).columns.channel.tolist() == [expected]
 
 
 # Values in range for each field of a record.
@@ -248,7 +258,7 @@ def test_geodb_exit_code_contract_over_database_files(tmp_path_factory, capsys, 
 
 
 def test_load_memory_is_the_column_store(tmp_path):
-    # The loaded columns take about 130 bytes a record; per-record objects
+    # The loaded columns take about 95 bytes a record; per-record objects
     # would take about 500.
     path = write_database(tmp_path / "db.csv", n_records=20_000)
     tracemalloc.start()
@@ -448,17 +458,14 @@ def test_a_database_names_its_first_bad_line_or_loads_its_rows(tmp_path_factory,
             geodb.load(path, prop)
         assert caught.value.line == line and str(caught.value).startswith(f"{path}:{line}: ")
         return
-    records = geodb.load(path, prop).records
-    assert list(records) == [cells[0] for cells in rows]
-    for rec_id, standard, channel, x, y, eirp, height, required, radius in rows:
-        rec = records[rec_id]
-        assert (rec.service.standard.value, rec.service.channel_index, rec.service.location,
-                rec.service.eirp_dbm, rec.service.antenna_height_m, rec.required_rx_dbm) == (
-            standard, int(channel), (float(x), float(y)), float(eirp), float(height),
-            float(required))
-        assert rec.protected_radius_m == (
-            float(radius) if radius else
-            geodb.contour_radius_m(float(eirp), float(required), prop))
+    cols = geodb.load(path, prop).columns
+    # The rows in file order, stably sorted by channel.
+    expected = [(rec_id, int(channel), float(x), float(y),
+                 float(radius) if radius else
+                 geodb.contour_radius_m(float(eirp), float(required), prop))
+                for rec_id, _, channel, x, y, eirp, _, required, radius
+                in sorted(rows, key=lambda cells: int(cells[2]))]
+    assert list(zip(*(col.tolist() for col in cols))) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,

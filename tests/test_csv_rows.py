@@ -47,7 +47,7 @@ def test_only_the_geodb_takes_metadata_lines(tmp_path, kind):
 def test_geodb_metadata_lines(tmp_path):
     db = load(write(tmp_path, "# version=4\n# grey_margin_m = 250\n" + FORMATS["geodb"][1]))
     assert (db.version, db.grey_margin_m) == (4, 250.0)
-    assert db.records["db"].protected_radius_m == 1000.0
+    assert (db.columns.ids.tolist(), db.columns.radius.tolist()) == (["db"], [1000.0])
 
 
 @pytest.mark.parametrize("meta, line", [("# version=4\n# colour=red\n", 2),

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from tvwsim import geodb
 from tvwsim.errors import DegenerateContourError, ParseError
 from tvwsim.geodb import (
-    GeoRecord,
     Region,
     SeparationTable,
     classify_region,
@@ -15,29 +16,29 @@ from tvwsim.geodb import (
     load,
     query_vacant_channels,
     required_separation,
-    save,
     separation_table_from_csv,
 )
-from tvwsim.radio_env import (
-    PropagationConfig,
-    TvStandard,
-    TvTransmitter,
-    free_space_ref_loss_db,
-)
+from tvwsim.radio_env import PropagationConfig
 
 
-def service(channel=10, x=0.0, y=0.0, eirp=60.0, sid="svc"):
-    return TvTransmitter(id=sid, standard=TvStandard.ANALOG_PAL_D,
-                         channel_index=channel, location=(x, y), eirp_dbm=eirp)
+class Record(NamedTuple):
+    """A PAL-D service 10 m high with its protection requirement; a radius
+    of None is a blank cell."""
+
+    id: str = "svc"
+    channel: int = 10
+    x: float = 0.0
+    y: float = 0.0
+    eirp: float = 60.0
+    required: float = -84.0
+    radius: float | None = None
 
 
 def record_row(rec):
-    """A database file's row of a record; a radius of None is a blank cell."""
-    svc = rec.service
-    radius = "" if rec.protected_radius_m is None else repr(rec.protected_radius_m)
-    return ",".join([svc.id, svc.standard.value, str(svc.channel_index),
-                     *map(repr, (*svc.location, svc.eirp_dbm, svc.antenna_height_m,
-                                 rec.required_rx_dbm)), radius])
+    """A database file's row of a record."""
+    radius = "" if rec.radius is None else repr(rec.radius)
+    return ",".join([rec.id, "AnalogPalD", str(rec.channel),
+                     *map(repr, (rec.x, rec.y, rec.eirp, 10.0, rec.required)), radius])
 
 
 def db_text(records=(), rows=(), **metadata):
@@ -57,9 +58,15 @@ def make_db(tmp_path, records=(), prop=None, **metadata):
 
 def contour_of(rec, prop, freq=700.0):
     """The protected radius of a record: given, or its contour."""
-    if rec.protected_radius_m is not None:
-        return rec.protected_radius_m
-    return contour_radius_m(rec.service.eirp_dbm, rec.required_rx_dbm, prop, freq)
+    if rec.radius is not None:
+        return rec.radius
+    return contour_radius_m(rec.eirp, rec.required, prop, freq)
+
+
+def radius_in(db, rec_id):
+    """The protected radius that a loaded database holds for a record."""
+    (row,) = np.flatnonzero(db.columns.ids == rec_id)
+    return db.columns.radius[row]
 
 
 def brute_force_radius(eirp, required, prop, freq=700.0, hi=1e6):
@@ -93,12 +100,9 @@ class TestProtectedRadius:
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9)
 
     def test_given_radius_wins(self, tmp_path, prop):
-        given = GeoRecord(service=service(sid="given"), required_rx_dbm=-84.0,
-                          protected_radius_m=1234.0)
-        blank = GeoRecord(service=service(sid="blank"), required_rx_dbm=-84.0)
-        db = make_db(tmp_path, [given, blank], prop)
-        assert db.records["given"].protected_radius_m == 1234.0
-        assert db.records["blank"].protected_radius_m == contour_radius_m(60.0, -84.0, prop)
+        db = make_db(tmp_path, [Record(id="given", radius=1234.0), Record(id="blank")], prop)
+        assert radius_in(db, "given") == 1234.0
+        assert radius_in(db, "blank") == contour_radius_m(60.0, -84.0, prop)
 
     def test_unattainable_level_rejected(self, prop):
         with pytest.raises(DegenerateContourError):
@@ -112,8 +116,7 @@ class TestProtectedRadius:
 
 class TestRegions:
     def make_db(self, tmp_path, prop):
-        return make_db(tmp_path, [GeoRecord(service=service(channel=10, eirp=60.0),
-                                            required_rx_dbm=-84.0)], prop)
+        return make_db(tmp_path, [Record(channel=10, eirp=60.0, required=-84.0)], prop)
 
     def test_point_at_transmitter_is_black(self, tmp_path, prop, grid):
         db = self.make_db(tmp_path, prop)
@@ -125,7 +128,7 @@ class TestRegions:
 
     def test_radial_sweep_matches_closed_form_crossovers(self, tmp_path, prop, grid):
         db = self.make_db(tmp_path, prop)
-        r_protected = db.records["svc"].protected_radius_m
+        r_protected = radius_in(db, "svc")
         assert r_protected == contour_radius_m(60.0, -84.0, prop)
         r_interf = contour_radius_m(20.0, db.protection_floor_dbm, prop)
         white_edge = r_protected + r_interf + db.grey_margin_m
@@ -205,41 +208,27 @@ class TestSeparationTable:
         assert separation_table_from_csv(path) == self.table()
 
 
-def saved_state(db):
-    """What ``save`` writes of a database: its records and its metadata."""
-    return db.records, (db.grey_margin_m, db.protection_floor_dbm, db.version)
-
-
 class TestPersistence:
-    def test_empty_round_trip(self, tmp_path):
-        db = make_db(tmp_path)
-        assert db.records == {} and len(db.columns.ids) == 0
-        path = tmp_path / "db.csv"
-        save(db, path)
-        assert saved_state(load(path)) == saved_state(db)
+    def test_empty_file_loads_empty_columns(self, tmp_path):
+        db = make_db(tmp_path, version=2, grey_margin_m=500.0)
+        assert [len(col) for col in db.columns] == [0] * len(db.columns)
+        assert (db.version, db.grey_margin_m) == (2, 500.0)
 
-    def test_three_record_round_trip(self, tmp_path, prop):
-        records = [GeoRecord(service=service(channel=ch, x=100.0 * i, sid=f"s{i}"),
-                             required_rx_dbm=-84.0, protected_radius_m=1000.0 + i)
+    def test_three_records_load_sorted_by_channel(self, tmp_path, prop):
+        records = [Record(id=f"s{i}", channel=ch, x=100.0 * i, radius=1000.0 + i)
                    for i, ch in reversed(list(enumerate((3, 10, 20))))]
-        db = make_db(tmp_path, records, version=3, grey_margin_m=500.0,
+        db = make_db(tmp_path, records, prop, version=3, grey_margin_m=500.0,
                      protection_floor_dbm=-110.0)
-        assert db.records == {rec.service.id: rec for rec in records}
-        path = tmp_path / "db.csv"
-        save(db, path)
-        loaded = load(path, prop)
-        assert saved_state(loaded) == saved_state(db)
-        assert loaded.version == 3
-        assert list(loaded.records) == sorted(db.records)
+        assert (db.version, db.grey_margin_m, db.protection_floor_dbm) == (3, 500.0, -110.0)
+        assert list(zip(*(col.tolist() for col in db.columns))) == [
+            (rec.id, rec.channel, rec.x, rec.y, rec.radius) for rec in reversed(records)]
 
     def test_blank_radius_computed_on_load(self, tmp_path, prop):
         path = tmp_path / "db.csv"
         path.write_text("id,standard,channel,x_m,y_m,eirp_dbm,height_m,"
                         "required_rx_dbm,protected_radius_m\n"
                         "svc,AnalogPalD,10,0.0,0.0,60.0,10.0,-84.0,\n")
-        loaded = load(path, prop)
-        rec = loaded.records["svc"]
-        assert rec.protected_radius_m == pytest.approx(1886.0, abs=10.0)
+        assert radius_in(load(path, prop), "svc") == pytest.approx(1886.0, abs=10.0)
 
     def test_duplicate_key_names_the_key(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -262,14 +251,13 @@ def loop_classify(db, records, point, channel, cenb_eirp, prop, freq=700.0):
     """Reference: the per-record scan of ``records``, in record order, with
     the grey-boundary parameters of ``db``; a blank radius is resolved
     where the scan meets it."""
-    records = [r for r in records if r.service.channel_index == channel]
+    records = [r for r in records if r.channel == channel]
     if not records:
         return Region.WHITE
     r_interf = contour_radius_m(cenb_eirp, db.protection_floor_dbm, prop, freq)
     region = Region.WHITE
     for rec in records:
-        d = float(np.hypot(point[0] - rec.service.location[0],
-                           point[1] - rec.service.location[1]))
+        d = float(np.hypot(point[0] - rec.x, point[1] - rec.y))
         r_protected = contour_of(rec, prop, freq)
         if d <= r_protected:
             return Region.BLACK
@@ -285,12 +273,11 @@ class TestChannelArrays:
         records = []
         for i in range(n_records):
             radius = None if i % 5 == 0 else float(rng.uniform(500.0, 3000.0))
-            records.append(GeoRecord(service=service(channel=int(rng.integers(0, 37)),
-                                                     x=float(rng.uniform(-20e3, 20e3)),
-                                                     y=float(rng.uniform(-20e3, 20e3)),
-                                                     eirp=float(rng.uniform(50.0, 70.0)),
-                                                     sid=f"r{i}"),
-                                     required_rx_dbm=-84.0, protected_radius_m=radius))
+            records.append(Record(id=f"r{i}", channel=int(rng.integers(0, 37)),
+                                  x=float(rng.uniform(-20e3, 20e3)),
+                                  y=float(rng.uniform(-20e3, 20e3)),
+                                  eirp=float(rng.uniform(50.0, 70.0)), required=-84.0,
+                                  radius=radius))
         return records
 
     def assert_matches_the_scan(self, tmp_path, records, prop, grid, points):
@@ -314,17 +301,15 @@ class TestChannelArrays:
         records = self.random_records(21, n_records=60)
         points = np.random.default_rng(22).uniform(-20e3, 20e3, size=(15, 2))
         self.assert_matches_the_scan(tmp_path, records, prop, grid, points)
-        records.append(GeoRecord(service=service(channel=4, x=float(points[0, 0]),
-                                                 y=float(points[0, 1]), sid="new"),
-                                 required_rx_dbm=-84.0))
+        records.append(Record(id="new", channel=4, x=float(points[0, 0]),
+                              y=float(points[0, 1]), required=-84.0))
         assert classify_region(make_db(tmp_path, records, prop), points[0], 4, 20.0, prop,
                                grid) is Region.BLACK
         self.assert_matches_the_scan(tmp_path, records, prop, grid, points)
         self.assert_matches_the_scan(tmp_path, records[1::2], prop, grid, points)
 
     def test_degenerate_contour_only_with_a_co_channel_record(self, tmp_path, prop, grid):
-        db = make_db(tmp_path, [GeoRecord(service=service(channel=10, x=50e3),
-                                          required_rx_dbm=-84.0)], prop)
+        db = make_db(tmp_path, [Record(channel=10, x=50e3, required=-84.0)], prop)
         # A CeNB EIRP below the protection floor plus the reference loss
         # has no interference contour: that matters only where a record is.
         assert classify_region(db, (0.0, 0.0), 11, -100.0, prop, grid) is Region.WHITE
@@ -332,20 +317,17 @@ class TestChannelArrays:
             classify_region(db, (0.0, 0.0), 10, -100.0, prop, grid)
 
     def test_a_blank_record_without_a_contour_fails_the_build(self, tmp_path, prop):
-        near = GeoRecord(service=service(channel=10, sid="near"), required_rx_dbm=-84.0,
-                         protected_radius_m=1000.0)
+        near = Record(id="near", channel=10, required=-84.0, radius=1000.0)
         # Its contour needs -20 dBm at 1 m from a 0 dBm service: degenerate.
-        weak = GeoRecord(service=service(channel=10, x=9e3, eirp=0.0, sid="weak"),
-                         required_rx_dbm=-20.0)
+        weak = Record(id="weak", channel=10, x=9e3, eirp=0.0, required=-20.0)
         with pytest.raises(ParseError, match=r"made\.csv:3: protected_radius_m '' is neither"):
             make_db(tmp_path, [near, weak], prop)
         # With a given radius it has no contour to compute.
-        weak = GeoRecord(weak.service, weak.required_rx_dbm, protected_radius_m=500.0)
-        db = make_db(tmp_path, [near, weak], prop)
-        assert db.records["weak"].protected_radius_m == 500.0
+        db = make_db(tmp_path, [near, weak._replace(radius=500.0)], prop)
+        assert radius_in(db, "weak") == 500.0
 
     def test_a_repeated_id_fails_the_build(self, tmp_path, prop):
-        rec = GeoRecord(service=service(sid="twice"), required_rx_dbm=-84.0)
+        rec = Record(id="twice", required=-84.0)
         with pytest.raises(ParseError, match=r"made\.csv:3: id 'twice' is a duplicate"):
             make_db(tmp_path, [rec, rec], prop)
 
@@ -369,9 +351,8 @@ def mixed_database(draw):
             f"{draw(st.floats(40.0, 90.0))!r},30,-84,"
             f"{draw(st.one_of(st.just(''), RADII.map(repr)))}"
             for i in range(draw(st.integers(0, 12)))]
-    added = [GeoRecord(service=service(channel=draw(CHANNELS), x=draw(COORDS), y=draw(COORDS),
-                                       eirp=eirp, sid=f"a{i}"),
-                       required_rx_dbm=draw(st.sampled_from([-84.0, eirp - 30.0, eirp - 20.0])))
+    added = [Record(id=f"a{i}", channel=draw(CHANNELS), x=draw(COORDS), y=draw(COORDS),
+                    eirp=eirp, required=draw(st.sampled_from([-84.0, eirp - 30.0, eirp - 20.0])))
              for i, eirp in enumerate(draw(st.lists(st.floats(0.0, 70.0), max_size=3)))]
     return rows, added, draw(st.sampled_from([0.0, 1000.0, 5e4, 1e308]))
 
@@ -406,15 +387,13 @@ def test_query_equals_classify_region_on_the_whole_database(tmp_path_factory, gr
         rows, added, margin = database
         path = tmp_path_factory.mktemp("geodb") / "db.csv"
         prop = PropagationConfig()
-        degenerate = [rec for rec in added
-                      if rec.service.eirp_dbm - rec.required_rx_dbm < prop.ref_loss(700.0)]
+        degenerate = [rec for rec in added if rec.eirp - rec.required < prop.ref_loss(700.0)]
         if degenerate:
             path.write_text(db_text(added, rows, grey_margin_m=margin), encoding="utf-8")
             with pytest.raises(ParseError, match="protected_radius_m '' is neither"):
                 load(path, prop)
         kept = [rec for rec in added if rec not in degenerate]
-        kept_near_edge.extend(rec for rec in kept
-                              if rec.service.eirp_dbm - rec.required_rx_dbm < 31.0)
+        kept_near_edge.extend(rec for rec in kept if rec.eirp - rec.required < 31.0)
         path.write_text(db_text(kept, rows, grey_margin_m=margin), encoding="utf-8")
         db = load(path, prop)
 

@@ -14,12 +14,11 @@ def write(tmp_path, text, name="input.csv"):
 class TestIngestTrace:
     def test_round_trip_without_position(self, tmp_path):
         path = write(tmp_path, "t_ms,p_470.1,p_470.3\n0,-100,-99.5\n\n10,-98,-60.25\n")
-        m = ingest_trace(path, site="roof", rbw_khz=100.0)
+        m = ingest_trace(path)
         np.testing.assert_array_equal(m.timestamps_ms, [0.0, 10.0])
         np.testing.assert_array_equal(m.freqs_mhz, [470.1, 470.3])
         np.testing.assert_array_equal(m.power_dbm, [[-100.0, -99.5], [-98.0, -60.25]])
         assert m.latlon is None
-        assert (m.site, m.rbw_khz) == ("roof", 100.0)
 
     def test_round_trip_with_position(self, tmp_path):
         path = write(tmp_path, "t_ms,lat,lon,p_471\n0,39.9,116.3,-100\n5,39.8,116.4,-70\n")

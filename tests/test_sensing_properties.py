@@ -3,26 +3,22 @@
 ``sensing._draw_threshold(a, tau)`` is the smallest double g >= 0 with
 ``fl(a * g) >= tau``; the ROC counts draws against it in place of
 forming the products, which is exact only if it is the boundary to the
-last bit.  ``sensing.threshold_mw(thr)``, found by the same search, is
-the smallest power whose ``mw_to_dbm`` reaches a threshold in dBm; the
-frame loop's verdicts compare window sums with it in place of taking
-their logarithm.
+last bit.  Its ``tau`` is ``DetectorConfig.threshold_mw()``, the value
+the frame loop's verdicts compare window sums with, so the ROC describes
+the detector that the simulator runs.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvwsim.radio_env import mw_to_dbm
 from tvwsim.sensing import (
     _draw_threshold,
-    analytic_threshold_dbm,
+    _draw_thresholds,
+    channel_verdicts,
     default_calibration,
-    threshold_mw,
 )
 
 
@@ -62,23 +58,12 @@ def test_edges_without_a_finite_boundary():
     assert _draw_threshold(math.inf, 1e-13) == 5e-324  # any positive draw fires
 
 
-def _operating_threshold_dbm(target_pfa):
-    """The frame loop's threshold: the default calibration at an operational
-    pfa, over the 1.7 ms sensing time of the default frame."""
-    det = replace(default_calibration(), target_pfa=target_pfa, sense_duration_ms=1.7,
-                  threshold_dbm=None)
-    return analytic_threshold_dbm(det)
-
-
-@pytest.mark.parametrize("target_pfa", [1e-8, 1e-3, 0.01, 1.0])
-def test_mw_threshold_selects_the_powers_that_reach_the_dbm_threshold(target_pfa):
-    thr = _operating_threshold_dbm(target_pfa)
-    x_star = threshold_mw(thr)
-    if target_pfa >= 1.0:
-        assert thr == -math.inf and x_star == 0.0
-    # Every double within 2**16 ulps of x*, as an array like the frame loop's.
-    bits = np.array([x_star]).view(np.int64) + np.arange(-(1 << 16), (1 << 16) + 1)
-    x = bits[bits >= 0].view(np.float64)
-    assert np.array_equal(mw_to_dbm(x) >= thr, x >= x_star)
-    for edge in (0.0, 5e-324, 1e-310, math.inf):
-        assert bool(mw_to_dbm(edge) >= thr) == (edge >= x_star)
+def test_the_frame_loop_and_the_roc_fire_at_one_mw_threshold():
+    cfg = default_calibration()
+    tau = cfg.threshold_mw()
+    at, below = np.full(cfg.n_carriers, tau), np.full(cfg.n_carriers, math.nextafter(tau, 0.0))
+    assert channel_verdicts(cfg, np.array([at, below])).tolist() == [True, False]
+    noise = cfg.window_noise_mw()
+    g_star = _draw_thresholds(cfg, np.zeros(cfg.n_carriers), noise)
+    assert (noise * g_star >= tau).all()
+    assert (noise * np.nextafter(g_star, 0.0) < tau).all()
