@@ -127,10 +127,11 @@ def _cmd_geodb(args):
         exponent=_option("--exponent", harness._exponent, args.exponent),
         ref_loss_db=(None if args.ref_loss_db is None
                      else _option("--ref-loss-db", level_db, args.ref_loss_db)))
-    db = geodb_mod.load(args.db, prop, args.freq)
-    if args.geodb_cmd == "query":
+    if args.geodb_cmd == "query":  # every flag is checked before the database is read
         grid = _grid_from_args(args)
         eirp = _option("--eirp", level_db, args.eirp)
+    db = geodb_mod.load(args.db, prop, args.freq)
+    if args.geodb_cmd == "query":
         try:
             rows = query_vacant_channels(db, (args.x, args.y), eirp, prop, grid, args.freq)
         except DegenerateContourError as exc:

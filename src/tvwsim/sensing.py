@@ -333,28 +333,55 @@ def _draw_threshold(scale, tau):
                          tau / scale if scale > 0 else sys.float_info.max)
 
 
-_DRAW_CHUNK = 1 << 15  # trials per Gamma call of the Monte Carlo draws
+_DRAW_CHUNK = 1 << 15  # trials per chunk of the Monte Carlo draws
+_SUB_DRAW = 1 << 12  # trials per standard_gamma call that fills a chunk
+
+
+def _fill_unit_gamma(rows, m, rng):
+    """Fill ``rows``, a (trials, carriers) array of any layout, with
+    ``rng.gamma(m, 1/m, size=rows.shape)``, bit for bit.
+
+    ``Generator.gamma`` is ``scale * standard_gamma``, so the stream is
+    drawn trial-major by ``standard_gamma`` into one C-contiguous buffer
+    of ``_SUB_DRAW`` trials (its ``out`` must be C-contiguous) and scaled
+    into ``rows`` from there.  The buffer, about 100 kB for three
+    carriers, is all this allocates.
+    """
+    drawn = np.empty((min(_SUB_DRAW, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), _SUB_DRAW):
+        part = drawn[:min(_SUB_DRAW, len(rows) - start)]
+        rng.standard_gamma(m, out=part)
+        np.multiply(part, 1.0 / m, out=rows[start:start + len(part)])
 
 
 def _unit_gamma_chunks(cfg, trials, rng):
     """Unit-mean Gamma window draws, in chunks of ``_DRAW_CHUNK`` trials.
 
-    Stacked, the chunks are ``rng.gamma(m, 1/m, size=(trials, carriers))``:
-    the stream is drawn trial-major, one chunk per call, and each chunk
-    is copied carrier-major.  Each carrier's draws are then contiguous,
-    so comparing them with a per-carrier threshold runs at unit stride.
+    Stacked, the chunks are ``rng.gamma(m, 1/m, size=(trials, carriers))``.
+    Every chunk is a view of one carrier-major buffer, allocated once per
+    call and refilled at each step (``_fill_unit_gamma``), so a chunk is
+    valid only until the next step: a caller that keeps one copies it.
+    Each carrier's draws are contiguous, so comparing them with a
+    per-carrier threshold runs at unit stride.  The working set is that
+    buffer, ``_DRAW_CHUNK`` x carriers doubles, plus the fill's
+    ``_SUB_DRAW``-trial one, whatever ``trials``.
     """
     m = cfg.n_snapshots()
+    chunk = np.empty((min(_DRAW_CHUNK, trials), cfg.n_carriers), order="F")
     for start in range(0, trials, _DRAW_CHUNK):
-        size = (min(_DRAW_CHUNK, trials - start), cfg.n_carriers)
-        yield np.asfortranarray(rng.gamma(m, 1.0 / m, size=size))
+        g = chunk[:min(_DRAW_CHUNK, trials - start)]
+        _fill_unit_gamma(g, m, rng)
+        yield g
 
 
 def _unit_gamma_draws(cfg, trials, rng):
-    """The chunks of ``_unit_gamma_chunks`` stacked, carrier-major.  Only
+    """The draws of ``_unit_gamma_chunks`` all at once, carrier-major, filled
+    in place (``_fill_unit_gamma``): the (trials, carriers) result and one
+    ``_SUB_DRAW``-trial buffer are the working set.  Only
     ``calibrate_threshold``, which needs an order statistic, holds them so."""
     g = np.empty((trials, cfg.n_carriers), order="F")
-    return np.concatenate(list(_unit_gamma_chunks(cfg, trials, rng)), out=g)
+    _fill_unit_gamma(g, cfg.n_snapshots(), rng)
+    return g
 
 
 def _draw_thresholds(cfg, signal_mw, noise_mw):
@@ -369,8 +396,10 @@ def _detect_counts(cfg, g_stars, trials, rng):
     """Occupied counts over the draws of ``_unit_gamma_chunks(cfg, trials, rng)``,
     one count per row of draw thresholds ``g_stars``.
 
-    Each chunk of draws is counted for every row and dropped, so memory
-    stays one chunk whatever ``trials``.
+    Each chunk of draws is counted for every row before the next one is
+    drawn into the same buffer, so the working set is that one chunk,
+    the fill's sub-draw buffer and a chunk's k-of-n temporaries (a byte
+    per draw), whatever ``trials``.
     """
     counts = [0] * len(g_stars)
     for g in _unit_gamma_chunks(cfg, trials, rng):
@@ -404,7 +433,9 @@ def estimate_roc(cfg, signal_power_dbm, trials=100_000, seed=1):
     draws are made.  Each power compares the shared draws with its
     per-carrier draw thresholds, found once per power: the counts are
     those of the products, exactly, without forming them, and the draws
-    are held one chunk at a time (``_detect_counts``).  Raises
+    are held in one reused chunk buffer of ``_DRAW_CHUNK`` x carriers
+    doubles, about 0.8 MB for three carriers, whatever ``trials``
+    (``_detect_counts``).  Raises
     CalibrationError, through ``measure_pfa``, without a threshold.
     """
     pfa = measure_pfa(cfg, trials, seed)

@@ -593,6 +593,16 @@ def test_a_query_eirp_past_the_level_bound_names_itself(tmp_path, capsys, flag):
     assert captured.err.startswith("error: bad value for --eirp: expected a level from -300 ")
 
 
+@pytest.mark.parametrize("flag", ["--eirp=400", "--channel-mhz=0"])
+def test_a_bad_query_flag_is_reported_before_a_bad_database_line(tmp_path, capsys, flag):
+    path = tmp_path / "db.csv"
+    path.write_text(GEODB + "pal,PAL,3,0,0,60,100,-80,\n", encoding="utf-8")
+    assert cli.main(["geodb", "query", str(path), "--x=0", "--y=0", flag]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: bad value for {flag.split('=')[0]}: ")
+
+
 def test_a_study_whose_links_carry_nothing_is_a_runtime_error(tmp_path, capsys):
     # Cells of 1e30 m: every UE's SNR underflows to 0, so the capacity loss
     # has no baseline to be measured against.

@@ -20,10 +20,12 @@ from tvwsim.radio_env import (
 )
 from tvwsim.sensing import (
     _DRAW_CHUNK,
+    _SUB_DRAW,
     DetectorConfig,
     _draw_thresholds,
     _gamma_mean1_isf,
     _k_of_n,
+    _unit_gamma_chunks,
     _unit_gamma_draws,
     analytic_threshold_dbm,
     calibrate_threshold,
@@ -341,6 +343,38 @@ class TestThresholdOnDraws:
         assert np.array_equal(chunked, one)
 
 
+@pytest.mark.parametrize("trials", [1, _SUB_DRAW - 1, _SUB_DRAW, _SUB_DRAW + 1,
+                                    _DRAW_CHUNK - 1, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 7])
+def test_filled_draws_equal_one_gamma_call(trials):
+    # Sub-draws and chunks split the stream at every boundary: one, a
+    # sub-draw either side of its size, a chunk either side of its size
+    # and two chunks with a partial third.
+    cfg = default_calibration()
+    m, n = cfg.n_snapshots(), cfg.n_carriers
+    one = np.random.default_rng(5).gamma(m, 1.0 / m, size=(trials, n))
+    assert np.array_equal(_unit_gamma_draws(cfg, trials, np.random.default_rng(5)), one)
+    chunks = [g.copy() for g in _unit_gamma_chunks(cfg, trials, np.random.default_rng(5))]
+    assert [len(g) for g in chunks[:-1]] == [_DRAW_CHUNK] * (len(chunks) - 1)
+    assert np.array_equal(np.concatenate(chunks), one)
+
+
+def test_the_chunks_reuse_one_buffer_that_the_draws_never_hold():
+    # Every chunk is a view of one buffer, refilled at the next step; the
+    # stacked draws are their own array, with the values each chunk held
+    # when it was yielded.
+    cfg = default_calibration()
+    trials = 2 * _DRAW_CHUNK + 7
+    views, copies = [], []
+    for g in _unit_gamma_chunks(cfg, trials, np.random.default_rng(9)):
+        views.append(g)
+        copies.append(g.copy())
+    assert all(np.shares_memory(views[0], g) for g in views[1:])
+    assert not np.array_equal(views[0], copies[0])
+    draws = _unit_gamma_draws(cfg, trials, np.random.default_rng(9))
+    assert not any(np.shares_memory(draws, g) for g in views)
+    assert np.array_equal(draws, np.concatenate(copies))
+
+
 def test_roc_counts_over_many_chunks_equal_the_product_rule():
     # Trials over three draw chunks, the last one partial: the chunked
     # counts equal the product rule on all the draws at once.
@@ -371,7 +405,12 @@ def test_roc_memory_is_one_chunks_working_set():
             tracemalloc.stop()
 
     peak_bytes(_DRAW_CHUNK)     # one-time allocations outside the sweep
-    assert peak_bytes(20 * _DRAW_CHUNK) <= 1.1 * peak_bytes(2 * _DRAW_CHUNK)
+    peak = peak_bytes(20 * _DRAW_CHUNK)
+    assert peak <= 1.1 * peak_bytes(2 * _DRAW_CHUNK)
+    # One chunk of draws, carrier-major, plus the fill's sub-draw buffer and
+    # the k-of-n temporaries; a second or third chunk-sized copy breaks it.
+    chunk_bytes = _DRAW_CHUNK * cfg.n_carriers * 8
+    assert peak <= 1.5 * chunk_bytes + 64_000
 
 
 # The operating detector (fig17's 1.7 ms of sensing at Pfa 1e-8), then
