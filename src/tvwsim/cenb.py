@@ -68,7 +68,7 @@ class FrameSchedule:
 
 
 def build_frame_schedule(config_id="tdd-2", special_split=(0.2, 0.7, 0.1),
-                         wide_scan=True, min_uppts_ms=0.0):
+                         wide_scan=True):
     """Validate and build the CR frame schedule.
 
     ``config_id`` names a known pattern or is itself a ten-letter D/S/U
@@ -84,8 +84,6 @@ def build_frame_schedule(config_id="tdd-2", special_split=(0.2, 0.7, 0.1),
     dwpts, gp, uppts = special_split
     if min(dwpts, gp, uppts) < 0 or abs(dwpts + gp + uppts - SUBFRAME_MS) > 1e-9:
         raise ConfigError("special split must be non-negative and sum to 1 ms")
-    if uppts < min_uppts_ms:
-        raise ConfigError(f"UpPTS {uppts} ms below required minimum {min_uppts_ms} ms")
     sensing = (1,)
     if wide_scan:
         if pattern[2] is not Subframe.UPLINK:

@@ -13,14 +13,16 @@ A command builds the argument parser of the subcommand it runs, not
 those of all five: ``main`` registers only the subcommand named first,
 and every one only where it has to list them (``-h``, no arguments, an
 unknown name).  Help, usage and error text are the same either way.
+
+A command imports only its subsystem: each ``_cmd_*`` function imports
+the modules it runs and calls through them (``harness.run_simulation``).
+The option parsers are those of ``radio_env``.
 """
 
 import argparse
 import os
 import sys
 
-from . import geodb as geodb_mod
-from . import harness, occupancy, sensing
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -29,13 +31,18 @@ from .errors import (
     ParseError,
     TvwsimError,
 )
-from .geodb import query_vacant_channels
 from .radio_env import (
     FrequencyBand,
     PropagationConfig,
     build_channel_grid,
     finite_float,
     level_db,
+    parse_exclusions,
+    parse_range,
+    path_loss_exponent,
+    positive_int,
+    radio_freq_mhz,
+    seed_int,
 )
 
 EXIT_OK = 0
@@ -44,6 +51,8 @@ EXIT_RUNTIME = 3
 
 
 def _cmd_simulate(args):
+    from . import harness
+
     cfg = harness.load_scenario(args.scenario)
     metrics, events = harness.run_simulation(cfg)
     written = harness.emit_report(metrics, args.out, events)
@@ -63,11 +72,13 @@ def _option(flag, parse, value):
 
 
 def _cmd_roc(args):
+    from . import sensing
+
     cfg = sensing.load_calibration(args.calibration) if args.calibration != "default" \
         else sensing.default_calibration()
-    powers = _option("--powers", harness.parse_range, args.powers)
-    trials = _option("--trials", harness.positive_int, args.trials)
-    seed = _option("--seed", harness.seed_int, args.seed)
+    powers = _option("--powers", parse_range, args.powers)
+    trials = _option("--trials", positive_int, args.trials)
+    seed = _option("--seed", seed_int, args.seed)
     points = sensing.estimate_roc(cfg, powers, trials=trials, seed=seed)
     print("power_dbm,pd,pfa")
     for p in points:
@@ -79,13 +90,13 @@ def _cmd_roc(args):
 
 
 def _cmd_acir(args):
+    from . import harness, interference
+
     study = harness.load_acir_study(args.study)
     curve, guard = harness.run_interference_study(study)
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "acir_curve.csv")
-    from .interference import curve_to_csv
-
-    curve_to_csv(curve, curve_path)
+    interference.curve_to_csv(curve, curve_path)
     guard_path = os.path.join(args.out, "guard_band.txt")
     with open(guard_path, "w", encoding="utf-8") as fh:
         fh.write(guard.summary_line() + "\n")
@@ -102,7 +113,7 @@ def _cmd_acir(args):
 def _grid_from_args(args):
     """The channel grid of the band options; a grid they cannot form is a
     configuration error that names them."""
-    excluded = _option("--exclude", harness.parse_exclusions, args.exclude)
+    excluded = _option("--exclude", parse_exclusions, args.exclude)
     if args.channel_mhz <= 0:
         raise ConfigError(f"bad value for --channel-mhz: expected a positive number, "
                           f"got {args.channel_mhz:g}")
@@ -115,25 +126,27 @@ def _grid_from_args(args):
 
 
 def _cmd_geodb(args):
+    from . import geodb
+
     if args.geodb_cmd == "separation":
-        table = (geodb_mod.default_separation_table() if args.table == "default"
-                 else geodb_mod.separation_table_from_csv(args.table))
-        sep, clamped = geodb_mod.required_separation(table, args.power, args.height)
+        table = (geodb.default_separation_table() if args.table == "default"
+                 else geodb.separation_table_from_csv(args.table))
+        sep, clamped = geodb.required_separation(table, args.power, args.height)
         flag = " (clamped to table hull)" if clamped else ""
         print(f"required_separation_m: {sep:.10g}{flag}")
         return EXIT_OK
-    _option("--freq", harness.radio_freq_mhz, args.freq)
+    _option("--freq", radio_freq_mhz, args.freq)
     prop = PropagationConfig(
-        exponent=_option("--exponent", harness._exponent, args.exponent),
+        exponent=_option("--exponent", path_loss_exponent, args.exponent),
         ref_loss_db=(None if args.ref_loss_db is None
                      else _option("--ref-loss-db", level_db, args.ref_loss_db)))
     if args.geodb_cmd == "query":  # every flag is checked before the database is read
         grid = _grid_from_args(args)
         eirp = _option("--eirp", level_db, args.eirp)
-    db = geodb_mod.load(args.db, prop, args.freq)
+    db = geodb.load(args.db, prop, args.freq)
     if args.geodb_cmd == "query":
         try:
-            rows = query_vacant_channels(db, (args.x, args.y), eirp, prop, grid, args.freq)
+            rows = geodb.query_vacant_channels(db, (args.x, args.y), eirp, prop, grid, args.freq)
         except DegenerateContourError as exc:
             raise ConfigError(f"{args.db}: protection_floor_dbm = "
                               f"{db.protection_floor_dbm:g} dBm is out of reach of "
@@ -141,7 +154,7 @@ def _cmd_geodb(args):
         print("channel,low_mhz,region")
         for ch, region in rows:
             print(f"{ch},{grid.low_edge_mhz(ch):.10g},{region.name.title()}")
-        usable = sum(1 for _, r in rows if r is not geodb_mod.Region.BLACK)
+        usable = sum(1 for _, r in rows if r is not geodb.Region.BLACK)
         print(f"# usable channels (white+grey): {usable}")
     else:  # contour
         cols = db.columns
@@ -153,6 +166,8 @@ def _cmd_geodb(args):
 
 
 def _cmd_occupancy(args):
+    from . import occupancy
+
     matrix = occupancy.ingest_trace(args.trace)
     rule = (occupancy.ThresholdRule(fixed_dbm=args.threshold_dbm)
             if args.threshold_dbm is not None else occupancy.ThresholdRule())
@@ -238,6 +253,8 @@ def _add_geodb(sub):
 
 
 def _add_occupancy(sub):
+    from . import occupancy
+
     p = sub.add_parser("occupancy", help="duty-cycle analytics over a trace")
     p.add_argument("trace", help="sweep trace CSV")
     p.add_argument("--band-low", type=finite_float, default=470.0)

@@ -14,7 +14,6 @@ class ParseError(TvwsimError):
 
     def __init__(self, message, line=None, path=None):
         self.line = line
-        self.path = path
         loc = ""
         if path is not None:
             loc += f"{path}"

@@ -29,7 +29,6 @@ with ``classify_region`` on a view of the records within reach of the
 point; the rest lie past their grey boundary and change no region.
 """
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -258,10 +257,6 @@ class SeparationTable:
         if len(self.separation_m) != len(self.powers_dbm) * len(self.heights_m):
             raise ValueError("table shape mismatch")
 
-    def _grid(self):
-        return np.asarray(self.separation_m).reshape(
-            len(self.powers_dbm), len(self.heights_m))
-
 
 def required_separation(table, wsd_power_dbm, wsd_height_m):
     """Bilinear lookup of the required separation; clamps outside the hull.
@@ -271,7 +266,7 @@ def required_separation(table, wsd_power_dbm, wsd_height_m):
     """
     powers = np.asarray(table.powers_dbm, dtype=float)
     heights = np.asarray(table.heights_m, dtype=float)
-    grid = table._grid()
+    grid = np.asarray(table.separation_m).reshape(powers.size, heights.size)
     clamped = not (powers[0] <= wsd_power_dbm <= powers[-1]
                    and heights[0] <= wsd_height_m <= heights[-1])
     p = float(np.clip(wsd_power_dbm, powers[0], powers[-1]))
@@ -300,15 +295,6 @@ def separation_table_from_csv(path):
             values.extend(finite_float(v) for v in row[1:])
     with row_errors(path, None):
         return SeparationTable(tuple(powers), tuple(heights), tuple(values))
-
-
-def separation_table_to_csv(table, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["power_dbm"] + [f"{h:g}" for h in table.heights_m])
-        grid = table._grid()
-        for i, p in enumerate(table.powers_dbm):
-            writer.writerow([f"{p:g}"] + [f"{v:.10g}" for v in grid[i]])
 
 
 def default_separation_table():

@@ -3,8 +3,8 @@
 A scenario is an INI-style text file of ``section.key = value`` lines
 (UTF-8, ``#`` comments); a bad value, a non-finite number included, is
 a ``ConfigError`` at load time.
-``parse_range`` (``lo:hi:step``) and ``parse_exclusions`` (``lo-hi;...``
-in MHz) also parse the command line's sweep and exclusion options.  Each
+Its value parsers are those of ``radio_env``, which the command line
+shares, plus the bounds that only a scenario or study key has.  Each
 ``cenb.FRAME_MS`` frame senses in the configured windows, fuses the
 verdicts over X2 when several CeNBs sense, decides at the following
 frame boundary, broadcasts on the downlink pilot instant, and executes
@@ -74,7 +74,6 @@ with a fixed integer tag, so equal inputs give byte-identical outputs.
 """
 
 import bisect
-import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import count, cycle, repeat
@@ -108,15 +107,21 @@ from .radio_env import (
     DEFAULT_RBW_KHZ,
     MAX_LEVEL_DB,
     MIN_REF_DISTANCE_M,
-    RADIO_BAND_MHZ,
     FrequencyBand,
     LinkArrays,
     PropagationConfig,
     ScheduleTable,
     build_channel_grid,
+    checked_float,
     finite_float,
     level_db,
+    parse_exclusions,
+    parse_range,
+    path_loss_exponent,
+    positive_int,
+    radio_freq_mhz,
     received_spectrum,  # noqa: F401  (the benchmark tracer patches harness.received_spectrum)
+    seed_int,
     transmitters_from_csv,
 )
 from .sensing import analytic_threshold_dbm
@@ -173,37 +178,6 @@ def _block_parser(grid):
 # per transmitter, 8 MiB at this count (the default band at 0.33 kHz).
 MAX_GRID_BINS = 1 << 20
 
-# Most points in a ``parse_range`` sweep: a 0.1 dB step over 100 dB.  An
-# ACIR sweep holds buffers that grow with its point count, so a sweep
-# of a million points would need gigabytes.
-MAX_RANGE_POINTS = 1001
-
-
-def parse_range(text):
-    """``lo:hi:step`` sweep from ``lo`` in steps of ``step``, up to and including ``hi``.
-
-    A step that does not divide the span stops at the last point below
-    ``hi``; one that divides it up to rounding (``0:0.3:0.1``) ends at ``hi``.
-    A sweep of more than ``MAX_RANGE_POINTS`` points is rejected.
-    """
-    lo, hi, step = (finite_float(p) for p in text.split(":"))
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad range {text!r}: need step > 0 and hi >= lo")
-    steps = min((hi - lo) / step, MAX_RANGE_POINTS)     # an infinite count included
-    n = math.floor(steps + 1e-9 * max(1.0, steps))
-    if n >= MAX_RANGE_POINTS:
-        raise ValueError(f"bad range {text!r}: more than {MAX_RANGE_POINTS} points")
-    return [lo + i * step for i in range(n + 1)]
-
-
-def parse_exclusions(text):
-    """``lo-hi;lo-hi`` excluded bands in MHz; empty text excludes nothing."""
-    bands = []
-    for part in text.split(";") if text else ():
-        lo, hi = (finite_float(x) for x in part.split("-"))
-        bands.append(FrequencyBand(lo, hi))
-    return tuple(bands)
-
 
 def _cenb_id(text):
     """A CeNB id: non-empty, and free of the separators of the event details."""
@@ -214,68 +188,38 @@ def _cenb_id(text):
     return text
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value
-
-
-def seed_int(text):
-    """A random seed: numpy seeds its streams from non-negative integers only."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer seed, got {value}")
-    return value
-
-
-def _checked_float(accept, expected):
-    """Finite-float parser that also rejects a value failing ``accept``."""
-    def parse(text):
-        value = finite_float(text)
-        if not accept(value):
-            raise ValueError(f"expected {expected}, got {value:g}")
-        return value
-    return parse
-
-
-_positive = _checked_float(lambda v: v > 0.0, "a positive number")
-_non_negative = _checked_float(lambda v: v >= 0.0, "a non-negative number")
-_fraction = _checked_float(lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
-_probability = _checked_float(lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
-_open_fraction = _checked_float(lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
-radio_freq_mhz = _checked_float(lambda v: RADIO_BAND_MHZ[0] <= v <= RADIO_BAND_MHZ[1],
-                                "a frequency from {:g} to {:g} MHz".format(*RADIO_BAND_MHZ))
-# Path-loss exponents run from 2 (free space, the model's floor) to about 6;
-# 10 bounds them with room and keeps 10 * exponent * log10(d / d0) finite.
-_exponent = _checked_float(lambda v: 2.0 <= v <= 10.0, "a path-loss exponent in [2, 10]")
+_positive = checked_float(lambda v: v > 0.0, "a positive number")
+_non_negative = checked_float(lambda v: v >= 0.0, "a non-negative number")
+_fraction = checked_float(lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
+_probability = checked_float(lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
+_open_fraction = checked_float(lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 # Close-in reference distances run from 1 m to 1 km; at 100 km the
 # free-space loss is still finite over the whole radio spectrum.  The
 # floor is the model's.
-_ref_distance = _checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= 1e5,
-                               "a reference distance of at most 1e5 m (a reference distance "
-                               f"must be at least {MIN_REF_DISTANCE_M:g} m)")
+_ref_distance = checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= 1e5,
+                              "a reference distance of at most 1e5 m (a reference distance "
+                              f"must be at least {MIN_REF_DISTANCE_M:g} m)")
 # A shadowing draw 10 deviations out, far past any run's draws, stays
 # within MAX_LEVEL_DB.
-_shadowing_sigma = _checked_float(lambda v: 0.0 <= v <= MAX_LEVEL_DB / 10,
-                                  f"a deviation from 0 to {MAX_LEVEL_DB / 10:g} dB")
+_shadowing_sigma = checked_float(lambda v: 0.0 <= v <= MAX_LEVEL_DB / 10,
+                                 f"a deviation from 0 to {MAX_LEVEL_DB / 10:g} dB")
 # Largest length of the coexistence study.  Real layouts span kilometres;
 # this bound only keeps the squares of the layout's distances, a few
 # times the largest length, inside a double (1.8e308).
 MAX_STUDY_LENGTH_M = 1e150
-_study_length = _checked_float(lambda v: 0.0 < v <= MAX_STUDY_LENGTH_M,
-                               f"a length in (0, {MAX_STUDY_LENGTH_M:g}] m")
+_study_length = checked_float(lambda v: 0.0 < v <= MAX_STUDY_LENGTH_M,
+                              f"a length in (0, {MAX_STUDY_LENGTH_M:g}] m")
 # The study's TV offset and a scenario's CeNB coordinates: the same bound
 # keeps the distances between CeNBs, and from a CeNB to a transmitter or a
 # geo-database record, inside a double.
-_coordinate = _checked_float(lambda v: abs(v) <= MAX_STUDY_LENGTH_M,
-                             f"a coordinate from -{MAX_STUDY_LENGTH_M:g} to "
-                             f"{MAX_STUDY_LENGTH_M:g} m")
+_coordinate = checked_float(lambda v: abs(v) <= MAX_STUDY_LENGTH_M,
+                            f"a coordinate from -{MAX_STUDY_LENGTH_M:g} to "
+                            f"{MAX_STUDY_LENGTH_M:g} m")
 # Links are clamped to the coupling distance; a shorter one than the
 # shortest reference distance could give a gain past a double's range.
-_coupling_length = _checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= MAX_STUDY_LENGTH_M,
-                                  f"a length from {MIN_REF_DISTANCE_M:g} to "
-                                  f"{MAX_STUDY_LENGTH_M:g} m")
+_coupling_length = checked_float(lambda v: MIN_REF_DISTANCE_M <= v <= MAX_STUDY_LENGTH_M,
+                                 f"a length from {MIN_REF_DISTANCE_M:g} to "
+                                 f"{MAX_STUDY_LENGTH_M:g} m")
 
 
 def _band(path, what, low_mhz, high_mhz):
@@ -306,7 +250,7 @@ class InterferenceStudy:
     loss_budget: float = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
     duration_ms: int
@@ -382,7 +326,7 @@ def _load_interference(reader):
         n_tv_receivers=reader.take("interference.tv_receivers", positive_int, 10),
         ues_per_sector=reader.take("interference.ues_per_sector", positive_int, 10),
         min_coupling_m=reader.take("interference.min_coupling_m", _coupling_length, 10.0),
-        exponent=reader.take("interference.exponent", _exponent, 3.5),
+        exponent=reader.take("interference.exponent", path_loss_exponent, 3.5),
         freq_mhz=reader.take("interference.freq_mhz", radio_freq_mhz, 700.0),
     )
     return InterferenceStudy(
@@ -437,7 +381,7 @@ def load_scenario(path):
 
     ref_loss = reader.take("prop.ref_loss_db", level_db, None)
     prop = PropagationConfig(
-        exponent=reader.take("prop.exponent", _exponent, 3.5),
+        exponent=reader.take("prop.exponent", path_loss_exponent, 3.5),
         ref_distance_m=reader.take("prop.ref_distance_m", _ref_distance, 1.0),
         ref_loss_db=ref_loss,
         shadowing_sigma_db=reader.take("prop.shadowing_sigma_db", _shadowing_sigma, 0.0),
@@ -714,9 +658,8 @@ def run_simulation(cfg):
     n_frames = int(cfg.duration_ms // FRAME_MS)
     op_det = replace(cfg.detector,
                      target_pfa=cfg.operational_pfa,
-                     sense_duration_ms=cfg.schedule.sensing_time_ms,
-                     threshold_dbm=None)
-    op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+                     sense_duration_ms=cfg.schedule.sensing_time_ms)
+    op_det = replace(op_det, threshold_dbm=analytic_threshold_dbm(op_det))
     sense_offset = (3.0 if cfg.schedule.wide_scan
                     else 1.0 + cfg.schedule.dwpts_ms + cfg.schedule.gp_ms)
     dl_subframes = cfg.schedule.downlink_subframes()

@@ -11,6 +11,10 @@ passes.
 A spectrum is a plain (bins,) array of mW per resolution bin, on the
 grid's one bin layout (``ChannelGrid.n_bins`` and ``bin_centers_mhz``).
 
+It also holds the value parsers that the input files and the command
+line share (``finite_float``, ``checked_float``, ``parse_range``, ...):
+each raises ValueError, and its caller names the key or flag.
+
 ``ScheduleTable`` and ``LinkArrays`` hold a transmitter list as arrays:
 the schedules as a table of activity segments, and per (receiver
 point, transmitter) link a distance and per transmitter a unit-power
@@ -95,7 +99,6 @@ class ChannelGrid:
     band: FrequencyBand
     channel_width_mhz: float
     low_edges_mhz: tuple
-    excluded: tuple = ()
 
     @property
     def n_channels(self):
@@ -178,8 +181,7 @@ def build_channel_grid(band, width_mhz=8.0, excluded=()):
         ch = FrequencyBand(lo, lo + width_mhz)
         if not any(ch.overlaps(e) for e in excluded):
             edges.append(lo)
-    return ChannelGrid(band=band, channel_width_mhz=width_mhz,
-                       low_edges_mhz=tuple(edges), excluded=excluded)
+    return ChannelGrid(band=band, channel_width_mhz=width_mhz, low_edges_mhz=tuple(edges))
 
 
 def china_tv_grid():
@@ -194,7 +196,7 @@ class TvTransmitter:
 
     ``schedule`` is a tuple of (on_ms, off_ms) activity intervals,
     sorted and non-overlapping; an empty schedule means always on.
-    Location, EIRP, height and schedule times must be finite.
+    Location, EIRP and schedule times must be finite.
     """
 
     id: str
@@ -202,14 +204,13 @@ class TvTransmitter:
     channel_index: int
     location: tuple
     eirp_dbm: float
-    antenna_height_m: float = 10.0
     schedule: tuple = ()
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.location, self.eirp_dbm, self.antenna_height_m,
+        if not all(map(math.isfinite, (*self.location, self.eirp_dbm,
                                        *(t for interval in self.schedule for t in interval)))):
-            raise ValueError(f"transmitter {self.id}: non-finite location, EIRP, "
-                             "height or schedule time")
+            raise ValueError(f"transmitter {self.id}: non-finite location, EIRP "
+                             "or schedule time")
         prev_end = None
         for on_ms, off_ms in self.schedule:
             if off_ms <= on_ms:
@@ -482,6 +483,71 @@ def level_db(text):
     return value
 
 
+def checked_float(accept, expected):
+    """``finite_float`` parser that also rejects a value failing ``accept``."""
+    def parse(text):
+        value = finite_float(text)
+        if not accept(value):
+            raise ValueError(f"expected {expected}, got {value:g}")
+        return value
+    return parse
+
+
+radio_freq_mhz = checked_float(lambda v: RADIO_BAND_MHZ[0] <= v <= RADIO_BAND_MHZ[1],
+                               "a frequency from {:g} to {:g} MHz".format(*RADIO_BAND_MHZ))
+# Path-loss exponents run from 2 (free space, the model's floor) to about 6;
+# 10 bounds them with room and keeps 10 * exponent * log10(d / d0) finite.
+path_loss_exponent = checked_float(lambda v: 2.0 <= v <= 10.0,
+                                   "a path-loss exponent in [2, 10]")
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def seed_int(text):
+    """A random seed: numpy seeds its streams from non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {value}")
+    return value
+
+
+# Most points in a ``parse_range`` sweep: a 0.1 dB step over 100 dB.  An
+# ACIR sweep holds buffers that grow with its point count, so a sweep
+# of a million points would need gigabytes.
+MAX_RANGE_POINTS = 1001
+
+
+def parse_range(text):
+    """``lo:hi:step`` sweep from ``lo`` in steps of ``step``, up to and including ``hi``.
+
+    A step that does not divide the span stops at the last point below
+    ``hi``; one that divides it up to rounding (``0:0.3:0.1``) ends at ``hi``.
+    A sweep of more than ``MAX_RANGE_POINTS`` points is rejected.
+    """
+    lo, hi, step = (finite_float(p) for p in text.split(":"))
+    if step <= 0 or hi < lo:
+        raise ValueError(f"bad range {text!r}: need step > 0 and hi >= lo")
+    steps = min((hi - lo) / step, MAX_RANGE_POINTS)     # an infinite count included
+    n = math.floor(steps + 1e-9 * max(1.0, steps))
+    if n >= MAX_RANGE_POINTS:
+        raise ValueError(f"bad range {text!r}: more than {MAX_RANGE_POINTS} points")
+    return [lo + i * step for i in range(n + 1)]
+
+
+def parse_exclusions(text):
+    """``lo-hi;lo-hi`` excluded bands in MHz; empty text excludes nothing."""
+    bands = []
+    for part in text.split(";") if text else ():
+        lo, hi = (finite_float(x) for x in part.split("-"))
+        bands.append(FrequencyBand(lo, hi))
+    return tuple(bands)
+
+
 class row_errors:
     """Context that reports a cell's ValueError, KeyError or TypeError as a
     ParseError at ``lineno`` of ``path``."""
@@ -616,10 +682,11 @@ def transmitters_from_csv(path):
     txs = []
     for lineno, row in csv_rows(path, TRANSMITTER_FIELDS):
         tx_id, standard, channel, x, y, eirp, height, schedule = row
-        with row_errors(path, lineno):
-            txs.append(TvTransmitter(
-                id=tx_id, standard=TvStandard(standard), channel_index=int(channel),
-                location=(finite_float(x), finite_float(y)), eirp_dbm=level_db(eirp),
-                antenna_height_m=finite_float(height),
-                schedule=_parse_schedule(schedule.strip())))
+        with row_errors(path, lineno):     # in file order: the first bad cell is named
+            standard, channel = TvStandard(standard), int(channel)
+            location, eirp_dbm = (finite_float(x), finite_float(y)), level_db(eirp)
+            finite_float(height)        # checked; no model reads a mast height
+            txs.append(TvTransmitter(id=tx_id, standard=standard, channel_index=channel,
+                                     location=location, eirp_dbm=eirp_dbm,
+                                     schedule=_parse_schedule(schedule.strip())))
     return txs

@@ -22,6 +22,10 @@ so for a_c >= 0 the firing draws are exactly those with g >= g*_c, the
 smallest double whose product reaches tau (``_draw_threshold``).
 Comparing the shared draws with the per-carrier g*_c therefore selects
 the same trials, bit for bit, as comparing the products with tau.
+
+The package reads its operating point from a calibration file
+(``load_calibration``); ``tools/gen_data.py`` holds the Monte Carlo
+calibration that wrote the shipped one, on ``_fill_unit_gamma`` draws.
 """
 
 import csv
@@ -51,7 +55,7 @@ from .radio_env import (
 THRESHOLD_ALWAYS_FIRE_DBM = float("-inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     carrier_offsets_mhz: tuple = PAL_D_CARRIER_OFFSETS_MHZ
     det_bw_khz: float = 200.0
@@ -126,8 +130,8 @@ def _gamma_mean1_isf(p, shape):
 
     The relative error falls with the shape: at shape 100 it is 4e-5 at
     p = 1e-2 and 1e-3 at p = 1e-8; at the operating shape of 21 250
-    (1.7 ms of sensing) it stays below 5e-7 for p down to 1e-8.  Serves
-    as the analytic counterpart of the Monte Carlo calibration.
+    (1.7 ms of sensing) it stays below 5e-7 for p down to 1e-8.  The
+    closed-form twin of the Monte Carlo calibration in ``tools/gen_data.py``.
     """
     from statistics import NormalDist
 
@@ -145,40 +149,6 @@ def analytic_threshold_dbm(cfg):
         return THRESHOLD_ALWAYS_FIRE_DBM
     p1 = per_carrier_pfa(cfg.target_pfa, cfg.k_required, cfg.n_carriers)
     return float(mw_to_dbm(noise_mw * _gamma_mean1_isf(p1, cfg.n_snapshots())))
-
-
-def calibrate_threshold(cfg, noise_window_dbm=None, trials=None, seed=0):
-    """Monte Carlo threshold calibration against the pure-noise hypothesis.
-
-    Samples the k-of-n order statistic under noise and sets the
-    threshold at its (1 - target_pfa) quantile; the result is stored on
-    the config and returned in dBm.
-    """
-    if cfg.target_pfa >= 1.0:
-        cfg.threshold_dbm = THRESHOLD_ALWAYS_FIRE_DBM
-        return cfg.threshold_dbm
-    min_trials = int(np.ceil(10.0 / cfg.target_pfa))
-    if trials is None:
-        trials = max(100_000, min_trials)
-    if trials < min_trials:
-        raise ValueError(f"need at least {min_trials} calibration trials "
-                         f"for target_pfa={cfg.target_pfa}")
-    noise_mw = cfg.window_noise_mw() if noise_window_dbm is None else float(
-        dbm_to_mw(noise_window_dbm))
-    if not np.isfinite(noise_mw) or noise_mw <= 0:
-        raise CalibrationError("degenerate noise model")
-    rng = np.random.default_rng(seed)
-    stats = noise_mw * _unit_gamma_draws(cfg, trials, rng)
-    # k-th largest per trial: the rule fires iff it exceeds the threshold.
-    kth = np.partition(stats, cfg.n_carriers - cfg.k_required, axis=1)[
-        :, cfg.n_carriers - cfg.k_required]
-    tau = float(np.quantile(kth, 1.0 - cfg.target_pfa))
-    empirical = float(np.mean(kth > tau))
-    if not np.isfinite(tau) or tau <= 0 or abs(empirical - cfg.target_pfa) > 0.2 * cfg.target_pfa:
-        raise CalibrationError(
-            f"calibration did not converge (empirical pfa {empirical:.4g})")
-    cfg.threshold_dbm = float(mw_to_dbm(tau))
-    return cfg.threshold_dbm
 
 
 def carrier_windows(bin_centers_mhz, channel_low_edges_mhz, cfg):
@@ -231,27 +201,6 @@ def channel_verdicts(cfg, sums_mw):
     for a verdict.
     """
     return _k_of_n(sums_mw, cfg.threshold_mw(), cfg.k_required)
-
-
-def detect_channels(cfg, mw, windows=None):
-    """Carrier statistics (dBm) and verdicts for every channel of ``windows``.
-
-    The one-spectrum reference API that the frame-loop tests compare against.
-
-    ``mw`` holds bin powers and ``windows`` the bin indices of
-    ``carrier_windows``; with ``windows=None``, ``mw`` holds the powers
-    already taken at those bins, shape (..., channels, carriers, width),
-    where any leading axes (frames and CeNBs in the frame loop) index
-    independent sensing rounds.  The per-carrier statistic is the linear
-    power summed over its window (the last axis); returns the
-    (..., channels, carriers) statistics and the (..., channels)
-    occupied flags of ``channel_verdicts``, which decides on the sums in
-    mW: a statistic within rounding of ``cfg.threshold_dbm`` may lie on
-    either side of it.
-    """
-    window_mw = mw if windows is None else mw[windows]
-    sums = window_mw.sum(axis=-1)
-    return mw_to_dbm(sums), channel_verdicts(cfg, sums)
 
 
 def carrier_signal_mw(cfg, total_power_dbm):
@@ -374,16 +323,6 @@ def _unit_gamma_chunks(cfg, trials, rng):
         yield g
 
 
-def _unit_gamma_draws(cfg, trials, rng):
-    """The draws of ``_unit_gamma_chunks`` all at once, carrier-major, filled
-    in place (``_fill_unit_gamma``): the (trials, carriers) result and one
-    ``_SUB_DRAW``-trial buffer are the working set.  Only
-    ``calibrate_threshold``, which needs an order statistic, holds them so."""
-    g = np.empty((trials, cfg.n_carriers), order="F")
-    _fill_unit_gamma(g, cfg.n_snapshots(), rng)
-    return g
-
-
 def _draw_thresholds(cfg, signal_mw, noise_mw):
     """Per-carrier draws at which ``fl((noise_mw + signal_mw[c]) * g)`` reaches
     the threshold (``_draw_threshold``): comparing draws with them fires
@@ -465,17 +404,6 @@ def _calibrated_threshold(text):
 # Calibration CSV parameters and their value parsers.
 CALIBRATION_FIELDS = {"noise_figure_db": finite_float, "snapshots_per_ms": finite_float,
                       "threshold_dbm": _calibrated_threshold, "k_required": int}
-
-
-def save_calibration(cfg, path):
-    """Persist the tuned operating point as a param,value CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "value"])
-        writer.writerow(["noise_figure_db", f"{cfg.noise_figure_db:.10g}"])
-        writer.writerow(["snapshots_per_ms", f"{cfg.snapshots_per_ms:.10g}"])
-        writer.writerow(["threshold_dbm", repr(float(cfg.threshold_dbm))])
-        writer.writerow(["k_required", cfg.k_required])
 
 
 def load_calibration(path, base=None):

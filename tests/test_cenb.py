@@ -63,10 +63,6 @@ class TestFrameSchedule:
         assert sched.sensing_time_ms == pytest.approx(0.7)
         assert sched.sensing_subframes == (1,)
 
-    def test_zero_uppts_rejected_when_required(self):
-        with pytest.raises(ConfigError):
-            build_frame_schedule(special_split=(0.1, 0.9, 0.0), min_uppts_ms=0.05)
-
     def test_split_must_sum_to_one_ms(self):
         with pytest.raises(ConfigError):
             build_frame_schedule(special_split=(0.2, 0.9, 0.0))

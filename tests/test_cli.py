@@ -5,6 +5,10 @@ exit code 2, a single ``error:`` line on stderr, nothing on stdout and
 no traceback.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -324,6 +328,8 @@ BAD_CSV = [
     ("subbands", "subbands.csv", "low_mhz,high_mhz,label\n470,478,a\n478,470,b\n", 3),
     ("subbands", "subbands.csv", "low_mhz,high_mhz\n470,478\n", 1),
     ("transmitters", "input.csv", TX_HEADER + "tv,AnalogPalD,3,100,0,4000,30,\n", 2),
+    ("transmitters", "input.csv", TX_HEADER + "tv,AnalogPalD,3,100,0,40,inf,\n", 2),
+    ("transmitters", "input.csv", TX_HEADER + "\ntv,AnalogPalD,3,100,0,40,nan,\n", 3),
 ]
 
 
@@ -711,3 +717,41 @@ def test_cenbs_at_the_coordinate_bound_run_without_a_warning(tmp_path, capsys):
            "cenb1.x_m = 1e150\ncenb1.y_m = -1e150\ncenb2.x_m = -1e150\ncenb2.y_m = 1e150")
     assert cli.main(_argv(tmp_path, "simulate", arg)) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+# Prints the tvwsim modules loaded after running ``cli.main`` on the
+# arguments given, or after a bare ``import tvwsim`` without any.
+LOADED_MODULES = """\
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from tvwsim import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+else:
+    import tvwsim
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("tvwsim"))))
+"""
+
+
+def _loaded_modules(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv", [["roc", "default", "--trials", "100", "--powers=-120:-119:1"],
+                                  ["geodb", "separation", "--power", "30", "--height", "30"]],
+                         ids=["roc", "geodb separation"])
+def test_a_command_loads_only_its_subsystem(argv):
+    # In a fresh interpreter: neither command imports the frame loop, the
+    # coexistence study or the occupancy analytics.
+    loaded = _loaded_modules(argv)
+    for name in ("tvwsim.harness", "tvwsim.cenb", "tvwsim.interference", "tvwsim.occupancy"):
+        assert name not in loaded
+
+
+def test_importing_the_package_loads_only_the_radio_environment():
+    assert _loaded_modules([]) == ["tvwsim", "tvwsim.errors", "tvwsim.radio_env"]

@@ -201,7 +201,7 @@ class TestSeparationTable:
             SeparationTable((10.0, 0.0), (10.0, 30.0), (1.0, 2.0, 3.0, 4.0))
 
     def test_csv_round_trip(self, tmp_path):
-        from tvwsim.geodb import separation_table_to_csv
+        from gen_data import separation_table_to_csv
 
         path = tmp_path / "sep.csv"
         separation_table_to_csv(self.table(), path)

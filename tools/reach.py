@@ -7,13 +7,18 @@ a geo-database, shadowing, random loss and ASM epochs, and of a two-CeNB
 narrow-scan scenario under MAJORITY fusion; ``acir`` of the shipped
 study cut to 20 drops; ``roc``; ``geodb query``, ``contour`` and
 ``separation``; and ``occupancy`` with and without a sub-band table.
-The generated inputs are small and go to a temporary directory.  Then
-it prints, in source order, each function or method whose body none of
-the commands ran, as ``path:line qualified.name``.
+Then it runs a set of bad inputs, each of which must exit 2: a
+geo-database with a channel cell that is not an integer, a sweep trace
+with a number cell that is not a number, and a calibration file with a
+bad value passed to ``roc``.  A good run that does not exit 0, or a bad
+one that does not exit 2, stops the listing with an error.  The
+generated inputs are small and go to a temporary directory.  Then it
+prints, in source order, each function or method whose body none of the
+commands ran, as ``path:line qualified.name``.
 
 No test runs here, so a body on the list is one that only the tests,
-tools/gen_data.py or nothing reaches.  A branch that no command takes
-inside a reached body is not listed.
+the benchmark or nothing reaches.  A branch that no command takes inside
+a reached body is not listed.
 
 Run from the repository root:  python3 tools/reach.py
 
@@ -51,7 +56,8 @@ def _write(path, lines):
 
 
 def write_inputs(work):
-    """The generated inputs, in ``work``; returns the argument lists to run."""
+    """The generated inputs, in ``work``; returns the argument lists to run:
+    those that must succeed, and those that must fail as bad input."""
     # A Black record (its blank radius resolves to about 1.9 km), a Grey
     # one and a far one around the cluster at the origin.
     geodb = _write(os.path.join(work, "geodb.csv"), [
@@ -81,9 +87,16 @@ def write_inputs(work):
         "20,-101,-59,-100,-98", "30,-100,-62,-99,-101"])
     subbands = _write(os.path.join(work, "subbands.csv"),
                       ["low_mhz,high_mhz,label", "470,478,low", "478,486,high"])
+    bad_channel = _write(os.path.join(work, "bad_channel.csv"), [
+        GEODB_HEADER, "tv,AnalogPalD,5,500,0,60,100,-84,", "tv2,AnalogPalD,five,0,0,60,100,-84,"])
+    bad_number = _write(os.path.join(work, "bad_number.csv"), [
+        "t_ms,p_471,p_475", "0,-100,-60", "10,-99,high"])
+    bad_calibration = _write(os.path.join(work, "bad_calibration.csv"), [
+        "param,value", "noise_figure_db,6", "snapshots_per_ms,12500", "threshold_dbm,low",
+        "k_required,2"])
     out = os.path.join(work, "out")
     band = ["--band-low=470", "--band-high=486", "--exclude="]
-    return [
+    good = [
         ["simulate", os.path.join(SCENARIOS, "handover_fig17.ini"), "--out", out],
         ["simulate", cluster, "--out", out],
         ["simulate", narrow, "--out", out],
@@ -96,6 +109,12 @@ def write_inputs(work):
         ["occupancy", occupancy, *band],
         ["occupancy", occupancy, *band, "--subbands", subbands, "--out", out],
     ]
+    bad = [
+        ["geodb", "contour", bad_channel],
+        ["occupancy", bad_number, "--band-low=470", "--band-high=478", "--exclude="],
+        ["roc", bad_calibration, "--trials=2000"],
+    ]
+    return good, bad
 
 
 def function_bodies(path):
@@ -129,11 +148,14 @@ def main():
     tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
     cli = tracer.runfunc(importlib.import_module, "tvwsim.cli")
     with tempfile.TemporaryDirectory() as work:
-        for argv in write_inputs(work):
-            with contextlib.redirect_stdout(io.StringIO()):
+        good, bad = write_inputs(work)
+        runs = [(argv, cli.EXIT_OK) for argv in good] + [(argv, cli.EXIT_CONFIG) for argv in bad]
+        for argv, expected in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
                 rc = tracer.runfunc(cli.main, argv)
-            if rc != cli.EXIT_OK:
-                sys.exit(f"tvwsim {' '.join(argv)} exited with {rc}")
+            if rc != expected:
+                sys.exit(f"tvwsim {' '.join(argv)} exited with {rc}, not {expected}")
     ran = {}
     for filename, line in tracer.results().counts:
         ran.setdefault(os.path.realpath(filename), set()).add(line)
