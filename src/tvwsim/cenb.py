@@ -113,10 +113,6 @@ def select_bandwidth(vacant_run_length):
     return BANDWIDTH_BY_RUN[vacant_run_length]
 
 
-class MsgKind(Enum):
-    PCOGCH_DECISION = "PCogChDecision"
-
-
 @dataclass(frozen=True)
 class CogMessage:
     """CR control message: a spectrum decision broadcast on the PCogCH.
@@ -125,7 +121,6 @@ class CogMessage:
     message built without one takes the start of its decision frame.
     """
 
-    kind: MsgKind
     target_block: tuple
     bandwidth_mhz: int | None
     activation_frame: int
@@ -260,8 +255,7 @@ def spectrum_decision(state, grid, frame_no):
         return None
     sensed = [state.sensed_ms[ch] for ch in active
               if ch in state.sensed_ms and state.unavailable(ch)]
-    msg = CogMessage(kind=MsgKind.PCOGCH_DECISION, target_block=block,
-                     bandwidth_mhz=select_bandwidth(len(run)),
+    msg = CogMessage(target_block=block, bandwidth_mhz=select_bandwidth(len(run)),
                      activation_frame=frame_no + 1, origin=state.id,
                      frame_no=frame_no, t_detect_ms=min(sensed, default=frame_start))
     state.pending_handover = msg
@@ -276,7 +270,6 @@ class HandoverEvent:
     ``latency_ms`` runs from detection to restored data service.
     """
 
-    cenb_id: str
     t_detect_ms: float
     t_restored_ms: float
     to_block: tuple
@@ -309,8 +302,7 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
         state.bandwidth_mhz = msg.bandwidth_mhz
         state.retune_until_ms = now_ms + retune_ms
     return state, HandoverEvent(
-        cenb_id=state.id, t_detect_ms=msg.t_detect_ms,
-        t_restored_ms=now_ms if aborted else now_ms + retune_ms,
+        t_detect_ms=msg.t_detect_ms, t_restored_ms=now_ms if aborted else now_ms + retune_ms,
         to_block=() if aborted else msg.target_block, aborted=aborted)
 
 

@@ -21,6 +21,7 @@ The option parsers are those of ``radio_env``.
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import (
@@ -37,8 +38,8 @@ from .radio_env import (
     build_channel_grid,
     finite_float,
     level_db,
+    level_range,
     parse_exclusions,
-    parse_range,
     path_loss_exponent,
     positive_int,
     radio_freq_mhz,
@@ -76,7 +77,7 @@ def _cmd_roc(args):
 
     cfg = sensing.load_calibration(args.calibration) if args.calibration != "default" \
         else sensing.default_calibration()
-    powers = _option("--powers", parse_range, args.powers)
+    powers = _option("--powers", level_range, args.powers)
     trials = _option("--trials", positive_int, args.trials)
     seed = _option("--seed", seed_int, args.seed)
     points = sensing.estimate_roc(cfg, powers, trials=trials, seed=seed)
@@ -305,14 +306,28 @@ def build_parser(command=None):
     return parser
 
 
+def _joined_powers(argv):
+    """``argv`` with ``--powers value`` written ``--powers=value`` where the
+    value starts like a negative number: argparse takes ``-120:-119:1``,
+    which is not a plain number, for an option rather than for a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--powers" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--powers={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
     Only the parser of the subcommand named first is built.  Without a
     known name first (``-h``, no arguments, an unknown name) every
     subcommand's is, for the help and the errors that list them.
+    ``--powers -130:-110:1`` is read as ``--powers=-130:-110:1``.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _joined_powers(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         return args.func(args)

@@ -115,6 +115,7 @@ from .radio_env import (
     checked_float,
     finite_float,
     level_db,
+    level_range,
     parse_exclusions,
     parse_range,
     path_loss_exponent,
@@ -331,7 +332,7 @@ def _load_interference(reader):
     )
     return InterferenceStudy(
         topology=topo, coex=coex,
-        acir_list=reader.take("interference.acir_db", parse_range, parse_range("0:100:5")),
+        acir_list=reader.take("interference.acir_db", level_range, parse_range("0:100:5")),
         snapshots=reader.take("interference.snapshots", positive_int, 1000),
         seed=reader.take("interference.seed", seed_int, 1),
         loss_budget=reader.take("interference.loss_budget", _open_fraction, 0.05),

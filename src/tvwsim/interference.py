@@ -11,8 +11,11 @@ Each snapshot drop is evaluated across the whole ACIR list, so curves
 are exactly monotone per drop (paired seeds) and the infinite-ACIR
 baseline is the capacity reference by construction.  A sweep builds one
 evaluator (``_DropSums``) that holds what no drop changes and one
-(UE, ACIR) work buffer, and adds its drops one at a time: the working
-set is that of one drop, whatever the number of drops.  Path loss is
+(ACIR, UE) work buffer, and adds its drops one at a time: the working
+set is that of one drop, whatever the number of drops.  Each ACIR's
+capacity is the pairwise sum of one contiguous buffer row, as a one-ACIR
+sweep and the baseline sum theirs: a multi-ACIR sweep equals one-ACIR
+sweeps exactly, and an infinite ACIR equals the baseline.  Path loss is
 ``radio_env.PropagationConfig``'s, with the free-space loss at 1 m, on
 links clamped to the minimum coupling distance.
 """
@@ -118,11 +121,12 @@ class _DropSums:
     Everything that no drop changes is computed once, here: the
     path-loss model, the serving site of each UE, the power of every link,
     the noise floors and protection threshold, and the uplink
-    denominator ``n_bs + i_tv_site / acir`` of every (site, ACIR).  Each
+    denominator ``n_bs + i_tv_site / acir`` of every (ACIR, site).  Each
     drop then makes one path-loss pass over all of its links and fills
-    one reused (UE, ACIR) buffer, first with the downlink capacity terms
-    and then with the uplink ones.  Row 0 of ``outage`` and ``capacity``
-    is the downlink, row 1 the uplink.
+    one reused (ACIR, UE) buffer, first with the downlink capacity terms
+    and then with the uplink ones; the per-UE signals broadcast along its
+    rows, and each ACIR's capacity is the pairwise sum of its row.  Row 0
+    of ``outage`` and ``capacity`` is the downlink, row 1 the uplink.
     """
 
     def __init__(self, topo, cfg, acir_linear):
@@ -134,6 +138,7 @@ class _DropSums:
         n_acir = acir_linear.size
         self._n_ue = n_ue
         self._acir = acir_linear
+        self._acir_col = acir_linear[:, None]
 
         # One drop's uniforms, in draw order: receiver radii and angles,
         # then UE angles and radii, one row per sector.
@@ -176,12 +181,12 @@ class _DropSums:
         d = topo.sites - topo.tv_center
         loss_tv_site = self._loss_db(np.sqrt((d * d).sum(axis=1)))
         i_tv_site = 10.0 ** ((cfg.tv_eirp_dbm - loss_tv_site) / 10.0)
-        self._ul_denom = self._noise_dl_ul[1, 0] + i_tv_site[:, None] / acir_linear
+        self._ul_denom = self._noise_dl_ul[1, 0] + i_tv_site / self._acir_col
 
         self._i_tv = np.empty((2, n_rx))
         self._sinr = np.empty((2, n_rx, n_acir))
         self._hit = np.empty((2, n_rx, n_acir), dtype=bool)
-        self._buf = np.empty((n_ue, n_acir))
+        self._buf = np.empty((n_acir, n_ue))
         self._base = np.empty((2, n_ue))
 
         self.outage = np.zeros((2, n_acir))
@@ -259,11 +264,11 @@ class _DropSums:
         buf = self._buf
         # Copying first and dividing in place broadcasts one operand per
         # call, which halves numpy's transient iteration buffers.
-        np.copyto(buf, i_tv_ue[:, None])
-        buf /= self._acir
+        np.copyto(buf, i_tv_ue)
+        buf /= self._acir_col
         buf += self._noise_dl_ul[0, 0]
         self._add_mean_log2(0, s_dl)
-        np.take(self._ul_denom, self._ue_site, axis=0, out=buf, mode="clip")
+        np.take(self._ul_denom, self._ue_site, axis=1, out=buf, mode="clip")
         self._add_mean_log2(1, s_ul)
         base = self._base
         np.divide(self._ue_links[:2].reshape(2, self._n_ue), self._noise_dl_ul, out=base)
@@ -273,12 +278,12 @@ class _DropSums:
 
     def _add_mean_log2(self, row, signal):
         """Add the UE mean of log2(1 + signal / denominator) to capacity
-        row ``row``, with the (UE, ACIR) denominators in the work buffer."""
+        row ``row``, with the (ACIR, UE) denominators in the work buffer."""
         buf = self._buf
-        np.divide(signal[:, None], buf, out=buf)
+        np.divide(signal, buf, out=buf)
         buf += 1.0
         np.log2(buf, out=buf)
-        self.capacity[row] += np.add.reduce(buf, axis=0) / self._n_ue
+        self.capacity[row] += np.add.reduce(buf, axis=1) / self._n_ue
 
 
 @dataclass(frozen=True)

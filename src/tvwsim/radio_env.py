@@ -12,7 +12,7 @@ A spectrum is a plain (bins,) array of mW per resolution bin, on the
 grid's one bin layout (``ChannelGrid.n_bins`` and ``bin_centers_mhz``).
 
 It also holds the value parsers that the input files and the command
-line share (``finite_float``, ``checked_float``, ``parse_range``, ...):
+line share (``finite_float``, ``checked_float``, ``level_range``, ...):
 each raises ValueError, and its caller names the key or flag.
 
 ``ScheduleTable`` and ``LinkArrays`` hold a transmitter list as arrays:
@@ -537,6 +537,15 @@ def parse_range(text):
     if n >= MAX_RANGE_POINTS:
         raise ValueError(f"bad range {text!r}: more than {MAX_RANGE_POINTS} points")
     return [lo + i * step for i in range(n + 1)]
+
+
+def level_range(text):
+    """``parse_range(text)`` sweep of levels in dB or dBm, ``lo`` and ``hi``
+    within ``MAX_LEVEL_DB`` as ``level_db`` bounds a single level."""
+    points = parse_range(text)
+    for end in text.split(":")[:2]:
+        level_db(end)
+    return points
 
 
 def parse_exclusions(text):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tvwsim.cenb import (
     CenbState,
     CogMessage,
-    MsgKind,
     Subframe,
     asm_allocate,
     best_vacant_run,
@@ -223,8 +222,8 @@ class TestExecuteHandover:
 
     def test_activation_must_follow_decision_frame(self):
         with pytest.raises(ValueError):
-            CogMessage(kind=MsgKind.PCOGCH_DECISION, target_block=(1,),
-                       bandwidth_mhz=5, activation_frame=3, origin="c1", frame_no=3)
+            CogMessage(target_block=(1,), bandwidth_mhz=5, activation_frame=3, origin="c1",
+                       frame_no=3)
 
 
 class TestDetectionTime:
@@ -249,8 +248,8 @@ class TestDetectionTime:
         assert event.latency_ms == 20.0
 
     def test_message_without_detection_time_uses_its_frame_start(self):
-        msg = CogMessage(kind=MsgKind.PCOGCH_DECISION, target_block=(1,),
-                         bandwidth_mhz=5, activation_frame=4, origin="c1", frame_no=3)
+        msg = CogMessage(target_block=(1,), bandwidth_mhz=5, activation_frame=4, origin="c1",
+                         frame_no=3)
         assert msg.t_detect_ms == 30.0
 
 

@@ -67,6 +67,9 @@ BAD_INPUTS = [
     ("acir", "interference.exponent = 0"),
     ("roc", "--powers=-130:-110:1e-3"),
     ("acir", "interference.acir_db = 0:1:1e-6"),
+    ("roc", "--powers=4000:4001:1"),
+    ("acir", "interference.acir_db = 3000:3100:100"),
+    ("acir", "interference.acir_db = -3300:-3200:100"),
     ("geodb", "--exclude=566-6x6"),
     ("occupancy", "--exclude=566-6x6"),
     ("geodb", "# grey_margin_m=-1e9"),
@@ -434,6 +437,29 @@ def test_a_sweep_over_the_point_cap_names_its_key(tmp_path, capsys, command, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err and "more than 1001 points" in captured.err
+
+
+# Past the bound, 10 ** (level / 10) overflows (3090 dB and up) or reaches
+# zero (-3240 dB and down) in the sweep.
+@pytest.mark.parametrize("command, arg, name", [
+    ("roc", "--powers=4000:4001:1", "--powers"),
+    ("acir", "interference.acir_db = 3000:3100:100", "'interference.acir_db'"),
+    ("acir", "interference.acir_db = -3300:-3200:100", "'interference.acir_db'"),
+])
+def test_a_sweep_past_the_level_bound_names_its_key(tmp_path, capsys, command, arg, name):
+    assert cli.main(_argv(tmp_path, command, arg)) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and "expected a level from -300 to 300 dB" in captured.err
+
+
+def test_a_powers_sweep_in_two_words_is_the_one_word_form(tmp_path, capsys):
+    runs = []
+    for n, form in enumerate((["--powers", "-120:-119:1"], ["--powers=-120:-119:1"])):
+        out = tmp_path / f"roc{n}.csv"
+        assert cli.main(["roc", "default", "--trials=100", *form, "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out.replace(str(out), "roc.csv"), out.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("key", ["files.calibration", "files.transmitters", "files.geodb"])

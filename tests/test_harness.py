@@ -737,8 +737,7 @@ def test_report_bytes_are_pinned(tmp_path):
                   asm_epoch_frames=40, random_loss_floor=0.03)
     metrics, events = harness.run_simulation(cfg)
     metrics.handover_records.append(
-        HandoverEvent("cenb1", t_detect_ms=1503.0, t_restored_ms=1510.0, to_block=(),
-                      aborted=True))
+        HandoverEvent(t_detect_ms=1503.0, t_restored_ms=1510.0, to_block=(), aborted=True))
     events = sorted([*events, (1510.0, "cenb1", "RETUNE_ABORT", "target occupied")],
                     key=lambda row: row[0])
     assert {"ASM_EPOCH", "RETUNE_ABORT", "RETUNE_END"} <= {row[2] for row in events}

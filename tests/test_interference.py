@@ -111,16 +111,18 @@ def test_sweep_is_its_snapshots_summed_in_drop_order(topo, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_all_acirs_at_once_match_one_acir_at_a_time(topo, seed):
-    # The outage counts are exact; the capacities of a multi-ACIR sweep sum
-    # each ACIR's column row by row rather than pairwise, so they may differ
-    # from a one-ACIR sweep in the last bits.
     together = acir_sweep(topo, ACIRS_DB, DROPS, seed)
     for acir, point in zip(ACIRS_DB, together.points):
-        alone = acir_sweep(topo, [acir], DROPS, seed).points[0]
-        assert point.tv_outage_dl == alone.tv_outage_dl
-        assert point.tv_outage_ul == alone.tv_outage_ul
-        assert point.dl_capacity_loss == pytest.approx(alone.dl_capacity_loss, abs=1e-12)
-        assert point.ul_capacity_loss == pytest.approx(alone.ul_capacity_loss, abs=1e-12)
+        assert point == acir_sweep(topo, [acir], DROPS, seed).points[0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_an_infinite_acir_column_is_the_baseline(topo, seed):
+    sums = interference._DropSums(topo, CoexistenceConfig(),
+                                  interference._acir_linear([0.0, 37.5, np.inf]))
+    for drop in range(DROPS):
+        sums.add(interference._drop_rng(seed, drop))
+    assert sums.capacity[:, 2].tolist() == sums.capacity_baseline.tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
