@@ -175,13 +175,10 @@ class CenbState:
         self.occupied.difference_update(channels)
         self.occupied.update(occupied)
 
-    def region(self, channel_index):
-        return self.region_cache.get(channel_index, Region.WHITE)
-
-    def unavailable(self, channel_index):
-        """Black in the database view, or last sensed occupied."""
-        return (self.region(channel_index) is Region.BLACK
-                or channel_index in self.occupied)
+    def unavailable(self, channels):
+        """The channels of ``channels`` Black in the database view or last sensed occupied."""
+        black, regions, occupied = Region.BLACK, self.region_cache, self.occupied
+        return [ch for ch in channels if ch in occupied or regions.get(ch) is black]
 
 
 def block_clear(state, occupied):
@@ -195,9 +192,9 @@ def block_clear(state, occupied):
     """
     if state.active_block is None:
         return False
-    regions = state.region_cache
+    black, regions = Region.BLACK, state.region_cache
     for ch in state.active_block:
-        if ch in occupied or regions.get(ch) is Region.BLACK:
+        if ch in occupied or regions.get(ch) is black:
             return False
     return True
 
@@ -230,21 +227,22 @@ def spectrum_decision(state, grid, frame_no):
 
     active = state.active_block or ()
     frame_start = frame_no * FRAME_MS
+    # The members are read once: an Enum attribute lookup costs as much
+    # as the test.
+    regions, occupied, sensed_ms = state.region_cache, state.occupied, state.sensed_ms
+    black, grey = Region.BLACK, Region.GREY
     for ch in active:
-        if state.region(ch) is Region.GREY:
-            t_ms = state.sensed_ms.get(ch)
+        if regions.get(ch) is grey:
+            t_ms = sensed_ms.get(ch)
             if t_ms is None or t_ms < frame_start - FRAME_MS:
                 raise StaleSensingError(
                     f"no fresh sensing report for grey channel {ch}")
 
-    if block_clear(state, state.occupied):
+    if block_clear(state, occupied):
         return None
 
     # Usable: outside the active block, not last sensed occupied, not
-    # Black, and not Grey unless sensing has cleared it.  (The members are
-    # read once: an Enum attribute lookup costs as much as the test.)
-    regions, occupied, sensed_ms = state.region_cache, state.occupied, state.sensed_ms
-    black, grey = Region.BLACK, Region.GREY
+    # Black, and not Grey unless sensing has cleared it.
     usable = [ch for ch in range(grid.n_channels)
               if ch not in active and ch not in occupied
               and (region := regions.get(ch)) is not black
@@ -253,8 +251,7 @@ def spectrum_decision(state, grid, frame_no):
     block = tuple(run[:MAX_BLOCK_CHANNELS])
     if state.active_block is None and not block:
         return None
-    sensed = [state.sensed_ms[ch] for ch in active
-              if ch in state.sensed_ms and state.unavailable(ch)]
+    sensed = [sensed_ms[ch] for ch in state.unavailable(active) if ch in sensed_ms]
     msg = CogMessage(target_block=block, bandwidth_mhz=select_bandwidth(len(run)),
                      activation_frame=frame_no + 1, origin=state.id,
                      frame_no=frame_no, t_detect_ms=min(sensed, default=frame_start))
@@ -296,7 +293,7 @@ def execute_handover(state, msg, now_ms, retune_ms=10.0):
         raise ValueError(f"handover must execute at the activation boundary "
                          f"({msg.activation_frame * FRAME_MS} ms), not {now_ms} ms")
     state.pending_handover = None
-    aborted = any(state.unavailable(ch) for ch in msg.target_block)
+    aborted = bool(state.unavailable(msg.target_block))
     if not aborted:
         state.active_block = msg.target_block or None
         state.bandwidth_mhz = msg.bandwidth_mhz

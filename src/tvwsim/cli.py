@@ -309,11 +309,13 @@ def build_parser(command=None):
 def _joined_powers(argv):
     """``argv`` with ``--powers value`` written ``--powers=value`` where the
     value starts like a negative number: argparse takes ``-120:-119:1``,
-    which is not a plain number, for an option rather than for a value."""
+    which is not a plain number, for an option rather than for a value.
+    The flag may be any prefix that argparse accepts for it, ``--p`` on."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--powers" and re.match(r"-[\d.]", arg):
-            out[-1] = f"--powers={arg}"
+        if (out and len(out[-1]) > 2 and "--powers".startswith(out[-1])
+                and re.match(r"-[\d.]", arg)):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -325,7 +327,8 @@ def main(argv=None):
     Only the parser of the subcommand named first is built.  Without a
     known name first (``-h``, no arguments, an unknown name) every
     subcommand's is, for the help and the errors that list them.
-    ``--powers -130:-110:1`` is read as ``--powers=-130:-110:1``.
+    ``--powers -130:-110:1`` is read as ``--powers=-130:-110:1``, and so
+    is an abbreviated flag (``--pow -130:-110:1``).
     """
     argv = _joined_powers(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)

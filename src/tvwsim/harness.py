@@ -58,15 +58,19 @@ same channels, so it overwrites the view before the next decision or
 handover reads it.
 A handover ends the rounds, and the next ones start at its frame.
 
-When a run of rounds ends, its ``SENSE`` rows join the event list in one
-extend, and its downlink is counted as arrays: each unblocked (subframe,
-CeNB) slot delivers a fixed packet budget, and the packet-loss ratio is
-sampled once per frame.  The random losses of all the run's unblocked
-slots are one binomial call, split per frame by cumulative sums; it
-draws the values of one scalar call per slot and leaves the stream in
-the same state.  The event list is sorted by time once, stably, at the
-end: a ``SENSE`` row ties only a ``RETUNE_END`` logged before it, so the
-order is that of a loop that logs every frame in turn.
+When a run of rounds ends, its ``SENSE`` rows are written by slice into
+two (frames, CeNBs) grids of small ints, the monitored and the occupied
+channel counts, and its downlink is counted as arrays: each unblocked
+(subframe, CeNB) slot delivers a fixed packet budget, and the
+packet-loss ratio is sampled once per frame.  The random losses of all
+the run's unblocked slots are one binomial call, split per frame by
+cumulative sums; it draws the values of one scalar call per slot and
+leaves the stream in the same state.  The other events are a short list
+of rows, sorted by time once, stably, at the end.  The run returns both
+as an ``EventLog``, which builds the ``SENSE`` rows only when they are
+read and merges them in: a ``SENSE`` row ties only a ``RETUNE_END``
+logged before it, so the order is that of a loop that logs every frame
+in turn.
 
 Everything is a pure function of (config bytes, seed): every random
 stream is made in the run from the scenario seed, alone (shadowing) or
@@ -76,7 +80,7 @@ with a fixed integer tag, so equal inputs give byte-identical outputs.
 import bisect
 import os
 from dataclasses import dataclass, field, replace
-from itertools import count, cycle, repeat
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -495,6 +499,69 @@ class MetricsSeries:
     packets_lost: int = 0
 
 
+# Lines per write of a report CSV, and SENSE rows per chunk that an
+# ``EventLog`` builds: one join's speed, without the whole file's lines
+# or rows held at once.
+_REPORT_LINES = 256
+
+
+class _SenseDetails(dict):
+    """SENSE details by (monitored, occupied) count, each formatted once."""
+
+    def __missing__(self, key):
+        detail = self[key] = f"channels={key[0]} occupied={key[1]}"
+        return detail
+
+
+class EventLog:
+    """A run's event rows ``(t_ms, cenb_id, event, detail)``, in time order.
+
+    The SENSE rows, one per (frame, CeNB), are kept as two (frames,
+    CeNBs) grids of channel counts, ``monitored`` and ``occupied``; frame
+    ``f`` senses at ``f * FRAME_MS + sense_offset_ms``.  ``rows`` holds the
+    other rows, sorted by time.  Iterating yields them all in time order,
+    the SENSE rows built a chunk of frames at a time: at an equal time
+    the other rows come first (a SENSE row ties only a ``RETUNE_END``,
+    logged at an earlier boundary), and a frame's SENSE rows come in
+    CeNB order.  The log can be iterated any number of times.
+    """
+
+    def __init__(self, ids, sense_offset_ms, monitored, occupied, rows):
+        self.ids = ids
+        self.sense_offset_ms = sense_offset_ms
+        self.monitored = monitored
+        self.occupied = occupied
+        self.rows = rows
+
+    def __iter__(self):
+        return chain.from_iterable(self._runs())
+
+    def _runs(self):
+        """Runs of consecutive rows, each an iterable of rows."""
+        n = len(self.ids)
+        details = _SenseDetails()
+        times = [row[0] for row in self.rows]
+        step = max(1, _REPORT_LINES // n)
+        j = 0       # the first other row not yet yielded
+        for a in range(0, len(self.occupied), step):
+            t = (np.arange(a, min(a + step, len(self.occupied))) * FRAME_MS
+                 + self.sense_offset_ms).tolist()
+            sense = zip(np.repeat(t, n).tolist(), self.ids * len(t), repeat("SENSE"),
+                        map(details.__getitem__,
+                            zip(self.monitored[a:a + step].ravel().tolist(),
+                                self.occupied[a:a + step].ravel().tolist())))
+            done = 0    # SENSE rows of this chunk yielded
+            k = bisect.bisect_right(times, t[-1], j)
+            for i in range(j, k):
+                before = n * bisect.bisect_left(t, times[i])
+                yield islice(sense, before - done)
+                done = before
+                yield self.rows[i:i + 1]
+            yield sense
+            j = k
+        yield self.rows[j:]
+
+
 def _initial_regions(setup, cfg):
     if cfg.geodb is None:
         return {ch: Region.WHITE for ch in range(cfg.grid.n_channels)}
@@ -541,6 +608,7 @@ class _BlockRadio:
                                    dtype=np.intp)
         self.offsets_ms = np.asarray(offsets_ms, dtype=float)
         self.op_det = op_det
+        self.threshold_mw = op_det.threshold_mw()
         self.n_snapshots = op_det.n_snapshots()
         self.rng = np.random.default_rng([cfg.seed, 0x5E45E])
         self.n_points = len(points)
@@ -568,9 +636,13 @@ class _BlockRadio:
         fixed = self.links.fixed_gains is not None
         if fixed:
             # The block's distinct schedule segments, formed once; each
-            # pass gathers its frames' rows.
-            distinct, row = np.unique(segment, return_inverse=True)
-            table = self.links.mean_mw(self.schedules.segments[distinct])
+            # pass gathers its frames' rows.  The instants ascend, so
+            # their segments do too, and each distinct one starts a run.
+            starts = np.empty(count, dtype=bool)
+            starts[0] = True
+            np.not_equal(segment[1:], segment[:-1], out=starts[1:])
+            row = np.cumsum(starts) - 1
+            table = self.links.mean_mw(self.schedules.segments[segment[starts]])
         verdicts = np.empty((count, self.n_points, self.n_channels), dtype=bool)
         for lo in range(0, count, self.frames_per_pass):
             hi = min(lo + self.frames_per_pass, count)
@@ -579,7 +651,8 @@ class _BlockRadio:
             window_mw = window_mw.reshape(hi - lo, self.n_points, *self.windows.shape)
             window_mw *= self.rng.gamma(self.n_snapshots, 1.0 / self.n_snapshots,
                                         size=window_mw.shape)
-            verdicts[lo:hi] = sensing_mod.channel_verdicts(self.op_det, window_mw.sum(axis=-1))
+            verdicts[lo:hi] = sensing_mod.channel_verdicts(self.op_det, window_mw.sum(axis=-1),
+                                                           self.threshold_mw)
         return t_ms, verdicts, on_air
 
 
@@ -604,8 +677,9 @@ class _HeldBlocks:
         self.n_monitored = [len(channels) for channels in self.monitored]
         self.reporting = np.ones_like(self.held) if wide else self.held
         # Only a held block none of whose channels is Black can be clear.
+        black = Region.BLACK
         self.may_clear = np.array([bool(block) and not any(
-            state.region_cache.get(ch) is Region.BLACK for ch in block)
+            state.region_cache.get(ch) is black for ch in block)
             for state, block in zip(states, blocks)], dtype=bool)
         self.blockless = np.array([not block for block in blocks])
         self.tx_on_held = self.held[:, tx_channel].T
@@ -655,7 +729,11 @@ class _Rounds:
 
 
 def run_simulation(cfg):
-    """Drive the full scenario; returns (MetricsSeries, event rows)."""
+    """Drive the full scenario; returns (MetricsSeries, EventLog).
+
+    The log holds the SENSE rows as its count grids and the other rows
+    as a short list, and builds the rows in time order when iterated.
+    """
     n_frames = int(cfg.duration_ms // FRAME_MS)
     op_det = replace(cfg.detector,
                      target_pfa=cfg.operational_pfa,
@@ -689,15 +767,19 @@ def run_simulation(cfg):
         state.active_block = block
         state.bandwidth_mhz = select_bandwidth(len(block))
     if auto:
-        availability = {s.id: [ch for ch, r in s.region_cache.items()
-                               if r is not Region.BLACK] for s in auto}
+        black = Region.BLACK
+        availability = {s.id: [ch for ch, r in s.region_cache.items() if r is not black]
+                        for s in auto}
         assignment = asm_allocate(auto, availability, cfg.asm_reuse_distance_m, cfg.grid)
         for state in auto:
             block = assignment.blocks.get(state.id, ())
             state.active_block = block or None
             state.bandwidth_mhz = select_bandwidth(len(block))
 
-    events = []
+    events = []         # the rows other than SENSE
+    # The SENSE rows: each (frame, CeNB)'s monitored and occupied channel counts.
+    monitored = np.empty((n_frames, len(states)), dtype=np.min_scalar_type(cfg.grid.n_channels))
+    occupied = np.empty_like(monitored)
     metrics = MetricsSeries(plr=np.zeros(n_frames),
                             sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
     fusion_rule = cfg.fusion_rule if cfg.fusion_rule != "OFF" and len(states) > 1 else None
@@ -707,8 +789,6 @@ def run_simulation(cfg):
     dl_slots = len(dl_subframes) * len(states)     # (DL subframe, CeNB) pairs per frame
     offered = packets * dl_slots
     epoch = cfg.asm_epoch_frames
-    ids = [state.id for state in states]
-    details = {}        # SENSE details by (monitored, occupied) count, shared by the rows
 
     def write_view(rounds, last, idx, state):
         """Write CeNB ``idx``'s round at row ``last`` of ``rounds`` into its sensing view."""
@@ -724,11 +804,8 @@ def run_simulation(cfg):
         frame by cumulative sums.
         """
         n = stop - rounds.start
-        keys = list(zip(cycle(rounds.held.n_monitored), rounds.counts[:n].ravel().tolist()))
-        for key in set(keys) - details.keys():
-            details[key] = f"channels={key[0]} occupied={key[1]}"
-        events.extend(zip(np.repeat(rounds.t_sense[:n], len(states)).tolist(), ids * n,
-                          repeat("SENSE"), map(details.__getitem__, keys)))
+        monitored[rounds.start:stop] = rounds.held.n_monitored
+        occupied[rounds.start:stop] = rounds.counts[:n]
         blocked = rounds.blocked[:n]
         lost = packets * blocked
         if loss_rng is not None:
@@ -813,7 +890,8 @@ def run_simulation(cfg):
         settle(rounds, end)
 
     events.sort(key=lambda row: row[0])
-    return metrics, events
+    return metrics, EventLog([state.id for state in states], sense_offset,
+                             monitored, occupied, events)
 
 
 def handover_summary(metrics):
@@ -826,16 +904,15 @@ def handover_summary(metrics):
             f"max_latency_ms: {np.max(lats):.10g}")
 
 
-# Lines per write of a report CSV: one join's speed, without the whole
-# file's lines held at once.
-_REPORT_LINES = 256
-
-
 def emit_report(metrics, out_dir, events=()):
     """Write plr.csv, events.csv and handover_summary.txt.
 
-    Each CSV is written ``_REPORT_LINES`` lines at a time, joined from
-    Python values (``tolist``), not one numpy scalar and one write per line.
+    ``events`` is ``run_simulation``'s ``EventLog`` or any iterable of
+    event rows in the order to write.  Each CSV is written
+    ``_REPORT_LINES`` lines at a time, joined from Python values
+    (``tolist``), not one numpy scalar and one write per line; the event
+    rows are taken ``_REPORT_LINES`` at a time from one iterator, so no
+    more of them are held at once.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -852,9 +929,10 @@ def emit_report(metrics, out_dir, events=()):
     ev_path = os.path.join(out_dir, "events.csv")
     with open(ev_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t_ms,cenb_id,event,detail\n")
-        for a in range(0, len(events), _REPORT_LINES):
-            fh.write("".join([f"{t:.10g},{who},{kind},{detail}\n"
-                              for t, who, kind, detail in events[a:a + _REPORT_LINES]]))
+        rows = iter(events)
+        while lines := "".join([f"{t:.10g},{who},{kind},{detail}\n"
+                                for t, who, kind, detail in islice(rows, _REPORT_LINES)]):
+            fh.write(lines)
     written.append(ev_path)
 
     summary_path = os.path.join(out_dir, "handover_summary.txt")

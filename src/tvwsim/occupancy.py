@@ -34,13 +34,11 @@ class ChannelClass(Enum):
 
 @dataclass(frozen=True)
 class OccupancyMatrix:
-    """Time x frequency power samples with their axes and, if the trace
-    has them, each sweep's position."""
+    """Time x frequency power samples with their axes."""
 
     timestamps_ms: np.ndarray
     freqs_mhz: np.ndarray
     power_dbm: np.ndarray
-    latlon: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.timestamps_ms, dtype=float)
@@ -83,9 +81,10 @@ def ingest_trace(path):
     """Parse a sweep-trace CSV into a validated matrix.
 
     Header is ``t_ms[,lat,lon],p_<f1>,p_<f2>,...`` with bin-center
-    frequencies in MHz.  Ragged rows, non-finite cells and non-increasing
-    timestamps are rejected with the offending line number, and a trace
-    without data rows is rejected.  Sweeps are parsed and checked a chunk
+    frequencies in MHz; the position cells are checked like the others,
+    and no analysis keeps them.  Ragged rows, non-finite cells and
+    non-increasing timestamps are rejected with the offending line number,
+    and a trace without data rows is rejected.  Sweeps are parsed and checked a chunk
     at a time as float arrays, and the first bad line is named from them,
     with its column and cell.
     """
@@ -127,8 +126,7 @@ def ingest_trace(path):
         return OccupancyMatrix(
             timestamps_ms=np.concatenate([b[:, 0] for b in blocks]),
             freqs_mhz=np.asarray(header["freqs"]),
-            power_dbm=np.concatenate([b[:, first:] for b in blocks]),
-            latlon=np.concatenate([b[:, 1:3] for b in blocks]) if first == 3 else None)
+            power_dbm=np.concatenate([b[:, first:] for b in blocks]))
 
 
 @dataclass(frozen=True)

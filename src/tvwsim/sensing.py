@@ -193,14 +193,17 @@ def _k_of_n(stats, threshold, k):
     return count >= k
 
 
-def channel_verdicts(cfg, sums_mw):
+def channel_verdicts(cfg, sums_mw, threshold_mw=None):
     """Occupied flags (...) of carrier-window sums ``sums_mw`` (..., carriers) in mW.
 
     A carrier fires when its sum reaches ``cfg.threshold_mw()``, the value
     the ROC's statistics are compared with too, so no logarithm is taken
-    for a verdict.
+    for a verdict.  A caller that decides many sums on one ``cfg`` passes
+    that value as ``threshold_mw``, formed once.
     """
-    return _k_of_n(sums_mw, cfg.threshold_mw(), cfg.k_required)
+    if threshold_mw is None:
+        threshold_mw = cfg.threshold_mw()
+    return _k_of_n(sums_mw, threshold_mw, cfg.k_required)
 
 
 def carrier_signal_mw(cfg, total_power_dbm):

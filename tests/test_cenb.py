@@ -408,10 +408,10 @@ class TestSensingView:
         last = dict(verdicts)
         by_round.record_view(sorted(last), [ch for ch, occupied in last.items() if occupied],
                              t_ms)
-        for ch in range(grid.n_channels):
-            assert by_verdict.unavailable(ch) == by_round.unavailable(ch)
+        channels = range(grid.n_channels)
+        assert by_verdict.unavailable(channels) == by_round.unavailable(channels)
         assert by_verdict.sensed_ms == by_round.sensed_ms
-        assert [ch for ch in (24, 25, 26) if by_round.unavailable(ch)] == [26]
+        assert by_round.unavailable((24, 25, 26)) == [26]
 
         def outcome(state):
             state.region_cache.update({ch: Region.WHITE for ch in range(grid.n_channels)})

@@ -453,12 +453,24 @@ def test_a_sweep_past_the_level_bound_names_its_key(tmp_path, capsys, command, a
     assert name in captured.err and "expected a level from -300 to 300 dB" in captured.err
 
 
-def test_a_powers_sweep_in_two_words_is_the_one_word_form(tmp_path, capsys):
+def _powers_runs(tmp_path, capsys, forms):
+    """(stdout, roc CSV bytes) of ``roc default`` under each ``--powers`` form."""
     runs = []
-    for n, form in enumerate((["--powers", "-120:-119:1"], ["--powers=-120:-119:1"])):
+    for n, form in enumerate(forms):
         out = tmp_path / f"roc{n}.csv"
         assert cli.main(["roc", "default", "--trials=100", *form, "--out", str(out)]) == 0
         runs.append((capsys.readouterr().out.replace(str(out), "roc.csv"), out.read_bytes()))
+    return runs
+
+
+def test_a_powers_sweep_in_two_words_is_the_one_word_form(tmp_path, capsys):
+    runs = _powers_runs(tmp_path, capsys, (["--powers", "-120:-119:1"], ["--powers=-120:-119:1"]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("flag", ["--pow", "--p"])
+def test_an_abbreviated_powers_flag_in_two_words_is_the_one_word_form(tmp_path, capsys, flag):
+    runs = _powers_runs(tmp_path, capsys, ([flag, "-120:-119:1"], ["--powers=-120:-119:1"]))
     assert runs[0] == runs[1]
 
 

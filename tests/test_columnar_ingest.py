@@ -306,10 +306,10 @@ def test_a_trace_of_many_chunks_equals_its_rows(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(_trace_lines(40, 300)) + "\n", encoding="utf-8")
     m = occupancy.ingest_trace(path)
-    rows = np.array([[float(c) for c in line.split(",")]
-                     for line in _trace_lines(40, 300)[1:]])
+    header, *lines = _trace_lines(40, 300)
+    rows = np.array([[float(c) for c in line.split(",")] for line in lines])
     np.testing.assert_array_equal(m.timestamps_ms, rows[:, 0])
-    np.testing.assert_array_equal(m.latlon, rows[:, 1:3])
+    np.testing.assert_array_equal(m.freqs_mhz, [float(name[2:]) for name in header.split(",")[3:]])
     np.testing.assert_array_equal(m.power_dbm, rows[:, 3:])
     assert m.power_dbm.flags.c_contiguous
 
@@ -486,10 +486,7 @@ def test_a_trace_names_its_first_bad_line_or_loads_its_rows(tmp_path_factory, tr
     first = len(header) - m.freqs_mhz.size
     np.testing.assert_array_equal(m.timestamps_ms, values[:, 0])
     np.testing.assert_array_equal(m.power_dbm, values[:, first:])
-    if first == 3:
-        np.testing.assert_array_equal(m.latlon, values[:, 1:3])
-    else:
-        assert m.latlon is None
+    assert first == (3 if header[1:3] == ["lat", "lon"] else 1)
 
 
 def test_a_contour_margin_past_a_double_names_its_line(tmp_path):

@@ -1,7 +1,9 @@
 """Frame loop of ``harness.run_simulation``: detector, handover timeline, X2 fusion."""
 
+import gc
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -128,7 +130,7 @@ def test_block_radio_forms_each_distinct_segment_once(tmp_path, monkeypatch):
                         lambda on: formed.append(on.tolist()) or gains_mw(on))
     channel_verdicts = harness.sensing_mod.channel_verdicts
     monkeypatch.setattr(harness.sensing_mod, "channel_verdicts",
-                        lambda det, mw: sums.extend(mw) or channel_verdicts(det, mw))
+                        lambda det, mw, tau: sums.extend(mw) or channel_verdicts(det, mw, tau))
     radio.rng = SimpleNamespace(gamma=lambda k, scale, size: np.ones(size))    # noise-free
     radio.sense(0, 40)
     assert formed == schedules.segments[1:6].tolist()
@@ -174,7 +176,7 @@ def test_two_runs_on_one_loaded_config_agree(tmp_path):
     scenario.write_text("sim.seed = 3\nsim.duration_ms = 500\nprop.shadowing_sigma_db = 8\n"
                         "files.transmitters = tx.csv\n", encoding="utf-8")
     cfg = harness.load_scenario(scenario)
-    assert harness.run_simulation(cfg)[1] == harness.run_simulation(cfg)[1]
+    assert list(harness.run_simulation(cfg)[1]) == list(harness.run_simulation(cfg)[1])
 
 
 # Three CeNBs on channels 24-26.  tv-a (channel 25, on from 1 s) is seen by
@@ -392,7 +394,7 @@ def test_frame_loop_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypa
     (metrics, events), *others = runs
     assert any(kind == "DECIDE" for _, _, kind, _ in events)
     for other_metrics, other_events in others:
-        assert other_events == events
+        assert list(other_events) == list(events)
         assert np.array_equal(other_metrics.plr, metrics.plr)
 
 
@@ -614,6 +616,7 @@ def _rows(events, kind):
 
 
 def _retune_end_ties_a_sense(cfg, metrics, events):
+    events = list(events)
     ends = {t for t, _, _, _ in _rows(events, "RETUNE_END")}
     ties = [i for i, row in enumerate(events) if row[2] == "SENSE" and row[0] in ends]
     assert ties and all(events[i - 1][2] == "RETUNE_END" for i in ties)
@@ -689,8 +692,47 @@ def test_edge_outputs_do_not_depend_on_the_block_length(tmp_path, monkeypatch, n
         runs.append(harness.run_simulation(cfg))
     (metrics, events), *others = runs
     for other_metrics, other_events in others:
-        assert other_events == events
+        assert list(other_events) == list(events)
         assert np.array_equal(other_metrics.plr, metrics.plr)
+
+
+@pytest.mark.parametrize("name", ["retune_13", "epoch_every_frame"])
+def test_the_log_gives_the_same_rows_on_each_pass_and_at_any_chunk_length(
+        tmp_path, monkeypatch, name):
+    """The log's rows come in time order, the other rows before the SENSE
+    rows of an equal time (retune_13 has such ties), and neither a second
+    pass nor the number of rows built at a time changes them."""
+    _, events = harness.run_simulation(EDGE_SCENARIOS[name][0](tmp_path))
+    rows = list(events)
+    assert rows == sorted(rows, key=lambda row: (row[0], row[2] == "SENSE"))
+    assert list(events) == rows
+    for lines in (1, 2, 7):
+        monkeypatch.setattr(harness, "_REPORT_LINES", lines)
+        assert list(events) == rows
+
+
+def _retained_bytes(cfg):
+    """Bytes that the log of a run of ``cfg`` holds, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = harness.run_simulation(cfg)[1]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0], log
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_log_holds_a_few_bytes_per_sense_row():
+    """The SENSE rows are kept as count grids, not one tuple per row: from
+    2000 to 6000 frames of one CeNB, the log grows by at most 16 B per
+    extra (frame, CeNB)."""
+    cfg = harness.load_scenario(SCENARIOS / "handover_fig17.ini")
+    harness.run_simulation(cfg)     # fills the caches that a first run fills
+    short, _ = _retained_bytes(replace(cfg, duration_ms=20_000))
+    long, log = _retained_bytes(replace(cfg, duration_ms=60_000))
+    assert sum(row[2] == "SENSE" for row in log) == 6000
+    assert long - short <= 16 * 4000
 
 
 def test_a_retune_aborts_on_a_target_the_last_round_found_occupied(tmp_path):

