@@ -322,7 +322,10 @@ def load(path, prop=None, freq_mhz=DEFAULT_TV_FREQ_MHZ):
 
     def metadata(lineno, line):
         with row_errors(path, lineno):
-            key, value = (part.strip() for part in line[1:].split("=", 1))
+            key, eq, value = line[1:].partition("=")
+            if not eq:
+                raise ValueError("a metadata line has the form '# key = value'")
+            key, value = key.strip(), value.strip()
             if key == "version":
                 params[key] = int(value)
             elif key == "grey_margin_m":

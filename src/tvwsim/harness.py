@@ -493,7 +493,6 @@ class MetricsSeries:
     """Per-frame packet-loss samples and every executed or aborted ``HandoverEvent``."""
 
     plr: np.ndarray
-    sample_t_ms: np.ndarray
     handover_records: list = field(default_factory=list)
     packets_offered: int = 0
     packets_lost: int = 0
@@ -780,8 +779,7 @@ def run_simulation(cfg):
     # The SENSE rows: each (frame, CeNB)'s monitored and occupied channel counts.
     monitored = np.empty((n_frames, len(states)), dtype=np.min_scalar_type(cfg.grid.n_channels))
     occupied = np.empty_like(monitored)
-    metrics = MetricsSeries(plr=np.zeros(n_frames),
-                            sample_t_ms=np.arange(n_frames, dtype=float) * FRAME_MS)
+    metrics = MetricsSeries(plr=np.zeros(n_frames))
     fusion_rule = cfg.fusion_rule if cfg.fusion_rule != "OFF" and len(states) > 1 else None
     loss_rng = (np.random.default_rng([cfg.seed, 0x10F])
                 if cfg.random_loss_floor > 0 else None)
@@ -921,9 +919,10 @@ def emit_report(metrics, out_dir, events=()):
     with open(plr_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("sample_index,t_ms,plr\n")
         for a in range(0, metrics.plr.size, _REPORT_LINES):
-            b = a + _REPORT_LINES
+            b = min(a + _REPORT_LINES, metrics.plr.size)
+            t_ms = np.arange(a, b, dtype=float) * FRAME_MS  # sample i is frame i's start
             fh.write("".join([f"{i},{t:.10g},{v:.10g}\n" for i, t, v in zip(
-                count(a), metrics.sample_t_ms[a:b].tolist(), metrics.plr[a:b].tolist())]))
+                count(a), t_ms.tolist(), metrics.plr[a:b].tolist())]))
     written.append(plr_path)
 
     ev_path = os.path.join(out_dir, "events.csv")

@@ -1,5 +1,7 @@
 """The one CSV reader behind the six input formats."""
 
+import re
+
 import pytest
 
 from tvwsim.errors import ParseError
@@ -50,11 +52,18 @@ def test_geodb_metadata_lines(tmp_path):
     assert (db.columns.ids.tolist(), db.columns.radius.tolist()) == (["db"], [1000.0])
 
 
+# What each bad metadata block's error says after its line number.
+METADATA_ERRORS = {"# version=4\n# colour=red\n": "unknown metadata key 'colour'",
+                   "# grey_margin_m=nan\n": "expected a finite number",
+                   "# version\n": "a metadata line has the form '# key = value'"}
+
+
 @pytest.mark.parametrize("meta, line", [("# version=4\n# colour=red\n", 2),
                                         ("# grey_margin_m=nan\n", 1),
                                         ("# version\n", 1)])
 def test_bad_geodb_metadata_names_its_line(tmp_path, meta, line):
-    with pytest.raises(ParseError, match=rf"input\.csv:{line}: "):
+    says = re.escape(METADATA_ERRORS[meta])
+    with pytest.raises(ParseError, match=rf"input\.csv:{line}: {says}"):
         load(write(tmp_path, meta + FORMATS["geodb"][1]))
 
 

@@ -735,6 +735,35 @@ def test_the_log_holds_a_few_bytes_per_sense_row():
     assert long - short <= 16 * 4000
 
 
+def _result_bytes(cfg):
+    """Bytes that ``run_simulation(cfg)`` returns, by tracemalloc: those
+    freed when the result is dropped, so that numpy's small-block caches,
+    which a run fills by a varying amount, cancel out."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = harness.run_simulation(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_holds_a_few_bytes_per_frame():
+    """What ``run_simulation`` returns, its metrics and its log, grows by at
+    most 12 B per frame from 2000 to 6000 frames of one CeNB: a plr sample
+    and the SENSE grids, with no per-frame time, which the report forms as
+    it writes each chunk."""
+    cfg = harness.load_scenario(SCENARIOS / "handover_fig17.ini")
+    harness.run_simulation(cfg)     # fills the caches that a first run fills
+    short = _result_bytes(replace(cfg, duration_ms=20_000))
+    long = _result_bytes(replace(cfg, duration_ms=60_000))
+    assert long - short <= 12 * 4000
+
+
 def test_a_retune_aborts_on_a_target_the_last_round_found_occupied(tmp_path):
     """fig17 with tv-b switching on at 1012 ms on channel 1, 300 m from
     cenb1.  cenb1 decides at 1010 ms on the round of 1003 ms to move to

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from tvwsim import sensing
 from tvwsim.cenb import build_frame_schedule
 from tvwsim.errors import CalibrationError, CoverageError, ParseError
 from tvwsim.radio_env import (
@@ -417,6 +418,41 @@ def test_roc_memory_is_one_chunks_working_set():
     # the k-of-n temporaries; a second or third chunk-sized copy breaks it.
     chunk_bytes = _DRAW_CHUNK * cfg.n_carriers * 8
     assert peak <= 1.5 * chunk_bytes + 64_000
+
+
+def test_a_roc_sweep_peaks_at_about_half_a_megabyte():
+    # estimate_roc's docstring: 21 powers over three carriers peak at
+    # about 0.5 MB, the chunk, its fill buffer and the k-of-n temporaries.
+    cfg = default_calibration()
+    powers = np.arange(-130.0, -109.0)
+    estimate_roc(cfg, powers, trials=1000)      # one-time allocations outside the sweep
+    tracemalloc.start()
+    try:
+        estimate_roc(cfg, powers, trials=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.60e6
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 10, 1 << 14, 1 << 15])
+def test_roc_points_do_not_depend_on_the_draw_buffer_sizes(monkeypatch, chunk):
+    # The buffer sizes set speed and memory only: at any chunk, with a fill
+    # buffer an eighth of it (at least one trial), the points are those of
+    # the product rule on one Gamma call per stream.
+    cfg = default_calibration()
+    m, n, noise = cfg.n_snapshots(), cfg.n_carriers, cfg.window_noise_mw()
+    powers, trials = [-126.0, -123.0, -121.0, -119.0, -116.0], 5000
+    g = np.random.default_rng([6, 0x0FA]).gamma(m, 1.0 / m, size=(trials, n))
+    pfa = product_count(cfg, np.zeros(n), noise, g) / trials
+    g = np.random.default_rng([6, 0x20C]).gamma(m, 1.0 / m, size=(trials, n))
+    expected = [(p, product_count(cfg, carrier_signal_mw(cfg, p), noise, g) / trials, pfa)
+                for p in powers]
+    monkeypatch.setattr(sensing, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(sensing, "_SUB_DRAW", max(1, chunk // 8))
+    points = estimate_roc(cfg, powers, trials=trials, seed=6)
+    assert [(q.power_dbm, q.pd, q.pfa) for q in points] == expected
+    assert sum(0.0 < pd < 1.0 for _, pd, _ in expected) >= 2
 
 
 # The operating detector (fig17's 1.7 ms of sensing at Pfa 1e-8), then
