@@ -350,12 +350,15 @@ class TestThresholdOnDraws:
         assert np.array_equal(chunked, one)
 
 
-@pytest.mark.parametrize("trials", [1, _SUB_DRAW - 1, _SUB_DRAW, _SUB_DRAW + 1,
-                                    _DRAW_CHUNK - 1, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 7])
+@pytest.mark.parametrize("trials", sorted({
+    1, _SUB_DRAW - 1, _SUB_DRAW, _SUB_DRAW + 1,
+    _DRAW_CHUNK - 1, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 7,
+    4095, 4096, 4097, 32767, 32769, 65543}))
 def test_filled_draws_equal_one_gamma_call(trials):
     # Sub-draws and chunks split the stream at every boundary: one, a
     # sub-draw either side of its size, a chunk either side of its size
-    # and two chunks with a partial third.
+    # and two chunks with a partial third. The fixed counts split it at
+    # whole and part sub-draws across several chunks.
     cfg = default_calibration()
     m, n = cfg.n_snapshots(), cfg.n_carriers
     one = np.random.default_rng(5).gamma(m, 1.0 / m, size=(trials, n))
